@@ -2,9 +2,9 @@
 
 Three bars around the same gravity pipeline:
 
-* ``attr.gravity_off`` — attribution disabled.  This is the seed path;
-  the disabled cost is one ``if self.attribution`` branch per iteration,
-  so the bar must sit within the PR 3 noise gate of the plain pipeline.
+* ``attr.gravity_off`` — no ``Attribution`` observer plugged in.  This is
+  the seed path; nothing attribution-related runs, so the bar must sit
+  within the PR 3 noise gate of the plain pipeline.
 * ``attr.gravity_on`` — per-node SoA counters recording.  The recorder
   is a handful of ``np.add.at`` scatters per traversal batch; the run
   must stay within a few percent.
@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.apps.gravity import GravityDriver
 from repro.core import Configuration
+from repro.core.observers import Attribution
 from repro.particles import clustered_clumps
 from repro.perf import benchmark as perf_benchmark
 
@@ -32,7 +33,7 @@ def _run_gravity(n: int, attribution: bool):
 
     d = Main(Configuration(num_iterations=2, num_partitions=4,
                            num_subtrees=4), theta=0.7)
-    d.enable_attribution(attribution)
+    d.attr = d.observe(Attribution()) if attribution else None
     d.run()
     return d
 
@@ -46,7 +47,7 @@ def bench_attr_off(quick=False):
     def run():
         d = _run_gravity(n, attribution=False)
         return {"iterations": len(d.reports),
-                "profiles": len(d.attribution_profiles)}
+                "profiles": 0 if d.attr is None else len(d.attr.profiles)}
 
     return run
 
@@ -59,7 +60,7 @@ def bench_attr_on(quick=False):
 
     def run():
         d = _run_gravity(n, attribution=True)
-        prof = d.attribution_profiles[-1]
+        prof = d.attr.profiles[-1]
         return {"iterations": len(d.reports),
                 "visits": int(prof.arrays["visits"].sum()),
                 "cost_ns": int(prof.arrays["cost_ns"].sum())}

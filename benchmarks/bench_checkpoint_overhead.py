@@ -19,7 +19,8 @@ from repro.bench import format_table, print_banner
 from repro.core import Configuration
 from repro.particles import clustered_clumps
 from repro.perf import benchmark as perf_benchmark
-from repro.resilience import BuddyStore, capture_run, checkpoint_to_bytes
+from repro.resilience import (BuddyStore, CheckpointWriter, capture_run,
+                              checkpoint_to_bytes)
 
 ITERATIONS = 4
 
@@ -59,7 +60,7 @@ def perf_ckpt_every1(quick=False):
     def run():
         with tempfile.TemporaryDirectory() as d:
             driver = _driver(n)
-            writer = driver.enable_checkpointing(d, every=1)
+            writer = driver.observe(CheckpointWriter(d, every=1))
             driver.run()
             return {"checkpoints": len(writer.written)}
 
@@ -90,7 +91,7 @@ def test_checkpoint_interval_cost(benchmark, tmp_path):
     def timed(every):
         driver = _driver(n)
         if every:
-            driver.enable_checkpointing(tmp_path / f"every{every}", every=every)
+            driver.observe(CheckpointWriter(tmp_path / f"every{every}", every=every))
         t0 = time.perf_counter()
         driver.run()
         return time.perf_counter() - t0, driver
@@ -118,7 +119,7 @@ def test_disabled_run_is_bit_identical_to_checkpointed(tmp_path):
     a = _driver(1_200)
     a.run()
     b = _driver(1_200)
-    b.enable_checkpointing(tmp_path, every=1)
+    b.observe(CheckpointWriter(tmp_path, every=1))
     b.run()
     np.testing.assert_array_equal(a.particles.position, b.particles.position)
     np.testing.assert_array_equal(a.accelerations, b.accelerations)

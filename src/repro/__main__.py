@@ -18,6 +18,13 @@ Examples::
     python -m repro serve --n 50000 --rate 2000 --socket serve.sock
     python -m repro serve --bench --overload 4 --slo 'lat<50ms,target=0.95'
     python -m repro serve --validate --bench-rate 400 --deadline-frac 0.25 --query-deadline 0
+
+Every batch pipeline (``gravity`` / ``sph`` / ``knn`` / ``disk`` /
+``correlation``, and ``resume``, ``top <pipeline>``, ``explain``) is one row
+of :data:`repro.apps.APPS` run by :func:`run_app`: a description — ``(app,
+app_config, Configuration dict, {kind, n, seed} dataset)``, the same thing
+a checkpoint stores — goes through :func:`repro.apps.make_driver`, the flags
+plug observers in, and the row's printer reports the result.
 """
 
 from __future__ import annotations
@@ -26,19 +33,10 @@ import argparse
 import json
 import sys
 import time
-
 import numpy as np
 
-
-def _add_common(p: argparse.ArgumentParser, n_default: int) -> None:
-    p.add_argument("--n", type=int, default=n_default, help="particle count")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--bucket", type=int, default=16, help="leaf bucket size")
-    p.add_argument("--tree", default="oct", choices=["oct", "kd", "longest"])
-    p.add_argument("--tree-builder", default="recursive",
-                   choices=["recursive", "linear"],
-                   help="octree construction algorithm (byte-identical "
-                        "output; 'linear' is the vectorised fast path)")
+from .apps import (APPS, TRAVERSER, TREE_OPTIONS, dataset_options, declare,
+                   description, make_driver)
 
 
 def _add_telemetry(p: argparse.ArgumentParser) -> None:
@@ -64,32 +62,6 @@ def _add_slo(p: argparse.ArgumentParser) -> None:
                         "a burn-rate violation exits 1 (bench-compare style)")
     p.add_argument("--slo-report", metavar="PATH", default=None,
                    help="write the SLO evaluation as JSON (repro.slo/1)")
-
-
-def _evaluate_slo_from_args(args, samples) -> int:
-    """Evaluate ``--slo`` over latency ``samples``; returns the exit code."""
-    from .obs import evaluate_slo, parse_slo_spec
-
-    try:
-        spec = parse_slo_spec(args.slo)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = evaluate_slo(spec, samples)
-    print(report.summary())
-    if args.slo_report:
-        try:
-            report.write(args.slo_report)
-            print(f"wrote SLO report to {args.slo_report}")
-        except OSError as exc:
-            print(f"error: could not write SLO report: {exc}", file=sys.stderr)
-            return 2
-    return 1 if report.violated else 0
-
-
-def _enable_status_from_args(driver, args) -> None:
-    if getattr(args, "status_file", None):
-        driver.enable_status(args.status_file)
 
 
 def _add_faults(p: argparse.ArgumentParser) -> None:
@@ -131,28 +103,56 @@ def _add_parallel(p: argparse.ArgumentParser) -> None:
                         "pool rebuild); a worker death then kills the run")
 
 
+def _add_checkpoint(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--checkpoint-every", type=int, default=0, metavar="K",
+                   help="write a checkpoint every K completed iterations "
+                        "(0 = off); resume with `repro resume <checkpoint>`")
+    p.add_argument("--checkpoint-dir", default="checkpoints", metavar="DIR",
+                   help="directory for ckpt_*.npz files (default: checkpoints)")
+    p.add_argument("--save-state", metavar="PATH", default=None,
+                   help="write the final particle state (npz snapshot) — "
+                        "compare runs with `repro audit A B`")
+
+
+# -- running a Driver from the command line ------------------------------------
+
+def _evaluate_slo_from_args(args, samples) -> int:
+    """Evaluate ``--slo`` over latency ``samples``; returns the exit code."""
+    from .obs import evaluate_slo, parse_slo_spec
+
+    try:
+        spec = parse_slo_spec(args.slo)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    report = evaluate_slo(spec, samples)
+    print(report.summary())
+    if args.slo_report:
+        try:
+            report.write(args.slo_report)
+            print(f"wrote SLO report to {args.slo_report}")
+        except OSError as exc:
+            print(f"error: could not write SLO report: {exc}", file=sys.stderr)
+            return 2
+    return 1 if report.violated else 0
+
+
 def _enable_parallel_from_args(driver, args) -> None:
     """Attach the requested execution backend to a Driver run."""
-    if getattr(args, "backend", "serial") == "serial":
+    if args.backend == "serial":
         return
-    supervise = None  # driver default: on
-    if getattr(args, "no_supervise", False):
-        supervise = False
-    elif (getattr(args, "chunk_deadline", None) is not None
-            or getattr(args, "max_chunk_retries", None) is not None):
-        from .exec import SupervisorConfig
-
-        overrides = {}
-        if args.chunk_deadline is not None:
-            overrides["chunk_deadline"] = args.chunk_deadline
-        if args.max_chunk_retries is not None:
-            overrides["max_chunk_retries"] = args.max_chunk_retries
-        supervise = SupervisorConfig(**overrides)
+    supervise = False if args.no_supervise else None  # None: driver default, on
+    overrides = {key: getattr(args, key)
+                 for key in ("chunk_deadline", "max_chunk_retries")
+                 if getattr(args, key) is not None}
     try:
+        if overrides and supervise is None:
+            from .exec import SupervisorConfig
+
+            supervise = SupervisorConfig(**overrides)
         driver.enable_parallel(
             args.backend, workers=args.workers or None,
-            supervise=supervise,
-            exec_faults=getattr(args, "exec_faults", None),
+            supervise=supervise, exec_faults=args.exec_faults,
         )
     except ValueError as exc:  # bad --exec-faults/--chunk-deadline spec
         print(f"error: {exc}", file=sys.stderr)
@@ -168,15 +168,24 @@ def _print_exec_health(driver) -> None:
         print(f"iteration {rep.iteration}: exec degraded ({acts})")
 
 
-def _add_checkpoint(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--checkpoint-every", type=int, default=0, metavar="K",
-                   help="write a checkpoint every K completed iterations "
-                        "(0 = off); resume with `repro resume <checkpoint>`")
-    p.add_argument("--checkpoint-dir", default="checkpoints", metavar="DIR",
-                   help="directory for ckpt_*.npz files (default: checkpoints)")
-    p.add_argument("--save-state", metavar="PATH", default=None,
-                   help="write the final particle state (npz snapshot) — "
-                        "compare runs with `repro audit A B`")
+def _print_comm_sims(driver) -> bool:
+    """One block per replayed iteration; False when nothing was replayed."""
+    replayed = [rep for rep in driver.reports if rep.comm_sim]
+    for rep in replayed:
+        cs = rep.comm_sim
+        if cs.get("failed"):
+            print(f"iteration {rep.iteration}: comm sim FAILED "
+                  f"({cs.get('reason')}, process={cs.get('process')}, "
+                  f"attempts={cs.get('attempts')}) counters={cs.get('counters')}")
+            continue
+        faults = f" faults={cs['faults']}" if cs.get("faults") else ""
+        print(f"iteration {rep.iteration}: comm sim {cs['time'] * 1e3:.3f} ms"
+              + faults)
+        if cs.get("recovery"):
+            _print_recovery_dict(cs["recovery"])
+        if cs.get("critical_path"):
+            _print_critical_path_dict(cs["critical_path"])
+    return bool(replayed)
 
 
 def _save_state(driver, path: str) -> None:
@@ -213,48 +222,27 @@ def _print_critical_path_dict(cp: dict, indent: str = "  ") -> None:
         print(f"{indent}  {label:<26} {secs * 1e3:10.3f} ms  {secs / makespan:6.1%}")
 
 
-def _fault_plan_from_args(args):
-    """Parse ``--faults`` into a FaultPlan (None when the flag is absent)."""
-    if not getattr(args, "faults", None):
-        return None
-    from .faults import parse_fault_spec
-
-    return parse_fault_spec(args.faults)
-
-
 def _chaos_probe(tree, plan, n_processes: int = 4) -> None:
     """Drive the threaded software cache over ``tree`` under ``plan``:
     every placeholder is filled despite transient failures, and the
-    wait-free validity invariant is checked at the end.  Used by the
-    subcommands whose main computation has no distributed phase."""
+    wait-free validity invariant is checked at the end.  How ``--faults``
+    is honoured by the pipelines whose traversal has no distributed phase
+    to replay (kNN, SPH, correlation drive their engines directly)."""
     from .cache import SharedTreeCache
     from .decomp import SfcDecomposer, decompose
+    from .exec.threads import warm_shared_cache
     from .faults import as_injector
 
     parts = SfcDecomposer().assign(tree.particles, n_processes)
     dec = decompose(tree, parts, n_subtrees=2 * n_processes)
-    injector = as_injector(plan)
     cache = SharedTreeCache(
         tree, dec.node_process(), process=0, nodes_per_request=2,
-        injector=injector,
+        injector=as_injector(plan),
     )
-    # Fill every reachable placeholder, retrying over transient failures.
+    # fill every reachable placeholder, retrying over transient failures
     for _ in range(10_000):
-        pending = []
-        stack = [cache.root]
-        while stack:
-            e = stack.pop()
-            if e.is_placeholder:
-                continue
-            for i, c in enumerate(e.children):
-                if c.is_placeholder:
-                    pending.append((e, i))
-                else:
-                    stack.append(c)
-        if not pending:
+        if not warm_shared_cache(cache, 1024)[0]:
             break
-        for parent, slot in pending:
-            cache.request_fill(parent, slot)
     cache.validate()
     print(f"fault probe: cache valid after chaos fill "
           f"(requests={cache.requests_sent}, fills={cache.fills_applied}, "
@@ -263,14 +251,13 @@ def _chaos_probe(tree, plan, n_processes: int = 4) -> None:
 
 def _telemetry_from_args(args):
     """Install a live telemetry session when any telemetry flag was given."""
-    if not (args.trace or args.metrics or args.report
-            or getattr(args, "flight", None)):
+    if not (args.trace or args.metrics or args.report or args.flight):
         return None
     from .obs import Telemetry, set_telemetry
 
     telemetry = Telemetry()
     set_telemetry(telemetry)
-    if getattr(args, "flight", None):
+    if args.flight:
         telemetry.flight.arm(args.flight)
     return telemetry
 
@@ -292,7 +279,7 @@ def _finish_telemetry(telemetry, args) -> None:
             else:
                 n = write_metrics_json(telemetry, args.metrics)
             print(f"wrote {n} metrics to {args.metrics}")
-        if getattr(args, "flight", None):
+        if args.flight:
             telemetry.flight.dump(args.flight, reason="end-of-run")
             print(f"wrote flight recording ({len(telemetry.flight)} events, "
                   f"{telemetry.flight.dropped} dropped) to {args.flight}")
@@ -302,417 +289,92 @@ def _finish_telemetry(telemetry, args) -> None:
         print(console_report(telemetry), end="")
 
 
-def _run_driver_guarded(driver, args, telemetry, resume_from=None):
-    """Run the driver with SIGTERM/SIGINT converted into a graceful stop.
+def run_app(args) -> int:
+    """Every batch subcommand, and ``resume``: description -> Driver ->
+    observers named by the flags -> run -> the row's printer."""
+    from .core.observers import CommReplay, StatusFeed
+    from .resilience import (CheckpointError, CheckpointWriter, RunInterrupted,
+                             audit_restore, graceful_interrupts, load_checkpoint)
+    from .resilience.resume import driver_from_checkpoint
 
-    Returns None when the run completed normally.  On an interrupt the
-    armed flight recorder has already dumped (Driver.run's crash hook);
-    this writes a final checkpoint when checkpointing is enabled,
-    flushes telemetry, and returns the ``128 + N`` exit code for the
-    command to propagate — the interrupted run stays resumable.
-    """
-    from .resilience import RunInterrupted, graceful_interrupts
+    ckpt = replay = writer = None
+    try:
+        if args.command == "resume":
+            ckpt = load_checkpoint(args.checkpoint)
+            driver = driver_from_checkpoint(ckpt)
+            if args.iterations is not None:
+                driver.config.num_iterations = args.iterations
+            app, app_config = ckpt.app, ckpt.app_config
+        else:
+            desc = description(args.command, APPS[args.command].options, args)
+            driver = make_driver(**desc)
+            app, app_config = desc["app"], desc["app_config"]
+        # A resumed run replays the checkpointed fault plan unless told
+        # otherwise: its PRNG stream positions are part of the restored state.
+        faults = args.faults or (ckpt.fault_spec if ckpt else None)
+        critical_path = getattr(args, "critical_path", False)
+        if faults or critical_path:
+            replay = driver.observe(CommReplay(faults, critical_path))
+    except (CheckpointError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    telemetry = _telemetry_from_args(args)
+    if telemetry is not None:
+        driver.enable_telemetry(telemetry)
+    _enable_parallel_from_args(driver, args)
+    if args.status_file:
+        from .obs import StatusWriter
 
+        driver.observe(StatusFeed(StatusWriter(args.status_file)))
+    if args.checkpoint_every:
+        writer = driver.observe(CheckpointWriter(
+            args.checkpoint_dir, every=args.checkpoint_every,
+            app=app, app_config=app_config,
+        ))
+    t0 = time.time()
     try:
         with graceful_interrupts():
-            driver.run(resume_from=resume_from)
-        return None
+            driver.run(resume_from=ckpt)
     except RunInterrupted as exc:
-        done = len(driver.reports)
-        msg = (f"interrupted by {exc.signal_name} after {done} "
+        # The armed flight recorder has already dumped (Driver.run's crash
+        # hook); a final checkpoint keeps the interrupted run resumable, and
+        # the exit code follows the 128 + N convention.
+        msg = (f"interrupted by {exc.signal_name} after {len(driver.reports)} "
                f"completed iteration(s)")
-        path = driver.write_final_checkpoint()
+        path = writer.write_final(driver) if writer is not None else None
         if path:
             msg += f"; wrote checkpoint {path} (resume with `repro resume {path}`)"
         print(msg, file=sys.stderr)
         _finish_telemetry(telemetry, args)
         return exc.exit_code
-
-
-def cmd_gravity(args) -> int:
-    from .apps.gravity import compute_gravity, direct_accelerations, acceleration_error
-    from .particles import clustered_clumps
-
-    p = clustered_clumps(args.n, seed=args.seed)
-    telemetry = _telemetry_from_args(args)
-    fault_plan = _fault_plan_from_args(args)
-    wants_driver = (
-        telemetry is not None or fault_plan is not None or args.critical_path
-        or args.checkpoint_every or args.save_state or args.dt > 0
-        or args.iterations > 1 or args.backend != "serial"
-        or args.slo or args.status_file
-    )
-    if wants_driver:
-        # Run the full Driver pipeline so the trace shows all seven
-        # ``run_iteration`` phases (splitters ... rebalance), not just the
-        # bare traversal.  Fault runs need the Driver too: the fault plan
-        # replays each iteration's traversal through the DES comm model.
-        # Checkpointing/resume is Driver-only as well.
-        from .apps.gravity import GravityDriver
-        from .core import Configuration
-
-        cfg = Configuration(
-            num_iterations=args.iterations, tree_type=args.tree,
-            bucket_size=args.bucket, traverser=args.traverser,
-            tree_builder=args.tree_builder,
-        )
-
-        class Main(GravityDriver):
-            def create_particles(self, config):
-                return p
-
-        driver = Main(cfg, theta=args.theta, softening=args.softening,
-                      dt=args.dt, with_quadrupole=args.quadrupole)
-        _enable_parallel_from_args(driver, args)
-        _enable_status_from_args(driver, args)
-        if telemetry is not None:
-            driver.enable_telemetry(telemetry)
-        if fault_plan is not None:
-            driver.enable_faults(fault_plan)
-        if args.critical_path:
-            driver.enable_critical_path()
-        if args.checkpoint_every:
-            driver.enable_checkpointing(
-                args.checkpoint_dir, every=args.checkpoint_every,
-                app="gravity",
-                app_config={"theta": args.theta, "softening": args.softening,
-                            "dt": args.dt, "with_quadrupole": args.quadrupole},
-            )
-        t0 = time.time()
-        try:
-            rc_signal = _run_driver_guarded(driver, args, telemetry)
-        finally:
-            driver.disable_parallel()
-        if rc_signal is not None:
-            return rc_signal
-        print(f"traversal: {time.time() - t0:.2f}s  {driver.last_stats.as_dict()}")
-        _print_exec_health(driver)
-        for rep in driver.reports:
-            cs = rep.comm_sim
-            if not cs:
-                continue
-            if cs.get("failed"):
-                print(f"iteration {rep.iteration}: comm sim FAILED "
-                      f"({cs.get('reason')}, process={cs.get('process')}, "
-                      f"attempts={cs.get('attempts')}) counters={cs.get('counters')}")
-            else:
-                faults = f" faults={cs['faults']}" if cs.get("faults") else ""
-                print(f"iteration {rep.iteration}: comm sim {cs['time'] * 1e3:.3f} ms"
-                      + faults)
-                if cs.get("recovery"):
-                    _print_recovery_dict(cs["recovery"])
-                if cs.get("critical_path"):
-                    _print_critical_path_dict(cs["critical_path"])
-        if args.check and args.n <= 20_000:
-            exact = direct_accelerations(driver.particles, softening=args.softening)
-            print("error vs direct sum: "
-                  f"{acceleration_error(driver.accelerations, exact)}")
-        if args.save_state:
-            _save_state(driver, args.save_state)
-        rc = 0
-        if args.slo:
-            from .obs import samples_from_reports
-
-            rc = _evaluate_slo_from_args(args, samples_from_reports(driver.reports))
-        _finish_telemetry(telemetry, args)
-        return rc
-    t0 = time.time()
-    res = compute_gravity(
-        p, theta=args.theta, softening=args.softening,
-        tree_type=args.tree, bucket_size=args.bucket,
-        traverser=args.traverser, with_quadrupole=args.quadrupole,
-        tree_builder=args.tree_builder,
-    )
-    print(f"traversal: {time.time() - t0:.2f}s  {res.stats.as_dict()}")
-    if args.check and args.n <= 20_000:
-        exact = direct_accelerations(p, softening=args.softening)
-        print(f"error vs direct sum: {acceleration_error(res.accel, exact)}")
-    return 0
-
-
-def cmd_sph(args) -> int:
-    from .apps.sph import compute_density_knn, gadget_style_density
-    from .particles import uniform_cube
-    from .trees import build_tree
-
-    telemetry = _telemetry_from_args(args)
-    p = uniform_cube(args.n, seed=args.seed)
-    fault_plan = _fault_plan_from_args(args)
-    if (args.checkpoint_every or args.save_state or args.dt > 0
-            or args.iterations > 1 or args.backend != "serial"):
-        from .apps.sph import SPHDriver
-        from .core import Configuration
-
-        cfg = Configuration(num_iterations=args.iterations, tree_type=args.tree,
-                            bucket_size=args.bucket,
-                            tree_builder=args.tree_builder)
-
-        class Main(SPHDriver):
-            def create_particles(self, config):
-                return p
-
-        driver = Main(cfg, k_neighbors=args.k, dt=args.dt)
-        _enable_parallel_from_args(driver, args)
-        _enable_status_from_args(driver, args)
-        if telemetry is not None:
-            driver.enable_telemetry(telemetry)
-        if fault_plan is not None:
-            driver.enable_faults(fault_plan)
-        if args.checkpoint_every:
-            driver.enable_checkpointing(
-                args.checkpoint_dir, every=args.checkpoint_every,
-                app="sph", app_config={"k_neighbors": args.k, "dt": args.dt},
-            )
-        t0 = time.time()
-        try:
-            rc_signal = _run_driver_guarded(driver, args, telemetry)
-        finally:
-            driver.disable_parallel()
-        if rc_signal is not None:
-            return rc_signal
-        print(f"{args.iterations} iteration(s) in {time.time() - t0:.2f}s; "
-              f"median rho {np.median(driver.state.density):.4f}")
-        _print_exec_health(driver)
-        if args.save_state:
-            _save_state(driver, args.save_state)
-        _finish_telemetry(telemetry, args)
-        return 0
-    tree = build_tree(p, tree_type=args.tree, bucket_size=args.bucket,
-                      builder=args.tree_builder)
-    if fault_plan is not None:
-        _chaos_probe(tree, fault_plan)
-    st = compute_density_knn(tree, k=args.k)
-    print(f"kNN density: median rho {np.median(st.density):.4f}, "
-          f"pp={st.stats.pp_interactions:,}")
-    if args.baseline:
-        gd = gadget_style_density(tree, k=args.k)
-        print(f"gadget-style: {gd.n_rounds} rounds, pp={gd.stats.pp_interactions:,} "
-              f"({gd.stats.pp_interactions / st.stats.pp_interactions:.2f}x)")
-    _finish_telemetry(telemetry, args)
-    return 0
-
-
-def cmd_knn(args) -> int:
-    from .apps.knn import knn_search
-    from .particles import clustered_clumps
-    from .trees import build_tree
-
-    telemetry = _telemetry_from_args(args)
-    p = clustered_clumps(args.n, seed=args.seed)
-    fault_plan = _fault_plan_from_args(args)
-    if args.checkpoint_every or args.save_state or args.backend != "serial":
-        from .apps.knn import KNNDriver
-        from .core import Configuration
-
-        cfg = Configuration(num_iterations=args.iterations, tree_type=args.tree,
-                            bucket_size=args.bucket,
-                            tree_builder=args.tree_builder)
-
-        class Main(KNNDriver):
-            def create_particles(self, config):
-                return p
-
-        driver = Main(cfg, k=args.k)
-        _enable_parallel_from_args(driver, args)
-        _enable_status_from_args(driver, args)
-        if telemetry is not None:
-            driver.enable_telemetry(telemetry)
-        if fault_plan is not None:
-            driver.enable_faults(fault_plan)
-        if args.checkpoint_every:
-            driver.enable_checkpointing(
-                args.checkpoint_dir, every=args.checkpoint_every,
-                app="knn", app_config={"k": args.k},
-            )
-        t0 = time.time()
-        try:
-            rc_signal = _run_driver_guarded(driver, args, telemetry)
-        finally:
-            driver.disable_parallel()
-        if rc_signal is not None:
-            return rc_signal
-        print(f"kNN k={args.k}: {time.time() - t0:.2f}s, "
-              f"median d_k={np.median(driver.kth_distances()):.4f}")
-        _print_exec_health(driver)
-        if args.save_state:
-            _save_state(driver, args.save_state)
-        _finish_telemetry(telemetry, args)
-        return 0
-    tree = build_tree(p, tree_type=args.tree, bucket_size=args.bucket,
-                      builder=args.tree_builder)
-    if fault_plan is not None:
-        _chaos_probe(tree, fault_plan)
-    t0 = time.time()
-    res = knn_search(tree, k=args.k)
-    print(f"kNN k={args.k}: {time.time() - t0:.2f}s, "
-          f"median d_k={np.median(np.sqrt(res.dist_sq[:, -1])):.4f}, "
-          f"pp={res.stats.pp_interactions:,} (brute force would be {args.n**2:,})")
-    _finish_telemetry(telemetry, args)
-    return 0
-
-
-def cmd_disk(args) -> int:
-    from .apps.collision import PlanetesimalDriver
-    from .core import Configuration
-    from .particles import DiskParams, keplerian_disk
-
-    params = DiskParams(planetesimal_radius=args.radius)
-
-    class Main(PlanetesimalDriver):
-        def create_particles(self, config):
-            return keplerian_disk(args.n, params=params, seed=args.seed)
-
-    cfg = Configuration(num_iterations=args.steps, tree_type="longest",
-                        decomp_type="longest", num_partitions=16, num_subtrees=16)
-    d = Main(cfg, dt=args.dt)
-    _enable_parallel_from_args(d, args)
-    _enable_status_from_args(d, args)
-    telemetry = _telemetry_from_args(args)
-    if telemetry is not None:
-        d.enable_telemetry(telemetry)
-    fault_plan = _fault_plan_from_args(args)
-    if fault_plan is not None:
-        d.enable_faults(fault_plan)
-    if args.critical_path:
-        d.enable_critical_path()
-    if args.checkpoint_every:
-        d.enable_checkpointing(
-            args.checkpoint_dir, every=args.checkpoint_every,
-            app="disk", app_config={"dt": args.dt},
-        )
-    t0 = time.time()
-    try:
-        rc_signal = _run_driver_guarded(d, args, telemetry)
-    finally:
-        d.disable_parallel()
-    if rc_signal is not None:
-        return rc_signal
-    print(f"{args.steps} steps in {time.time() - t0:.1f}s; "
-          f"collisions recorded: {len(d.log)}")
-    _print_exec_health(d)
-    if args.save_state:
-        _save_state(d, args.save_state)
-    if args.critical_path:
-        with_cp = [r for r in d.reports
-                   if r.comm_sim and r.comm_sim.get("critical_path")]
-        if with_cp:
-            rep = with_cp[-1]
-            print(f"iteration {rep.iteration} comm sim "
-                  f"{rep.comm_sim['time'] * 1e3:.3f} ms")
-            _print_critical_path_dict(rep.comm_sim["critical_path"])
-    _finish_telemetry(telemetry, args)
-    return 0
-
-
-def cmd_correlation(args) -> int:
-    from .apps.correlation import two_point_correlation
-    from .particles import clustered_clumps
-
-    telemetry = _telemetry_from_args(args)
-    particles = clustered_clumps(args.n, seed=args.seed)
-    fault_plan = _fault_plan_from_args(args)
-    if fault_plan is not None:
-        from .trees import build_tree
-
-        _chaos_probe(build_tree(particles, tree_type="oct", bucket_size=16),
-                     fault_plan)
-    if args.checkpoint_every or args.save_state or args.backend != "serial":
-        from .apps.correlation import CorrelationDriver
-        from .core import Configuration
-
-        class Main(CorrelationDriver):
-            def create_particles(self, config):
-                return particles
-
-        driver = Main(Configuration(num_iterations=1),
-                      rmin=args.rmin, rmax=args.rmax, bins=args.bins)
-        _enable_parallel_from_args(driver, args)
-        _enable_status_from_args(driver, args)
-        if telemetry is not None:
-            driver.enable_telemetry(telemetry)
-        if args.checkpoint_every:
-            driver.enable_checkpointing(
-                args.checkpoint_dir, every=args.checkpoint_every,
-                app="correlation",
-                app_config={"rmin": args.rmin, "rmax": args.rmax,
-                            "bins": args.bins},
-            )
-        try:
-            rc_signal = _run_driver_guarded(driver, args, telemetry)
-        finally:
-            driver.disable_parallel()
-        if rc_signal is not None:
-            return rc_signal
-        _print_exec_health(driver)
-        res, edges = driver.result, driver.edges
-        print(f"{'r_lo':>8} {'r_hi':>8} {'xi':>10} {'DD':>10}")
-        for i in range(len(res.xi)):
-            print(f"{edges[i]:8.4f} {edges[i + 1]:8.4f} "
-                  f"{res.xi[i]:10.3f} {res.dd[i]:10,}")
-        if args.save_state:
-            _save_state(driver, args.save_state)
-        _finish_telemetry(telemetry, args)
-        return 0
-    edges = np.geomspace(args.rmin, args.rmax, args.bins + 1)
-    res = two_point_correlation(particles, edges)
-    print(f"{'r_lo':>8} {'r_hi':>8} {'xi':>10} {'DD':>10}")
-    for i in range(len(res.xi)):
-        print(f"{edges[i]:8.4f} {edges[i + 1]:8.4f} {res.xi[i]:10.3f} {res.dd[i]:10,}")
-    _finish_telemetry(telemetry, args)
-    return 0
-
-
-def cmd_resume(args) -> int:
-    from .resilience import CheckpointError, audit_restore, load_checkpoint
-    from .resilience.resume import driver_from_checkpoint
-
-    try:
-        ckpt = load_checkpoint(args.checkpoint)
-        driver = driver_from_checkpoint(ckpt)
-    except (CheckpointError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.iterations is not None:
-        driver.config.num_iterations = args.iterations
-    _enable_parallel_from_args(driver, args)
-    _enable_status_from_args(driver, args)
-    telemetry = _telemetry_from_args(args)
-    if telemetry is not None:
-        driver.enable_telemetry(telemetry)
-    fault_plan = _fault_plan_from_args(args)
-    if fault_plan is not None:
-        driver.enable_faults(fault_plan)
-    elif ckpt.fault_spec:
-        # A resumed run replays the checkpointed fault plan: its PRNG
-        # stream positions are part of the restored state.
-        driver.enable_faults(ckpt.fault_spec)
-    if args.checkpoint_every:
-        driver.enable_checkpointing(
-            args.checkpoint_dir, every=args.checkpoint_every,
-            app=ckpt.app, app_config=ckpt.app_config,
-        )
-    t0 = time.time()
-    try:
-        rc_signal = _run_driver_guarded(driver, args, telemetry, resume_from=ckpt)
     finally:
         driver.disable_parallel()
-    if rc_signal is not None:
-        return rc_signal
-    ran = max(driver.config.num_iterations - ckpt.iteration, 0)
-    print(f"resumed {ckpt.app or 'run'} at iteration {ckpt.iteration}: "
-          f"ran {ran} more iteration(s) in {time.time() - t0:.2f}s")
+    wall = time.time() - t0
+    if ckpt is None:
+        APPS[app].show(driver, args, wall)
+    else:
+        ran = max(driver.config.num_iterations - ckpt.iteration, 0)
+        print(f"resumed {app or 'run'} at iteration {ckpt.iteration}: "
+              f"ran {ran} more iteration(s) in {wall:.2f}s")
     _print_exec_health(driver)
-    problems = audit_restore(driver)
-    if problems:
+    if not _print_comm_sims(driver) and faults and driver.tree is not None:
+        _chaos_probe(driver.tree, replay.faults)
+    rc = 0
+    if ckpt is not None:
+        problems = audit_restore(driver)
         for prob in problems:
             print(f"audit: {prob}", file=sys.stderr)
-        _finish_telemetry(telemetry, args)
-        return 1
-    print("consistency audit passed")
-    if args.save_state:
+        rc = 1 if problems else 0
+        if not problems:
+            print("consistency audit passed")
+    if rc == 0 and args.save_state:
         _save_state(driver, args.save_state)
+    if rc == 0 and getattr(args, "slo", None):
+        from .obs import samples_from_reports
+
+        rc = _evaluate_slo_from_args(args, samples_from_reports(driver.reports))
     _finish_telemetry(telemetry, args)
-    return 0
+    return rc
 
 
 def cmd_audit(args) -> int:
@@ -766,10 +428,11 @@ def cmd_scale(args) -> int:
                                 n_subtrees=args.partitions, seed=args.seed)
     model = CACHE_MODELS[args.cache]
     workers = args.workers or machine.workers_per_node
-    fault_plan = _fault_plan_from_args(args)
+    from .faults import IterationFailure, parse_fault_spec
+
+    fault_plan = parse_fault_spec(args.faults) if args.faults else None
     print(f"{args.machine}, {workers} workers/process, cache={args.cache}"
           + (f", faults='{fault_plan.describe()}'" if fault_plan else ""))
-    from .faults import IterationFailure
 
     slo_samples: list = []
     for cores in args.cores:
@@ -928,6 +591,34 @@ def cmd_obs(args) -> int:
     return 0
 
 
+_EXPLAIN_OPTIONS = (
+    *dataset_options(8_000), *TREE_OPTIONS, ("--theta", "theta", 0.7), TRAVERSER,
+    ("--iterations", "config.num_iterations", 1),
+    ("--partitions", "config.num_partitions", 8,
+     "partitions / simulated processes for the cache and DES attributions"),
+)
+_TOP_OPTIONS = (*dataset_options(8_000), ("--iterations", "config.num_iterations", 4))
+
+
+def _run_instrumented(driver, args, *observers):
+    """Run ``driver`` with telemetry on, the backend ``args`` names and
+    ``observers`` plugged in; returns the telemetry session."""
+    from .obs import Telemetry, set_telemetry
+
+    telemetry = Telemetry()
+    set_telemetry(telemetry)
+    driver.enable_telemetry(telemetry)
+    _enable_parallel_from_args(driver, args)
+    for observer in observers:
+        driver.observe(observer)
+    try:
+        driver.run()
+    finally:
+        driver.disable_parallel()
+        set_telemetry(None)
+    return telemetry
+
+
 def cmd_explain(args) -> int:
     """Attributed gravity iteration + causal what-if report.
 
@@ -937,50 +628,23 @@ def cmd_explain(args) -> int:
     the exec chunks balanced, the DES critical path, and a battery of
     causal what-if predictions replayed over the recorded event graph.
     """
-    import json
-
-    from .apps.gravity import GravityDriver
-    from .core import Configuration
-    from .obs import (
-        Telemetry, chrome_trace, format_chunk_heatmap,
-        set_telemetry, validate_attribution,
-    )
-    from .particles import clustered_clumps
+    from .core.observers import Attribution, CommReplay
+    from .obs import chrome_trace, format_chunk_heatmap, validate_attribution
     from .perf import format_whatifs, parse_whatif, standard_whatifs, what_if
     from .perf.whatif import VirtualSpeedup
-    from .runtime import simulate_traversal, workload_from_traversal
 
-    p = clustered_clumps(args.n, seed=args.seed)
-    cfg = Configuration(
-        num_iterations=args.iterations, tree_type=args.tree,
-        bucket_size=args.bucket, traverser=args.traverser,
-        num_partitions=args.partitions, num_subtrees=args.partitions,
-        tree_builder=args.tree_builder,
-    )
-
-    class Main(GravityDriver):
-        def create_particles(self, config):
-            return p
-
-    driver = Main(cfg, theta=args.theta)
-    telemetry = Telemetry()
-    set_telemetry(telemetry)
-    driver.enable_telemetry(telemetry)
-    driver.enable_attribution()
-    _enable_parallel_from_args(driver, args)
+    desc = description("gravity", _EXPLAIN_OPTIONS, args)
+    desc["config"]["num_subtrees"] = args.partitions
+    driver = make_driver(**desc)
+    attribution, replay = Attribution(), CommReplay(critical_path=True)
     t0 = time.time()
-    try:
-        driver.run()
-    finally:
-        driver.disable_parallel()
-        set_telemetry(None)
+    telemetry = _run_instrumented(driver, args, attribution, replay)
     wall = time.time() - t0
     tree = driver.tree
 
     # merge the attributed iterations into one profile
-    profiles = driver.attribution_profiles
-    profile = profiles[0]
-    for extra in profiles[1:]:
+    profile = attribution.profiles[0]
+    for extra in attribution.profiles[1:]:
         profile.merge(extra)
     totals = profile.totals()
     print(f"attributed {args.iterations} gravity iteration(s), n={args.n}, "
@@ -1014,44 +678,30 @@ def cmd_explain(args) -> int:
     print()
     print(format_chunk_heatmap(profile.chunks))
 
-    # DES replay of the recorded traversal: critical path + causal what-if
-    lists = driver.last_interaction_lists
-    whatifs = []
-    null_ok = None
-    res = None
-    if lists is not None and lists.visited and driver.decomposition is not None:
-        wl = workload_from_traversal(
-            tree, driver.decomposition, lists,
-            nodes_per_request=cfg.nodes_per_request,
-            shared_branch_levels=cfg.shared_branch_levels,
-        )
-        res = simulate_traversal(wl, n_processes=cfg.num_partitions,
-                                 critical_path=True, collect_trace=True)
-        print()
-        print(res.critical_path.format())
-        null = what_if(res.cp_graph, res.time, VirtualSpeedup(1.0))
-        null_ok = null.predicted == res.time
-        print(f"  null speedup (×1.0) reproduces makespan exactly: {null_ok} "
-              f"({null.predicted:.9g}s vs {res.time:.9g}s)")
-        whatifs = standard_whatifs(res.cp_graph, res.time)
-        for spec in args.whatif or ():
-            try:
-                whatifs.append(what_if(res.cp_graph, res.time, parse_whatif(spec)))
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        whatifs.sort(key=lambda r: r.predicted)
-        print()
-        print(format_whatifs(whatifs, res.time))
-    else:
-        print("\n(no interaction lists recorded: skipping DES what-if replay)")
+    # the comm replay of the last iteration: critical path + causal what-if
+    res = replay.result
+    print()
+    print(res.critical_path.format())
+    null = what_if(res.cp_graph, res.time, VirtualSpeedup(1.0))
+    null_ok = null.predicted == res.time
+    print(f"  null speedup (×1.0) reproduces makespan exactly: {null_ok} "
+          f"({null.predicted:.9g}s vs {res.time:.9g}s)")
+    whatifs = standard_whatifs(res.cp_graph, res.time)
+    for spec in args.whatif or ():
+        try:
+            whatifs.append(what_if(res.cp_graph, res.time, parse_whatif(spec)))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    whatifs.sort(key=lambda r: r.predicted)
+    print()
+    print(format_whatifs(whatifs, res.time))
 
     if args.json:
         doc = profile.to_dict(tree, depth=args.depth, top=args.top)
-        if res is not None:
-            doc["critical_path"] = res.critical_path.to_dict()
-            doc["whatif"] = [r.to_dict() for r in whatifs]
-            doc["null_speedup_exact"] = bool(null_ok)
+        doc["critical_path"] = res.critical_path.to_dict()
+        doc["whatif"] = [r.to_dict() for r in whatifs]
+        doc["null_speedup_exact"] = bool(null_ok)
         problems = validate_attribution(doc)
         with open(args.json, "w") as fh:
             json.dump(doc, fh)
@@ -1072,71 +722,22 @@ def cmd_explain(args) -> int:
         print(f"wrote {len(events)} trace events (with attribution counter "
               f"tracks) to {args.trace}")
 
-    if null_ok is False:
+    if not null_ok:
         print("error: null-speedup replay diverged from the DES makespan",
               file=sys.stderr)
         return 1
     return 0
 
 
-def _top_pipeline_driver(name: str, n: int, iterations: int, seed: int):
-    """A small live pipeline for ``repro top <pipeline>``."""
-    from .core import Configuration
-
-    cfg = Configuration(num_iterations=iterations)
-    if name == "gravity":
-        from .apps.gravity import GravityDriver
-        from .particles import clustered_clumps
-
-        p = clustered_clumps(n, seed=seed)
-
-        class Main(GravityDriver):
-            def create_particles(self, config):
-                return p
-
-        return Main(cfg, theta=0.7)
-    if name == "sph":
-        from .apps.sph import SPHDriver
-        from .particles import uniform_cube
-
-        p = uniform_cube(n, seed=seed)
-
-        class Main(SPHDriver):
-            def create_particles(self, config):
-                return p
-
-        return Main(cfg, k_neighbors=32)
-    from .apps.knn import KNNDriver
-    from .particles import clustered_clumps
-
-    p = clustered_clumps(n, seed=seed)
-
-    class Main(KNNDriver):
-        def create_particles(self, config):
-            return p
-
-    return Main(cfg, k=8)
-
-
 def cmd_top(args) -> int:
     from .obs import Dashboard, follow_status_file, read_status_file
 
     dash = Dashboard()
-    if args.source in ("gravity", "sph", "knn"):
-        from .obs import Telemetry, set_telemetry
+    if args.source in APPS:
+        from .core.observers import StatusFeed
 
-        driver = _top_pipeline_driver(args.source, args.n, args.iterations,
-                                      args.seed)
-        telemetry = Telemetry()
-        set_telemetry(telemetry)
-        driver.enable_telemetry(telemetry)
-        _enable_parallel_from_args(driver, args)
-        driver.enable_dashboard(dash)
-        try:
-            driver.run()
-        finally:
-            driver.disable_parallel()
-            set_telemetry(None)
+        driver = make_driver(**description(args.source, _TOP_OPTIONS, args))
+        _run_instrumented(driver, args, StatusFeed(dash))
         return 0
 
     # Source is a --status-file path written by another (possibly still
@@ -1341,86 +942,24 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gravity", help="Barnes-Hut gravity solve")
-    _add_common(g, 20_000)
-    g.add_argument("--theta", type=float, default=0.7)
-    g.add_argument("--softening", type=float, default=1e-3)
-    g.add_argument("--traverser", default="transposed",
-                   choices=["transposed", "per-bucket", "up-and-down"])
-    g.add_argument("--quadrupole", action="store_true")
-    g.add_argument("--check", action="store_true", help="compare to direct sum")
-    g.add_argument("--iterations", type=int, default=1,
-                   help="driver iterations (Driver-pipeline runs only)")
-    g.add_argument("--dt", type=float, default=0.0,
-                   help="leapfrog timestep (0 = forces only, no integration)")
-    _add_telemetry(g)
-    _add_slo(g)
-    _add_faults(g)
-    _add_critical_path(g)
-    _add_checkpoint(g)
-    _add_parallel(g)
-    g.set_defaults(fn=cmd_gravity)
+    def batch(p: argparse.ArgumentParser, *groups) -> None:
+        for add in (*groups, _add_telemetry, _add_faults, _add_checkpoint, _add_parallel):
+            add(p)
+        p.set_defaults(fn=run_app)
 
-    s = sub.add_parser("sph", help="SPH density estimation")
-    _add_common(s, 6_000)
-    s.add_argument("--k", type=int, default=32)
-    s.add_argument("--baseline", action="store_true", help="run Gadget-style too")
-    s.add_argument("--iterations", type=int, default=1,
-                   help="driver iterations (Driver-pipeline runs only)")
-    s.add_argument("--dt", type=float, default=0.0,
-                   help="leapfrog timestep (0 = density/forces only)")
-    _add_telemetry(s)
-    _add_faults(s)
-    _add_checkpoint(s)
-    _add_parallel(s)
-    s.set_defaults(fn=cmd_sph)
-
-    k = sub.add_parser("knn", help="k-nearest-neighbour search")
-    _add_common(k, 20_000)
-    k.add_argument("--k", type=int, default=8)
-    k.add_argument("--iterations", type=int, default=1,
-                   help="driver iterations (Driver-pipeline runs only)")
-    _add_telemetry(k)
-    _add_faults(k)
-    _add_checkpoint(k)
-    _add_parallel(k)
-    k.set_defaults(fn=cmd_knn)
-
-    d = sub.add_parser("disk", help="planetesimal disk with collisions")
-    d.add_argument("--n", type=int, default=4_000)
-    d.add_argument("--seed", type=int, default=1)
-    d.add_argument("--steps", type=int, default=30)
-    d.add_argument("--dt", type=float, default=0.02)
-    d.add_argument("--radius", type=float, default=2.5e-3)
-    _add_telemetry(d)
-    _add_faults(d)
-    _add_critical_path(d)
-    _add_checkpoint(d)
-    _add_parallel(d)
-    d.set_defaults(fn=cmd_disk)
-
-    c = sub.add_parser("correlation", help="two-point correlation function")
-    c.add_argument("--n", type=int, default=2_000)
-    c.add_argument("--seed", type=int, default=1)
-    c.add_argument("--rmin", type=float, default=0.01)
-    c.add_argument("--rmax", type=float, default=1.0)
-    c.add_argument("--bins", type=int, default=8)
-    _add_telemetry(c)
-    _add_faults(c)
-    _add_checkpoint(c)
-    _add_parallel(c)
-    c.set_defaults(fn=cmd_correlation)
+    groups = {"slo": _add_slo, "critical_path": _add_critical_path}
+    for name, app in APPS.items():
+        p = sub.add_parser(name, help=app.help)
+        for option in app.options:
+            declare(p, *option)
+        batch(p, *(groups[g] for g in app.groups))
 
     r = sub.add_parser("resume", help="resume a run from a checkpoint file")
     r.add_argument("checkpoint", help="path to a ckpt_*.npz checkpoint")
     r.add_argument("--iterations", type=int, default=None,
                    help="override the total iteration count recorded in the "
                         "checkpoint (absolute, not additional)")
-    _add_telemetry(r)
-    _add_faults(r)
-    _add_checkpoint(r)
-    _add_parallel(r)
-    r.set_defaults(fn=cmd_resume)
+    batch(r)
 
     a = sub.add_parser(
         "audit", help="byte-level comparison of two npz state archives "
@@ -1454,6 +993,7 @@ def main(argv=None) -> int:
     sc.set_defaults(fn=cmd_scale)
 
     b = sub.add_parser("bench", help="benchmark harness (run/list/compare/report)")
+    b.set_defaults(fn=cmd_bench)
     bsub = b.add_subparsers(dest="bench_cmd", required=True)
 
     br = bsub.add_parser("run", help="run registered benchmarks, write BENCH_*.json")
@@ -1468,10 +1008,8 @@ def main(argv=None) -> int:
     br.add_argument("--artifacts", default=None,
                     help="also write one JSON artifact per benchmark here")
     br.add_argument("--no-progress", action="store_true")
-    br.set_defaults(fn=cmd_bench)
 
     bl = bsub.add_parser("list", help="list registered benchmarks")
-    bl.set_defaults(fn=cmd_bench)
 
     bc = bsub.add_parser("compare", help="noise-aware regression check of two BENCH files")
     bc.add_argument("baseline")
@@ -1484,50 +1022,39 @@ def main(argv=None) -> int:
                     help="write a markdown report ('-' for stdout)")
     bc.add_argument("--warn-only", action="store_true",
                     help="always exit 0 (CI smoke against a stale baseline)")
-    bc.set_defaults(fn=cmd_bench)
 
     bp = bsub.add_parser("report", help="render one BENCH file as a console table")
     bp.add_argument("path")
-    bp.set_defaults(fn=cmd_bench)
 
     o = sub.add_parser("obs", help="observability utilities "
                                    "(flight dumps, trace/SLO validation)")
+    o.set_defaults(fn=cmd_obs)
     osub = o.add_subparsers(dest="obs_cmd", required=True)
     od = osub.add_parser("dump", help="pretty-print a flight-recorder dump")
     od.add_argument("path", help="a dump written by --flight or on crash")
     od.add_argument("--last", type=int, default=None, metavar="N",
                     help="show only the last N events")
-    od.set_defaults(fn=cmd_obs)
     ot = osub.add_parser("validate-trace",
                          help="structural checks on a Chrome trace JSON")
     ot.add_argument("path")
     ot.add_argument("--require-exec-tasks", action="store_true",
                     help="also require exec.task spans, each nested inside "
                          "its owning phase span")
-    ot.set_defaults(fn=cmd_obs)
     ov = osub.add_parser("validate-slo",
                          help="schema checks on an SLO report JSON")
     ov.add_argument("path")
-    ov.set_defaults(fn=cmd_obs)
     oa = osub.add_parser("validate-attr",
                          help="schema + invariant checks on a repro.attr/1 "
                               "attribution profile (repro explain --json)")
     oa.add_argument("path")
-    oa.set_defaults(fn=cmd_obs)
 
     e = sub.add_parser(
         "explain",
         help="traversal attribution & causal what-if profiler: hot "
              "subtrees, per-partition cache misses, chunk imbalance, "
              "critical path, and predicted makespan deltas")
-    _add_common(e, 8_000)
-    e.add_argument("--theta", type=float, default=0.7)
-    e.add_argument("--traverser", default="transposed",
-                   choices=["transposed", "per-bucket", "up-and-down"])
-    e.add_argument("--iterations", type=int, default=1)
-    e.add_argument("--partitions", type=int, default=8,
-                   help="partitions / simulated processes for the cache and "
-                        "DES attributions")
+    for option in _EXPLAIN_OPTIONS:
+        declare(e, *option)
     e.add_argument("--depth", type=int, default=3, metavar="D",
                    help="subtree rollup depth cutoff (default 3)")
     e.add_argument("--top", type=int, default=8, metavar="K",
@@ -1549,7 +1076,8 @@ def main(argv=None) -> int:
         "serve",
         help="online query service over a resident tree (kNN/range/density "
              "with admission control, load shedding, and graceful drain)")
-    _add_common(sv, 20_000)
+    for option in (*dataset_options(20_000), *TREE_OPTIONS):
+        declare(sv, *option)
     sv.add_argument("--dataset", default="clumps",
                     choices=["clumps", "cube", "plummer", "disk"],
                     help="generator for the resident dataset")
@@ -1645,11 +1173,10 @@ def main(argv=None) -> int:
 
     t = sub.add_parser("top", help="live terminal dashboard")
     t.add_argument("source",
-                   help="pipeline to run live (gravity|sph|knn), or the path "
+                   help=f"pipeline to run live ({'|'.join(APPS)}), or the path "
                         "of a --status-file written by another run")
-    t.add_argument("--n", type=int, default=8_000)
-    t.add_argument("--seed", type=int, default=1)
-    t.add_argument("--iterations", type=int, default=4)
+    for option in _TOP_OPTIONS:
+        declare(t, *option)
     t.add_argument("--once", action="store_true",
                    help="render the latest snapshot and exit "
                         "(status-file sources; this is the default)")

@@ -73,7 +73,7 @@ def compute_gravity(
     with_quadrupole: bool = False,
     with_potential: bool = False,
     recorder: Recorder | None = None,
-    tree_builder: str = "recursive",
+    tree_builder: str = "linear",
 ) -> GravityResult:
     """Build a tree over ``particles`` and compute Barnes-Hut accelerations.
 

@@ -32,7 +32,7 @@ class KNNDriver(Driver):
         if self.exec_backend is not None:
             # knn_search drives the backend directly (not via partitions()),
             # so fold its latency/cache/supervision into the iteration here
-            self._absorb_backend_run(self.exec_backend)
+            self.exec_runs.absorb(self.exec_backend)
 
     def kth_distances(self) -> np.ndarray:
         """Distance to the k-th neighbour per particle (tree order)."""

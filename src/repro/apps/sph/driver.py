@@ -46,7 +46,7 @@ class SPHDriver(Driver):
         if self.exec_backend is not None:
             # compute_density_knn drives the backend directly (not via
             # partitions()), so fold its latency/cache/supervision in here
-            self._absorb_backend_run(self.exec_backend)
+            self.exec_runs.absorb(self.exec_backend)
 
     def post_traversal(self, iteration: int) -> None:
         assert self.state is not None

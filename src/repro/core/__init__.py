@@ -9,7 +9,7 @@ Driver subclass that configures the run and starts traversals — see
 
 from .config import Configuration
 from .data import AdditiveArrayData, Data, accumulate_data, extract_additive
-from .driver import Driver, IterationReport, Partitions
+from .driver import Driver, IterationObserver, IterationReport, Partitions
 from .traverser import (
     BucketLoadRecorder,
     InteractionLists,
@@ -37,6 +37,7 @@ __all__ = [
     "extract_additive",
     "Driver",
     "IterationReport",
+    "IterationObserver",
     "Partitions",
     "Visitor",
     "Traverser",

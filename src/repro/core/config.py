@@ -13,7 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..decomp import get_decomposer
+from ..decomp.loadbalance import LB_STRATEGIES
 from ..trees import TreeBuildConfig, TreeType
+from .traverser import get_traverser
 
 __all__ = ["Configuration"]
 
@@ -32,9 +35,10 @@ class Configuration:
     tree_type: TreeType | str = TreeType.OCT
     decomp_type: str = "sfc"
     bucket_size: int = 16
-    #: Tree construction algorithm: "recursive" (node-at-a-time stack walk)
-    #: or "linear" (vectorised level-by-level build; byte-identical output).
-    tree_builder: str = "recursive"
+    #: Octree construction algorithm: "linear" (vectorised level-by-level
+    #: build) or "recursive" (node-at-a-time stack walk, the reference the
+    #: byte-identity tests compare against); the output is byte-identical.
+    tree_builder: str = "linear"
     #: Minimum number of Partitions (load units); 0 = one per target bucket
     #: group chosen automatically.
     num_partitions: int = 8
@@ -62,21 +66,23 @@ class Configuration:
 
     def __post_init__(self) -> None:
         self.tree_type = TreeType(self.tree_type)
-        if self.num_iterations < 0:
-            raise ValueError("num_iterations must be >= 0")
-        if self.bucket_size < 1:
-            raise ValueError("bucket_size must be >= 1")
-        if self.num_partitions < 1:
-            raise ValueError("num_partitions must be >= 1")
-        if self.num_subtrees < 1:
-            raise ValueError("num_subtrees must be >= 1")
-        if self.nodes_per_request < 1:
-            raise ValueError("nodes_per_request must be >= 1")
-        if self.shared_branch_levels < 0:
-            raise ValueError("shared_branch_levels must be >= 0")
+        for name, minimum in (("num_iterations", 0), ("bucket_size", 1),
+                              ("num_partitions", 1), ("num_subtrees", 1),
+                              ("nodes_per_request", 1), ("shared_branch_levels", 0)):
+            if getattr(self, name) < minimum:
+                raise ValueError(f"{name} must be >= {minimum}")
         if self.tree_builder not in ("recursive", "linear"):
             raise ValueError(
                 f"tree_builder must be 'recursive' or 'linear', got {self.tree_builder!r}"
+            )
+        # names are checked against their registries here, so a typo fails
+        # before particles are generated rather than after the tree build
+        get_traverser(self.traverser)
+        get_decomposer(self.decomp_type)
+        if self.lb_strategy not in LB_STRATEGIES:
+            raise ValueError(
+                f"unknown lb_strategy {self.lb_strategy!r}; "
+                f"available: {sorted(LB_STRATEGIES)}"
             )
 
     def tree_build_config(self) -> TreeBuildConfig:
@@ -109,5 +115,9 @@ class Configuration:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Configuration":
-        """Inverse of :meth:`to_dict` (unknown keys rejected by the ctor)."""
-        return cls(**d)
+        """Inverse of :meth:`to_dict`; an unknown key or an out-of-range
+        value raises ``ValueError`` naming it."""
+        try:
+            return cls(**d)
+        except TypeError as exc:  # unexpected keyword
+            raise ValueError(f"bad configuration: {exc}") from None

@@ -15,6 +15,10 @@ pipeline the paper describes:
 6. user ``post_traversal`` does non-traversal physics (collisions, SPH
    updates, integration);
 7. optional measured-load re-balancing every ``lb_period`` iterations.
+
+Everything else a run may want per iteration — communication replay under
+faults, attribution, cache metrics, a status feed, checkpoints — plugs in
+through :class:`IterationObserver` (see :mod:`repro.core.observers`).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from ..obs import NULL_TELEMETRY, Telemetry, set_telemetry
 from ..particles import ParticleSet, load_particles
 from ..trees import Tree, build_tree
 from ..decomp import Decomposition, decompose, get_decomposer
-from ..decomp.loadbalance import sfc_rebalance, spatial_bisection_rebalance
+from ..decomp.loadbalance import LB_STRATEGIES
 from .config import Configuration
 from .traverser import (
     BucketLoadRecorder,
@@ -40,7 +44,7 @@ from .traverser import (
 )
 from .visitor import Visitor
 
-__all__ = ["Driver", "Partitions", "IterationReport"]
+__all__ = ["Driver", "Partitions", "IterationReport", "IterationObserver"]
 
 
 class Partitions:
@@ -60,21 +64,16 @@ class Partitions:
     def _run(self, traverser_name: str, visitor: Visitor) -> TraversalStats:
         driver = self._driver
         engine = get_traverser(traverser_name)
-        recorders = [
-            r
-            for r in (driver._load_recorder, driver._extra_recorder,
-                      driver._attr_recorder, driver._telemetry_lists)
-            if r
-        ]
+        recorders = [r for r in (driver._extra_recorder, *driver._recorders) if r]
         recorder = _MultiRecorder(recorders) if recorders else None
-        backend = driver._exec_backend
+        backend = driver.exec_backend
         if backend is not None:
             stats = backend.run(
                 driver.tree, engine, visitor, self._targets(), recorder,
                 decomposition=driver.decomposition,
                 shared_cache=driver._iteration_cache(),
             )
-            driver._absorb_backend_run(backend)
+            driver.exec_runs.absorb(backend)
         else:
             stats = engine.traverse(driver.tree, visitor, self._targets(), recorder)
         driver.last_stats.merge(stats)
@@ -151,8 +150,8 @@ class IterationReport:
     n_shared_particles: int
     rebalanced: bool = False
     user: dict[str, Any] = field(default_factory=dict)
-    #: fault-injected communication simulation of this iteration's
-    #: traversal (set when the driver has a fault plan); on a completed
+    #: communication replay of this iteration's traversal (set by a
+    #: :class:`~repro.core.observers.CommReplay` observer); on a completed
     #: sim this is ``SimResult.to_dict()``, on retry exhaustion it is the
     #: structured ``IterationFailure.to_dict()`` with ``"failed": True``.
     comm_sim: dict[str, Any] | None = None
@@ -176,31 +175,88 @@ class IterationReport:
     supervision: dict[str, int] | None = None
     #: compact :meth:`~repro.obs.AttributionProfile.summary` of this
     #: iteration's traversal attribution (totals, top subtrees, cache-miss
-    #: and chunk-imbalance rollups), when attribution is enabled; the full
-    #: profile lands in ``Driver.attribution_profiles``
+    #: and chunk-imbalance rollups), when an
+    #: :class:`~repro.core.observers.Attribution` observer is plugged in
+    #: (it keeps the full profiles)
     attribution: dict[str, Any] | None = None
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable view (numpy arrays/scalars converted), so
         reports can feed the metrics exporter and be diffed across runs."""
-        return {
-            "iteration": int(self.iteration),
-            "stats": {k: int(v) for k, v in self.stats.as_dict().items()},
-            "partition_loads": _jsonable(np.asarray(self.partition_loads)),
-            "imbalance": float(self.imbalance),
-            "n_split_buckets": int(self.n_split_buckets),
-            "n_shared_particles": int(self.n_shared_particles),
-            "rebalanced": bool(self.rebalanced),
-            "user": _jsonable(self.user),
-            "comm_sim": _jsonable(self.comm_sim),
-            "wall_time": None if self.wall_time is None else float(self.wall_time),
-            "exec_cache": _jsonable(self.exec_cache),
-            "latency": _jsonable(self.latency),
-            "exec_mode": self.exec_mode,
-            "supervision": _jsonable(self.supervision),
-            "attribution": _jsonable(self.attribution),
-        }
+        return _jsonable({**vars(self), "stats": self.stats.as_dict()})
 
+
+class IterationObserver:
+    """A cross-cutting per-iteration feature plugged in with
+    :meth:`Driver.observe`.
+
+    The contract mirrors :meth:`Recorder.fork` / :meth:`Recorder.absorb`:
+    before the traversal the driver offers every observer the chance to
+    contribute a :class:`Recorder`; after the seven phases it hands every
+    observer the finished :class:`IterationReport`, which the observer may
+    annotate (``comm_sim``, ``attribution``) or act on (status frame,
+    checkpoint).  Observers never touch the physics: a run with any set of
+    them plugged in is bit-identical to a run with none.
+    """
+
+    def recorder(self, driver: "Driver", iteration: int) -> Recorder | None:
+        """A recorder to attach to this iteration's traversals, or None."""
+        return None
+
+    def report(self, driver: "Driver", report: IterationReport) -> None:
+        """Called once per completed iteration, in plug-in order."""
+
+
+class ExecRuns:
+    """What one iteration's execution-backend runs did, folded in run order
+    (an iteration may launch several traversals)."""
+
+    def __init__(self) -> None:
+        self.latency = None
+        self.cache: dict[str, int] | None = None
+        self.supervision: dict[str, int] | None = None
+        self.mode: str | None = None
+        #: one ``{chunk, lane, dur}`` sample per exec chunk task
+        self.tasks: list[dict[str, Any]] = []
+
+    def absorb(self, backend) -> None:
+        """Fold in the run ``backend`` just finished."""
+        if backend.last_latency is not None:
+            if self.latency is None:
+                self.latency = backend.last_latency.fork()
+            self.latency.merge(backend.last_latency)
+        cache = backend.last_cache_stats
+        if cache is not None:
+            mine = self.cache or {"attach_hits": 0, "attach_misses": 0}
+            self.cache = {k: mine[k] + cache[k] for k in mine}
+        sup = backend.last_supervision
+        if sup is not None:
+            mine = self.supervision or {}
+            self.supervision = {**mine, **{k: mine.get(k, 0) + v for k, v in sup.items()}}
+        # "degraded" is sticky across the iteration's runs
+        if self.mode != "degraded":
+            self.mode = backend.last_mode
+        for t in backend.last_tasks or ():
+            self.tasks.append({
+                "chunk": int(t.get("chunk", 0)),
+                "lane": int(t.get("lane", 0)),
+                "dur": float(t.get("end", 0.0)) - float(t.get("start", 0.0)),
+            })
+
+    def report_fields(self) -> dict[str, Any]:
+        """The :class:`IterationReport` fields these runs fill."""
+        cache = self.cache
+        if cache is not None:
+            total = cache["attach_hits"] + cache["attach_misses"]
+            cache = dict(cache, hit_rate=cache["attach_hits"] / total if total else 0.0)
+        return {
+            "exec_cache": cache,
+            # an empty histogram is reported as count=0 (not dropped), so
+            # consumers can say "n=0" instead of guessing
+            "latency": None if self.latency is None else self.latency.to_dict(),
+            "exec_mode": self.mode,
+            "supervision": self.supervision,
+        }
 
 class Driver:
     """Base class for ParaTreeT applications."""
@@ -212,22 +268,19 @@ class Driver:
         self.decomposition: Decomposition | None = None
         self.last_stats = TraversalStats()
         self.reports: list[IterationReport] = []
-        self._partitions = Partitions(self)
-        self._load_recorder: BucketLoadRecorder | None = None
-        self._extra_recorder: Recorder | None = None
-        self._pending_assignment: np.ndarray | None = None
+        #: plugged-in cross-cutting features, notified in this order
+        self.observers: list[IterationObserver] = []
         self.telemetry: Telemetry = NULL_TELEMETRY
-        self._telemetry_lists: InteractionLists | None = None
-        self.fault_plan = None
-        self.critical_path = False
-        #: per-node/per-bucket traversal attribution (repro explain)
-        self.attribution = False
-        self._attr_recorder = None
-        #: one AttributionProfile per attributed iteration
-        self.attribution_profiles: list[Any] = []
-        #: the last iteration's InteractionLists, retained (when recorded)
-        #: so ``repro explain`` can replay the traversal through the DES
+        #: the last iteration's InteractionLists, when an observer that
+        #: replays the traversal recorded them
         self.last_interaction_lists: InteractionLists | None = None
+        #: the running (then last) iteration's execution-backend outcome
+        self.exec_runs = ExecRuns()
+        self._partitions = Partitions(self)
+        self._extra_recorder: Recorder | None = None
+        #: recorders attached to the running iteration's traversals
+        self._recorders: list[Recorder] = []
+        self._pending_assignment: np.ndarray | None = None
         self._exec_backend = None
         #: per-iteration SharedTreeCache the thread backend's workers warm
         #: concurrently; rebuilt whenever the tree changes
@@ -235,21 +288,10 @@ class Driver:
         self._shared_cache_tree: Tree | None = None
         #: named PRNG streams whose positions checkpoints capture/restore
         self._rngs: dict[str, np.random.Generator] = {}
-        self._ckpt_writer = None
         #: imbalance of the last pre-checkpoint iteration, restored on
         #: resume so the reactive flush check sees the same value the
         #: uninterrupted run would
         self._resumed_imbalance: float | None = None
-        #: live status consumers (Dashboard / StatusWriter), fed one
-        #: snapshot per completed iteration
-        self._status_consumers: list[Any] = []
-        #: per-iteration accumulators filled by _absorb_backend_run
-        self._iter_latency = None
-        self._iter_cache: dict[str, int] | None = None
-        self._iter_supervision: dict[str, int] | None = None
-        self._iter_exec_mode: str | None = None
-        #: exec chunk-task samples (chunk, lane, dur) for the heatmap
-        self._iter_tasks: list[dict[str, Any]] = []
 
     # -- user hooks ---------------------------------------------------------
     def configure(self, config: Configuration) -> None:
@@ -290,6 +332,12 @@ class Driver:
         """Attach an observer to every traversal (profiling, memsim)."""
         self._extra_recorder = recorder
 
+    def observe(self, observer: IterationObserver) -> IterationObserver:
+        """Plug a cross-cutting feature into every subsequent iteration
+        (see :class:`IterationObserver`); returns ``observer``."""
+        self.observers.append(observer)
+        return observer
+
     def enable_telemetry(
         self, telemetry: Telemetry | None = None, install_global: bool = True
     ) -> Telemetry:
@@ -301,28 +349,21 @@ class Driver:
         it the process-wide current telemetry so spans inside ``build_tree``,
         ``decompose``, and the traversal engines nest under the phase spans.
         """
+        from .observers import CacheMetrics
+
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         if install_global:
             set_telemetry(self.telemetry if self.telemetry.enabled else None)
+        if not any(isinstance(o, CacheMetrics) for o in self.observers):
+            self.observe(CacheMetrics())
         return self.telemetry
 
-    def enable_faults(self, plan) -> None:
-        """Attach a fault plan (a :class:`~repro.faults.FaultPlan` or a
-        spec string for :func:`~repro.faults.parse_fault_spec`).
+    @property
+    def fault_plan(self):
+        """The fault plan of the plugged-in comm replay, or None."""
+        from .observers import CommReplay
 
-        Every subsequent iteration replays its recorded traversal through
-        the DES communication model with the plan's faults injected (one
-        simulated process per partition) and stores the outcome — simulated
-        time, drop/retry/timeout counters, or the structured failure when
-        retries are exhausted — in :attr:`IterationReport.comm_sim`.  The
-        real traversal results are never perturbed: faults degrade the
-        simulated schedule, not the physics.
-        """
-        from ..faults import parse_fault_spec
-
-        if isinstance(plan, str):
-            plan = parse_fault_spec(plan)
-        self.fault_plan = plan
+        return next((o.faults for o in self.observers if isinstance(o, CommReplay)), None)
 
     def enable_parallel(self, backend: str = "threads", workers: int | None = None,
                         supervise: Any = None, exec_faults: Any = None,
@@ -393,135 +434,12 @@ class Driver:
             self._shared_cache_tree = self.tree
         return self._shared_cache
 
-    def enable_dashboard(self, dashboard=None):
-        """Attach a live :class:`~repro.obs.Dashboard` (``repro top``),
-        repainted with a status snapshot after every iteration.  Returns
-        the dashboard."""
-        if dashboard is None:
-            from ..obs import Dashboard
-
-            dashboard = Dashboard()
-        self._status_consumers.append(dashboard)
-        return dashboard
-
-    def enable_status(self, path):
-        """Append one JSON status snapshot per iteration to ``path`` so a
-        separate ``repro top <path> --follow`` can watch this run.  Returns
-        the :class:`~repro.obs.StatusWriter`."""
-        from ..obs import StatusWriter
-
-        writer = StatusWriter(path)
-        self._status_consumers.append(writer)
-        return writer
-
-    def _absorb_backend_run(self, backend) -> None:
-        """Accumulate one backend.run's latency fork and cache stats into
-        the current iteration (an iteration may launch several traversals)."""
-        if backend.last_latency is not None:
-            if self._iter_latency is None:
-                self._iter_latency = backend.last_latency.fork()
-            self._iter_latency.merge(backend.last_latency)
-        cache = backend.last_cache_stats
-        if cache is not None:
-            if self._iter_cache is None:
-                self._iter_cache = {"attach_hits": 0, "attach_misses": 0}
-            self._iter_cache["attach_hits"] += cache["attach_hits"]
-            self._iter_cache["attach_misses"] += cache["attach_misses"]
-        sup = backend.last_supervision
-        if sup is not None:
-            if self._iter_supervision is None:
-                self._iter_supervision = dict.fromkeys(sup, 0)
-            for k, v in sup.items():
-                self._iter_supervision[k] = self._iter_supervision.get(k, 0) + v
-        # "degraded" is sticky across the iteration's runs
-        if self._iter_exec_mode != "degraded":
-            self._iter_exec_mode = backend.last_mode
-        for t in backend.last_tasks or ():
-            self._iter_tasks.append({
-                "chunk": int(t.get("chunk", 0)),
-                "lane": int(t.get("lane", 0)),
-                "dur": float(t.get("end", 0.0)) - float(t.get("start", 0.0)),
-            })
-
-    def enable_attribution(self, enabled: bool = True) -> None:
-        """Accumulate per-node/per-bucket traversal attribution.
-
-        Every subsequent iteration attaches an
-        :class:`~repro.obs.AttributionRecorder` to its traversals — flat
-        integer counter arrays indexed by tree-node id (visits, MAC
-        accepts, kernel pairs, a deterministic ns cost estimate), merged
-        across exec workers in chunk order so the arrays are bit-identical
-        for any backend × worker count.  The full
-        :class:`~repro.obs.AttributionProfile` (with cache-miss and
-        chunk-imbalance context) is appended to
-        :attr:`attribution_profiles`; a compact summary lands in
-        :attr:`IterationReport.attribution`.  ``repro explain`` builds its
-        whole report on this.
-        """
-        self.attribution = bool(enabled)
-        if not enabled:
-            self._attr_recorder = None
-
-    def enable_critical_path(self, enabled: bool = True) -> None:
-        """Attribute each iteration's simulated communication schedule.
-
-        Every subsequent iteration replays its recorded traversal through
-        the DES communication model (fault-free unless a fault plan is also
-        attached) with critical-path recording on, and stores the
-        :class:`~repro.perf.critical_path.CriticalPathReport` —
-        longest-dependency-chain attribution over {compute, cache-miss
-        latency, queueing, barrier wait} — under
-        ``IterationReport.comm_sim["critical_path"]``.
-        """
-        self.critical_path = bool(enabled)
-
     def register_rng(self, name: str, rng: np.random.Generator) -> np.random.Generator:
         """Register a PRNG stream so checkpoints capture (and restores
         reinstall) its exact position — the requirement for bit-identical
         resume of any RNG-dependent physics."""
         self._rngs[name] = rng
         return rng
-
-    def enable_checkpointing(
-        self,
-        directory,
-        every: int = 1,
-        keep: int = 2,
-        app: str | None = None,
-        app_config: dict[str, Any] | None = None,
-        buddy=None,
-        rank: int = 0,
-    ):
-        """Write a checkpoint every ``every`` completed iterations into
-        ``directory`` (keeping the newest ``keep``).  ``app``/``app_config``
-        let ``repro resume`` rebuild the owning Driver; ``buddy`` mirrors
-        each blob into a :class:`~repro.resilience.BuddyStore` (in-memory
-        double checkpointing).  Returns the writer."""
-        from ..resilience import CheckpointWriter
-
-        self._ckpt_writer = CheckpointWriter(
-            directory, every=every, keep=keep,
-            app=app, app_config=app_config, buddy=buddy, rank=rank,
-        )
-        return self._ckpt_writer
-
-    def write_final_checkpoint(self) -> str | None:
-        """Best-effort checkpoint at the last completed iteration boundary.
-
-        The CLI's SIGTERM/SIGINT path calls this so an interrupted run
-        stays resumable.  No-op (returns None) unless checkpointing is
-        enabled and the run has materialised particles; a failure to
-        write is swallowed — the process is already exiting on a signal.
-        """
-        if self._ckpt_writer is None or self.particles is None:
-            return None
-        completed = self.reports[-1].iteration if self.reports else -1
-        if completed < 0:
-            return None
-        try:
-            return self._ckpt_writer.write(self, completed)
-        except Exception:  # noqa: BLE001 - shutdown path, best effort
-            return None
 
     def run(self, resume_from=None) -> list[IterationReport]:
         """Run the configured iterations; pass ``resume_from`` (a
@@ -543,8 +461,6 @@ class Driver:
         try:
             for it in range(start, cfg.num_iterations):
                 self.run_iteration(it)
-                if self._ckpt_writer is not None:
-                    self._ckpt_writer.maybe_write(self, it)
         except BaseException as exc:
             # black-box record of the final moments (no-op unless the
             # flight recorder was armed with a dump path)
@@ -558,12 +474,7 @@ class Driver:
         assert self.particles is not None
         tel = self.telemetry
         tracer = tel.tracer
-        self._iter_latency = None
-        self._iter_cache = None
-        self._iter_supervision = None
-        self._iter_exec_mode = None
-        self._iter_tasks = []
-        events_before = len(tracer.events)
+        self.exec_runs = ExecRuns()
         t_iter = time.perf_counter()
 
         with tracer.span("iteration", cat="driver", iteration=iteration):
@@ -627,64 +538,31 @@ class Driver:
             with tracer.span("prepare", cat="driver.phase"):
                 self.prepare(self.tree)
 
-            # 5. Traversal.
+            # 5. Traversal, recorded by the load balancer (when it is due)
+            # and by whatever the observers contribute.
             with tracer.span("traversal", cat="driver.phase"):
                 self.last_stats = TraversalStats()
                 want_lb = cfg.lb_period > 0 and (iteration + 1) % cfg.lb_period == 0
-                self._load_recorder = BucketLoadRecorder(self.tree) if want_lb else None
-                # Interaction lists feed the telemetry cache statistics and
-                # (when a fault plan is attached) the faulted comm replay.
-                want_lists = (tel.enabled or self.fault_plan is not None
-                              or self.critical_path or self.attribution)
-                self._telemetry_lists = InteractionLists() if want_lists else None
-                if self.attribution:
-                    from ..obs import AttributionRecorder
-
-                    self._attr_recorder = AttributionRecorder(self.tree.n_nodes)
-                else:
-                    self._attr_recorder = None
+                load = BucketLoadRecorder(self.tree) if want_lb else None
+                self.last_interaction_lists = None
+                offered = [load, *(o.recorder(self, iteration) for o in self.observers)]
+                self._recorders = [r for r in offered if r is not None]
                 self.traversal(iteration)
 
             # 6. Post-traversal physics.
             with tracer.span("post_traversal", cat="driver.phase"):
                 self.post_traversal(iteration)
+            self._recorders = []
 
             # 7. Measured-load re-balancing.
             with tracer.span("rebalance", cat="driver.phase"):
                 loads = self.decomposition.partition_loads()
-                if want_lb and self._load_recorder is not None:
-                    per_particle = self._load_recorder.per_particle_load(self.tree)
-                    if cfg.lb_strategy == "sfc":
-                        new_parts = sfc_rebalance(
-                            self.particles, per_particle, cfg.num_partitions
-                        )
-                    else:
-                        new_parts = spatial_bisection_rebalance(
-                            self.particles, per_particle, cfg.num_partitions
-                        )
-                    self._pending_assignment = new_parts
-                self._load_recorder = None
+                if load is not None:
+                    self._pending_assignment = LB_STRATEGIES[cfg.lb_strategy](
+                        self.particles, load.per_particle_load(self.tree),
+                        cfg.num_partitions,
+                    )
 
-            # 8. Communication replay (when a fault plan is attached and/or
-            # critical-path attribution is requested).
-            comm_sim = None
-            if self.fault_plan is not None or self.critical_path:
-                with tracer.span("comm_sim", cat="driver.phase"):
-                    comm_sim = self._simulate_comm(iteration)
-
-            attribution = None
-            if self._attr_recorder is not None:
-                attribution = self._build_attribution(iteration)
-
-            cache = None
-            if self._iter_cache is not None:
-                hits = self._iter_cache["attach_hits"]
-                misses = self._iter_cache["attach_misses"]
-                total = hits + misses
-                cache = {
-                    "attach_hits": hits, "attach_misses": misses,
-                    "hit_rate": hits / total if total else 0.0,
-                }
             report = IterationReport(
                 iteration=iteration,
                 stats=self.last_stats,
@@ -693,167 +571,13 @@ class Driver:
                 n_split_buckets=self.decomposition.n_split_buckets,
                 n_shared_particles=self.decomposition.n_shared_particles,
                 rebalanced=rebalanced,
-                comm_sim=comm_sim,
                 wall_time=time.perf_counter() - t_iter,
-                exec_cache=cache,
-                # an empty histogram is reported as count=0 (not dropped),
-                # so consumers can say "n=0" instead of guessing
-                latency=(self._iter_latency.to_dict()
-                         if self._iter_latency is not None else None),
-                exec_mode=self._iter_exec_mode,
-                supervision=self._iter_supervision,
-                attribution=attribution,
+                **self.exec_runs.report_fields(),
             )
             self.reports.append(report)
             if tel.enabled:
                 tel.metrics.absorb_iteration_report(report)
                 tel.metrics.latency("driver.iteration.latency").observe(report.wall_time)
-                self._collect_cache_metrics(iteration)
-            self.last_interaction_lists = self._telemetry_lists
-            self._telemetry_lists = None
-            self._attr_recorder = None
-        if self._status_consumers:
-            snap = self._status_snapshot(report, events_before)
-            for consumer in self._status_consumers:
-                consumer.update(snap)
+            for observer in self.observers:
+                observer.report(self, report)
         return report
-
-    def _build_attribution(self, iteration: int) -> dict[str, Any]:
-        """Package the iteration's attribution recorder into a full
-        :class:`~repro.obs.AttributionProfile` (kept on
-        :attr:`attribution_profiles`) and return the compact summary for
-        the :class:`IterationReport`."""
-        from ..obs import AttributionProfile
-
-        profile = AttributionProfile.from_recorder(
-            self._attr_recorder, iteration=iteration, chunks=self._iter_tasks,
-        )
-        lists = self._telemetry_lists
-        if lists is not None and lists.visited and self.decomposition is not None:
-            from ..cache.stats import assign_fetch_groups, miss_attribution
-
-            cfg = self.config
-            groups = assign_fetch_groups(
-                self.tree, self.decomposition,
-                nodes_per_request=cfg.nodes_per_request,
-                shared_branch_levels=cfg.shared_branch_levels,
-            )
-            profile.cache = miss_attribution(
-                self.tree, lists, self.decomposition, groups,
-                n_processes=cfg.num_partitions,
-            )
-        self.attribution_profiles.append(profile)
-        return profile.summary(self.tree)
-
-    def _status_snapshot(self, report: IterationReport,
-                         events_before: int) -> dict[str, Any]:
-        """One ``repro.status/1`` snapshot for the dashboard/status feed."""
-        tel = self.telemetry
-        phases: dict[str, float] = {}
-        if tel.enabled:
-            for ev in tel.tracer.events[events_before:]:
-                if ev.get("cat") == "driver.phase":
-                    phases[ev["name"]] = phases.get(ev["name"], 0.0) + ev["dur"] / 1e6
-        backend = self._exec_backend
-        lanes: list[dict[str, Any]] = []
-        if backend is not None and backend.last_tasks:
-            by_lane: dict[int, dict[str, Any]] = {}
-            for t in backend.last_tasks:
-                slot = by_lane.setdefault(
-                    int(t.get("lane", 0)), {"busy": 0.0, "tasks": 0}
-                )
-                slot["busy"] += t["end"] - t["start"]
-                slot["tasks"] += 1
-            lanes = [
-                {"lane": lane, **slot} for lane, slot in sorted(by_lane.items())
-            ]
-        n = len(self.particles) if self.particles is not None else 0
-        wall = report.wall_time or 0.0
-        latency = report.latency or {}
-        return {
-            "pipeline": type(self).__name__,
-            "iteration": report.iteration,
-            "n_particles": n,
-            "backend": backend.name if backend is not None else "serial",
-            "workers": backend.workers if backend is not None else 1,
-            "wall_time": report.wall_time,
-            "throughput": n / wall if wall else None,
-            "imbalance": report.imbalance,
-            "phases": phases,
-            "worker_lanes": lanes,
-            "cache": report.exec_cache,
-            "latency": latency.get("quantiles") or None,
-            "latency_count": latency.get("count"),
-            "mode": report.exec_mode,
-            "degraded": report.exec_mode == "degraded",
-            "supervision": report.supervision,
-        }
-
-    def _simulate_comm(self, iteration: int) -> dict[str, Any] | None:
-        """Replay the iteration's recorded traversal through the DES with
-        the attached fault plan (or fault-free, when only critical-path
-        attribution was requested).  Completes gracefully either way: a
-        finished sim returns its summary (time, fault counters); exhausted
-        retries return the structured failure instead of raising — the
-        driver's real results are already in hand, only the simulated
-        schedule degrades."""
-        lists = self._telemetry_lists
-        if lists is None or not lists.visited or self.decomposition is None:
-            return None
-        from ..faults import IterationFailure
-        from ..runtime import simulate_traversal, workload_from_traversal
-
-        cfg = self.config
-        wl = workload_from_traversal(
-            self.tree, self.decomposition, lists,
-            nodes_per_request=cfg.nodes_per_request,
-            shared_branch_levels=cfg.shared_branch_levels,
-        )
-        try:
-            result = simulate_traversal(
-                wl,
-                n_processes=cfg.num_partitions,
-                faults=self.fault_plan,
-                telemetry=self.telemetry if self.telemetry.enabled else None,
-                critical_path=self.critical_path,
-                collect_trace=self.critical_path,
-            )
-        except IterationFailure as exc:
-            out = exc.to_dict()
-            out["failed"] = True
-            if self.telemetry.enabled:
-                self.telemetry.metrics.absorb_fault_counters(
-                    exc.counters, iteration=iteration
-                )
-                self.telemetry.metrics.counter(
-                    "faults.iteration_failures", iteration=iteration
-                ).inc()
-            return out
-        out = result.to_dict()
-        out["failed"] = False
-        return out
-
-    def _collect_cache_metrics(self, iteration: int) -> None:
-        """Software-cache counters for the traversals this iteration ran:
-        fetch groups the traversal touched, split by local/remote under the
-        iteration's Partitions–Subtrees placement (one simulated process per
-        partition), through the WaitFree cache model.  Telemetry-only — the
-        seed path never calls this."""
-        lists = self._telemetry_lists
-        if lists is None or not lists.visited or self.decomposition is None:
-            return
-        from ..cache.models import WAITFREE
-        from ..cache.stats import assign_fetch_groups, fetch_statistics
-
-        cfg = self.config
-        with self.telemetry.span("cache_stats", cat="obs"):
-            groups = assign_fetch_groups(
-                self.tree, self.decomposition,
-                nodes_per_request=cfg.nodes_per_request,
-                shared_branch_levels=cfg.shared_branch_levels,
-            )
-            fs = fetch_statistics(
-                self.tree, lists, self.decomposition, groups,
-                n_processes=cfg.num_partitions, cache_model=WAITFREE,
-            )
-        self.telemetry.metrics.absorb_fetch_stats(fs, iteration=iteration)

@@ -25,7 +25,8 @@ from ..particles import ParticleSet
 from .partitions import Decomposition, decompose
 from .splitters import LongestDimDecomposer, _weighted_contiguous_slices
 
-__all__ = ["imbalance", "sfc_rebalance", "spatial_bisection_rebalance", "apply_rebalance"]
+__all__ = ["imbalance", "sfc_rebalance", "spatial_bisection_rebalance",
+           "LB_STRATEGIES", "apply_rebalance"]
 
 
 def imbalance(loads: np.ndarray) -> float:
@@ -60,6 +61,10 @@ def spatial_bisection_rebalance(
     if measured_load.sum() == 0:
         measured_load = np.ones(len(particles))
     return LongestDimDecomposer().assign(particles, n_parts, weights=measured_load)
+
+
+#: ``Configuration.lb_strategy`` -> strategy
+LB_STRATEGIES = {"sfc": sfc_rebalance, "spatial": spatial_bisection_rebalance}
 
 
 def apply_rebalance(

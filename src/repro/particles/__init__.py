@@ -7,6 +7,8 @@ from .generators import (
     clustered_clumps,
     keplerian_disk,
     DiskParams,
+    GENERATORS,
+    generate,
 )
 from .io import SnapshotError, save_particles, load_particles
 from .tipsy import save_tipsy, load_tipsy
@@ -18,6 +20,8 @@ __all__ = [
     "plummer_sphere",
     "clustered_clumps",
     "keplerian_disk",
+    "GENERATORS",
+    "generate",
     "SnapshotError",
     "save_particles",
     "load_particles",

@@ -26,6 +26,8 @@ __all__ = [
     "clustered_clumps",
     "keplerian_disk",
     "DiskParams",
+    "GENERATORS",
+    "generate",
 ]
 
 
@@ -219,6 +221,32 @@ def keplerian_disk(
         radius=np.concatenate(radii),
         ptype=np.concatenate(types),
     )
+
+
+def _disk(n: int, seed: int = 0, **params) -> ParticleSet:
+    return keplerian_disk(n, DiskParams(**params), seed=seed)
+
+
+#: dataset ``kind`` -> generator
+GENERATORS = {
+    "cube": uniform_cube,
+    "clumps": clustered_clumps,
+    "plummer": plummer_sphere,
+    "disk": _disk,
+}
+
+
+def generate(dataset: dict) -> ParticleSet:
+    """The particle set a ``{kind, n, seed}`` dataset dict describes (the
+    description ``repro serve`` and every batch pipeline are made from);
+    any further key is a keyword argument of that kind's generator."""
+    options = dict(dataset)
+    kind = options.pop("kind")
+    if kind not in GENERATORS:
+        raise ValueError(f"unknown dataset kind {kind!r} "
+                         f"(expected one of {', '.join(GENERATORS)})")
+    return GENERATORS[kind](int(options.pop("n")), seed=int(options.pop("seed")),
+                            **options)
 
 
 def _elements_to_cartesian(a, ecc, inc, omega, capom, nu, mu):

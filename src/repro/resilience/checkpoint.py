@@ -35,6 +35,7 @@ from typing import Any
 
 import numpy as np
 
+from ..core.driver import IterationObserver
 from ..particles import ParticleSet
 
 __all__ = [
@@ -336,10 +337,12 @@ def latest_checkpoint(directory: str | os.PathLike) -> str | None:
     return str(candidates[-1]) if candidates else None
 
 
-class CheckpointWriter:
+class CheckpointWriter(IterationObserver):
     """Writes a checkpoint every ``every`` completed iterations, keeping the
     newest ``keep`` files, and mirroring each blob into an optional buddy
-    store (the in-memory double checkpoint)."""
+    store (the in-memory double checkpoint).  Plug it into a run with
+    ``driver.observe(writer)``; ``app``/``app_config`` let ``repro resume``
+    rebuild the owning Driver."""
 
     def __init__(
         self,
@@ -363,6 +366,9 @@ class CheckpointWriter:
         self.buddy = buddy
         self.rank = int(rank)
         self.written: list[str] = []
+
+    def report(self, driver, report) -> None:
+        self.maybe_write(driver, report.iteration)
 
     def maybe_write(self, driver, iteration: int) -> str | None:
         """Checkpoint after iteration ``iteration`` when the interval says
@@ -392,6 +398,21 @@ class CheckpointWriter:
             buddy=self.buddy is not None,
         )
         return str(path)
+
+    def write_final(self, driver) -> str | None:
+        """Best-effort checkpoint at the last completed iteration boundary.
+
+        The CLI's SIGTERM/SIGINT path calls this so an interrupted run
+        stays resumable.  Returns None before the first completed
+        iteration; a failure to write is swallowed — the process is
+        already exiting on a signal.
+        """
+        if not driver.reports:
+            return None
+        try:
+            return self.write(driver, driver.reports[-1].iteration)
+        except Exception:  # noqa: BLE001 - shutdown path, best effort
+            return None
 
     def _rotate(self) -> None:
         while len(self.written) > self.keep:

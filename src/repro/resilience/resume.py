@@ -1,65 +1,18 @@
 """Rebuilding a Driver from a checkpoint (``repro resume``).
 
-A checkpoint records which application wrote it (``app``) plus the keyword
-arguments of that application's Driver (``app_config``); this module maps
-the name back to a constructor.  Particles, PRNG streams, and application
-state come from the checkpoint itself via
-:func:`~repro.resilience.checkpoint.restore_run`, so the rebuilt driver
-never calls ``create_particles``.
+A checkpoint records the description its Driver was made from — the
+application's name (``app``), that Driver's keyword arguments
+(``app_config``) and the ``Configuration`` — so rebuilding is the same
+:func:`repro.apps.make_driver` call a fresh run makes, minus the
+dataset: particles, PRNG streams, and application state come from the
+checkpoint itself via :func:`~repro.resilience.checkpoint.restore_run`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
-
-from ..core.config import Configuration
 from .checkpoint import Checkpoint, CheckpointError
 
-__all__ = ["APP_BUILDERS", "register_app", "driver_from_checkpoint"]
-
-
-def _gravity(config: Configuration, kwargs: dict[str, Any]):
-    from ..apps.gravity import GravityDriver
-
-    return GravityDriver(config, **kwargs)
-
-
-def _sph(config: Configuration, kwargs: dict[str, Any]):
-    from ..apps.sph import SPHDriver
-
-    return SPHDriver(config, **kwargs)
-
-
-def _disk(config: Configuration, kwargs: dict[str, Any]):
-    from ..apps.collision import PlanetesimalDriver
-
-    return PlanetesimalDriver(config, **kwargs)
-
-
-def _knn(config: Configuration, kwargs: dict[str, Any]):
-    from ..apps.knn import KNNDriver
-
-    return KNNDriver(config, **kwargs)
-
-
-def _correlation(config: Configuration, kwargs: dict[str, Any]):
-    from ..apps.correlation import CorrelationDriver
-
-    return CorrelationDriver(config, **kwargs)
-
-
-APP_BUILDERS: dict[str, Callable[[Configuration, dict[str, Any]], Any]] = {
-    "gravity": _gravity,
-    "sph": _sph,
-    "disk": _disk,
-    "knn": _knn,
-    "correlation": _correlation,
-}
-
-
-def register_app(name: str, builder: Callable[[Configuration, dict[str, Any]], Any]) -> None:
-    """Register a custom application so its checkpoints can be resumed."""
-    APP_BUILDERS[name] = builder
+__all__ = ["driver_from_checkpoint"]
 
 
 def driver_from_checkpoint(ckpt: Checkpoint):
@@ -67,16 +20,18 @@ def driver_from_checkpoint(ckpt: Checkpoint):
 
     The caller passes the returned driver and the checkpoint to
     ``driver.run(resume_from=ckpt)`` (or :func:`restore_run` directly).
+    A checkpoint that names no (or an unknown) application, or records
+    keyword arguments or configuration values this build rejects, raises
+    :class:`CheckpointError`.
     """
+    from ..apps import make_driver
+
     if ckpt.app is None:
         raise CheckpointError(
             "checkpoint does not record its application; "
             "pass the driver explicitly instead of using `repro resume`"
         )
-    builder = APP_BUILDERS.get(ckpt.app)
-    if builder is None:
-        raise CheckpointError(
-            f"unknown application {ckpt.app!r}; known: {sorted(APP_BUILDERS)}"
-        )
-    config = Configuration.from_dict(ckpt.config) if ckpt.config else Configuration()
-    return builder(config, dict(ckpt.app_config))
+    try:
+        return make_driver(ckpt.app, ckpt.app_config, ckpt.config)
+    except ValueError as exc:
+        raise CheckpointError(f"cannot rebuild the checkpointed run: {exc}") from None

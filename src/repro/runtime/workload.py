@@ -112,13 +112,16 @@ def workload_from_traversal(
     cost: CostModel | None = None,
     nodes_per_request: int = 3,
     shared_branch_levels: int = 3,
+    groups: FetchGroups | None = None,
 ) -> WorkloadSpec:
-    """Build the per-bucket, per-group cost breakdown from recorded lists."""
+    """Build the per-bucket, per-group cost breakdown from recorded lists
+    (over ``groups`` when the caller has already assigned them)."""
     cost = cost or CostModel()
-    groups = assign_fetch_groups(
-        tree, decomp, nodes_per_request=nodes_per_request,
-        shared_branch_levels=shared_branch_levels,
-    )
+    if groups is None:
+        groups = assign_fetch_groups(
+            tree, decomp, nodes_per_request=nodes_per_request,
+            shared_branch_levels=shared_branch_levels,
+        )
     counts = tree.pend - tree.pstart
     group_of_node = groups.group_of_node
 

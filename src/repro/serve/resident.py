@@ -15,23 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..particles import (
-    ParticleSet,
-    clustered_clumps,
-    keplerian_disk,
-    plummer_sphere,
-    uniform_cube,
-)
+from ..particles import ParticleSet, generate
 from ..resilience.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from ..trees import build_tree
 from ..trees.node import Tree
-
-GENERATORS = {
-    "cube": uniform_cube,
-    "clumps": clustered_clumps,
-    "plummer": plummer_sphere,
-    "disk": keplerian_disk,
-}
 
 
 @dataclass
@@ -63,7 +50,7 @@ def build_resident_state(spec: dict[str, Any]) -> ResidentState:
     spec = dict(spec)
     tree_type = spec.setdefault("tree_type", "oct")
     bucket = int(spec.setdefault("bucket_size", 16))
-    builder = spec.setdefault("tree_builder", "recursive")
+    builder = spec.setdefault("tree_builder", "linear")
 
     if spec.get("checkpoint"):
         ckpt = load_checkpoint(spec["checkpoint"])
@@ -83,12 +70,9 @@ def build_resident_state(spec: dict[str, Any]) -> ResidentState:
         spec["tree_type"], spec["bucket_size"] = tree_type, bucket
         spec["tree_builder"] = builder
     else:
-        kind = spec.setdefault("kind", "clumps")
-        if kind not in GENERATORS:
-            raise ValueError(f"unknown dataset kind {kind!r} "
-                             f"(expected one of {', '.join(GENERATORS)})")
-        particles = GENERATORS[kind](int(spec.setdefault("n", 20000)),
-                                     seed=int(spec.setdefault("seed", 1)))
+        particles = generate({"kind": spec.setdefault("kind", "clumps"),
+                              "n": spec.setdefault("n", 20000),
+                              "seed": spec.setdefault("seed", 1)})
 
     tree = build_tree(particles, tree_type=tree_type, bucket_size=bucket,
                       builder=builder)
@@ -113,7 +97,7 @@ def checkpoint_resident(state: ResidentState, path: str,
                         if k not in ("tree_type", "bucket_size", "tree_builder")},
             "tree": {"tree_type": state.spec["tree_type"],
                      "bucket_size": state.spec["bucket_size"],
-                     "tree_builder": state.spec.get("tree_builder", "recursive")},
+                     "tree_builder": state.spec["tree_builder"]},
             **(extra or {}),
         },
     )

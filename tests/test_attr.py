@@ -10,8 +10,8 @@ The contract under test, in order of importance:
 3. forks pickle (process backend) and absorb exactly;
 4. the profile layer — subtree rollups, dict round-trip, schema
    validation, counter-track export — is faithful to the arrays;
-5. the Driver wires it end to end (``enable_attribution`` →
-   ``IterationReport.attribution`` + ``attribution_profiles``), including
+5. the Driver wires it end to end (``observe(Attribution())`` →
+   ``IterationReport.attribution`` + ``Attribution.profiles``), including
    per-partition cache-miss attribution.
 """
 
@@ -24,6 +24,7 @@ import pytest
 from repro.cache.stats import assign_fetch_groups, fetch_statistics, miss_attribution
 from repro.cache.models import WAITFREE
 from repro.core import Configuration
+from repro.core.observers import Attribution
 from repro.core.traverser import InteractionLists, get_traverser
 from repro.decomp import SfcDecomposer, decompose
 from repro.obs import (
@@ -273,7 +274,7 @@ class _AttrGravity:
         driver = Main(Configuration(num_iterations=iterations,
                                     bucket_size=16, num_partitions=4,
                                     num_subtrees=4), theta=0.7)
-        driver.enable_attribution()
+        driver.attr = driver.observe(Attribution())
         if backend:
             driver.enable_parallel(backend, workers=workers)
         return driver
@@ -286,8 +287,8 @@ class TestDriverIntegration:
             reports = driver.run()
         finally:
             driver.disable_parallel()
-        assert len(driver.attribution_profiles) == 2
-        for rep, prof in zip(reports, driver.attribution_profiles):
+        assert len(driver.attr.profiles) == 2
+        for rep, prof in zip(reports, driver.attr.profiles):
             assert rep.attribution is not None
             assert rep.attribution["totals"]["visits"] > 0
             assert rep.attribution["top_subtrees"]
@@ -311,8 +312,8 @@ class TestDriverIntegration:
             threaded.run()
         finally:
             threaded.disable_parallel()
-        a = serial.attribution_profiles[0]
-        b = threaded.attribution_profiles[0]
+        a = serial.attr.profiles[0]
+        b = threaded.attr.profiles[0]
         for name in a.arrays:
             assert np.array_equal(a.arrays[name], b.arrays[name]), name
         # parallel run collected chunk samples for the heatmap
@@ -320,10 +321,11 @@ class TestDriverIntegration:
 
     def test_disabled_mode_records_nothing(self):
         driver = _AttrGravity.make()
-        driver.enable_attribution(False)
+        driver.observers.remove(driver.attr)
         try:
             reports = driver.run()
         finally:
             driver.disable_parallel()
-        assert driver.attribution_profiles == []
+        assert driver.attr.profiles == []
         assert reports[0].attribution is None
+        assert driver.last_interaction_lists is None

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.bench.workloads import build_gravity_workload
+from repro.core.observers import CommReplay
 from repro.cache.models import (
     PER_THREAD,
     RetryPolicy,
@@ -265,7 +266,7 @@ class TestDriverDegradation:
         if telemetry is not None:
             driver.enable_telemetry(telemetry)
         if fault_plan is not None:
-            driver.enable_faults(fault_plan)
+            driver.observe(CommReplay(fault_plan))
         try:
             driver.run()
         finally:
@@ -306,7 +307,7 @@ class TestDriverDegradation:
 
     def test_enable_faults_accepts_spec_string(self):
         driver = self._run_driver("drop=0,seed=1")
-        assert driver.fault_plan is not None
+        assert isinstance(driver.fault_plan, FaultPlan)
         assert driver.reports[0].comm_sim is not None
 
     def test_report_to_dict_includes_comm_sim(self):

@@ -13,6 +13,7 @@ import pytest
 from repro.apps.gravity import GravityDriver
 from repro.core import Configuration
 from repro.resilience import (
+    CheckpointWriter,
     RunInterrupted,
     graceful_interrupts,
     latest_checkpoint,
@@ -82,7 +83,7 @@ class TestInterruptedDriver:
         baseline.run()
 
         interrupted = _driver(interrupt_after=2)
-        interrupted.enable_checkpointing(tmp_path, every=10)  # interval
+        writer = interrupted.observe(CheckpointWriter(tmp_path, every=10))  # interval
         # never fires on its own: only the final checkpoint writes
         with pytest.raises(RunInterrupted) as exc_info:
             with graceful_interrupts():
@@ -90,7 +91,7 @@ class TestInterruptedDriver:
         assert exc_info.value.exit_code == 143
         assert len(interrupted.reports) == 2     # iters 1..2 completed
 
-        path = interrupted.write_final_checkpoint()
+        path = writer.write_final(interrupted)
         assert path is not None
         ckpt = load_checkpoint(path)
         assert ckpt.iteration == 2
@@ -104,15 +105,45 @@ class TestInterruptedDriver:
         np.testing.assert_array_equal(baseline.accelerations,
                                       resumed.accelerations)
 
-    def test_final_checkpoint_noop_without_checkpointing(self):
-        driver = _driver(iterations=1)
-        driver.run()
-        assert driver.write_final_checkpoint() is None
+    def test_final_checkpoint_noop_without_checkpointing(self, tmp_path, capsys,
+                                                         monkeypatch):
+        """Interrupted without ``--checkpoint-every``: same exit code, no
+        checkpoint written or announced."""
+        from repro.__main__ import main
+
+        _sigterm_in_iteration_1(monkeypatch)
+        rc = main(["gravity", "--n", "200", "--iterations", "3",
+                   "--checkpoint-dir", str(tmp_path / "ck")])
+        assert rc == 143
+        err = capsys.readouterr().err
+        assert "interrupted by SIGTERM after 1 completed iteration(s)" in err
+        assert "checkpoint" not in err
+        assert not (tmp_path / "ck").exists()
 
     def test_final_checkpoint_noop_before_first_iteration(self, tmp_path):
         driver = _driver(iterations=2)
-        driver.enable_checkpointing(tmp_path, every=1)
-        assert driver.write_final_checkpoint() is None   # nothing completed
+        writer = driver.observe(CheckpointWriter(tmp_path, every=1))
+        assert writer.write_final(driver) is None   # nothing completed
+
+
+def _sigterm_in_iteration_1(monkeypatch) -> None:
+    """Make every Driver.run raise SIGTERM at the start of iteration 1's
+    traversal."""
+    from repro.core.driver import Driver
+
+    original = Driver.run
+
+    def run_then_term(self, resume_from=None):
+        hooked = self.traversal
+
+        def traversal(iteration):
+            if iteration == 1:
+                signal.raise_signal(signal.SIGTERM)
+            hooked(iteration)
+        self.traversal = traversal
+        return original(self, resume_from=resume_from)
+
+    monkeypatch.setattr(Driver, "run", run_then_term)
 
 
 class TestCLIGuardedRun:
@@ -121,21 +152,8 @@ class TestCLIGuardedRun:
         """`repro gravity` interrupted by SIGTERM exits 143, reports the
         checkpoint on stderr, and the checkpoint is loadable."""
         from repro.__main__ import main
-        from repro.core.driver import Driver
 
-        original = Driver.run
-
-        def run_then_term(self, resume_from=None):
-            hooked = self.traversal
-
-            def traversal(iteration):
-                if iteration == 1:
-                    signal.raise_signal(signal.SIGTERM)
-                hooked(iteration)
-            self.traversal = traversal
-            return original(self, resume_from=resume_from)
-
-        monkeypatch.setattr(Driver, "run", run_then_term)
+        _sigterm_in_iteration_1(monkeypatch)
         rc = main(["gravity", "--n", "200", "--iterations", "3",
                    "--checkpoint-dir", str(tmp_path / "ck"),
                    "--checkpoint-every", "10"])

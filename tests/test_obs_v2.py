@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from repro.__main__ import main
 from repro.apps.gravity import GravityDriver
 from repro.core import Configuration
+from repro.core.observers import StatusFeed
 from repro.obs import (
     NULL_FLIGHT,
     STATUS_SCHEMA,
@@ -606,8 +607,8 @@ class TestDashboard:
 
         driver = Main(Configuration(num_iterations=2), theta=0.7)
         buf = io.StringIO()
-        driver.enable_dashboard(Dashboard(stream=buf, use_ansi=False))
-        writer = driver.enable_status(tmp_path / "s.jsonl")
+        driver.observe(StatusFeed(Dashboard(stream=buf, use_ansi=False)))
+        writer = driver.observe(StatusFeed(StatusWriter(tmp_path / "s.jsonl"))).consumer
         telemetry = Telemetry()
         with use_telemetry(telemetry):
             driver.enable_telemetry(telemetry)
@@ -650,7 +651,7 @@ class TestCLIObs:
                      "--require-exec-tasks"]) == 0
         assert main(["obs", "validate-slo", str(slo)]) == 0
         assert main(["top", str(status)]) == 0
-        assert "repro top — Main iter 1" in capsys.readouterr().out
+        assert "repro top — GravityDriver iter 1" in capsys.readouterr().out
 
     def test_obs_validators_reject_garbage(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -666,7 +667,7 @@ class TestCLIObs:
     def test_top_live_pipeline(self, capsys):
         assert main(["top", "gravity", "--n", "400", "--iterations", "2"]) == 0
         out = capsys.readouterr().out
-        assert out.count("repro top — Main") == 2
+        assert out.count("repro top — GravityDriver") == 2
         assert "traversal" in out
 
     def test_scale_slo_exit_codes(self, capsys):

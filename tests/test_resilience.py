@@ -268,9 +268,9 @@ class TestBuddyStore:
 class TestCheckpointWriter:
     def test_interval_and_rotation(self, tmp_path):
         driver = _gravity_driver(n=200, iterations=6)
-        writer = driver.enable_checkpointing(
+        writer = driver.observe(CheckpointWriter(
             tmp_path, every=2, keep=2, app="gravity", app_config={}
-        )
+        ))
         driver.run()
         assert isinstance(writer, CheckpointWriter)
         names = sorted(f.name for f in tmp_path.glob("ckpt_*.npz"))
@@ -282,7 +282,7 @@ class TestCheckpointWriter:
     def test_writer_commits_to_buddy_store(self, tmp_path):
         store = BuddyStore(2)
         driver = _gravity_driver(n=200, iterations=2)
-        driver.enable_checkpointing(tmp_path, every=1, buddy=store, rank=0)
+        driver.observe(CheckpointWriter(tmp_path, every=1, buddy=store, rank=0))
         driver.run()
         assert store.has_checkpoint(0)
         store.lose_rank(0)
@@ -300,7 +300,7 @@ class TestBitIdenticalResume:
         baseline.run()
 
         interrupted = make()
-        interrupted.enable_checkpointing(tmp_path, every=1)
+        interrupted.observe(CheckpointWriter(tmp_path, every=1))
         interrupted.config.num_iterations = 2
         interrupted.run()
 
@@ -318,10 +318,10 @@ class TestBitIdenticalResume:
         baseline.run()
 
         interrupted = _gravity_driver(n=250, iterations=4)
-        writer = interrupted.enable_checkpointing(
+        writer = interrupted.observe(CheckpointWriter(
             tmp_path, every=1, app="gravity",
             app_config={"theta": 0.7, "softening": 1e-3, "dt": 1e-3},
-        )
+        ))
         interrupted.config.num_iterations = 2
         interrupted.run()
         assert len(writer.written) > 0
@@ -337,16 +337,16 @@ class TestBitIdenticalResume:
         iteration k equals the one the uninterrupted run writes there."""
         base_dir, cut_dir, res_dir = (tmp_path / d for d in ("a", "b", "c"))
         baseline = _gravity_driver(iterations=4)
-        baseline.enable_checkpointing(base_dir, every=1, keep=10)
+        baseline.observe(CheckpointWriter(base_dir, every=1, keep=10))
         baseline.run()
 
         interrupted = _gravity_driver(iterations=4)
-        interrupted.enable_checkpointing(cut_dir, every=1, keep=10)
+        interrupted.observe(CheckpointWriter(cut_dir, every=1, keep=10))
         interrupted.config.num_iterations = 2
         interrupted.run()
 
         resumed = _gravity_driver(iterations=4)
-        resumed.enable_checkpointing(res_dir, every=1, keep=10)
+        resumed.observe(CheckpointWriter(res_dir, every=1, keep=10))
         resumed.run(resume_from=cut_dir / "ckpt_000002.npz")
 
         for name in ("ckpt_000003.npz", "ckpt_000004.npz"):
@@ -355,7 +355,7 @@ class TestBitIdenticalResume:
 
     def test_config_mismatch_rejected(self, tmp_path):
         driver = _gravity_driver(iterations=2)
-        driver.enable_checkpointing(tmp_path, every=1)
+        driver.observe(CheckpointWriter(tmp_path, every=1))
         driver.run()
         other = _gravity_driver(iterations=2, bucket_size=8)
         with pytest.raises(CheckpointError, match="configuration mismatch"):
@@ -363,7 +363,7 @@ class TestBitIdenticalResume:
 
     def test_iteration_count_is_resumable(self, tmp_path):
         driver = _gravity_driver(iterations=2)
-        driver.enable_checkpointing(tmp_path, every=1)
+        driver.observe(CheckpointWriter(tmp_path, every=1))
         driver.run()
         longer = _gravity_driver(iterations=7)
         start = restore_run(longer, tmp_path / "ckpt_000002.npz")
@@ -388,7 +388,7 @@ class TestBitIdenticalResume:
 
         interrupted = Noisy(Configuration(num_iterations=2, num_partitions=4,
                                           num_subtrees=4))
-        interrupted.enable_checkpointing(tmp_path, every=1)
+        interrupted.observe(CheckpointWriter(tmp_path, every=1))
         interrupted.run()
         resumed = Noisy(cfg)
         resumed.run(resume_from=tmp_path / "ckpt_000002.npz")
@@ -408,7 +408,7 @@ class TestLinearBuilderResilience:
         baseline.run()
 
         interrupted = _gravity_driver(tree_builder="linear")
-        interrupted.enable_checkpointing(tmp_path, every=1)
+        interrupted.observe(CheckpointWriter(tmp_path, every=1))
         interrupted.config.num_iterations = 2
         interrupted.run()
 
@@ -425,11 +425,11 @@ class TestLinearBuilderResilience:
         every checkpoint the two runs write carries byte-identical state."""
         lin_dir, rec_dir = tmp_path / "lin", tmp_path / "rec"
         lin = _gravity_driver(tree_builder="linear")
-        lin.enable_checkpointing(lin_dir, every=1, keep=10)
+        lin.observe(CheckpointWriter(lin_dir, every=1, keep=10))
         lin.run()
 
         rec = _gravity_driver(tree_builder="recursive")
-        rec.enable_checkpointing(rec_dir, every=1, keep=10)
+        rec.observe(CheckpointWriter(rec_dir, every=1, keep=10))
         rec.run()
 
         names = sorted(p.name for p in lin_dir.glob("ckpt_*.npz"))
@@ -448,7 +448,7 @@ class TestLinearBuilderResilience:
         baseline.run()
 
         interrupted = _gravity_driver(tree_builder="recursive")
-        interrupted.enable_checkpointing(tmp_path, every=1)
+        interrupted.observe(CheckpointWriter(tmp_path, every=1))
         interrupted.config.num_iterations = 2
         interrupted.run()
 
@@ -462,10 +462,10 @@ class TestLinearBuilderResilience:
 
     def test_tree_builder_round_trips_through_checkpoint(self, tmp_path):
         driver = _gravity_driver(tree_builder="linear", iterations=2)
-        driver.enable_checkpointing(
+        driver.observe(CheckpointWriter(
             tmp_path, every=1, app="gravity",
             app_config={"theta": 0.7, "softening": 1e-3, "dt": 1e-3},
-        )
+        ))
         driver.run()
 
         ckpt = load_checkpoint(latest_checkpoint(tmp_path))

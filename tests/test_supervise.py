@@ -392,7 +392,7 @@ class TestDriverIntegration:
 
     def test_sph_report_carries_supervision(self):
         # SPH drives the backend directly via compute_density_knn, so it
-        # needs the same _absorb_backend_run hook as kNN
+        # needs the same exec_runs.absorb hook as kNN
         from repro.apps.sph import SPHDriver
         from repro.core import Configuration
 
