@@ -15,6 +15,8 @@ Compare against a baseline with ``repro bench compare``; the obs-smoke
 CI job runs the quick variants and commits the result as BENCH_pr8.json.
 """
 
+import time
+
 import numpy as np
 
 from repro.apps.gravity import GravityDriver
@@ -24,7 +26,7 @@ from repro.particles import clustered_clumps
 from repro.perf import benchmark as perf_benchmark
 
 
-def _run_gravity(n: int, attribution: bool):
+def _run_gravity(n: int, attribution: bool, traverser: str = Configuration.traverser):
     p = clustered_clumps(n, seed=9)
 
     class Main(GravityDriver):
@@ -32,7 +34,7 @@ def _run_gravity(n: int, attribution: bool):
             return p
 
     d = Main(Configuration(num_iterations=2, num_partitions=4,
-                           num_subtrees=4), theta=0.7)
+                           num_subtrees=4, traverser=traverser), theta=0.7)
     d.attr = d.observe(Attribution()) if attribution else None
     d.run()
     return d
@@ -57,6 +59,19 @@ def bench_attr_off(quick=False):
                             "counters recording")
 def bench_attr_on(quick=False):
     n = 2_000 if quick else 8_000
+
+    if quick:
+        # Gate before timing: a recorder attached to the default (batched)
+        # engine gets one callback per target run of every engine step, and
+        # that must not cost more than the transposed ordering's one callback
+        # per tree node.  Fastest of three alternating runs each, 10 % slack.
+        fastest = {Configuration.traverser: np.inf, "transposed": np.inf}
+        for _ in range(3):
+            for traverser in fastest:
+                t = time.perf_counter()
+                _run_gravity(n, attribution=True, traverser=traverser)
+                fastest[traverser] = min(fastest[traverser], time.perf_counter() - t)
+        assert fastest[Configuration.traverser] <= 1.1 * fastest["transposed"], fastest
 
     def run():
         d = _run_gravity(n, attribution=True)

@@ -8,9 +8,9 @@ Four bars:
   byte-identical before any timing happens (a fast build that builds the
   wrong tree must never produce a green benchmark).
 * ``kernels.batched_vs_scalar`` — one gravity traversal through the
-  batched whole-frontier engine vs the transposed per-node engine on the
-  same tree; payload records both times and the interaction counts that
-  prove the visit set matched.
+  batched engine (segmented frontier, flat kernels) vs the transposed
+  per-node engine on the same tree; payload records both times and the
+  interaction counts that prove the visit set matched.
 * ``traverse.batched_gravity`` — the batched engine alone, for regression
   tracking of the kernel path itself.
 
@@ -90,7 +90,7 @@ def _gravity_setup(quick):
 
 
 @perf_benchmark("kernels.batched_vs_scalar", group="build",
-                description="gravity traversal: batched whole-frontier "
+                description="gravity traversal: batched frontier "
                             "kernels vs the per-node transposed engine")
 def bench_kernels_batched_vs_scalar(quick=False):
     tree, arrays = _gravity_setup(quick)
@@ -106,7 +106,10 @@ def bench_kernels_batched_vs_scalar(quick=False):
         t_batched = time.perf_counter() - t0
         assert st.pp_interactions == sb.pp_interactions
         assert st.pn_interactions == sb.pn_interactions
-        assert np.allclose(vt.accel, vb.accel, rtol=1e-12, atol=1e-14)
+        # per particle, not per component: a near-zero component of a large
+        # acceleration carries the rounding of the large ones
+        assert (np.linalg.norm(vt.accel - vb.accel, axis=1)
+                <= 1e-12 * np.linalg.norm(vt.accel, axis=1)).all()
         return {
             "scalar_s": t_scalar,
             "batched_s": t_batched,

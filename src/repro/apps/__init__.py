@@ -25,10 +25,12 @@ __all__ = ["App", "APPS", "make_driver", "description", "declare",
 
 
 # -- option declarations -----------------------------------------------------
-# One option is ``(flag, target, default[, help[, choices]])``.  ``target``
-# says where its value goes in the run's description: a bare name is a
-# keyword argument of the app's Driver, ``config.K`` a Configuration field,
-# ``dataset.K`` a key of the dataset dict, None nowhere (the printer reads it).
+# One option is ``(flag, target, default[, help[, choices[, metavar]]])``.
+# ``target`` says where its value goes in the run's description: a bare name
+# is a keyword argument of the app's Driver, ``config.K`` a Configuration
+# field, ``dataset.K`` a key of the dataset dict, None nowhere (the printer
+# reads it).  A ``None`` default leaves the key out of the description unless
+# the flag is given, so the Driver's or Configuration's own default applies.
 
 def dataset_options(n_default: int) -> tuple:
     return (("--n", "dataset.n", n_default, "particle count"),
@@ -42,19 +44,37 @@ TREE_OPTIONS = (
      "octree construction algorithm (byte-identical output; 'recursive' is "
      "the node-at-a-time reference)", ["linear", "recursive"]),
 )
-TRAVERSER = ("--traverser", "config.traverser", "transposed", None,
-             ["transposed", "per-bucket", "up-and-down"])
+
+
+class _TopDownEngines:
+    """``repro.core.top_down_engines()`` as an ``argparse`` choices container:
+    the registry is imported when a value is checked, not when the parser
+    is built (which is why the option names a metavar)."""
+
+    def __iter__(self):
+        from ..core import top_down_engines
+
+        return iter(top_down_engines())
+
+    def __contains__(self, name) -> bool:
+        return name in tuple(self)
+
+
+TRAVERSER = ("--traverser", "config.traverser", None,
+             "top-down engine (default: Configuration.traverser)",
+             _TopDownEngines(), "ENGINE")
 _ITERATIONS = ("--iterations", "config.num_iterations", 1, "driver iterations")
 
 
-def declare(parser, flag, target, default, help=None, choices=None) -> None:
+def declare(parser, flag, target, default, help=None, choices=None, metavar=None) -> None:
     """Add one option to an ``argparse`` parser (``False`` defaults are
-    switches; every other option takes a value of its default's type)."""
+    switches; every other option takes a value of its default's type, a
+    string when the default is ``None``)."""
     if default is False:
         parser.add_argument(flag, action="store_true", help=help)
     else:
-        parser.add_argument(flag, type=type(default), default=default, help=help,
-                            choices=choices)
+        parser.add_argument(flag, type=str if default is None else type(default),
+                            default=default, help=help, choices=choices, metavar=metavar)
 
 
 def description(app: str, options: tuple, args) -> dict:
@@ -63,9 +83,9 @@ def description(app: str, options: tuple, args) -> dict:
     desc = {"app": app, "app_config": {}, "config": dict(APPS[app].config),
             "dataset": {"kind": APPS[app].dataset}}
     for flag, target, *_ in options:
-        if target is not None:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if target is not None and value is not None:
             section, _, key = target.rpartition(".")
-            value = getattr(args, flag.lstrip("-").replace("-", "_"))
             desc[section or "app_config"][key] = value
     return desc
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...core import TraversalStats, get_traverser
+from ...core import Configuration, TraversalStats, get_traverser
 from ...particles import ParticleSet
 from ...trees import Tree, build_tree
 from .centroid import compute_centroid_arrays
@@ -66,6 +66,12 @@ class _ShiftedGravityVisitor(GravityVisitor):
             tree.box_lo[target],
             tree.box_hi[target],
         )
+
+    # The pair hooks (batched engine) take the same two shifts: target
+    # positions moved by -offset, MAC centres by +offset.
+    def _pair_frame(self):
+        return (self.tree.particles.position - self.offset,
+                self.arrays.centroid + self.offset)
 
     # Shift the kernels by moving the targets the opposite way; the
     # resulting relative separations equal (source + offset) - target.
@@ -159,7 +165,7 @@ def compute_gravity_periodic(
     softening: float = 0.0,
     n_images: int = 1,
     bucket_size: int = 16,
-    traverser: str = "transposed",
+    traverser: str = Configuration.traverser,
     subtract_mean_field: bool = True,
 ) -> PeriodicGravityResult:
     """Barnes-Hut accelerations with periodic images out to ``n_images``

@@ -38,7 +38,7 @@ def compute_gravity_on_tree(
     theta: float = 0.7,
     G: float = 1.0,
     softening: float = 0.0,
-    traverser: str = "transposed",
+    traverser: str = Configuration.traverser,
     with_quadrupole: bool = False,
     with_potential: bool = False,
     targets: np.ndarray | None = None,
@@ -69,7 +69,7 @@ def compute_gravity(
     softening: float = 0.0,
     tree_type: str = "oct",
     bucket_size: int = 16,
-    traverser: str = "transposed",
+    traverser: str = Configuration.traverser,
     with_quadrupole: bool = False,
     with_potential: bool = False,
     recorder: Recorder | None = None,

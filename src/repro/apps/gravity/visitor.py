@@ -1,12 +1,15 @@
 """``GravityVisitor`` (paper Fig 7) with vectorised batch hooks.
 
 The scalar ``open``/``node``/``leaf`` follow the paper's listing exactly;
-the batched overrides implement the same math over whole target batches
-(transposed engine) or source batches (per-bucket engine), writing into one
+the batched overrides implement the same math over slices of the pair
+frontier (batched engine, the default), whole target batches (transposed
+ordering) or source batches (per-bucket ordering), writing into one
 acceleration array aligned with tree order.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -132,43 +135,78 @@ class GravityVisitor(Visitor):
         self._apply_leaf(source, idx)
 
     # -- batched over (source, target) pairs (batched engine) ----------------
-    # Whole-frontier kernels from repro.trees.kernels: one call per level
-    # instead of one per node.  The quadrupole path keeps the grouped default
-    # (it reuses the per-source quadrupole_accel kernel).
+    # Frontier kernels from repro.trees.kernels, one call per engine slice.
+    # The engine hands over a few target buckets at a time, so each call
+    # works on the views of accel/potential/positions that span the slice:
+    # the kernels' partial-sum buffers are that short, not N long.
+
+    def _pair_frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """Target particle positions and MAC sphere centres as the pair
+        hooks see them — the two places a translated source frame enters
+        (the periodic-image visitor overrides this)."""
+        return self.tree.particles.position, self.arrays.centroid
+
+    @functools.cached_property
+    def _pair_tables(self) -> dict:
+        """Structure-of-arrays copies the pair hooks gather from, made once
+        per visitor."""
+        from ...trees.kernels import components, symmetric_components
+
+        tree, quad = self.tree, self.arrays.quad
+        position, centroid = tree.particles.position, self.arrays.centroid
+        target, mac_center = self._pair_frame()
+        source, center = components(position), components(centroid)
+        return {
+            "source": source,
+            "target": source if target is position else components(target),
+            "centroid": center,
+            "mac_center": center if mac_center is centroid else components(mac_center),
+            "box_lo": components(tree.box_lo), "box_hi": components(tree.box_hi),
+            "quad": None if quad is None else symmetric_components(quad),
+        }
 
     def open_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         from ...trees.kernels import mac_open_pairs
 
+        tables = self._pair_tables
         return mac_open_pairs(
-            tree.box_lo[targets],
-            tree.box_hi[targets],
-            self.arrays.centroid[sources],
+            [c[targets] for c in tables["box_lo"]],
+            [c[targets] for c in tables["box_hi"]],
+            [c[sources] for c in tables["mac_center"]],
             self.arrays.open_radius_sq[sources],
         )
 
     def node_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
-        if self.arrays.quad is not None:
-            super().node_pairs(tree, sources, targets)
-            return
         from ...trees.kernels import (
             accumulate_monopole,
             accumulate_monopole_potential,
-            expand_pair_rows,
+            accumulate_quadrupole,
         )
 
-        rows, pair = expand_pair_rows(tree.pstart[targets], tree.pend[targets])
+        if not len(targets):
+            return
+        pstart, pend = tree.pstart[targets], tree.pend[targets]
+        lo, hi = int(pstart.min()), int(pend.max())
+        rows = ranges_to_indices(pstart - lo, pend - lo)
         if not rows.size:
             return
-        src = sources[pair]
-        pos = tree.particles.position[rows]
-        accumulate_monopole(
-            self.accel, rows, pos, self.arrays.centroid[src],
-            self.arrays.mass[src], self.G, self.softening,
-        )
+        tables = self._pair_tables
+        src = np.repeat(sources, pend - pstart)
+        pos = [c[lo:hi][rows] for c in tables["target"]]
+        center = [c[src] for c in tables["centroid"]]
+        mass = self.arrays.mass[src]
+        if tables["quad"] is not None:
+            accumulate_quadrupole(
+                self.accel[lo:hi], rows, pos, center, mass,
+                [q[src] for q in tables["quad"]], self.G, self.softening,
+            )
+        else:
+            accumulate_monopole(
+                self.accel[lo:hi], rows, pos, center, mass, self.G, self.softening,
+            )
         if self.potential is not None:
             accumulate_monopole_potential(
-                self.potential, rows, pos, self.arrays.centroid[src],
-                self.arrays.mass[src], self.G, self.softening,
+                self.potential[lo:hi], rows, pos, center, mass, self.G, self.softening,
             )
 
     def leaf_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
@@ -178,20 +216,25 @@ class GravityVisitor(Visitor):
             expand_pair_products,
         )
 
+        if not len(targets):
+            return
+        pstart, pend = tree.pstart[targets], tree.pend[targets]
+        lo, hi = int(pstart.min()), int(pend.max())
         t_rows, s_rows = expand_pair_products(
-            tree.pstart[targets], tree.pend[targets],
-            tree.pstart[sources], tree.pend[sources],
+            pstart - lo, pend - lo, tree.pstart[sources], tree.pend[sources],
         )
         if not t_rows.size:
             return
+        tables = self._pair_tables
+        target = [c[lo:hi] for c in tables["target"]]
         accumulate_pp(
-            self.accel, t_rows, s_rows, tree.particles.position,
-            tree.particles.mass, self.G, self.softening,
+            self.accel[lo:hi], t_rows, s_rows, tables["source"],
+            tree.particles.mass, self.G, self.softening, target_positions=target,
         )
         if self.potential is not None:
             accumulate_pp_potential(
-                self.potential, t_rows, s_rows, tree.particles.position,
-                tree.particles.mass, self.G, self.softening,
+                self.potential[lo:hi], t_rows, s_rows, tables["source"],
+                tree.particles.mass, self.G, self.softening, target_positions=target,
             )
 
     # -- batched over sources (per-bucket engine) ----------------------------

@@ -18,12 +18,13 @@ from .traverser import (
     Traverser,
     get_traverser,
     register_traverser,
+    top_down_engines,
 )
 from .visitor import Visitor
 
 # Importing the engine modules registers the built-in traversers.
-from .topdown import PerBucketTraverser, TransposedTraverser
 from .batched import BatchedTraverser
+from .topdown import PerBucketTraverser, TransposedTraverser
 from .upanddown import UpAndDownTraverser
 from .dualtree import DualTreeTraverser
 from .priority import PriorityTraverser
@@ -47,6 +48,7 @@ __all__ = [
     "BucketLoadRecorder",
     "get_traverser",
     "register_traverser",
+    "top_down_engines",
     "PerBucketTraverser",
     "TransposedTraverser",
     "BatchedTraverser",

@@ -44,9 +44,15 @@ class Configuration:
     num_partitions: int = 8
     #: Minimum number of Subtrees (memory units).
     num_subtrees: int = 8
-    #: Which traversal engine drives ``start_down`` ("transposed" is the
-    #: ParaTreeT default; "per-bucket"/"basic" is the classic style).
-    traverser: str = "transposed"
+    #: Which top-down engine drives ``start_down``
+    #: (:func:`~repro.core.top_down_engines`).  "batched" is the production
+    #: engine: the pair frontier in work-bounded segments through the flat
+    #: kernels of ``repro.trees.kernels``.  "transposed" and "per-bucket"
+    #: ("basic") walk the same pair set node-at-a-time in the two visit
+    #: *orderings* the paper compares (Table II, Fig 10 "BasicTrav").  This
+    #: field is the one place the default is written; the CLI and the
+    #: ``compute_gravity*`` helpers read it from here.
+    traverser: str = "batched"
     #: Iterations between load re-balancing; 0 disables (the paper's
     #: evaluation runs with LB off).
     lb_period: int = 0

@@ -41,6 +41,7 @@ from .traverser import (
     Recorder,
     TraversalStats,
     get_traverser,
+    record_pairs,
 )
 from .visitor import Visitor
 
@@ -112,6 +113,19 @@ class _MultiRecorder(Recorder):
     def on_leaf(self, tree, sources, targets):
         for r in self.recorders:
             r.on_leaf(tree, sources, targets)
+
+    # flat pair arrays (batched engine): each recorder in the form it takes
+    def on_open_pairs(self, tree, sources, targets):
+        for r in self.recorders:
+            record_pairs(r, "open", tree, sources, targets)
+
+    def on_node_pairs(self, tree, sources, targets):
+        for r in self.recorders:
+            record_pairs(r, "node", tree, sources, targets)
+
+    def on_leaf_pairs(self, tree, sources, targets):
+        for r in self.recorders:
+            record_pairs(r, "leaf", tree, sources, targets)
 
     def fork(self):
         forks = [r.fork() for r in self.recorders]

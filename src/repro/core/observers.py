@@ -107,6 +107,10 @@ class CommReplay(_Replaying):
                 self.result = simulate_traversal(
                     workload,
                     n_processes=driver.config.num_partitions,
+                    # the simulated machine walks the transposed way (Table II
+                    # cost multiplier 1) whichever engine recorded the lists;
+                    # a bucket's requests go out in the order it recorded them
+                    traversal_style="transposed",
                     faults=self.faults,
                     telemetry=tel if tel.enabled else None,
                     critical_path=self.critical_path,

@@ -144,7 +144,7 @@ class TransposedTraverser(Traverser):
         return stats
 
 
-register_traverser(PerBucketTraverser.name, PerBucketTraverser)
-register_traverser(TransposedTraverser.name, TransposedTraverser)
+register_traverser(TransposedTraverser.name, TransposedTraverser, top_down=True)
+register_traverser(PerBucketTraverser.name, PerBucketTraverser, top_down=True)
 # Alias matching the paper's Fig 10 label for the per-bucket style.
 register_traverser("basic", PerBucketTraverser)

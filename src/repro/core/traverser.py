@@ -1,14 +1,24 @@
 """Traverser interface, traversal statistics, and recorders.
 
 The *Traverser* (paper §II-A-2) fixes the order in which tree nodes are
-considered; the Visitor decides pruning and actions.  Built-in traversers:
+considered; the Visitor decides pruning and actions.  Three engines walk
+the same top-down (source node, target bucket) pair set
+(:func:`top_down_engines`):
 
-* :class:`~repro.core.topdown.PerBucketTraverser` — the standard DFS
-  ("BasicTrav" in Fig 10, and how ChaNGa walks): the full tree is traversed
-  once per target bucket.
-* :class:`~repro.core.topdown.TransposedTraverser` — ParaTreeT's
-  locality-enhancing loop transposition: each tree node is processed against
-  the whole batch of target buckets that still need it.
+* :class:`~repro.core.batched.BatchedTraverser` — the production engine and
+  the default: the pair frontier advanced level by level in work-bounded
+  segments, every visitor decision a flat array kernel.
+* :class:`~repro.core.topdown.TransposedTraverser` — the *ordering* of
+  ParaTreeT's locality-enhancing loop transposition: each tree node is
+  processed against the whole batch of target buckets that still need it
+  (Table II, the memsim traces).
+* :class:`~repro.core.topdown.PerBucketTraverser` — the *ordering* of the
+  standard DFS ("BasicTrav" in Fig 10, and how ChaNGa walks): the full tree
+  is traversed once per target bucket.
+
+Anything whose output depends on visit order names one of the two orderings
+explicitly; everything else takes ``Configuration.traverser``.  The others:
+
 * :class:`~repro.core.upanddown.UpAndDownTraverser` — top-down passes from
   each node on the leaf-to-root path; for criteria that tighten during the
   traversal (kNN).
@@ -35,8 +45,10 @@ __all__ = [
     "InteractionLists",
     "BucketLoadRecorder",
     "Traverser",
+    "record_pairs",
     "get_traverser",
     "register_traverser",
+    "top_down_engines",
 ]
 
 
@@ -110,6 +122,26 @@ class Recorder:
     def absorb(self, other: "Recorder") -> None:
         """Merge a completed fork back in (chunk order)."""
         raise NotImplementedError
+
+
+def record_pairs(recorder, kind: str, tree: Tree, sources: np.ndarray,
+                 targets: np.ndarray) -> None:
+    """Deliver flat, target-major (source, target) pairs to ``recorder``'s
+    ``on_<kind>`` hook (``kind``: ``"open"``, ``"node"`` or ``"leaf"``).
+
+    A recorder that defines ``on_<kind>_pairs`` takes the pair arrays whole.
+    Any other gets one outer-product callback per target run — many
+    sources, one target, the per-bucket direction — so a target's recorded
+    source sequence is its own pair order, whichever other targets share
+    the arrays."""
+    whole = getattr(recorder, f"on_{kind}_pairs", None)
+    if whole is not None:
+        whole(tree, sources, targets)
+        return
+    callback = getattr(recorder, f"on_{kind}")
+    bounds = (np.flatnonzero(targets[1:] != targets[:-1]) + 1).tolist()
+    for a, b in zip([0, *bounds], [*bounds, targets.size]):
+        callback(tree, sources[a:b], targets[a:a + 1])
 
 
 class InteractionLists(Recorder):
@@ -240,12 +272,22 @@ class Traverser:
 
 
 _TRAVERSERS: dict[str, type[Traverser]] = {}
+_TOP_DOWN: list[str] = []
 
 
-def register_traverser(name: str, cls: type[Traverser]) -> None:
+def register_traverser(name: str, cls: type[Traverser], top_down: bool = False) -> None:
     """Register a traversal strategy (users may add e.g. priority-driven
-    traversals for ray tracing, as the paper suggests)."""
+    traversals for ray tracing, as the paper suggests).  ``top_down`` lists
+    it among the engines ``Configuration.traverser`` / ``--traverser`` may
+    name: interchangeable walks of one (source, target-bucket) pair set."""
     _TRAVERSERS[name] = cls
+    if top_down and name not in _TOP_DOWN:
+        _TOP_DOWN.append(name)
+
+
+def top_down_engines() -> tuple[str, ...]:
+    """Names registered with ``top_down=True``, in registration order."""
+    return tuple(_TOP_DOWN)
 
 
 def get_traverser(name: str) -> Traverser:

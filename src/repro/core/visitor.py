@@ -99,12 +99,13 @@ class Visitor:
         for t in targets:
             self.leaf(src, tree.node(int(t)))
 
-    # -- batched over (source, target) pairs (whole-frontier engines) ------
-    # The level-synchronous "batched" engine carries its frontier as flat
-    # pair arrays.  Defaults group the pairs by source (stable, so per-target
-    # ordering is deterministic) and delegate to the *_batch hooks — every
-    # existing visitor works unchanged; vectorised visitors override these
-    # with whole-frontier kernels (see repro.trees.kernels).
+    # -- batched over (source, target) pairs (the "batched" engine) --------
+    # The level-synchronous engine carries its frontier as flat, target-major
+    # pair arrays and hands them over in slices cut between targets.
+    # Defaults group the pairs by source (stable, so per-target ordering is
+    # deterministic) and delegate to the *_batch hooks — every existing
+    # visitor works unchanged; vectorised visitors override these with the
+    # frontier kernels (see repro.trees.kernels).
 
     def open_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         out = np.empty(len(sources), dtype=bool)

@@ -50,7 +50,7 @@ class CacheProfile:
 @traced("memsim.profile", cat="memsim")
 def profile_traversal_style(
     tree: Tree,
-    style: str = "transposed",
+    style: str,
     n_cpus: int = 1,
     theta: float = 0.7,
     clock_ghz: float = 2.1,
@@ -60,6 +60,10 @@ def profile_traversal_style(
     cache_scale: int = 1,
 ) -> CacheProfile:
     """Run the real traversal per CPU, replay the merged trace, summarise.
+
+    ``style`` names the visit ordering to trace (``"transposed"`` or
+    ``"per-bucket"``, the two rows of Table II); a trace is a property of
+    the ordering, so there is no default to inherit.
 
     Buckets are first block-partitioned across CPUs, then each CPU walks
     its buckets one *Partition* at a time (``buckets_per_partition``),

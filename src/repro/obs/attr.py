@@ -139,6 +139,25 @@ class AttributionRecorder:
         np.add.at(self.pp_pairs, src, counts[src] * tgt_particles)
         np.add.at(self.bucket_pp, tgt, counts[tgt] * int(counts[src].sum()))
 
+    # -- the same counters from flat (source, target) pair arrays -----------
+    # (the batched engine's form: one call per engine step, not per node)
+    def on_open_pairs(self, tree, sources: np.ndarray, targets: np.ndarray) -> None:
+        np.add.at(self.visits, sources, 1)
+        np.add.at(self.bucket_visits, targets, 1)
+
+    def on_node_pairs(self, tree, sources: np.ndarray, targets: np.ndarray) -> None:
+        rows = self._particle_counts(tree)[targets]
+        np.add.at(self.mac_accepts, sources, 1)
+        np.add.at(self.pn_pairs, sources, rows)
+        np.add.at(self.bucket_pn, targets, rows)
+
+    def on_leaf_pairs(self, tree, sources: np.ndarray, targets: np.ndarray) -> None:
+        counts = self._particle_counts(tree)
+        pairs = counts[sources] * counts[targets]
+        np.add.at(self.leaf_hits, sources, 1)
+        np.add.at(self.pp_pairs, sources, pairs)
+        np.add.at(self.bucket_pp, targets, pairs)
+
     def fork(self) -> "AttributionRecorder":
         return AttributionRecorder(self.n_nodes)
 

@@ -136,7 +136,7 @@ class TraversalSim:
         workers_per_process: int | None = None,
         cache_model: CacheModel = WAITFREE,
         cost: CostModel | None = None,
-        traversal_style: str = "transposed",
+        traversal_style: str | None = None,
         collect_trace: bool = False,
         processes_per_node: int = 1,
         telemetry: Telemetry | None = None,
@@ -150,7 +150,11 @@ class TraversalSim:
         self.cache_model = cache_model
         base_cost = cost or CostModel()
         self.cost = base_cost.scaled_to(machine.clock_ghz)
-        self.style_factor = self.cost.style_factor(traversal_style)
+        # None: the walk the cost model is calibrated to (multiplier 1).  The
+        # simulated machine's style is unrelated to which engine computed
+        # the interaction lists being replayed.
+        self.style_factor = (1.0 if traversal_style is None
+                             else self.cost.style_factor(traversal_style))
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
         # Telemetry wants the timeline: the exported Chrome trace reproduces
         # the Projections-style Fig 9 view from the worker intervals.
@@ -789,7 +793,7 @@ def simulate_traversal(
     workers_per_process: int | None = None,
     cache_model: CacheModel = WAITFREE,
     cost: CostModel | None = None,
-    traversal_style: str = "transposed",
+    traversal_style: str | None = None,
     collect_trace: bool = False,
     processes_per_node: int = 1,
     telemetry: Telemetry | None = None,

@@ -1,10 +1,10 @@
-"""Whole-frontier traversal kernels: numpy fallback + optional numba JIT.
+"""Frontier traversal kernels: numpy fallback + optional numba JIT.
 
-The batched traversal engine (:mod:`repro.core.batched`) carries the entire
-frontier as flat ``(source, target)`` pair arrays.  The kernels here evaluate
-one whole frontier per call: the MAC acceptance test, the monopole/leaf
-gravity accumulation, neighbour-candidate distances (kNN), and the
-kernel-weighted density gather.
+The batched traversal engine (:mod:`repro.core.batched`) carries its
+frontier as flat ``(source, target)`` pair arrays and hands them over in
+slices of bounded work.  The kernels here evaluate one slice per call: the
+MAC acceptance test, the monopole/quadrupole/leaf gravity accumulation,
+neighbour-candidate distances (kNN), and the kernel-weighted density gather.
 
 Two implementations exist for every kernel:
 
@@ -30,11 +30,13 @@ import numpy as np
 __all__ = [
     "HAVE_NUMBA",
     "numba_enabled",
+    "components",
+    "symmetric_components",
     "mac_open_pairs",
-    "expand_pair_rows",
     "expand_pair_products",
     "accumulate_monopole",
     "accumulate_monopole_potential",
+    "accumulate_quadrupole",
     "accumulate_pp",
     "accumulate_pp_potential",
     "pair_dist_sq",
@@ -58,21 +60,6 @@ def numba_enabled() -> bool:
 # ---------------------------------------------------------------------------
 # Pair expansion helpers (pure indexing — one implementation).
 # ---------------------------------------------------------------------------
-
-def expand_pair_rows(pstart: np.ndarray, pend: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten per-pair particle ranges into (rows, pair_of_row).
-
-    ``pstart``/``pend`` are the target bucket ranges of P pairs; the result
-    lists every target-particle row of every pair, pair-major, plus the pair
-    index each row belongs to.
-    """
-    from ..core.util import ranges_to_indices
-
-    counts = np.asarray(pend, dtype=np.int64) - np.asarray(pstart, dtype=np.int64)
-    rows = ranges_to_indices(pstart, pend)
-    pair_of_row = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    return rows, pair_of_row
-
 
 def expand_pair_products(
     tstart: np.ndarray, tend: np.ndarray, sstart: np.ndarray, send: np.ndarray
@@ -103,46 +90,72 @@ def expand_pair_products(
 
 
 # ---------------------------------------------------------------------------
+# Structure-of-arrays inputs.
+#
+# Every vector argument below (positions, centres, box corners) is read by
+# coordinate.  Callers on the hot path keep one contiguous array per
+# coordinate — made once per visitor, not once per call — and gather from
+# those; an ``(n, 3)`` array is accepted too and split here.
+# ---------------------------------------------------------------------------
+
+def components(a) -> tuple:
+    """The coordinate columns of ``a`` as contiguous 1-D arrays (a sequence
+    of such arrays passes through untouched)."""
+    if isinstance(a, np.ndarray):
+        return tuple(np.ascontiguousarray(a[:, j]) for j in range(a.shape[1]))
+    return tuple(a)
+
+
+#: Independent entries of a symmetric 3x3 tensor, in the order the
+#: quadrupole kernel takes them: xx, xy, xz, yy, yz, zz.
+SYMMETRIC_3X3 = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def symmetric_components(q) -> tuple:
+    """The six independent entries of ``(n, 3, 3)`` symmetric tensors as
+    contiguous 1-D arrays (a sequence of six passes through untouched)."""
+    if isinstance(q, np.ndarray):
+        return tuple(np.ascontiguousarray(q[:, i, j]) for i, j in SYMMETRIC_3X3)
+    return tuple(q)
+
+
+# ---------------------------------------------------------------------------
 # MAC acceptance (pairwise sphere-box test).
 # ---------------------------------------------------------------------------
 
-def _mac_open_pairs_np(
-    box_lo: np.ndarray, box_hi: np.ndarray, center: np.ndarray, radius_sq: np.ndarray
-) -> np.ndarray:
-    d = np.maximum(np.maximum(box_lo - center, center - box_hi), 0.0)
-    d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+def _mac_open_pairs_np(box_lo, box_hi, center, radius_sq):
+    d2 = 0.0
+    for lo, hi, c in zip(box_lo, box_hi, center):
+        d = np.maximum(np.maximum(lo - c, c - hi), 0.0)
+        d *= d
+        d2 = d2 + d
     return d2 <= radius_sq
 
 
 if HAVE_NUMBA:  # pragma: no cover - numba-only leg
     @_njit(cache=True)
-    def _mac_open_pairs_nb(box_lo, box_hi, center, radius_sq):
-        n = box_lo.shape[0]
+    def _axis_gap_sq(lo, hi, c):
+        d = max(max(lo - c, c - hi), 0.0)
+        return d * d
+
+    @_njit(cache=True)
+    def _mac_open_pairs_nb(lx, ly, lz, hx, hy, hz, cx, cy, cz, radius_sq):
+        n = radius_sq.shape[0]
         out = np.empty(n, dtype=np.bool_)
         for k in range(n):
-            d2 = 0.0
-            for j in range(3):
-                d = box_lo[k, j] - center[k, j]
-                e = center[k, j] - box_hi[k, j]
-                if e > d:
-                    d = e
-                if d < 0.0:
-                    d = 0.0
-                d2 += d * d
+            d2 = (_axis_gap_sq(lx[k], hx[k], cx[k]) + _axis_gap_sq(ly[k], hy[k], cy[k])
+                  + _axis_gap_sq(lz[k], hz[k], cz[k]))
             out[k] = d2 <= radius_sq[k]
         return out
 
 
-def mac_open_pairs(
-    box_lo: np.ndarray, box_hi: np.ndarray, center: np.ndarray, radius_sq: np.ndarray
-) -> np.ndarray:
+def mac_open_pairs(box_lo, box_hi, center, radius_sq) -> np.ndarray:
     """Pairwise multipole-acceptance test: does target box k intersect the
-    opening sphere of source k?  All inputs are per-pair arrays."""
+    opening sphere of source k?  All inputs are per-pair."""
+    box_lo, box_hi, center = components(box_lo), components(box_hi), components(center)
     if numba_enabled():  # pragma: no cover - numba-only leg
-        return _mac_open_pairs_nb(
-            np.ascontiguousarray(box_lo), np.ascontiguousarray(box_hi),
-            np.ascontiguousarray(center), np.ascontiguousarray(radius_sq),
-        )
+        return _mac_open_pairs_nb(*box_lo, *box_hi, *center,
+                                  np.ascontiguousarray(radius_sq))
     return _mac_open_pairs_np(box_lo, box_hi, center, radius_sq)
 
 
@@ -158,11 +171,16 @@ def mac_open_pairs(
 # * numpy and numba legs are bit-identical (bincount order == loop order;
 #   the masked fold is shared);
 # * results are chunk-independent (a row's partial sum depends only on its
-#   own pair subsequence, and the fold happens exactly once per level in
+#   own pair subsequence, and the fold happens exactly once per call in
 #   which the row participates), which is what makes the batched engine
-#   bit-identical across exec backends and worker counts;
+#   bit-identical across exec backends, worker counts and frontier cuts;
 # * it is ~5x faster than np.add.at, whose buffered inner loop dominated
 #   the batched traversal profile.
+#
+# The buffer is as long as the output the caller passes.  The batched engine
+# calls with slices of a few target buckets, so callers pass the view of the
+# output that spans the slice (``accel[lo:hi]``, rows counted from ``lo``)
+# and the buffer, its zeroing and the fold stay that small.
 # ---------------------------------------------------------------------------
 
 def _fold_rows(out, rows, contrib):
@@ -173,24 +191,31 @@ def _fold_rows(out, rows, contrib):
     out[idx] += contrib[idx]
 
 
-def _bincount_weighted3(rows, w, d, n):
-    """Per-component ``bincount(rows, w * d[:, j])`` — the multiply happens
-    per column so each bincount reads contiguous weights."""
+def _bincount3(rows, values, n):
+    """Per-coordinate ``bincount(rows, values[j])`` -> ``(n, 3)``."""
     contrib = np.empty((n, 3), dtype=np.float64)
     for j in range(3):
-        contrib[:, j] = np.bincount(rows, weights=w * d[:, j], minlength=n)
+        contrib[:, j] = np.bincount(rows, weights=values[j], minlength=n)
     return contrib
 
 
+def _separation(source, target):
+    """Per-pair ``d = source - target`` by coordinate, and ``|d|²``."""
+    d = [s - t for s, t in zip(source, target)]
+    r2 = d[0] * d[0]
+    r2 += d[1] * d[1]
+    r2 += d[2] * d[2]
+    return d, r2
+
+
 # ---------------------------------------------------------------------------
-# Gravity: monopole (node) accumulation over expanded pair rows.
+# Gravity: Plummer point-mass accumulation.  A node's monopole against the
+# rows of a target bucket and a source particle against a target particle
+# are the same sum over (row, source point, source mass) pairs.
 # ---------------------------------------------------------------------------
 
-def _monopole_contrib_np(rows, pos, center, mass, G, eps2, n):
-    d = center - pos
-    r2 = d[:, 0] * d[:, 0]
-    r2 += d[:, 1] * d[:, 1]
-    r2 += d[:, 2] * d[:, 2]
+def _accel_contrib_np(rows, target, source, mass, G, eps2, n):
+    d, r2 = _separation(source, target)
     rs = r2 + eps2
     with np.errstate(divide="ignore", invalid="ignore"):
         # rs * sqrt(rs) instead of rs ** 1.5: sqrt and multiply are
@@ -200,48 +225,13 @@ def _monopole_contrib_np(rows, pos, center, mass, G, eps2, n):
         w *= rs
         np.divide(G * mass, w, out=w)
     w[r2 == 0.0] = 0.0
-    return _bincount_weighted3(rows, w, d, n)
+    for dj in d:
+        dj *= w
+    return _bincount3(rows, d, n)
 
 
-if HAVE_NUMBA:  # pragma: no cover - numba-only leg
-    @_njit(cache=True)
-    def _monopole_contrib_nb(rows, pos, center, mass, G, eps2, n):
-        contrib = np.zeros((n, 3), dtype=np.float64)
-        for k in range(rows.shape[0]):
-            dx = center[k, 0] - pos[k, 0]
-            dy = center[k, 1] - pos[k, 1]
-            dz = center[k, 2] - pos[k, 2]
-            r2 = dx * dx + dy * dy + dz * dz
-            if r2 > 0.0:
-                rs = r2 + eps2
-                w = G * mass[k] / (rs * np.sqrt(rs))
-                r = rows[k]
-                contrib[r, 0] += w * dx
-                contrib[r, 1] += w * dy
-                contrib[r, 2] += w * dz
-        return contrib
-
-
-def accumulate_monopole(accel, rows, pos, center, mass, G=1.0, softening=0.0):
-    """Fold Plummer-monopole pair contributions ``w_k * (center_k - pos_k)``
-    into ``accel`` (per-row partial sums in pair order, one fold per call)."""
-    eps2 = softening * softening
-    n = accel.shape[0]
-    if numba_enabled():  # pragma: no cover - numba-only leg
-        contrib = _monopole_contrib_nb(
-            np.ascontiguousarray(rows), np.ascontiguousarray(pos),
-            np.ascontiguousarray(center), np.ascontiguousarray(mass),
-            float(G), float(eps2), n,
-        )
-    else:
-        contrib = _monopole_contrib_np(rows, pos, center, mass, float(G),
-                                       float(eps2), n)
-    _fold_rows(accel, rows, contrib)
-
-
-def _monopole_potential_contrib_np(rows, pos, center, mass, G, eps2, n):
-    d = center - pos
-    r2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+def _potential_contrib_np(rows, target, source, mass, G, eps2, n):
+    _, r2 = _separation(source, target)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(r2 > 0.0, 1.0 / np.sqrt(r2 + eps2), 0.0)
     return np.bincount(rows, weights=-G * mass * inv, minlength=n)
@@ -249,139 +239,215 @@ def _monopole_potential_contrib_np(rows, pos, center, mass, G, eps2, n):
 
 if HAVE_NUMBA:  # pragma: no cover - numba-only leg
     @_njit(cache=True)
-    def _monopole_potential_contrib_nb(rows, pos, center, mass, G, eps2, n):
+    def _accel_contrib_nb(rows, tx, ty, tz, sx, sy, sz, mass, G, eps2, n):
+        contrib = np.zeros((n, 3), dtype=np.float64)
+        for k in range(rows.shape[0]):
+            dx = sx[k] - tx[k]
+            dy = sy[k] - ty[k]
+            dz = sz[k] - tz[k]
+            r2 = dx * dx + dy * dy + dz * dz
+            if r2 > 0.0:
+                rs = r2 + eps2
+                w = G * mass[k] / (rs * np.sqrt(rs))
+                r = rows[k]
+                contrib[r, 0] += dx * w
+                contrib[r, 1] += dy * w
+                contrib[r, 2] += dz * w
+        return contrib
+
+    @_njit(cache=True)
+    def _potential_contrib_nb(rows, tx, ty, tz, sx, sy, sz, mass, G, eps2, n):
         contrib = np.zeros(n, dtype=np.float64)
         for k in range(rows.shape[0]):
-            dx = center[k, 0] - pos[k, 0]
-            dy = center[k, 1] - pos[k, 1]
-            dz = center[k, 2] - pos[k, 2]
+            dx = sx[k] - tx[k]
+            dy = sy[k] - ty[k]
+            dz = sz[k] - tz[k]
             r2 = dx * dx + dy * dy + dz * dz
             if r2 > 0.0:
                 contrib[rows[k]] += -G * mass[k] * (1.0 / np.sqrt(r2 + eps2))
         return contrib
 
+    @_njit(cache=True)
+    def _pp_accel_contrib_nb(t_rows, s_rows, tx, ty, tz, sx, sy, sz, masses,
+                             G, eps2, n):
+        contrib = np.zeros((n, 3), dtype=np.float64)
+        for k in range(t_rows.shape[0]):
+            t = t_rows[k]
+            s = s_rows[k]
+            dx = sx[s] - tx[t]
+            dy = sy[s] - ty[t]
+            dz = sz[s] - tz[t]
+            r2 = dx * dx + dy * dy + dz * dz
+            if r2 > 0.0:
+                rs = r2 + eps2
+                w = G * masses[s] / (rs * np.sqrt(rs))
+                contrib[t, 0] += dx * w
+                contrib[t, 1] += dy * w
+                contrib[t, 2] += dz * w
+        return contrib
+
+    @_njit(cache=True)
+    def _pp_potential_contrib_nb(t_rows, s_rows, tx, ty, tz, sx, sy, sz, masses,
+                                 G, eps2, n):
+        contrib = np.zeros(n, dtype=np.float64)
+        for k in range(t_rows.shape[0]):
+            t = t_rows[k]
+            s = s_rows[k]
+            dx = sx[s] - tx[t]
+            dy = sy[s] - ty[t]
+            dz = sz[s] - tz[t]
+            r2 = dx * dx + dy * dy + dz * dz
+            if r2 > 0.0:
+                contrib[t] += -G * masses[s] * (1.0 / np.sqrt(r2 + eps2))
+        return contrib
+else:
+    _accel_contrib_nb = _potential_contrib_nb = None
+    _pp_accel_contrib_nb = _pp_potential_contrib_nb = None
+
+
+def _accumulate_point_mass(out, rows, pos, center, mass, G, softening, np_leg, nb_leg):
+    pos, center = components(pos), components(center)
+    eps2 = float(softening * softening)
+    n = out.shape[0]
+    if numba_enabled():  # pragma: no cover - numba-only leg
+        contrib = nb_leg(np.ascontiguousarray(rows), *pos, *center,
+                         np.ascontiguousarray(mass), float(G), eps2, n)
+    else:
+        contrib = np_leg(rows, pos, center, mass, float(G), eps2, n)
+    _fold_rows(out, rows, contrib)
+
+
+def accumulate_monopole(accel, rows, pos, center, mass, G=1.0, softening=0.0):
+    """Fold Plummer-monopole pair contributions ``w_k * (center_k - pos_k)``
+    into ``accel`` (per-row partial sums in pair order, one fold per call).
+    ``pos``, ``center`` and ``mass`` are per pair; ``rows`` index ``accel``."""
+    _accumulate_point_mass(accel, rows, pos, center, mass, G, softening,
+                           _accel_contrib_np, _accel_contrib_nb)
+
 
 def accumulate_monopole_potential(potential, rows, pos, center, mass, G=1.0, softening=0.0):
     """Monopole potential companion of :func:`accumulate_monopole`."""
-    eps2 = softening * softening
-    n = potential.shape[0]
-    if numba_enabled():  # pragma: no cover - numba-only leg
-        contrib = _monopole_potential_contrib_nb(
-            np.ascontiguousarray(rows), np.ascontiguousarray(pos),
-            np.ascontiguousarray(center), np.ascontiguousarray(mass),
-            float(G), float(eps2), n,
-        )
-    else:
-        contrib = _monopole_potential_contrib_np(
-            rows, pos, center, mass, float(G), float(eps2), n
-        )
-    _fold_rows(potential, rows, contrib)
+    _accumulate_point_mass(potential, rows, pos, center, mass, G, softening,
+                           _potential_contrib_np, _potential_contrib_nb)
 
 
 # ---------------------------------------------------------------------------
 # Gravity: exact particle-particle (leaf) accumulation.
 # ---------------------------------------------------------------------------
 
-def _pp_contrib_np(t_rows, s_rows, positions, masses, G, eps2, n):
-    # Component-wise with contiguous 1-D temporaries: the per-particle
-    # component arrays are tiny (they stay in cache), so the P-sized pair
-    # temporaries dominate memory traffic and every pass over them should
-    # be unit-stride.
-    contrib = np.empty((n, 3), dtype=np.float64)
-    comps = [np.ascontiguousarray(positions[:, j]) for j in range(3)]
-    d = [c[s_rows] for c in comps]
-    for dj, c in zip(d, comps):
-        dj -= c[t_rows]
-    r2 = d[0] * d[0]
-    r2 += d[1] * d[1]
-    r2 += d[2] * d[2]
-    rs = r2 + eps2
+def _accumulate_pp(out, t_rows, s_rows, positions, masses, G, softening,
+                   target_positions, np_leg, nb_leg):
+    source = components(positions)
+    target = source if target_positions is None else components(target_positions)
+    eps2 = float(softening * softening)
+    n = out.shape[0]
+    if numba_enabled():  # pragma: no cover - numba-only leg
+        contrib = nb_leg(np.ascontiguousarray(t_rows), np.ascontiguousarray(s_rows),
+                         *target, *source, np.ascontiguousarray(masses),
+                         float(G), eps2, n)
+    else:
+        # Gathered by coordinate into contiguous 1-D temporaries: the
+        # per-particle coordinate arrays are tiny (they stay in cache), so
+        # the pair-sized temporaries dominate memory traffic and every pass
+        # over them should be unit-stride.
+        contrib = np_leg(t_rows, [c[t_rows] for c in target],
+                         [c[s_rows] for c in source], masses[s_rows],
+                         float(G), eps2, n)
+    _fold_rows(out, t_rows, contrib)
+
+
+def accumulate_pp(accel, t_rows, s_rows, positions, masses, G=1.0, softening=0.0,
+                  target_positions=None):
+    """Exact pairwise accumulation over expanded (target, source) particle
+    row pairs; self/coincident pairs (r = 0) contribute zero.
+
+    ``s_rows`` index ``positions``/``masses``; ``t_rows`` index ``accel`` and
+    ``target_positions`` (default: ``positions``) — a caller working on a
+    slice passes the views that span it, a caller whose targets sit in a
+    translated frame (periodic images) passes the translated positions."""
+    _accumulate_pp(accel, t_rows, s_rows, positions, masses, G, softening,
+                   target_positions, _accel_contrib_np, _pp_accel_contrib_nb)
+
+
+def accumulate_pp_potential(potential, t_rows, s_rows, positions, masses, G=1.0,
+                            softening=0.0, target_positions=None):
+    """Exact pairwise potential companion of :func:`accumulate_pp`."""
+    _accumulate_pp(potential, t_rows, s_rows, positions, masses, G, softening,
+                   target_positions, _potential_contrib_np, _pp_potential_contrib_nb)
+
+
+# ---------------------------------------------------------------------------
+# Gravity: monopole + traceless-quadrupole node accumulation.
+#
+# The same expansion as apps.gravity.kernels.quadrupole_accel,
+#   a = G [ m d / r³ − Q·d / r⁵ + 5/2 (dᵀQd) d / r⁷ ],  r² = |d|² + ε²,
+# written out by coordinate in one fixed operation order (no matmul or
+# einsum, whose summation order is the BLAS's business) so that the numpy
+# leg, the numba leg and the scalar golden loop agree bit-for-bit.
+# ---------------------------------------------------------------------------
+
+def _quadrupole_contrib_np(rows, target, source, mass, quad, G, eps2, n):
+    d, r2 = _separation(source, target)
+    dx, dy, dz = d
+    xx, xy, xz, yy, yz, zz = quad
+    r2 += eps2
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.sqrt(rs)
-        w *= rs
-        np.divide(G * masses[s_rows], w, out=w)
-    w[r2 == 0.0] = 0.0
-    for j in range(3):
-        contrib[:, j] = np.bincount(t_rows, weights=w * d[j], minlength=n)
-    return contrib
+        inv_r2 = np.where(r2 > 0.0, 1.0 / r2, 0.0)
+    inv_r3 = inv_r2 * np.sqrt(inv_r2)
+    inv_r5 = inv_r3 * inv_r2
+    inv_r7 = inv_r5 * inv_r2
+    qd = (xx * dx + xy * dy + xz * dz,
+          xy * dx + yy * dy + yz * dz,
+          xz * dx + yz * dy + zz * dz)
+    dqd = dx * qd[0] + dy * qd[1] + dz * qd[2]
+    mono = (G * mass) * inv_r3
+    stretch = 2.5 * (dqd * inv_r7)
+    return _bincount3(
+        rows, [mono * dj + G * (stretch * dj - qdj * inv_r5) for dj, qdj in zip(d, qd)], n)
 
 
 if HAVE_NUMBA:  # pragma: no cover - numba-only leg
     @_njit(cache=True)
-    def _pp_contrib_nb(t_rows, s_rows, positions, masses, G, eps2, n):
+    def _quadrupole_contrib_nb(rows, tx, ty, tz, sx, sy, sz, mass,
+                               xx, xy, xz, yy, yz, zz, G, eps2, n):
         contrib = np.zeros((n, 3), dtype=np.float64)
-        for k in range(t_rows.shape[0]):
-            t = t_rows[k]
-            s = s_rows[k]
-            dx = positions[s, 0] - positions[t, 0]
-            dy = positions[s, 1] - positions[t, 1]
-            dz = positions[s, 2] - positions[t, 2]
-            r2 = dx * dx + dy * dy + dz * dz
+        for k in range(rows.shape[0]):
+            dx = sx[k] - tx[k]
+            dy = sy[k] - ty[k]
+            dz = sz[k] - tz[k]
+            r2 = dx * dx + dy * dy + dz * dz + eps2
             if r2 > 0.0:
-                rs = r2 + eps2
-                w = G * masses[s] / (rs * np.sqrt(rs))
-                contrib[t, 0] += w * dx
-                contrib[t, 1] += w * dy
-                contrib[t, 2] += w * dz
+                inv_r2 = 1.0 / r2
+                inv_r3 = inv_r2 * np.sqrt(inv_r2)
+                inv_r5 = inv_r3 * inv_r2
+                inv_r7 = inv_r5 * inv_r2
+                qx = xx[k] * dx + xy[k] * dy + xz[k] * dz
+                qy = xy[k] * dx + yy[k] * dy + yz[k] * dz
+                qz = xz[k] * dx + yz[k] * dy + zz[k] * dz
+                dqd = dx * qx + dy * qy + dz * qz
+                mono = (G * mass[k]) * inv_r3
+                stretch = 2.5 * (dqd * inv_r7)
+                r = rows[k]
+                contrib[r, 0] += mono * dx + G * (stretch * dx - qx * inv_r5)
+                contrib[r, 1] += mono * dy + G * (stretch * dy - qy * inv_r5)
+                contrib[r, 2] += mono * dz + G * (stretch * dz - qz * inv_r5)
         return contrib
 
 
-def accumulate_pp(accel, t_rows, s_rows, positions, masses, G=1.0, softening=0.0):
-    """Exact pairwise accumulation over expanded (target, source) particle
-    row pairs; self/coincident pairs (r = 0) contribute zero."""
-    eps2 = softening * softening
+def accumulate_quadrupole(accel, rows, pos, center, mass, quad, G=1.0, softening=0.0):
+    """Fold monopole + quadrupole pair contributions into ``accel``; ``quad``
+    holds each pair's traceless quadrupole tensor about ``center`` (see
+    :func:`symmetric_components`).  Otherwise as :func:`accumulate_monopole`."""
+    pos, center, quad = components(pos), components(center), symmetric_components(quad)
+    eps2 = float(softening * softening)
     n = accel.shape[0]
     if numba_enabled():  # pragma: no cover - numba-only leg
-        contrib = _pp_contrib_nb(
-            np.ascontiguousarray(t_rows), np.ascontiguousarray(s_rows),
-            np.ascontiguousarray(positions), np.ascontiguousarray(masses),
-            float(G), float(eps2), n,
-        )
+        contrib = _quadrupole_contrib_nb(
+            np.ascontiguousarray(rows), *pos, *center, np.ascontiguousarray(mass),
+            *quad, float(G), eps2, n)
     else:
-        contrib = _pp_contrib_np(t_rows, s_rows, positions, masses, float(G),
-                                 float(eps2), n)
-    _fold_rows(accel, t_rows, contrib)
-
-
-def _pp_potential_contrib_np(t_rows, s_rows, positions, masses, G, eps2, n):
-    d = positions[s_rows] - positions[t_rows]
-    r2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(r2 > 0.0, 1.0 / np.sqrt(r2 + eps2), 0.0)
-    return np.bincount(t_rows, weights=-G * masses[s_rows] * inv, minlength=n)
-
-
-if HAVE_NUMBA:  # pragma: no cover - numba-only leg
-    @_njit(cache=True)
-    def _pp_potential_contrib_nb(t_rows, s_rows, positions, masses, G, eps2, n):
-        contrib = np.zeros(n, dtype=np.float64)
-        for k in range(t_rows.shape[0]):
-            t = t_rows[k]
-            s = s_rows[k]
-            dx = positions[s, 0] - positions[t, 0]
-            dy = positions[s, 1] - positions[t, 1]
-            dz = positions[s, 2] - positions[t, 2]
-            r2 = dx * dx + dy * dy + dz * dz
-            if r2 > 0.0:
-                contrib[t] += -G * masses[s] * (1.0 / np.sqrt(r2 + eps2))
-        return contrib
-
-
-def accumulate_pp_potential(potential, t_rows, s_rows, positions, masses, G=1.0, softening=0.0):
-    """Exact pairwise potential companion of :func:`accumulate_pp`."""
-    eps2 = softening * softening
-    n = potential.shape[0]
-    if numba_enabled():  # pragma: no cover - numba-only leg
-        contrib = _pp_potential_contrib_nb(
-            np.ascontiguousarray(t_rows), np.ascontiguousarray(s_rows),
-            np.ascontiguousarray(positions), np.ascontiguousarray(masses),
-            float(G), float(eps2), n,
-        )
-    else:
-        contrib = _pp_potential_contrib_np(
-            t_rows, s_rows, positions, masses, float(G), float(eps2), n
-        )
-    _fold_rows(potential, t_rows, contrib)
+        contrib = _quadrupole_contrib_np(rows, pos, center, mass, quad, float(G), eps2, n)
+    _fold_rows(accel, rows, contrib)
 
 
 # ---------------------------------------------------------------------------

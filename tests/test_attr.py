@@ -96,6 +96,30 @@ class TestRecorderCounters:
         for name in ARRAY_FIELDS:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
+    def test_pair_hooks_attribute_identically(self, small_tree):
+        """The batched engine delivers flat pair arrays: whole to a recorder
+        with ``on_*_pairs`` hooks (AttributionRecorder, and through a
+        ``_MultiRecorder``), as per-target outer products to any other —
+        the same counters either way, and the same as the other engines."""
+        from repro.core.driver import _MultiRecorder
+        from repro.core.traverser import Recorder
+
+        class OuterProductOnly(Recorder):
+            def __init__(self, inner):
+                self.on_open, self.on_node, self.on_leaf = (
+                    inner.on_open, inner.on_node, inner.on_leaf)
+
+        want, _ = _run_serial(small_tree, "transposed")
+        whole, _ = _run_serial(small_tree, "batched")
+        multi, runs = (AttributionRecorder(small_tree.n_nodes) for _ in range(2))
+        engine = get_traverser("batched")
+        for rec in (_MultiRecorder([multi, InteractionLists()]), OuterProductOnly(runs)):
+            engine.traverse(small_tree, CountInRadiusVisitor(small_tree, 0.25),
+                            small_tree.leaf_indices, rec)
+        for got in (whole, multi, runs):
+            for name in ARRAY_FIELDS:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
     def test_derived_arrays(self, small_tree):
         rec, _ = _run_serial(small_tree, "transposed")
         rejects = rec.mac_rejects()

@@ -177,6 +177,28 @@ class TestBatchedEngineDifferential:
         assert rb.counts == rt.counts
 
 
+    def test_quadrupole_leg_matrix_and_no_grouped_fallback(self, small_tree, monkeypatch):
+        """The quadrupole expansion has its own frontier kernel: bit-identical
+        across backends and workers like the monopole leg, equal to the
+        per-source kernel of the transposed engine to rounding, and never
+        routed through the base Visitor's group-by-source fallback."""
+        from repro.core import visitor as visitor_module
+
+        make, collect = gravity_setup(small_tree, with_quadrupole=True)
+        differential_matrix(small_tree, "batched", make, collect,
+                            workers=WORKER_COUNTS, expect_parallel=True)
+        rt = run_combination(small_tree, "transposed", make, collect)
+
+        def no_fallback(sources):
+            raise AssertionError("batched quadrupole took the grouped-by-source fallback")
+
+        monkeypatch.setattr(visitor_module, "_group_pairs_by_source", no_fallback)
+        rb = run_combination(small_tree, "batched", make, collect)
+        np.testing.assert_allclose(rb.outputs["accel"], rt.outputs["accel"],
+                                   rtol=1e-11, atol=1e-13)
+        assert rb.counts == rt.counts
+
+
 class TestTreeBuilderDifferential:
     """The tree_builder axis: recursive ≡ linear through the whole cube."""
 
@@ -412,6 +434,78 @@ class TestBatchedKernelsGolden:
         assert got_a.tobytes() == want_a.tobytes()
         assert got_p.tobytes() == want_p.tobytes()
 
+    @staticmethod
+    def _quadrupoles(n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.random((n, 3, 3)) - 0.5
+        q = a + a.transpose(0, 2, 1)
+        return q - np.trace(q, axis1=1, axis2=2)[:, None, None] * np.eye(3) / 3.0
+
+    @pytest.mark.parametrize("eps", [1e-3, 0.0])
+    def test_accumulate_quadrupole_matches_scalar_loop(self, eps):
+        """The quadrupole frontier leg: bit-identical to a scalar loop in the
+        kernel's stated operation order (eps = 0 exercises the r = 0 guard
+        on the coincident pairs), and the same expansion as the per-source
+        ``quadrupole_accel`` the other engines use."""
+        from math import sqrt
+
+        from repro.apps.gravity.kernels import quadrupole_accel
+        from repro.trees.kernels import accumulate_quadrupole
+
+        pos, rows, center, mass = self._pairs(seed=11)
+        quad = self._quadrupoles(len(rows), seed=12)
+        G, eps2 = 1.3, eps * eps
+        got = np.zeros((64, 3))
+        accumulate_quadrupole(got, rows, pos, center, mass, quad, G, eps)
+        want = np.zeros((64, 3))
+        loose = np.zeros((64, 3))
+        for k in range(len(rows)):
+            d = [float(c) for c in center[k] - pos[k]]
+            r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + eps2
+            if r2 > 0.0:
+                inv_r2 = 1.0 / r2
+                inv_r3 = inv_r2 * sqrt(inv_r2)
+                inv_r5 = inv_r3 * inv_r2
+                inv_r7 = inv_r5 * inv_r2
+                q = quad[k].tolist()
+                qd = [q[j][0] * d[0] + q[j][1] * d[1] + q[j][2] * d[2] for j in range(3)]
+                dqd = d[0] * qd[0] + d[1] * qd[1] + d[2] * qd[2]
+                mono = (G * float(mass[k])) * inv_r3
+                stretch = 2.5 * (dqd * inv_r7)
+                for j in range(3):
+                    want[rows[k], j] += mono * d[j] + G * (stretch * d[j] - qd[j] * inv_r5)
+            loose[rows[k]] += quadrupole_accel(pos[k], center[k], mass[k], quad[k], G, eps)[0]
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(got, loose, rtol=1e-10, atol=1e-12)
+
+    def test_kernels_accept_components_and_views(self):
+        """Structure-of-arrays inputs and a row-range view of the output give
+        the same bytes as ``(n, 3)`` inputs and the whole output."""
+        from repro.trees.kernels import (accumulate_monopole, accumulate_pp, components,
+                                         mac_open_pairs)
+
+        pos, rows, center, mass = self._pairs(seed=2)
+        whole = np.zeros((80, 3))
+        accumulate_monopole(whole, rows + 10, pos, center, mass, 1.1, 1e-3)
+        view = np.zeros((80, 3))
+        accumulate_monopole(view[10:74], rows, components(pos), components(center),
+                            mass, 1.1, 1e-3)
+        assert view.tobytes() == whole.tobytes()
+        assert np.array_equal(
+            mac_open_pairs(pos, pos + 0.1, center, mass * 0.1),
+            mac_open_pairs(components(pos), components(pos + 0.1), components(center),
+                           mass * 0.1))
+
+        rng = np.random.default_rng(4)
+        positions, masses = rng.random((50, 3)), rng.random(50)
+        t_rows, s_rows = rng.integers(5, 30, size=300), rng.integers(0, 50, size=300)
+        whole = np.zeros((50, 3))
+        accumulate_pp(whole, t_rows, s_rows, positions, masses, 0.9, 1e-4)
+        view = np.zeros((50, 3))
+        accumulate_pp(view[5:30], t_rows - 5, s_rows, positions, masses, 0.9, 1e-4,
+                      target_positions=[c[5:30] for c in components(positions)])
+        assert view.tobytes() == whole.tobytes()
+
     def test_pair_dist_sq_and_scatter(self):
         from repro.trees.kernels import pair_dist_sq, scatter_add_1d
 
@@ -464,7 +558,16 @@ class TestBatchedKernelsGolden:
             pot = np.zeros(64)
             kernels.accumulate_monopole_potential(pot, rows, pos, center, mass, 1.1, 1e-3)
             mac = kernels.mac_open_pairs(pos, pos + 0.1, center, mass * 0.1)
-            return acc, pot, mac
+            quad = np.zeros((64, 3))
+            kernels.accumulate_quadrupole(quad, rows, pos, center, mass,
+                                          self._quadrupoles(len(rows), seed=6), 1.1, 1e-3)
+            t_rows, s_rows = rows, rows[::-1].copy()
+            pp = np.zeros((64, 3))
+            kernels.accumulate_pp(pp, t_rows, s_rows, pos[:64], mass[:64], 1.1, 1e-3)
+            pp_pot = np.zeros(64)
+            kernels.accumulate_pp_potential(pp_pot, t_rows, s_rows, pos[:64], mass[:64],
+                                            1.1, 1e-3)
+            return acc, pot, mac, quad, pp, pp_pot
 
         monkeypatch.setenv("REPRO_NO_NUMBA", "1")
         np_leg = run()

@@ -14,7 +14,7 @@ class TestConfiguration:
         cfg = Configuration()
         assert cfg.tree_type == TreeType.OCT
         assert cfg.decomp_type == "sfc"
-        assert cfg.traverser == "transposed"
+        assert cfg.traverser == "batched"
 
     def test_string_tree_type_coerced(self):
         assert Configuration(tree_type="kd").tree_type == TreeType.KD

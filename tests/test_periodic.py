@@ -10,8 +10,12 @@ from repro.apps.gravity import (
     compute_gravity_periodic,
     minimum_image,
 )
+from repro.apps.gravity import compute_centroid_arrays
 from repro.apps.gravity.kernels import pairwise_accel
-from repro.particles import ParticleSet
+from repro.apps.gravity.periodic import _ShiftedGravityVisitor
+from repro.core import get_traverser, top_down_engines
+from repro.particles import ParticleSet, uniform_cube
+from repro.trees import build_tree
 
 
 class TestMinimumImage:
@@ -90,6 +94,47 @@ class TestPeriodicGravity:
         b = compute_gravity_periodic(cloud, 1.0, theta=0.5, softening=0.05,
                                      traverser="per-bucket").accel
         assert np.allclose(a, b, rtol=1e-9)
+
+    @pytest.mark.parametrize("n_images", [0, 1])
+    def test_every_top_down_engine_sees_the_image_offset(self, n_images):
+        """Each registered top-down engine reaches the shifted visitor
+        through different hooks (``*_batch``, ``*_sources``, ``*_pairs``);
+        all of them must apply the image offset: same interaction set, same
+        forces.  (The pair hooks once ignored it: 11x the pp interactions
+        and a relative error of 23.)"""
+        from tests.harness.differential import INTERACTION_KEYS
+
+        particles = uniform_cube(600, seed=4)
+        runs = {
+            engine: compute_gravity_periodic(
+                particles.copy(), 1.0, theta=0.6, softening=0.01,
+                n_images=n_images, traverser=engine)
+            for engine in top_down_engines()
+        }
+        assert {"batched", "transposed", "per-bucket"} <= set(runs)
+        ref = runs["transposed"]
+        scale = np.abs(ref.accel).max()
+        for engine, res in runs.items():
+            counts = res.stats.as_dict()
+            assert {k: counts[k] for k in INTERACTION_KEYS} == \
+                {k: ref.stats.as_dict()[k] for k in INTERACTION_KEYS}, engine
+            assert np.allclose(res.accel, ref.accel, rtol=1e-9, atol=1e-12 * scale), engine
+
+    def test_shifted_pair_hooks_match_the_batch_hooks_with_potential(self):
+        tree = build_tree(uniform_cube(400, seed=6), tree_type="oct", bucket_size=12)
+        arrays = compute_centroid_arrays(tree, theta=0.6)
+        out = {}
+        for engine in ("transposed", "batched"):
+            visitor = _ShiftedGravityVisitor(tree, arrays, softening=0.01,
+                                             with_potential=True,
+                                             offset=np.array([1.0, 0.0, -1.0]))
+            get_traverser(engine).traverse(tree, visitor)
+            out[engine] = visitor
+        assert np.abs(out["transposed"].potential).min() > 0
+        np.testing.assert_allclose(out["batched"].accel, out["transposed"].accel,
+                                   rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(out["batched"].potential, out["transposed"].potential,
+                                   rtol=1e-12)
 
     def test_validation(self, cloud):
         with pytest.raises(ValueError):

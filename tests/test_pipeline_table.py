@@ -336,6 +336,36 @@ def test_building_the_parser_imports_only_the_table():
         ["repro", "repro.__main__", "repro.apps"])
 
 
+def test_traverser_default_and_choices_live_in_core(capsys):
+    """``Configuration.traverser`` is the one place the default engine is
+    written, and the registry the one list of top-down engines: the table
+    row, ``compute_gravity`` and ``compute_gravity_periodic`` read them."""
+    import inspect
+
+    from repro.apps import TRAVERSER, description
+    from repro.apps.gravity import (compute_gravity, compute_gravity_on_tree,
+                                    compute_gravity_periodic)
+    from repro.core import top_down_engines
+
+    assert Configuration().traverser == "batched"
+    assert top_down_engines() == ("batched", "transposed", "per-bucket")
+    for fn in (compute_gravity, compute_gravity_on_tree, compute_gravity_periodic):
+        assert inspect.signature(fn).parameters["traverser"].default == "batched"
+
+    # the row names no engine: absent flag -> absent key -> Configuration's default
+    assert TRAVERSER[2] is None and tuple(TRAVERSER[4]) == top_down_engines()
+    args = argparse.Namespace(traverser=None)
+    assert "traverser" not in description("gravity", (TRAVERSER,), args)["config"]
+    for engine in top_down_engines():
+        assert main(["gravity", "--n", "300", "--traverser", engine]) == 0
+    capsys.readouterr()
+    # not a start_down engine, and no longer offered as one
+    with pytest.raises(SystemExit) as exc:
+        main(["gravity", "--n", "300", "--traverser", "up-and-down"])
+    assert exc.value.code == 2
+    assert "'batched', 'transposed', 'per-bucket'" in capsys.readouterr().err
+
+
 def test_tree_builder_defaults_to_linear_everywhere():
     from repro.apps.gravity import compute_gravity
     from repro.particles import uniform_cube
