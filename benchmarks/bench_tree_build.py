@@ -1,6 +1,6 @@
 """Linear-octree build and batched-kernel benchmarks (PR 10 acceptance gate).
 
-Four bars:
+Five bars:
 
 * ``build.recursive`` — the seed builder: node-at-a-time stack walk.
 * ``build.linear_vs_recursive`` — both builders over the same particles;
@@ -13,6 +13,9 @@ Four bars:
   interaction counts that prove the visit set matched.
 * ``traverse.batched_gravity`` — the batched engine alone, for regression
   tracking of the kernel path itself.
+* ``traverse.knn_updown`` — the round-synchronous up-and-down engine under
+  the kNN visitor; sampled neighbour lists asserted equal to brute force
+  (distance bits and ``(dist, index)`` order) before any timing.
 
 Run ``python -m repro bench run --quick 'build.*' 'kernels.*' -o
 BENCH_pr10.json`` and gate with ``repro bench compare``.
@@ -24,10 +27,12 @@ import numpy as np
 
 from repro.apps.gravity import compute_centroid_arrays
 from repro.apps.gravity.visitor import GravityVisitor
+from repro.apps.knn import knn_search
 from repro.core import get_traverser
-from repro.particles import clustered_clumps
+from repro.particles import clustered_clumps, uniform_cube
 from repro.perf import benchmark as perf_benchmark
-from repro.trees import TreeBuildConfig
+from repro.trees import TreeBuildConfig, build_tree
+from repro.trees.kernels import pair_dist_sq
 from repro.trees.build_oct import build_octree
 from repro.trees.linear import build_octree_linear
 
@@ -131,5 +136,31 @@ def bench_traverse_batched(quick=False):
         v = GravityVisitor(tree, arrays, softening=1e-3)
         stats = engine.traverse(tree, v)
         return {"pp_interactions": int(stats.pp_interactions)}
+
+    return run
+
+
+@perf_benchmark("traverse.knn_updown", group="build",
+                description="up-and-down engine kNN search, k=32 (asserted "
+                            "equal to brute force before timing)")
+def bench_traverse_knn_updown(quick=False):
+    tree = build_tree(uniform_cube(3_000 if quick else 8_000, seed=17),
+                      tree_type="oct", bucket_size=16)
+    # Equivalence gate before timing, on 512 sampled rows (the all-pairs
+    # matrix of the full-size run would not fit): the same distance kernel
+    # and a stable sort by distance, i.e. (dist, index) order.
+    found = knn_search(tree, 32)
+    sample = np.random.default_rng(17).choice(tree.n_particles, 512, replace=False)
+    d2 = pair_dist_sq(tree.particles.position, sample[:, None],
+                      np.arange(tree.n_particles)[None, :])
+    d2[np.arange(sample.size), sample] = np.inf
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :32]
+    assert np.array_equal(found.index[sample], nearest)
+    assert np.array_equal(found.dist_sq[sample], np.take_along_axis(d2, nearest, axis=1))
+
+    def run():
+        stats = knn_search(tree, 32).stats
+        return {"pp_interactions": int(stats.pp_interactions),
+                "opens": int(stats.opens)}
 
     return run

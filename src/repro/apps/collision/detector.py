@@ -73,33 +73,24 @@ def detect_collisions(
 
     lists, stats = ball_search(tree, search, include_self=False)
 
-    events: list[CollisionEvent] = []
-    seen: set[tuple[int, int]] = set()
+    # every unordered pair once, as (i, j) with i < j, in that order
+    n = tree.n_particles
+    a = np.repeat(np.arange(n), [len(nbrs) for nbrs in lists])
+    b = np.concatenate(lists)
+    i, j = np.divmod(np.unique(np.minimum(a, b) * n + np.maximum(a, b)), n)
+    if exclude_types is not None:
+        keep = ~(exclude_types[i] | exclude_types[j])
+        i, j = i[keep], j[keep]
     pos = p.position
-    for i, nbrs in enumerate(lists):
-        if len(nbrs) == 0:
-            continue
-        for j in nbrs:
-            j = int(j)
-            key = (i, j) if i < j else (j, i)
-            if key in seen:
-                continue
-            seen.add(key)
-            if exclude_types is not None and (exclude_types[i] or exclude_types[j]):
-                continue
-            dr = pos[j] - pos[i]
-            dv = vel[j] - vel[i]
-            t_star, d2 = closest_approach(dr[None, :], dv[None, :], dt)
-            rsum = float(radii[i] + radii[j])
-            if d2[0] <= rsum * rsum:
-                mid = pos[i] + vel[i] * t_star[0] + 0.5 * (dr + dv * t_star[0])
-                events.append(
-                    CollisionEvent(
-                        i=key[0],
-                        j=key[1],
-                        time=float(t_star[0]),
-                        distance=float(np.sqrt(d2[0])),
-                        position=mid,
-                    )
-                )
+    dr, dv = pos[j] - pos[i], vel[j] - vel[i]
+    t_star, d2 = closest_approach(dr, dv, dt)
+    rsum = radii[i] + radii[j]
+    hit = np.flatnonzero(d2 <= rsum * rsum)
+    t_hit = t_star[hit, None]
+    mid = pos[i[hit]] + vel[i[hit]] * t_hit + 0.5 * (dr[hit] + dv[hit] * t_hit)
+    events = [
+        CollisionEvent(i=int(i[h]), j=int(j[h]), time=float(t_star[h]),
+                       distance=float(np.sqrt(d2[h])), position=mid[m])
+        for m, h in enumerate(hit)
+    ]
     return events, stats

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...core import TraversalStats, get_traverser
+from ...core import Configuration, TraversalStats, get_traverser
 from ...core.util import ranges_to_indices
 from ...core.visitor import Visitor
 from ...geometry import point_box_distance_sq
 from ...trees import SpatialNode, Tree
+from ...trees.kernels import components, expand_pair_products, pair_dist_sq
 
 __all__ = ["BallSearchVisitor", "ball_search", "brute_force_ball"]
 
@@ -21,9 +22,10 @@ __all__ = ["BallSearchVisitor", "ball_search", "brute_force_ball"]
 class BallSearchVisitor(Visitor):
     """Collects, for every target particle, all particles within its radius.
 
-    ``radii`` is per *particle* (tree order); the bucket-level prune uses
-    the bucket's largest radius.  Results land in ``neighbors``: a list per
-    particle of neighbour index arrays (concatenate to use).
+    ``radii`` is per *particle* (tree order); a source node is opened for a
+    bucket when any of the bucket's particles' balls reaches its box.  Hits
+    accumulate as flat ``(target_row, source_row)`` arrays;
+    :meth:`neighbor_lists` sorts them into one ascending list per particle.
     """
 
     def __init__(self, tree: Tree, radii: np.ndarray, include_self: bool = False) -> None:
@@ -35,55 +37,59 @@ class BallSearchVisitor(Visitor):
         self.tree = tree
         self.radii = radii
         self.include_self = include_self
-        self.neighbors: list[list[np.ndarray]] = [[] for _ in range(tree.n_particles)]
+        self._radii_sq = radii * radii
+        self._positions = components(tree.particles.position)
+        none = np.empty(0, dtype=np.int64)
+        self._hits: list[tuple[np.ndarray, np.ndarray]] = [(none, none)]
 
     def open(self, source: SpatialNode, target: SpatialNode) -> bool:
-        mask = self.open_sources(
-            self.tree, np.array([source.index]), target.index
-        )
-        return bool(mask[0])
+        return bool(self.open_sources(self.tree, np.array([source.index]), target.index)[0])
 
-    def open_sources(self, tree: Tree, sources: np.ndarray, target: int) -> np.ndarray:
-        s, e = int(tree.pstart[target]), int(tree.pend[target])
-        pos = tree.particles.position[s:e]
-        r = self.radii[s:e]
-        # Open if any target particle's ball can reach the source box.
+    def open_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        # every target particle's ball against its pair's source box
+        per_pair = tree.pend[targets] - tree.pstart[targets]
+        rows = ranges_to_indices(tree.pstart[targets], tree.pend[targets])
+        pair = np.repeat(np.arange(len(sources)), per_pair)
+        box = sources[pair]
+        d2 = point_box_distance_sq(tree.box_lo[box], tree.box_hi[box],
+                                   tree.particles.position[rows])
         out = np.zeros(len(sources), dtype=bool)
-        for j, src in enumerate(np.asarray(sources)):
-            d2 = point_box_distance_sq(tree.box_lo[src], tree.box_hi[src], pos)
-            out[j] = bool(np.any(d2 <= r * r))
+        out[pair[d2 <= self._radii_sq[rows]]] = True
         return out
 
     def node(self, source: SpatialNode, target: SpatialNode) -> None:
         pass
 
-    def node_sources(self, tree: Tree, sources: np.ndarray, target: int) -> None:
+    def node_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
         pass
 
     def leaf(self, source: SpatialNode, target: SpatialNode) -> None:
         self.leaf_sources(self.tree, np.array([source.index]), target.index)
 
-    def leaf_sources(self, tree: Tree, sources: np.ndarray, target: int) -> None:
-        ts, te = int(tree.pstart[target]), int(tree.pend[target])
-        tgt_idx = np.arange(ts, te)
-        cand = ranges_to_indices(tree.pstart[sources], tree.pend[sources])
-        pos = tree.particles.position
-        d = pos[cand][None, :, :] - pos[tgt_idx][:, None, :]
-        d2 = np.einsum("tcj,tcj->tc", d, d)
-        r2 = self.radii[ts:te] ** 2
-        hits = d2 <= r2[:, None]
+    def leaf_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
+        t_rows, s_rows = expand_pair_products(
+            tree.pstart[targets], tree.pend[targets], tree.pstart[sources], tree.pend[sources])
+        hit = pair_dist_sq(self._positions, t_rows, s_rows) <= self._radii_sq[t_rows]
         if not self.include_self:
-            hits &= tgt_idx[:, None] != cand[None, :]
-        for row, i in enumerate(tgt_idx):
-            found = cand[hits[row]]
-            if len(found):
-                self.neighbors[i].append(found)
+            hit &= t_rows != s_rows
+        self._hits.append((t_rows[hit], s_rows[hit]))
+
+    # the per-bucket ordering (one target, many sources) is the same pairs
+    def open_sources(self, tree: Tree, sources: np.ndarray, target: int) -> np.ndarray:
+        return self.open_pairs(tree, sources, np.full(len(sources), target))
+
+    def node_sources(self, tree: Tree, sources: np.ndarray, target: int) -> None:
+        pass
+
+    def leaf_sources(self, tree: Tree, sources: np.ndarray, target: int) -> None:
+        self.leaf_pairs(tree, sources, np.full(len(sources), target))
 
     def neighbor_lists(self) -> list[np.ndarray]:
-        return [
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            for parts in self.neighbors
-        ]
+        """Per particle (tree order), its neighbours' indices, ascending."""
+        t_rows, s_rows = (np.concatenate(part) for part in zip(*self._hits))
+        order = np.lexsort((s_rows, t_rows))
+        bounds = np.searchsorted(t_rows[order], np.arange(1, self.tree.n_particles))
+        return np.split(s_rows[order], bounds)
 
 
 def ball_search(
@@ -91,9 +97,10 @@ def ball_search(
     radii: np.ndarray | float,
     targets: np.ndarray | None = None,
     include_self: bool = False,
-    traverser: str = "per-bucket",
+    traverser: str = Configuration.traverser,
 ) -> tuple[list[np.ndarray], TraversalStats]:
-    """All neighbours within per-particle ``radii``; returns (lists, stats)."""
+    """All neighbours within per-particle ``radii``; returns (lists, stats).
+    The lists do not depend on the engine: each is ascending."""
     if np.isscalar(radii):
         radii = np.full(tree.n_particles, float(radii))
     visitor = BallSearchVisitor(tree, radii, include_self=include_self)
@@ -109,12 +116,8 @@ def brute_force_ball(
     n = len(positions)
     if np.isscalar(radii):
         radii = np.full(n, float(radii))
-    d = positions[None, :, :] - positions[:, None, :]
-    d2 = np.einsum("ijc,ijc->ij", d, d)
-    out = []
-    for i in range(n):
-        hits = d2[i] <= radii[i] ** 2
-        if not include_self:
-            hits[i] = False
-        out.append(np.flatnonzero(hits))
-    return out
+    every = np.arange(n)
+    hits = pair_dist_sq(positions, every[:, None], every[None, :]) <= (radii * radii)[:, None]
+    if not include_self:
+        np.fill_diagonal(hits, False)
+    return [np.flatnonzero(row) for row in hits]

@@ -4,8 +4,8 @@ The Visitor keeps, per particle, its current k best squared distances; a
 source node is opened only while its box is closer to the target bucket
 than the bucket's worst current k-th distance.  Starting the up-and-down
 walk at the target's own leaf makes that radius finite almost immediately,
-and the ``done``/``path_advanced`` hooks stop the climb as soon as the
-search ball is contained in already-visited space.
+and the ``done_targets`` hook stops the climb as soon as the search ball is
+contained in already-visited space.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from ...core.util import ranges_to_indices
 from ...core.visitor import Visitor
 from ...geometry.box import boxes_box_distance_sq
 from ...trees import SpatialNode, Tree
+from ...trees.kernels import components, merge_nearest, pair_dist_sq
 
 __all__ = ["KNNResult", "KNNVisitor", "knn_search", "brute_force_knn"]
 
@@ -34,7 +35,11 @@ class KNNResult:
 
 
 class KNNVisitor(Visitor):
-    """Finds the k nearest *other* particles for every target particle."""
+    """Finds the k nearest *other* particles for every target particle.
+
+    ``dist_sq``/``index`` rows are ascending in ``(dist_sq, index)`` at all
+    times (see :func:`repro.trees.kernels.merge_nearest`), so ties are broken
+    by particle index and a row's k-th distance is its last column."""
 
     def __init__(self, tree: Tree, k: int) -> None:
         n = tree.n_particles
@@ -44,76 +49,51 @@ class KNNVisitor(Visitor):
         self.k = k
         self.dist_sq = np.full((n, k), np.inf)
         self.index = np.full((n, k), -1, dtype=np.int64)
-        #: worst current neighbour distance per particle
-        self.kth_sq = np.full(n, np.inf)
-        #: per-target-leaf: box of tree covered so far (up-and-down path)
-        self._covered: dict[int, int] = {}
+        #: per target leaf: the worst current k-th distance in its bucket
+        self.radius_sq = np.full(tree.n_nodes, np.inf)
+        self._positions = components(tree.particles.position)
 
     # -- pruning ---------------------------------------------------------------
-    def _bucket_radius_sq(self, tgt: int) -> float:
-        s, e = int(self.tree.pstart[tgt]), int(self.tree.pend[tgt])
-        return float(self.kth_sq[s:e].max())
-
     def open(self, source: SpatialNode, target: SpatialNode) -> bool:
-        t = self.tree
-        d2 = boxes_box_distance_sq(
-            t.box_lo[source.index], t.box_hi[source.index],
-            t.box_lo[target.index], t.box_hi[target.index],
-        )
-        return bool(d2 <= self._bucket_radius_sq(target.index))
+        return bool(self.open_pairs(self.tree, *_one_pair(source, target))[0])
 
-    def open_sources(self, tree: Tree, sources: np.ndarray, target: int) -> np.ndarray:
+    def open_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         d2 = boxes_box_distance_sq(
             tree.box_lo[sources], tree.box_hi[sources],
-            tree.box_lo[target], tree.box_hi[target],
+            tree.box_lo[targets], tree.box_hi[targets],
         )
-        return d2 <= self._bucket_radius_sq(target)
+        return d2 <= self.radius_sq[targets]
 
     # -- interactions -------------------------------------------------------------
     def node(self, source: SpatialNode, target: SpatialNode) -> None:
         """Pruned nodes contribute nothing to a neighbour search."""
 
-    def node_sources(self, tree: Tree, sources: np.ndarray, target: int) -> None:
+    def node_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
         pass
 
     def leaf(self, source: SpatialNode, target: SpatialNode) -> None:
-        self._merge(np.array([source.index]), target.index)
+        self.leaf_pairs(self.tree, *_one_pair(source, target))
 
-    def leaf_sources(self, tree: Tree, sources: np.ndarray, target: int) -> None:
-        self._merge(np.asarray(sources), target)
-
-    def _merge(self, sources: np.ndarray, target: int) -> None:
-        t = self.tree
-        ts, te = int(t.pstart[target]), int(t.pend[target])
-        tgt_idx = np.arange(ts, te)
-        cand = ranges_to_indices(t.pstart[sources], t.pend[sources])
-        if len(cand) == 0:
-            return
-        pos = t.particles.position
-        d = pos[cand][None, :, :] - pos[tgt_idx][:, None, :]
-        d2 = np.einsum("tcj,tcj->tc", d, d)
-        # Exclude self-pairs by index, not by zero distance (coincident
-        # particles are legitimate neighbours).
-        d2[tgt_idx[:, None] == cand[None, :]] = np.inf
-        # Merge candidates into the running top-k.
-        all_d2 = np.concatenate([self.dist_sq[ts:te], d2], axis=1)
-        all_idx = np.concatenate(
-            [self.index[ts:te], np.broadcast_to(cand, d2.shape)], axis=1
+    def leaf_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
+        first, radius_sq = merge_nearest(
+            self.dist_sq, self.index, self._positions,
+            tree.pstart[targets], tree.pend[targets],
+            tree.pstart[sources], tree.pend[sources],
         )
-        if all_d2.shape[1] > self.k:
-            sel = np.argpartition(all_d2, self.k - 1, axis=1)[:, : self.k]
-            rows = np.arange(len(tgt_idx))[:, None]
-            self.dist_sq[ts:te] = all_d2[rows, sel]
-            self.index[ts:te] = all_idx[rows, sel]
-        else:
-            self.dist_sq[ts:te] = all_d2
-            self.index[ts:te] = all_idx
-        self.kth_sq[ts:te] = self.dist_sq[ts:te].max(axis=1)
+        self.radius_sq[targets[first]] = radius_sq
+
+    # -- early exit ------------------------------------------------------------
+    def done_targets(self, tree: Tree, targets: np.ndarray, path_nodes: np.ndarray) -> np.ndarray:
+        """Is each bucket's search ball inside the space its walk has covered?"""
+        r = np.sqrt(self.radius_sq[targets])[:, None]
+        return np.all(
+            (tree.box_lo[targets] - r >= tree.box_lo[path_nodes])
+            & (tree.box_hi[targets] + r <= tree.box_hi[path_nodes]), axis=1)
 
     # -- parallel-execution protocol (repro.exec) ---------------------------
-    # Every write lands on rows [pstart, pend) of the target bucket being
-    # traversed (dist_sq/index/kth_sq), and _covered is keyed by target
-    # leaf — so disjoint target chunks touch disjoint state.
+    # Every write lands on rows [pstart, pend) of a target bucket being
+    # traversed (dist_sq/index) or on that leaf's radius_sq entry — so
+    # disjoint target chunks touch disjoint state.
     exec_shareable = True
 
     def exec_config(self) -> dict:
@@ -125,13 +105,14 @@ class KNNVisitor(Visitor):
 
     def exec_collect(self, tree: Tree, targets: np.ndarray) -> dict[str, np.ndarray]:
         rows = ranges_to_indices(tree.pstart[targets], tree.pend[targets])
-        return {"dist_sq": self.dist_sq[rows], "index": self.index[rows]}
+        return {"dist_sq": self.dist_sq[rows], "index": self.index[rows],
+                "radius_sq": self.radius_sq[targets]}
 
     def exec_apply(self, tree: Tree, targets: np.ndarray, outputs: dict[str, np.ndarray]) -> None:
         rows = ranges_to_indices(tree.pstart[targets], tree.pend[targets])
         self.dist_sq[rows] = outputs["dist_sq"]
         self.index[rows] = outputs["index"]
-        self.kth_sq[rows] = self.dist_sq[rows].max(axis=1)
+        self.radius_sq[targets] = outputs["radius_sq"]
 
     # -- best-first support (priority traversal) ---------------------------
     def priority(self, tree: Tree, source: int, target: int) -> float:
@@ -144,23 +125,9 @@ class KNNVisitor(Visitor):
             )
         )
 
-    # -- early exit ------------------------------------------------------------
-    def path_advanced(self, target: SpatialNode, path_node: SpatialNode) -> None:
-        self._covered[target.index] = path_node.index
 
-    def done(self, target: SpatialNode) -> bool:
-        covered = self._covered.get(target.index)
-        if covered is None:
-            return False
-        r2 = self._bucket_radius_sq(target.index)
-        if not np.isfinite(r2):
-            return False
-        r = np.sqrt(r2)
-        t = self.tree
-        return bool(
-            np.all(t.box_lo[target.index] - r >= t.box_lo[covered])
-            and np.all(t.box_hi[target.index] + r <= t.box_hi[covered])
-        )
+def _one_pair(source: SpatialNode, target: SpatialNode) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([source.index]), np.array([target.index])
 
 
 def knn_search(
@@ -172,8 +139,10 @@ def knn_search(
 ) -> KNNResult:
     """k nearest neighbours of every particle (or of ``targets``' buckets).
 
-    Rows are sorted nearest-first.  Neighbour indices refer to tree order;
-    use ``tree.particles.orig_index`` to translate back to input labels.
+    Rows are sorted nearest-first, equal distances by neighbour index — the
+    ``(dist, index)`` order of ``serve.kernels.knn_point`` and of
+    :func:`brute_force_knn`.  Neighbour indices refer to tree order; use
+    ``tree.particles.orig_index`` to translate back to input labels.
     ``backend`` (a :class:`~repro.exec.ExecutionBackend`) runs the search
     over target-bucket chunks concurrently, bit-identically to serial.
     """
@@ -182,26 +151,19 @@ def knn_search(
         stats = backend.run(tree, traverser, visitor, targets)
     else:
         stats = get_traverser(traverser).traverse(tree, visitor, targets)
-    order = np.argsort(visitor.dist_sq, axis=1)
-    rows = np.arange(tree.n_particles)[:, None]
-    return KNNResult(
-        dist_sq=visitor.dist_sq[rows, order],
-        index=visitor.index[rows, order],
-        stats=stats,
-    )
+    return KNNResult(dist_sq=visitor.dist_sq, index=visitor.index, stats=stats)
 
 
 def brute_force_knn(positions: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reference O(N²) kNN (excluding self): returns (dist_sq, index)."""
+    """Reference O(N²) kNN (excluding self): returns (dist_sq, index), rows
+    in ``(dist_sq, index)`` order."""
     positions = np.asarray(positions)
     n = len(positions)
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}]")
-    d = positions[None, :, :] - positions[:, None, :]
-    d2 = np.einsum("ijc,ijc->ij", d, d)
+    every = np.arange(n)
+    d2 = pair_dist_sq(positions, every[:, None], every[None, :])
     np.fill_diagonal(d2, np.inf)
-    sel = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    rows = np.arange(n)[:, None]
-    dist = d2[rows, sel]
-    order = np.argsort(dist, axis=1)
-    return dist[rows, order], sel[rows, order]
+    # a stable sort of each row by distance leaves equal distances by index
+    sel = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(d2, sel, axis=1), sel

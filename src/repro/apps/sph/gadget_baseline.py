@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...core import TraversalStats, get_traverser
+from ...core import TraversalStats
 from ...trees import Tree
-from ..knn.balls import BallSearchVisitor
+from ..knn.balls import ball_search
 
 __all__ = ["GadgetSmoothingResult", "gadget_style_density"]
 
@@ -65,7 +65,6 @@ def gadget_style_density(
     last_neighbors: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
     total = TraversalStats()
     per_round: list[TraversalStats] = []
-    engine = get_traverser("per-bucket")
     rounds = 0
 
     for _ in range(max_rounds):
@@ -75,13 +74,10 @@ def gadget_style_density(
         rounds += 1
         # Ball-search only buckets containing unconverged particles.
         radii = np.where(active, h, 0.0)
-        visitor = BallSearchVisitor(tree, radii, include_self=False)
-        leaf_of = tree.leaf_of_particle()
-        target_leaves = np.unique(leaf_of[active])
-        stats = engine.traverse(tree, visitor, target_leaves)
+        target_leaves = np.unique(tree.leaf_of_particle()[active])
+        lists, stats = ball_search(tree, radii, targets=target_leaves)
         per_round.append(stats)
         total.merge(stats)
-        lists = visitor.neighbor_lists()
         for i in np.flatnonzero(active):
             nbrs = lists[i]
             counts[i] = len(nbrs)

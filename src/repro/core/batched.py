@@ -33,6 +33,11 @@ call.  The engine cuts in two places, each against one module constant:
 A single target whose own pairs exceed a bound cannot be cut and runs as
 one piece.  The same argument makes the engine bit-identical across exec
 backends and worker counts: chunking targets is one more cut.
+
+:func:`walk_frontier` is that walk for any target-major frontier.  This
+engine starts it from one ``(root, target)`` pair per target; the
+up-and-down engine (:mod:`repro.core.upanddown`) starts it once per round
+from the unvisited siblings along every target's path to the root.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .traverser import (Recorder, TraversalStats, Traverser, record_pairs,
 from .util import ranges_to_indices
 from .visitor import Visitor
 
-__all__ = ["BatchedTraverser", "SEGMENT_PAIRS", "SLICE_ROWS"]
+__all__ = ["BatchedTraverser", "walk_frontier", "SEGMENT_PAIRS", "SLICE_ROWS"]
 
 #: Most pairs one frontier segment holds after expansion, and most expanded
 #: particle rows one ``node_pairs``/``leaf_pairs`` call receives.  Constants,
@@ -99,6 +104,71 @@ def cut_at_targets(targets: np.ndarray, weights: np.ndarray, budget: int) -> lis
     return cuts
 
 
+def walk_frontier(tree: Tree, visitor: Visitor, sources: np.ndarray, targets: np.ndarray,
+                  stats: TraversalStats, recorder: Recorder | None) -> None:
+    """Walk the target-major pair frontier ``(sources, targets)`` to the
+    bottom of the tree, depth-first over segments and breadth-first inside
+    one, counting into ``stats``.  A target's pairs at one level meet the
+    visitor only after all its pairs of the levels above have."""
+    _prime_allocator()
+    first_child = tree.first_child
+    n_children = tree.n_children
+    counts = tree.pend - tree.pstart
+
+    def in_slices(kind, sources, targets, rows):
+        """``visitor.<kind>_pairs`` over slices of at most SLICE_ROWS."""
+        if recorder is not None:
+            record_pairs(recorder, kind, tree, sources, targets)
+        hook = getattr(visitor, f"{kind}_pairs")
+        cuts = cut_at_targets(targets, rows, SLICE_ROWS)
+        for a, b in zip(cuts, cuts[1:]):
+            hook(tree, sources[a:b], targets[a:b])
+
+    def advance(S, T):
+        """One level of one segment: MAC, node and leaf work; returns
+        the internal pairs still to expand (with their child counts)."""
+        # one source summary is loaded per pair
+        stats.nodes_visited += int(S.size)
+        stats.opens += int(S.size)
+        if recorder is not None:
+            record_pairs(recorder, "open", tree, S, T)
+        mask = np.asarray(visitor.open_pairs(tree, S, T), dtype=bool)
+
+        closed_s, closed_t = S[~mask], T[~mask]
+        if closed_s.size:
+            rows = counts[closed_t]
+            stats.node_interactions += int(closed_s.size)
+            stats.pn_interactions += int(rows.sum())
+            in_slices("node", closed_s, closed_t, rows)
+
+        open_s, open_t = S[mask], T[mask]
+        leaf_mask = first_child[open_s] == -1
+        leaf_s, leaf_t = open_s[leaf_mask], open_t[leaf_mask]
+        if leaf_s.size:
+            rows = counts[leaf_s] * counts[leaf_t]
+            stats.leaf_interactions += int(leaf_s.size)
+            stats.pp_interactions += int(rows.sum())
+            in_slices("leaf", leaf_s, leaf_t, rows)
+
+        int_s = open_s[~leaf_mask]
+        return int_s, open_t[~leaf_mask], n_children[int_s]
+
+    # Unexpanded internal pairs, first piece on top.
+    stack = [advance(sources, targets)]
+    while stack:
+        int_s, int_t, nc = stack.pop()
+        if not int_s.size:
+            continue
+        cuts = cut_at_targets(int_t, nc, SEGMENT_PAIRS)
+        if len(cuts) > 2:
+            stack.extend((int_s[a:b], int_t[a:b], nc[a:b])
+                         for a, b in zip(cuts[-2::-1], cuts[:0:-1]))
+            continue
+        first = first_child[int_s]
+        stack.append(advance(ranges_to_indices(first, first + nc),
+                             np.repeat(int_t, nc)))
+
+
 class BatchedTraverser(Traverser):
     """Breadth-first over (source, target) pair segments of bounded work."""
 
@@ -113,66 +183,9 @@ class BatchedTraverser(Traverser):
     ) -> TraversalStats:
         targets = self._resolve_targets(tree, targets)
         stats = TraversalStats(targets=len(targets))
-        if not targets.size:
-            return stats
-        _prime_allocator()
-        first_child = tree.first_child
-        n_children = tree.n_children
-        counts = tree.pend - tree.pstart
-
-        def in_slices(kind, sources, targets, rows):
-            """``visitor.<kind>_pairs`` over slices of at most SLICE_ROWS."""
-            if recorder is not None:
-                record_pairs(recorder, kind, tree, sources, targets)
-            hook = getattr(visitor, f"{kind}_pairs")
-            cuts = cut_at_targets(targets, rows, SLICE_ROWS)
-            for a, b in zip(cuts, cuts[1:]):
-                hook(tree, sources[a:b], targets[a:b])
-
-        def advance(S, T):
-            """One level of one segment: MAC, node and leaf work; returns
-            the internal pairs still to expand (with their child counts)."""
-            # one source summary is loaded per pair
-            stats.nodes_visited += int(S.size)
-            stats.opens += int(S.size)
-            if recorder is not None:
-                record_pairs(recorder, "open", tree, S, T)
-            mask = np.asarray(visitor.open_pairs(tree, S, T), dtype=bool)
-
-            closed_s, closed_t = S[~mask], T[~mask]
-            if closed_s.size:
-                rows = counts[closed_t]
-                stats.node_interactions += int(closed_s.size)
-                stats.pn_interactions += int(rows.sum())
-                in_slices("node", closed_s, closed_t, rows)
-
-            open_s, open_t = S[mask], T[mask]
-            leaf_mask = first_child[open_s] == -1
-            leaf_s, leaf_t = open_s[leaf_mask], open_t[leaf_mask]
-            if leaf_s.size:
-                rows = counts[leaf_s] * counts[leaf_t]
-                stats.leaf_interactions += int(leaf_s.size)
-                stats.pp_interactions += int(rows.sum())
-                in_slices("leaf", leaf_s, leaf_t, rows)
-
-            int_s = open_s[~leaf_mask]
-            return int_s, open_t[~leaf_mask], n_children[int_s]
-
-        # Unexpanded internal pairs, first piece on top.
-        stack = [advance(np.full(targets.size, tree.root, dtype=np.int64),
-                         targets.astype(np.int64, copy=False))]
-        while stack:
-            int_s, int_t, nc = stack.pop()
-            if not int_s.size:
-                continue
-            cuts = cut_at_targets(int_t, nc, SEGMENT_PAIRS)
-            if len(cuts) > 2:
-                stack.extend((int_s[a:b], int_t[a:b], nc[a:b])
-                             for a, b in zip(cuts[-2::-1], cuts[:0:-1]))
-                continue
-            first = first_child[int_s]
-            stack.append(advance(ranges_to_indices(first, first + nc),
-                                 np.repeat(int_t, nc)))
+        if targets.size:
+            walk_frontier(tree, visitor, np.full(targets.size, tree.root, dtype=np.int64),
+                          targets.astype(np.int64, copy=False), stats, recorder)
         return stats
 
 

@@ -21,7 +21,10 @@ explicitly; everything else takes ``Configuration.traverser``.  The others:
 
 * :class:`~repro.core.upanddown.UpAndDownTraverser` — top-down passes from
   each node on the leaf-to-root path; for criteria that tighten during the
-  traversal (kNN).
+  traversal (kNN).  Round-synchronous: every target bucket's walk advances
+  together, one round per path node, on the batched engine's pair frontier
+  (same hooks, same budgets), and ``Visitor.done_targets`` retires the
+  finished targets between rounds.
 * :class:`~repro.core.dualtree.DualTreeTraverser` — node-node interactions
   controlled by ``cell()``.
 

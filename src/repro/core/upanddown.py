@@ -1,4 +1,4 @@
-"""Up-and-down traversal (paper §II-A-2).
+"""Up-and-down traversal (paper §II-A-2), round-synchronous.
 
 "A second type of traversal, called up-and-down, does a top-down traversal
 iteratively from each node on the path from the leaf to the root.  This
@@ -8,9 +8,20 @@ the traversal, as with k-nearest neighbors."
 Starting at the target's own leaf guarantees the nearest candidates are seen
 first, so the Visitor's pruning radius tightens before distant subtrees are
 considered.  When climbing, only the *siblings* of the already-visited child
-are descended, so no node is evaluated twice.  The Visitor's ``done()`` hook
-allows early exit once the criterion is satisfied (e.g. the kNN ball no
-longer crosses the visited region's boundary).
+are descended, so no node is evaluated twice.  The Visitor's
+``done_targets`` hook allows early exit once the criterion is satisfied
+(e.g. the kNN ball no longer crosses the visited region's boundary).
+
+The walks of different target buckets never read each other's state, so they
+advance together.  In round *r* every still-active target descends from the
+unvisited siblings of its path node at height *r* (round 0: its own leaf):
+one target-major pair frontier for all of them, walked to the bottom by the
+batched engine's :func:`~repro.core.batched.walk_frontier` — same hooks, same
+segment and slice budgets.  Then ``done_targets`` retires the finished
+targets and the rest climb one parent.  A target's pairs still reach the
+visitor in the order of a walk of that target alone (round by round, level
+by level, a level's open test after the leaves of the levels above), so what
+it computes cannot depend on which other targets share the call.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..trees import Tree
+from .batched import walk_frontier
 from .traverser import Recorder, TraversalStats, Traverser, register_traverser
 from .util import ranges_to_indices
 from .visitor import Visitor
@@ -35,75 +47,22 @@ class UpAndDownTraverser(Traverser):
         targets: np.ndarray | None = None,
         recorder: Recorder | None = None,
     ) -> TraversalStats:
-        targets = self._resolve_targets(tree, targets)
-        stats = TraversalStats(targets=len(targets))
+        active = self._resolve_targets(tree, targets).astype(np.int64, copy=False)
+        stats = TraversalStats(targets=len(active))
         parent = tree.parent
-        first_child = tree.first_child
-        n_children = tree.n_children
-
-        for tgt in targets:
-            tgt = int(tgt)
-            current = tgt
-            prev = -1
-            while current != -1:
-                if prev == -1:
-                    roots = np.array([current], dtype=np.int64)
-                else:
-                    fc = first_child[current]
-                    roots = np.arange(fc, fc + n_children[current], dtype=np.int64)
-                    roots = roots[roots != prev]
-                if roots.size:
-                    self._descend(tree, visitor, roots, tgt, stats, recorder)
-                visitor.path_advanced(tree.node(tgt), tree.node(current))
-                if visitor.done(tree.node(tgt)):
-                    break
-                prev = current
-                current = int(parent[current])
+        path = sources = pair_targets = active
+        while active.size:
+            if sources.size:
+                walk_frontier(tree, visitor, sources, pair_targets, stats, recorder)
+            climbing = ~np.asarray(visitor.done_targets(tree, active, path), dtype=bool)
+            climbing &= parent[path] != -1
+            active, visited = active[climbing], path[climbing]
+            path = parent[visited]
+            first, nc = tree.first_child[path], tree.n_children[path]
+            sources = ranges_to_indices(first, first + nc)
+            unvisited = sources != np.repeat(visited, nc)
+            sources, pair_targets = sources[unvisited], np.repeat(active, nc)[unvisited]
         return stats
-
-    @staticmethod
-    def _descend(
-        tree: Tree,
-        visitor: Visitor,
-        roots: np.ndarray,
-        tgt: int,
-        stats: TraversalStats,
-        recorder: Recorder | None,
-    ) -> None:
-        """Standard top-down pass from ``roots`` toward one target bucket."""
-        first_child = tree.first_child
-        n_children = tree.n_children
-        counts = tree.pend - tree.pstart
-        tgt_count = int(counts[tgt])
-        frontier = roots
-        while frontier.size:
-            stats.nodes_visited += int(frontier.size)
-            stats.opens += int(frontier.size)
-            if recorder is not None:
-                recorder.on_open(tree, frontier, np.array([tgt]))
-            mask = np.asarray(visitor.open_sources(tree, frontier, tgt), dtype=bool)
-            closed = frontier[~mask]
-            if closed.size:
-                stats.node_interactions += int(closed.size)
-                stats.pn_interactions += int(closed.size) * tgt_count
-                if recorder is not None:
-                    recorder.on_node(tree, closed, np.array([tgt]))
-                visitor.node_sources(tree, closed, tgt)
-            opened = frontier[mask]
-            if not opened.size:
-                return
-            leaf_mask = first_child[opened] == -1
-            leaves = opened[leaf_mask]
-            if leaves.size:
-                stats.leaf_interactions += int(leaves.size)
-                stats.pp_interactions += int(counts[leaves].sum()) * tgt_count
-                if recorder is not None:
-                    recorder.on_leaf(tree, leaves, np.array([tgt]))
-                visitor.leaf_sources(tree, leaves, tgt)
-            internal = opened[~leaf_mask]
-            frontier = ranges_to_indices(
-                first_child[internal], first_child[internal] + n_children[internal]
-            )
 
 
 register_traverser(UpAndDownTraverser.name, UpAndDownTraverser)

@@ -13,10 +13,12 @@ A Visitor tells a traversal when to prune and what to do at each step:
 
 The scalar methods operate on :class:`~repro.trees.SpatialNode` views, just
 like the C++ templates in the paper's Fig 7.  The batched hooks
-(``open_batch``/``node_batch``/``leaf_batch`` over many targets, and the
-``*_sources`` mirror over many sources) let vectorised engines amortise the
-interpreter cost; their default implementations fall back to the scalar
-methods, so a minimal paper-style visitor works with every engine.
+(``open_batch``/``node_batch``/``leaf_batch`` over many targets, the
+``*_sources`` mirror over many sources, ``*_pairs`` over flat pair arrays,
+and ``done_targets`` for the up-and-down engine's early exit) let vectorised
+engines amortise the interpreter cost; their default implementations fall
+back to the scalar methods, so a minimal paper-style visitor works with
+every engine.
 """
 
 from __future__ import annotations
@@ -80,6 +82,18 @@ class Visitor:
         ``done`` is consulted.  Lets the visitor track how much space has
         been covered (kNN containment test)."""
 
+    def done_targets(self, tree: Tree, targets: np.ndarray, path_nodes: np.ndarray) -> np.ndarray:
+        """Up-and-down only, once per round: target ``targets[i]`` has just
+        finished the top-down pass rooted at ``path_nodes[i]``; True retires
+        it.  Default: the scalar ``path_advanced`` then ``done``, target by
+        target; vectorised visitors override it with one array test."""
+        out = np.empty(len(targets), dtype=bool)
+        for i, (t, p) in enumerate(zip(targets.tolist(), path_nodes.tolist())):
+            target = tree.node(t)
+            self.path_advanced(target, tree.node(p))
+            out[i] = self.done(target)
+        return out
+
     # -- batched over targets (one source node, many target leaves) --------
     def open_batch(self, tree: Tree, source: int, targets: np.ndarray) -> np.ndarray:
         src = tree.node(source)
@@ -99,9 +113,10 @@ class Visitor:
         for t in targets:
             self.leaf(src, tree.node(int(t)))
 
-    # -- batched over (source, target) pairs (the "batched" engine) --------
-    # The level-synchronous engine carries its frontier as flat, target-major
-    # pair arrays and hands them over in slices cut between targets.
+    # -- batched over (source, target) pairs (the "batched" and
+    # "up-and-down" engines) ----------------------------------------------
+    # Both carry their frontier as flat, target-major pair arrays and hand
+    # them over in slices cut between targets.
     # Defaults group the pairs by source (stable, so per-target ordering is
     # deterministic) and delegate to the *_batch hooks — every existing
     # visitor works unchanged; vectorised visitors override these with the
@@ -121,7 +136,8 @@ class Visitor:
         for src, idx in _group_pairs_by_source(sources):
             self.leaf_batch(tree, src, targets[idx])
 
-    # -- batched over sources (many source nodes, one target leaf) ---------
+    # -- batched over sources (many source nodes, one target leaf): the
+    # per-bucket ordering --------------------------------------------------
     def open_sources(self, tree: Tree, sources: np.ndarray, target: int) -> np.ndarray:
         tgt = tree.node(target)
         return np.fromiter(

@@ -3,10 +3,12 @@
 The batched traversal engine (:mod:`repro.core.batched`) carries its
 frontier as flat ``(source, target)`` pair arrays and hands them over in
 slices of bounded work.  The kernels here evaluate one slice per call: the
-MAC acceptance test, the monopole/quadrupole/leaf gravity accumulation,
-neighbour-candidate distances (kNN), and the kernel-weighted density gather.
+MAC acceptance test, the monopole/quadrupole/leaf gravity accumulation, and
+the neighbour-search pair (the one squared-distance kernel, and the
+segmented k-nearest merge behind the up-and-down engine's ``leaf_pairs``).
 
-Two implementations exist for every kernel:
+Two implementations exist for every gravity kernel (the neighbour kernels
+are numpy only):
 
 * a **numpy** fallback that reduces per-row partial sums strictly
   sequentially in pair order (``np.bincount`` walks its input in order)
@@ -40,7 +42,7 @@ __all__ = [
     "accumulate_pp",
     "accumulate_pp_potential",
     "pair_dist_sq",
-    "scatter_add_1d",
+    "merge_nearest",
 ]
 
 try:  # pragma: no cover - exercised only where numba is installed
@@ -451,54 +453,70 @@ def accumulate_quadrupole(accel, rows, pos, center, mass, quad, G=1.0, softening
 
 
 # ---------------------------------------------------------------------------
-# kNN / density primitives.
+# Neighbour search: the one squared-distance kernel, and the segmented
+# k-nearest merge of the up-and-down engine's leaf pairs.
+#
+# Every neighbour distance in the repo — kNN and ball visitors and their
+# brute-force references — is ``pair_dist_sq``: differences by coordinate,
+# squares summed x, y, z.  Two codes that agree on the operation order agree
+# on the bits, so "equal to brute force" can be asserted with ``atol=0``.
+# Numpy only: a numba leg would have to be run against this one bit for bit
+# before it could be trusted, and no build here has numba.
 # ---------------------------------------------------------------------------
 
-def _pair_dist_sq_np(positions, rows_a, rows_b):
-    d = positions[rows_a] - positions[rows_b]
-    return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
-
-
-if HAVE_NUMBA:  # pragma: no cover - numba-only leg
-    @_njit(cache=True)
-    def _pair_dist_sq_nb(positions, rows_a, rows_b):
-        n = rows_a.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for k in range(n):
-            a = rows_a[k]
-            b = rows_b[k]
-            dx = positions[a, 0] - positions[b, 0]
-            dy = positions[a, 1] - positions[b, 1]
-            dz = positions[a, 2] - positions[b, 2]
-            out[k] = dx * dx + dy * dy + dz * dz
-        return out
-
-
 def pair_dist_sq(positions, rows_a, rows_b):
-    """Squared distance of each (a, b) particle-row pair — the kNN candidate
-    evaluation, flattened over the whole frontier."""
-    if numba_enabled():  # pragma: no cover - numba-only leg
-        return _pair_dist_sq_nb(
-            np.ascontiguousarray(positions),
-            np.ascontiguousarray(rows_a), np.ascontiguousarray(rows_b),
-        )
-    return _pair_dist_sq_np(positions, rows_a, rows_b)
+    """Squared distance of each ``(a, b)`` particle-row pair.  The row
+    arrays broadcast against each other, so ``rows_a[:, None]`` against
+    ``rows_b[None, :]`` is the all-pairs matrix."""
+    pos = components(positions)
+    return _separation([c[rows_a] for c in pos], [c[rows_b] for c in pos])[1]
 
 
-if HAVE_NUMBA:  # pragma: no cover - numba-only leg
-    @_njit(cache=True)
-    def _scatter_add_1d_nb(out, rows, values):
-        for k in range(rows.shape[0]):
-            out[rows[k]] += values[k]
+def merge_nearest(dist_sq, index, positions, tstart, tend, sstart, send):
+    """Merge candidate neighbours into running k-nearest rows.
 
+    Pair ``p`` offers the particles ``[sstart[p], send[p])`` to every target
+    row in ``[tstart[p], tend[p])``; pairs are target-major, so the pairs of
+    one target bucket are adjacent.  ``dist_sq``/``index`` are the ``(N, k)``
+    running lists, every row ascending in ``(dist_sq, index)`` with unused
+    slots ``(inf, -1)`` — an invariant this function keeps.  A row never
+    meets its own particle, and no candidate twice.
 
-def scatter_add_1d(out, rows, values):
-    """``out[rows[k]] += values[k]`` sequentially in k — the density (and any
-    other per-particle scalar) gather.  ``np.add.at`` semantics exactly."""
-    if numba_enabled():  # pragma: no cover - numba-only leg
-        _scatter_add_1d_nb(
-            out, np.ascontiguousarray(rows),
-            np.ascontiguousarray(np.asarray(values, dtype=out.dtype)),
-        )
-    else:
-        np.add.at(out, rows, values)
+    Selection and order are lexicographic in ``(dist_sq, index)``, so the
+    result is the k smallest such tuples seen so far: a function of the
+    candidate *set*, not of how a caller batches pairs into calls.  Only
+    candidates below a row's current k-th tuple can enter it; they are
+    gathered into one padded matrix next to the rows they improve and each
+    row is sorted once.
+
+    Returns ``(first, radius_sq)``: the position of each target bucket's
+    first pair, and the largest k-th distance among that bucket's rows.
+    """
+    from ..core.util import ranges_to_indices
+
+    k = dist_sq.shape[1]
+    t_rows, s_rows = expand_pair_products(tstart, tend, sstart, send)
+    d2 = pair_dist_sq(positions, t_rows, s_rows)
+    kth_d, kth_i = dist_sq[t_rows, -1], index[t_rows, -1]
+    enters = (d2 < kth_d) | ((d2 == kth_d) & (s_rows < kth_i))
+    enters &= t_rows != s_rows
+    entering = np.flatnonzero(enters)
+    if entering.size:
+        # group the entering candidates by row (a row's pairs repeat it)
+        entering = entering[np.argsort(t_rows[entering], kind="stable")]
+        t_in, s_in, d_in = t_rows[entering], s_rows[entering], d2[entering]
+        rows, starts, per_row = np.unique(t_in, return_index=True, return_counts=True)
+        local = np.repeat(np.arange(rows.size), per_row)
+        column = k + np.arange(t_in.size) - np.repeat(starts, per_row)
+        width = k + int(per_row.max())
+        d_all = np.full((rows.size, width), np.inf)
+        i_all = np.full((rows.size, width), -1, dtype=np.int64)
+        d_all[:, :k], i_all[:, :k] = dist_sq[rows], index[rows]
+        d_all[local, column], i_all[local, column] = d_in, s_in
+        keep = np.lexsort((i_all, d_all), axis=1)[:, :k]
+        dist_sq[rows] = np.take_along_axis(d_all, keep, axis=1)
+        index[rows] = np.take_along_axis(i_all, keep, axis=1)
+    first = np.flatnonzero(np.r_[True, tstart[1:] != tstart[:-1]])
+    bucket_rows = ranges_to_indices(tstart[first], tend[first])
+    offsets = np.cumsum(tend[first] - tstart[first]) - (tend[first] - tstart[first])
+    return first, np.maximum.reduceat(dist_sq[bucket_rows, -1], offsets)

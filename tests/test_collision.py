@@ -152,6 +152,30 @@ class TestDetector:
         assert got == expect
 
 
+    def test_events_do_not_depend_on_the_ball_search_engine(self, monkeypatch):
+        """Events come out in (i, j) order with values computed from the
+        (i, j) pair, so the engine that gathered the candidates — and the
+        order it visited them in — leaves no trace."""
+        import functools
+
+        from repro.apps.collision import detector
+        from repro.apps.knn import ball_search
+
+        disk = keplerian_disk(800, params=DiskParams(planetesimal_radius=6e-3), seed=4)
+        tree = build_tree(disk, tree_type="longest", bucket_size=8)
+        default, _ = detect_collisions(tree, dt=0.02, exclude_types=disk.ptype != 0)
+        monkeypatch.setattr(detector, "ball_search",
+                            functools.partial(ball_search, traverser="per-bucket"))
+        per_bucket, _ = detect_collisions(tree, dt=0.02, exclude_types=disk.ptype != 0)
+        assert len(default) > 3
+        keys = [(e.i, e.j) for e in default]
+        assert keys == sorted(keys)
+        assert keys == [(e.i, e.j) for e in per_bucket]
+        for a, b in zip(default, per_bucket):
+            assert (a.time, a.distance) == (b.time, b.distance)
+            assert a.position.tobytes() == b.position.tobytes()
+
+
 class TestPlanetesimalDriver:
     def _driver(self, merge=False, n=600, steps=5):
         params = DiskParams(planetesimal_radius=6e-3, eccentricity_dispersion=0.02)

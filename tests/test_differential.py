@@ -72,8 +72,8 @@ def knn_setup(k):
         return KNNVisitor(t, k)
 
     def collect(v):
-        # raw (unsorted) neighbour state: the strictest comparison
-        return {"dist_sq": v.dist_sq, "index": v.index, "kth_sq": v.kth_sq}
+        # the visitor's whole state: the strictest comparison
+        return {"dist_sq": v.dist_sq, "index": v.index, "radius_sq": v.radius_sq}
 
     return make, collect
 
@@ -104,13 +104,11 @@ class TestKNNDifferential:
         make, collect = knn_setup(k=6)
         base = differential_matrix(small_tree, "up-and-down", make, collect,
                                    workers=WORKER_COUNTS, expect_parallel=True)
-        # and the serial oracle itself is right
-        dist, _ = brute_force_knn(small_tree.particles.position, 6)
-        order = np.argsort(base.outputs["dist_sq"], axis=1)
-        rows = np.arange(small_tree.n_particles)[:, None]
-        np.testing.assert_allclose(
-            base.outputs["dist_sq"][rows, order], dist, rtol=0, atol=0
-        )
+        # and the serial oracle itself is right: one distance kernel and one
+        # (dist, index) order, so equality with brute force is exact
+        dist, index = brute_force_knn(small_tree.particles.position, 6)
+        assert base.outputs["dist_sq"].tobytes() == dist.tobytes()
+        assert base.outputs["index"].tobytes() == index.tobytes()
 
     def test_public_api_backend_kwarg(self, small_tree):
         serial = knn_search(small_tree, 5)
@@ -506,26 +504,56 @@ class TestBatchedKernelsGolden:
                       target_positions=[c[5:30] for c in components(positions)])
         assert view.tobytes() == whole.tobytes()
 
-    def test_pair_dist_sq_and_scatter(self):
-        from repro.trees.kernels import pair_dist_sq, scatter_add_1d
+    def test_pair_dist_sq_matches_scalar_loop(self):
+        from repro.trees.kernels import components, pair_dist_sq
 
         rng = np.random.default_rng(9)
         positions = rng.random((40, 3))
         a = rng.integers(0, 40, size=200)
         b = rng.integers(0, 40, size=200)
-        got = pair_dist_sq(positions, a, b)
-        want = np.array([
-            ((positions[a[k]] - positions[b[k]]) ** 2).tolist()
-            for k in range(200)
-        ]).sum(axis=1)
-        np.testing.assert_allclose(got, want, rtol=0, atol=0)
+        want = np.empty(200)
+        for k in range(200):
+            dx, dy, dz = (positions[a[k]] - positions[b[k]]).tolist()
+            want[k] = dx * dx + dy * dy + dz * dz
+        assert pair_dist_sq(positions, a, b).tobytes() == want.tobytes()
+        assert pair_dist_sq(components(positions), a, b).tobytes() == want.tobytes()
+        every = np.arange(40)
+        assert np.array_equal(pair_dist_sq(positions, every[:, None], every[None, :])[a, b], want)
 
-        out = np.zeros(40)
-        vals = rng.random(200)
-        scatter_add_1d(out, a, vals)
-        ref = np.zeros(40)
-        np.add.at(ref, a, vals)
-        assert out.tobytes() == ref.tobytes()
+    def test_merge_nearest_matches_sorted_lists(self):
+        """The k-nearest merge against per-row Python lists of ``(dist, index)``
+        tuples kept sorted — on a lattice, so most distances tie — whatever
+        way the candidate pairs are batched into calls."""
+        from repro.trees.kernels import merge_nearest, pair_dist_sq
+
+        rng = np.random.default_rng(13)
+        positions = rng.integers(0, 3, size=(60, 3)).astype(float)
+        k = 5
+        # three target buckets, each offered several candidate ranges
+        pairs = [(t, s) for t in ((0, 7), (7, 8), (20, 31))
+                 for s in ((40, 60), (0, 9), (9, 9), (25, 40), (9, 25))]
+        tstart, tend, sstart, send = (np.array(c) for c in zip(*((*t, *s) for t, s in pairs)))
+        want = {}
+        for (t0, t1), (s0, s1) in pairs:
+            for t in range(t0, t1):
+                d2 = pair_dist_sq(positions, np.full(s1 - s0, t), np.arange(s0, s1))
+                want.setdefault(t, []).extend(
+                    (d, s) for d, s in zip(d2.tolist(), range(s0, s1)) if s != t)
+        for cuts in ([0, 15], [0, 5, 10, 15], [0, 10, 15]):
+            dist_sq = np.full((60, k), np.inf)
+            index = np.full((60, k), -1, dtype=np.int64)
+            for a, b in zip(cuts, cuts[1:]):
+                first, radius_sq = merge_nearest(dist_sq, index, positions, tstart[a:b],
+                                                 tend[a:b], sstart[a:b], send[a:b])
+                assert first.tolist() == list(range(0, b - a, 5))
+                assert radius_sq.tolist() == [dist_sq[t0:t1, -1].max()
+                                              for t0, t1 in zip(tstart[a:b:5], tend[a:b:5])]
+            for t, seen in want.items():
+                best = sorted(seen)[:k]
+                assert dist_sq[t].tolist() == [d for d, _ in best]
+                assert index[t].tolist() == [s for _, s in best]
+            untouched = np.setdiff1d(np.arange(60), list(want))
+            assert np.isinf(dist_sq[untouched]).all() and (index[untouched] == -1).all()
 
     def test_expand_pair_products_matches_nested_loops(self):
         from repro.trees.kernels import expand_pair_products

@@ -11,6 +11,7 @@ from repro.apps.knn import (
     brute_force_knn,
     knn_search,
 )
+from repro.core import get_traverser
 from repro.particles import ParticleSet, clustered_clumps, uniform_cube
 from repro.trees import build_tree
 
@@ -78,6 +79,89 @@ class TestKNN:
             assert np.allclose(res.dist_sq[s:e], bf_d[s:e])
 
 
+def lattice():
+    g = np.arange(8.0)
+    return np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def duplicated():
+    # every point five times, on a dyadic grid so all distances are exact
+    rng = np.random.default_rng(21)
+    return np.repeat(rng.integers(0, 64, size=(60, 3)) / 64.0, 5, axis=0)
+
+
+def canonical_knn(pos, k):
+    """Brute force, rows in (dist_sq, index) order, written out here so the
+    expectation shares no code with the search."""
+    delta = pos[None, :, :] - pos[:, None, :]
+    d2 = (delta * delta).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    order = np.lexsort((np.broadcast_to(np.arange(len(pos)), d2.shape), d2), axis=1)[:, :k]
+    return np.take_along_axis(d2, order, axis=1), order
+
+
+CHUNKINGS = {
+    "whole": lambda leaves: [leaves],
+    "halves": lambda leaves: np.array_split(leaves, 2),
+    "sevenths": lambda leaves: np.array_split(leaves, 7),
+    "reversed": lambda leaves: [leaves[::-1]],
+}
+
+
+@pytest.mark.parametrize("tree_type", ["oct", "kd", "longest"])
+@pytest.mark.parametrize("points", [lattice, duplicated])
+class TestCanonicalTieOrder:
+    """Equal distances are ordered by neighbour index — at the k-th place
+    too, where it decides *which* of the tied candidates is a neighbour —
+    whatever other target buckets share a call."""
+
+    K = 6
+
+    def tree(self, points, tree_type):
+        return build_tree(ParticleSet(points()), tree_type=tree_type, bucket_size=8)
+
+    def test_knn_search_rows_equal_brute_force_order(self, points, tree_type):
+        tree = self.tree(points, tree_type)
+        want_d, want_i = canonical_knn(tree.particles.position, self.K)
+        res = knn_search(tree, self.K)
+        assert np.array_equal(res.dist_sq, want_d)
+        assert np.array_equal(res.index, want_i)
+        bf_d, bf_i = brute_force_knn(tree.particles.position, self.K)
+        assert np.array_equal(bf_d, want_d) and np.array_equal(bf_i, want_i)
+
+    @pytest.mark.parametrize("chunking", sorted(CHUNKINGS))
+    def test_any_target_chunking(self, points, tree_type, chunking):
+        tree = self.tree(points, tree_type)
+        want_d, want_i = canonical_knn(tree.particles.position, self.K)
+        visitor = KNNVisitor(tree, self.K)
+        engine = get_traverser("up-and-down")
+        for chunk in CHUNKINGS[chunking](tree.leaf_indices):
+            engine.traverse(tree, visitor, chunk)
+        assert np.array_equal(visitor.dist_sq, want_d)
+        assert np.array_equal(visitor.index, want_i)
+
+    def test_agrees_with_the_point_query(self, points, tree_type):
+        """``serve.kernels.knn_point`` orders its reply the same way; a point
+        query for k + 1 also finds the particle itself.  (Rows whose cut
+        falls inside a tie are left out: the point query does not yet choose
+        among those canonically.)"""
+        from repro.serve.kernels import knn_point
+
+        tree = self.tree(points, tree_type)
+        pos = tree.particles.position
+        checked = 0
+        for k in (4, self.K):
+            d2, _ = canonical_knn(pos, k + 1)
+            res = knn_search(tree, k)
+            for i in np.flatnonzero(d2[:, k - 1] < d2[:, k])[::7]:
+                idx, dist = knn_point(tree, pos[i], k + 1)
+                others = idx != i
+                assert np.array_equal(idx[others], res.index[i])
+                assert np.array_equal(dist[others], res.dist_sq[i])
+                checked += 1
+        assert checked
+
+
 class TestBallSearch:
     def test_matches_brute_force(self, tree):
         lists, _ = ball_search(tree, 0.11)
@@ -108,6 +192,19 @@ class TestBallSearch:
             BallSearchVisitor(tree, -np.ones(tree.n_particles))
         with pytest.raises(ValueError):
             BallSearchVisitor(tree, np.ones(3))
+
+    def test_lists_are_ascending_whatever_the_engine(self, tree):
+        """The output is a function of the data: every list ascending, and
+        the same under every engine's visit order."""
+        rng = np.random.default_rng(1)
+        radii = rng.uniform(0.02, 0.15, tree.n_particles)
+        default, stats = ball_search(tree, radii)
+        assert all(np.all(np.diff(l) > 0) for l in default)
+        for engine in ("per-bucket", "transposed"):
+            lists, other = ball_search(tree, radii, traverser=engine)
+            assert all(np.array_equal(a, b) for a, b in zip(default, lists))
+            assert other.pp_interactions == stats.pp_interactions
+            assert other.opens == stats.opens
 
     def test_symmetry(self, tree):
         """Uniform radius: i in N(j) iff j in N(i)."""

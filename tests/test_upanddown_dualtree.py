@@ -19,7 +19,7 @@ class CountingVisitor(Visitor):
 
     def __init__(self, tree):
         self.tree = tree
-        self.leaf_pairs: set[tuple[int, int]] = set()
+        self.leaf_seen: set[tuple[int, int]] = set()
         self.node_calls = 0
         self.path_log: list[tuple[int, int]] = []
 
@@ -30,7 +30,7 @@ class CountingVisitor(Visitor):
         self.node_calls += 1
 
     def leaf(self, source, target):
-        self.leaf_pairs.add((source.index, target.index))
+        self.leaf_seen.add((source.index, target.index))
 
     def path_advanced(self, target, path_node):
         self.path_log.append((target.index, path_node.index))
@@ -44,7 +44,7 @@ class TestUpAndDown:
         get_traverser("up-and-down").traverse(tree, visitor)
         leaves = tree.leaf_indices
         expected = {(int(s), int(t)) for t in leaves for s in leaves}
-        assert visitor.leaf_pairs == expected
+        assert visitor.leaf_seen == expected
 
     def test_never_calls_node_when_all_open(self, tree):
         visitor = CountingVisitor(tree)
@@ -70,7 +70,7 @@ class TestUpAndDown:
         visitor = StopAfterSelf(tree)
         tgt = int(tree.leaf_indices[3])
         get_traverser("up-and-down").traverse(tree, visitor, np.array([tgt]))
-        assert visitor.leaf_pairs == {(tgt, tgt)}
+        assert visitor.leaf_seen == {(tgt, tgt)}
 
     def test_gravity_equivalence(self, tree):
         """The same visitor produces the same physics under up-and-down."""
@@ -100,7 +100,7 @@ class TestDualTree:
         get_traverser("dual-tree").traverse(tree, visitor)
         leaves = tree.leaf_indices
         expected = {(int(s), int(t)) for t in leaves for s in leaves}
-        assert visitor.leaf_pairs == expected
+        assert visitor.leaf_seen == expected
 
     def test_cell_false_keeps_target(self, tree):
         """cell()==False must open only the source (B children, not B²),
@@ -116,8 +116,8 @@ class TestDualTree:
         # then fires on (source leaf, root-as-target) pairs only when the
         # root is a leaf — for a deep tree leaf() needs the target opened,
         # which only happens once the source is a leaf.
-        targets = {t for _, t in visitor.leaf_pairs}
-        sources = {s for s, _ in visitor.leaf_pairs}
+        targets = {t for _, t in visitor.leaf_seen}
+        sources = {s for s, _ in visitor.leaf_seen}
         assert sources == set(tree.leaf_indices.tolist())
         assert targets == set(tree.leaf_indices.tolist())
 
@@ -135,5 +135,5 @@ class TestDualTree:
     def test_stats_count_pairs(self, tree):
         visitor = CountingVisitor(tree)
         stats = get_traverser("dual-tree").traverse(tree, visitor)
-        assert stats.leaf_interactions == len(visitor.leaf_pairs)
+        assert stats.leaf_interactions == len(visitor.leaf_seen)
         assert stats.pp_interactions == tree.n_particles**2
