@@ -29,8 +29,11 @@ USER_CODE = [
 #: application's Driver.  ``limit`` is a ratchet CI enforces (``--budget``);
 #: later PRs lower it.
 FRAMEWORK_VS_USER = [
+    ("src/repro (all)", REPO / "src/repro", 15_030),
     ("repro CLI", REPO / "src/repro/__main__.py", 1000),
     ("core Driver", REPO / "src/repro/core/driver.py", 380),
+    ("core Visitor", REPO / "src/repro/core/visitor.py", 70),
+    ("GravityVisitor", REPO / "src/repro/apps/gravity/visitor.py", 140),
     ("gravity Driver", REPO / "src/repro/apps/gravity/solver.py", None),
     ("sph Driver", REPO / "src/repro/apps/sph/driver.py", None),
     ("knn Driver", REPO / "src/repro/apps/knn/driver.py", None),
@@ -40,7 +43,10 @@ FRAMEWORK_VS_USER = [
 
 
 def count_code_lines(path: pathlib.Path) -> int:
-    """Non-blank, non-comment, non-docstring lines (the paper counts code)."""
+    """Non-blank, non-comment, non-docstring lines (the paper counts code);
+    for a directory, of every ``*.py`` beneath it."""
+    if path.is_dir():
+        return sum(count_code_lines(p) for p in path.rglob("*.py"))
     lines = path.read_text().splitlines()
     count = 0
     in_doc = False
@@ -98,12 +104,13 @@ def test_table3_loc(benchmark):
     assert over_budget() == []
 
     # The productivity claim: each user artefact is a small file, the total
-    # stays within ~3x of the paper's 135 C++ lines (Python and C++ count
-    # differently; the order of magnitude is the claim), and the whole
+    # stays within 2x of the paper's 135 C++ lines (Python and C++ count
+    # differently; the order of magnitude is the claim — and the Visitor
+    # states its maths once, as the paper's does), and the whole
     # application is dwarfed by ChaNGa's 4500 lines.
     for name, count, _ in rows:
         assert count < 200, f"{name} has ballooned to {count} lines"
-    assert total < 3 * paper_reference.TABLE3_TOTAL_GRAVITY_LOC
+    assert total < 2 * paper_reference.TABLE3_TOTAL_GRAVITY_LOC
     assert total < 0.15 * paper_reference.TABLE3_CHANGA_LOC
 
 

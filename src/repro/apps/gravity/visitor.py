@@ -1,10 +1,13 @@
-"""``GravityVisitor`` (paper Fig 7) with vectorised batch hooks.
+"""``GravityVisitor`` (paper Fig 7), written once in the pair form.
 
-The scalar ``open``/``node``/``leaf`` follow the paper's listing exactly;
-the batched overrides implement the same math over slices of the pair
-frontier (batched engine, the default), whole target batches (transposed
-ordering) or source batches (per-bucket ordering), writing into one
-acceleration array aligned with tree order.
+``open_pairs`` is the MAC, ``node_pairs`` the centroid approximation and
+``leaf_pairs`` the exact bucket-bucket sum, each one frontier kernel of
+:mod:`repro.trees.kernels` over a slice of ``(source, target)`` pairs,
+accumulating into one acceleration array aligned with tree order.  Which
+pairs arrive together and in what order is the Traverser's business
+(batched, transposed, per-bucket, up-and-down: schedules over these three
+hooks); the scalar ``open``/``node``/``leaf`` the dual-tree engine calls are
+the base class's one-pair default.
 """
 
 from __future__ import annotations
@@ -15,15 +18,8 @@ import numpy as np
 
 from ...core.util import ranges_to_indices
 from ...core.visitor import Visitor
-from ...geometry import boxes_intersect_sphere, spheres_intersect_box
-from ...trees import SpatialNode, Tree
+from ...trees import Tree
 from .centroid import GravityNodeArrays
-from .kernels import (
-    pairwise_accel,
-    pairwise_potential,
-    point_mass_accel,
-    quadrupole_accel,
-)
 
 __all__ = ["GravityVisitor"]
 
@@ -100,49 +96,15 @@ class GravityVisitor(Visitor):
         if self.potential is not None:
             self.potential[rows] = outputs["potential"]
 
-    # -- scalar interface (paper Fig 7) -------------------------------------
-    def open(self, source: SpatialNode, target: SpatialNode) -> bool:
-        c = self.arrays.centroid[source.index]
-        rsq = self.arrays.open_radius_sq[source.index]
-        box = target.tree
-        return bool(
-            boxes_intersect_sphere(
-                box.box_lo[target.index], box.box_hi[target.index], c, rsq
-            )
-        )
-
-    def node(self, source: SpatialNode, target: SpatialNode) -> None:
-        self._apply_node(source.index, self._target_particles(target))
-
-    def leaf(self, source: SpatialNode, target: SpatialNode) -> None:
-        self._apply_leaf(source.index, self._target_particles(target))
-
-    # -- batched over targets (transposed engine) ----------------------------
-    def open_batch(self, tree: Tree, source: int, targets: np.ndarray) -> np.ndarray:
-        return boxes_intersect_sphere(
-            tree.box_lo[targets],
-            tree.box_hi[targets],
-            self.arrays.centroid[source],
-            self.arrays.open_radius_sq[source],
-        )
-
-    def node_batch(self, tree: Tree, source: int, targets: np.ndarray) -> None:
-        idx = ranges_to_indices(tree.pstart[targets], tree.pend[targets])
-        self._apply_node(source, idx)
-
-    def leaf_batch(self, tree: Tree, source: int, targets: np.ndarray) -> None:
-        idx = ranges_to_indices(tree.pstart[targets], tree.pend[targets])
-        self._apply_leaf(source, idx)
-
-    # -- batched over (source, target) pairs (batched engine) ----------------
-    # Frontier kernels from repro.trees.kernels, one call per engine slice.
-    # The engine hands over a few target buckets at a time, so each call
-    # works on the views of accel/potential/positions that span the slice:
-    # the kernels' partial-sum buffers are that short, not N long.
+    # -- the hooks: frontier kernels from repro.trees.kernels ----------------
+    # One call per engine slice.  Each works on the views of accel/potential/
+    # positions that span the slice's targets: the batched engine hands over
+    # a few buckets at a time, so the kernels' partial-sum buffers are that
+    # short, not N long.
 
     def _pair_frame(self) -> tuple[np.ndarray, np.ndarray]:
-        """Target particle positions and MAC sphere centres as the pair
-        hooks see them — the two places a translated source frame enters
+        """Target particle positions and MAC sphere centres as the hooks
+        see them — the two places a translated source frame enters
         (the periodic-image visitor overrides this)."""
         return self.tree.particles.position, self.arrays.centroid
 
@@ -177,11 +139,8 @@ class GravityVisitor(Visitor):
         )
 
     def node_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
-        from ...trees.kernels import (
-            accumulate_monopole,
-            accumulate_monopole_potential,
-            accumulate_quadrupole,
-        )
+        from ...trees.kernels import (accumulate_monopole, accumulate_monopole_potential,
+                                      accumulate_quadrupole)
 
         if not len(targets):
             return
@@ -210,11 +169,7 @@ class GravityVisitor(Visitor):
             )
 
     def leaf_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
-        from ...trees.kernels import (
-            accumulate_pp,
-            accumulate_pp_potential,
-            expand_pair_products,
-        )
+        from ...trees.kernels import accumulate_pp, accumulate_pp_potential, expand_pair_products
 
         if not len(targets):
             return
@@ -235,117 +190,4 @@ class GravityVisitor(Visitor):
             accumulate_pp_potential(
                 self.potential[lo:hi], t_rows, s_rows, tables["source"],
                 tree.particles.mass, self.G, self.softening, target_positions=target,
-            )
-
-    # -- batched over sources (per-bucket engine) ----------------------------
-    def open_sources(self, tree: Tree, sources: np.ndarray, target: int) -> np.ndarray:
-        return spheres_intersect_box(
-            self.arrays.centroid[sources],
-            self.arrays.open_radius_sq[sources],
-            tree.box_lo[target],
-            tree.box_hi[target],
-        )
-
-    def node_sources(self, tree: Tree, sources: np.ndarray, target: int) -> None:
-        idx = np.arange(tree.pstart[target], tree.pend[target])
-        pos = tree.particles.position[idx]
-        if self.arrays.quad is not None:
-            for s in sources:
-                self.accel[idx] += quadrupole_accel(
-                    pos,
-                    self.arrays.centroid[s],
-                    float(self.arrays.mass[s]),
-                    self.arrays.quad[s],
-                    self.G,
-                    self.softening,
-                )
-        else:
-            # All source centroids at once: exact same math as point_mass_accel
-            # summed over sources.
-            self.accel[idx] += pairwise_accel(
-                pos,
-                self.arrays.centroid[sources],
-                self.arrays.mass[sources],
-                self.G,
-                self.softening,
-            )
-        if self.potential is not None:
-            self.potential[idx] += pairwise_potential(
-                pos,
-                self.arrays.centroid[sources],
-                self.arrays.mass[sources],
-                self.G,
-                self.softening,
-            )
-
-    def leaf_sources(self, tree: Tree, sources: np.ndarray, target: int) -> None:
-        idx = np.arange(tree.pstart[target], tree.pend[target])
-        src_idx = ranges_to_indices(tree.pstart[sources], tree.pend[sources])
-        self.accel[idx] += pairwise_accel(
-            tree.particles.position[idx],
-            tree.particles.position[src_idx],
-            tree.particles.mass[src_idx],
-            self.G,
-            self.softening,
-        )
-        if self.potential is not None:
-            self.potential[idx] += pairwise_potential(
-                tree.particles.position[idx],
-                tree.particles.position[src_idx],
-                tree.particles.mass[src_idx],
-                self.G,
-                self.softening,
-            )
-
-    # -- shared helpers -------------------------------------------------------
-    def _target_particles(self, target: SpatialNode) -> np.ndarray:
-        return np.arange(
-            self.tree.pstart[target.index], self.tree.pend[target.index]
-        )
-
-    def _apply_node(self, source: int, idx: np.ndarray) -> None:
-        pos = self.tree.particles.position[idx]
-        if self.arrays.quad is not None:
-            acc = quadrupole_accel(
-                pos,
-                self.arrays.centroid[source],
-                float(self.arrays.mass[source]),
-                self.arrays.quad[source],
-                self.G,
-                self.softening,
-            )
-        else:
-            acc = point_mass_accel(
-                pos,
-                self.arrays.centroid[source],
-                float(self.arrays.mass[source]),
-                self.G,
-                self.softening,
-            )
-        self.accel[idx] += acc
-        if self.potential is not None:
-            self.potential[idx] += pairwise_potential(
-                pos,
-                self.arrays.centroid[source][None, :],
-                np.array([self.arrays.mass[source]]),
-                self.G,
-                self.softening,
-            )
-
-    def _apply_leaf(self, source: int, idx: np.ndarray) -> None:
-        s, e = int(self.tree.pstart[source]), int(self.tree.pend[source])
-        self.accel[idx] += pairwise_accel(
-            self.tree.particles.position[idx],
-            self.tree.particles.position[s:e],
-            self.tree.particles.mass[s:e],
-            self.G,
-            self.softening,
-        )
-        if self.potential is not None:
-            self.potential[idx] += pairwise_potential(
-                self.tree.particles.position[idx],
-                self.tree.particles.position[s:e],
-                self.tree.particles.mass[s:e],
-                self.G,
-                self.softening,
             )

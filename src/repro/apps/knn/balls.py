@@ -13,7 +13,7 @@ from ...core import Configuration, TraversalStats, get_traverser
 from ...core.util import ranges_to_indices
 from ...core.visitor import Visitor
 from ...geometry import point_box_distance_sq
-from ...trees import SpatialNode, Tree
+from ...trees import Tree
 from ...trees.kernels import components, expand_pair_products, pair_dist_sq
 
 __all__ = ["BallSearchVisitor", "ball_search", "brute_force_ball"]
@@ -42,9 +42,6 @@ class BallSearchVisitor(Visitor):
         none = np.empty(0, dtype=np.int64)
         self._hits: list[tuple[np.ndarray, np.ndarray]] = [(none, none)]
 
-    def open(self, source: SpatialNode, target: SpatialNode) -> bool:
-        return bool(self.open_sources(self.tree, np.array([source.index]), target.index)[0])
-
     def open_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         # every target particle's ball against its pair's source box
         per_pair = tree.pend[targets] - tree.pstart[targets]
@@ -57,14 +54,8 @@ class BallSearchVisitor(Visitor):
         out[pair[d2 <= self._radii_sq[rows]]] = True
         return out
 
-    def node(self, source: SpatialNode, target: SpatialNode) -> None:
-        pass
-
     def node_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
-        pass
-
-    def leaf(self, source: SpatialNode, target: SpatialNode) -> None:
-        self.leaf_sources(self.tree, np.array([source.index]), target.index)
+        """A box no ball reaches holds no neighbour."""
 
     def leaf_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
         t_rows, s_rows = expand_pair_products(
@@ -73,16 +64,6 @@ class BallSearchVisitor(Visitor):
         if not self.include_self:
             hit &= t_rows != s_rows
         self._hits.append((t_rows[hit], s_rows[hit]))
-
-    # the per-bucket ordering (one target, many sources) is the same pairs
-    def open_sources(self, tree: Tree, sources: np.ndarray, target: int) -> np.ndarray:
-        return self.open_pairs(tree, sources, np.full(len(sources), target))
-
-    def node_sources(self, tree: Tree, sources: np.ndarray, target: int) -> None:
-        pass
-
-    def leaf_sources(self, tree: Tree, sources: np.ndarray, target: int) -> None:
-        self.leaf_pairs(tree, sources, np.full(len(sources), target))
 
     def neighbor_lists(self) -> list[np.ndarray]:
         """Per particle (tree order), its neighbours' indices, ascending."""

@@ -18,7 +18,7 @@ from ...core import TraversalStats, get_traverser
 from ...core.util import ranges_to_indices
 from ...core.visitor import Visitor
 from ...geometry.box import boxes_box_distance_sq
-from ...trees import SpatialNode, Tree
+from ...trees import Tree
 from ...trees.kernels import components, merge_nearest, pair_dist_sq
 
 __all__ = ["KNNResult", "KNNVisitor", "knn_search", "brute_force_knn"]
@@ -54,9 +54,6 @@ class KNNVisitor(Visitor):
         self._positions = components(tree.particles.position)
 
     # -- pruning ---------------------------------------------------------------
-    def open(self, source: SpatialNode, target: SpatialNode) -> bool:
-        return bool(self.open_pairs(self.tree, *_one_pair(source, target))[0])
-
     def open_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         d2 = boxes_box_distance_sq(
             tree.box_lo[sources], tree.box_hi[sources],
@@ -65,14 +62,8 @@ class KNNVisitor(Visitor):
         return d2 <= self.radius_sq[targets]
 
     # -- interactions -------------------------------------------------------------
-    def node(self, source: SpatialNode, target: SpatialNode) -> None:
-        """Pruned nodes contribute nothing to a neighbour search."""
-
     def node_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
-        pass
-
-    def leaf(self, source: SpatialNode, target: SpatialNode) -> None:
-        self.leaf_pairs(self.tree, *_one_pair(source, target))
+        """Pruned nodes contribute nothing to a neighbour search."""
 
     def leaf_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
         first, radius_sq = merge_nearest(
@@ -124,10 +115,6 @@ class KNNVisitor(Visitor):
                 tree.box_lo[target], tree.box_hi[target],
             )
         )
-
-
-def _one_pair(source: SpatialNode, target: SpatialNode) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([source.index]), np.array([target.index])
 
 
 def knn_search(

@@ -48,8 +48,9 @@ class Configuration:
     #: (:func:`~repro.core.top_down_engines`).  "batched" is the production
     #: engine: the pair frontier in work-bounded segments through the flat
     #: kernels of ``repro.trees.kernels``.  "transposed" and "per-bucket"
-    #: ("basic") walk the same pair set node-at-a-time in the two visit
-    #: *orderings* the paper compares (Table II, Fig 10 "BasicTrav").  This
+    #: ("basic") are schedules over the same Visitor pair hooks that deliver
+    #: the same pair set in the two visit *orderings* the paper compares
+    #: (Table II, Fig 10 "BasicTrav"); no ordering owns a hook family.  This
     #: field is the one place the default is written; the CLI and the
     #: ``compute_gravity*`` helpers read it from here.
     traverser: str = "batched"

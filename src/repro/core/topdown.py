@@ -1,13 +1,14 @@
-"""Top-down traversal engines: per-bucket DFS and the transposed walk.
+"""The two reference visit orderings: per-bucket DFS and the transposed walk.
 
-Both engines implement the same pruning semantics (open → descend;
-not-open → ``node()``; opened leaf → ``leaf()``), differing only in loop
-order:
+Both deliver the pair set of :class:`~repro.core.batched.BatchedTraverser`
+(open → descend; not-open → ``node``; opened leaf → ``leaf``) to the same
+Visitor pair hooks and differ only in schedule, which is what a
+:class:`~repro.core.traverser.Recorder` — the memsim traces of Table II,
+Fig 10's "BasicTrav" — observes:
 
 * :class:`PerBucketTraverser` walks the whole tree once per target bucket —
-  the classical style (ChaNGa, and the paper's "BasicTrav" ablation).  The
-  working set per step is "one bucket + the frontier of the tree", but the
-  tree is re-walked B times.
+  the classical style (ChaNGa).  The working set per step is "one bucket +
+  the frontier of the tree", but the tree is re-walked B times.
 * :class:`TransposedTraverser` visits each tree node once, carrying the
   batch of target buckets still interested in it (the paper's
   locality-enhancing loop transformation adopted from GPU traversals
@@ -20,20 +21,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..trees import Tree
+from .batched import walk_frontier
 from .traverser import Recorder, TraversalStats, Traverser, register_traverser
-from .util import ranges_to_indices
 from .visitor import Visitor
 
 __all__ = ["PerBucketTraverser", "TransposedTraverser"]
 
 
 class PerBucketTraverser(Traverser):
-    """Classic depth-first walk, one full traversal per target bucket.
-
-    The frontier is processed breadth-wise so the Visitor's batched
-    ``*_sources`` hooks can amortise the per-node cost, but the visit *set*
-    equals the textbook recursive DFS.
-    """
+    """One full frontier walk per target bucket: breadth-wise per level, the
+    visit *set* of the textbook recursive DFS, and — a chunk of one target
+    being one more cut — the bits of the batched engine."""
 
     name = "per-bucket"
 
@@ -46,43 +44,9 @@ class PerBucketTraverser(Traverser):
     ) -> TraversalStats:
         targets = self._resolve_targets(tree, targets)
         stats = TraversalStats(targets=len(targets))
-        first_child = tree.first_child
-        n_children = tree.n_children
-        counts = tree.pend - tree.pstart
         root = np.array([tree.root], dtype=np.int64)
-
-        for tgt in targets:
-            tgt = int(tgt)
-            tgt_count = int(counts[tgt])
-            frontier = root
-            while frontier.size:
-                stats.nodes_visited += int(frontier.size)
-                stats.opens += int(frontier.size)
-                if recorder is not None:
-                    recorder.on_open(tree, frontier, np.array([tgt]))
-                mask = np.asarray(visitor.open_sources(tree, frontier, tgt), dtype=bool)
-                closed = frontier[~mask]
-                if closed.size:
-                    stats.node_interactions += int(closed.size)
-                    stats.pn_interactions += int(closed.size) * tgt_count
-                    if recorder is not None:
-                        recorder.on_node(tree, closed, np.array([tgt]))
-                    visitor.node_sources(tree, closed, tgt)
-                opened = frontier[mask]
-                if not opened.size:
-                    break
-                leaf_mask = first_child[opened] == -1
-                leaves = opened[leaf_mask]
-                if leaves.size:
-                    stats.leaf_interactions += int(leaves.size)
-                    stats.pp_interactions += int(counts[leaves].sum()) * tgt_count
-                    if recorder is not None:
-                        recorder.on_leaf(tree, leaves, np.array([tgt]))
-                    visitor.leaf_sources(tree, leaves, tgt)
-                internal = opened[~leaf_mask]
-                frontier = ranges_to_indices(
-                    first_child[internal], first_child[internal] + n_children[internal]
-                )
+        for t in range(len(targets)):
+            walk_frontier(tree, visitor, root, targets[t:t + 1], stats, recorder)
         return stats
 
 
@@ -115,19 +79,19 @@ class TransposedTraverser(Traverser):
             src, active = stack.pop()
             stats.nodes_visited += 1
             stats.opens += int(active.size)
-            # One source-index array per node, and only when someone listens
-            # (the per-node np.array([src]) showed up in deep-tree profiles).
-            src_arr = np.array([src]) if recorder is not None else None
+            # the pair hooks see this one source broadcast over its targets
+            src_arr = np.array([src])
+            pair_src = np.broadcast_to(src_arr, active.shape)
             if recorder is not None:
                 recorder.on_open(tree, src_arr, active)
-            mask = np.asarray(visitor.open_batch(tree, src, active), dtype=bool)
+            mask = np.asarray(visitor.open_pairs(tree, pair_src, active), dtype=bool)
             closed = active[~mask]
             if closed.size:
                 stats.node_interactions += int(closed.size)
                 stats.pn_interactions += int(counts[closed].sum())
                 if recorder is not None:
                     recorder.on_node(tree, src_arr, closed)
-                visitor.node_batch(tree, src, closed)
+                visitor.node_pairs(tree, pair_src[:closed.size], closed)
             opened = active[mask]
             if not opened.size:
                 continue
@@ -136,7 +100,7 @@ class TransposedTraverser(Traverser):
                 stats.pp_interactions += int(counts[src]) * int(counts[opened].sum())
                 if recorder is not None:
                     recorder.on_leaf(tree, src_arr, opened)
-                visitor.leaf_batch(tree, src, opened)
+                visitor.leaf_pairs(tree, pair_src[:opened.size], opened)
             else:
                 fc = int(first_child[src])
                 for c in range(fc, fc + int(n_children[src])):

@@ -1,9 +1,11 @@
 """Traverser interface, traversal statistics, and recorders.
 
 The *Traverser* (paper §II-A-2) fixes the order in which tree nodes are
-considered; the Visitor decides pruning and actions.  Three engines walk
-the same top-down (source node, target bucket) pair set
-(:func:`top_down_engines`):
+considered; the Visitor decides pruning and actions.  There is one Visitor
+hook family (``open``/``node``/``leaf``, scalar or ``*_pairs`` — see
+:mod:`repro.core.visitor`) and an ordering is a *schedule* over it, never a
+second copy of a visitor's kernels.  Three schedules walk the same top-down
+(source node, target bucket) pair set (:func:`top_down_engines`):
 
 * :class:`~repro.core.batched.BatchedTraverser` — the production engine and
   the default: the pair frontier advanced level by level in work-bounded
@@ -13,8 +15,8 @@ the same top-down (source node, target bucket) pair set
   processed against the whole batch of target buckets that still need it
   (Table II, the memsim traces).
 * :class:`~repro.core.topdown.PerBucketTraverser` — the *ordering* of the
-  standard DFS ("BasicTrav" in Fig 10, and how ChaNGa walks): the full tree
-  is traversed once per target bucket.
+  standard DFS ("BasicTrav" in Fig 10, and how ChaNGa walks): the batched
+  engine's frontier walk, one target bucket at a time.
 
 Anything whose output depends on visit order names one of the two orderings
 explicitly; everything else takes ``Configuration.traverser``.  The others:
@@ -27,6 +29,8 @@ explicitly; everything else takes ``Configuration.traverser``.  The others:
   finished targets between rounds.
 * :class:`~repro.core.dualtree.DualTreeTraverser` — node-node interactions
   controlled by ``cell()``.
+* :class:`~repro.core.priority.PriorityTraverser` — best-first, one pair at
+  a time.
 
 All engines produce identical Visitor callback *sets* (same interactions,
 possibly different order/batching) — the equivalence tests rely on that.
@@ -245,6 +249,7 @@ class Traverser:
         recorder: Recorder | None = None,
     ) -> TraversalStats:
         """Run the traversal (telemetry-instrumented entry point)."""
+        visitor.check_hooks()
         telemetry = get_telemetry()
         if not telemetry.enabled:
             return self._traverse(tree, visitor, targets, recorder)
@@ -269,8 +274,10 @@ class Traverser:
         if targets is None:
             return tree.leaf_indices.copy()
         targets = np.asarray(targets, dtype=np.int64)
-        if targets.size and not np.all(tree.first_child[targets] == -1):
-            raise ValueError("targets must be leaf indices")
+        if targets.size and (targets.min() < 0 or targets.max() >= tree.n_nodes
+                             or np.any(tree.first_child[targets] != -1)
+                             or np.unique(targets).size != targets.size):
+            raise ValueError("targets must be distinct leaf indices")
         return targets
 
 

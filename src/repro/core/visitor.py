@@ -11,14 +11,15 @@ A Visitor tells a traversal when to prune and what to do at each step:
   as well (B² child interactions) or keep the target and open only the
   source (B interactions)?
 
-The scalar methods operate on :class:`~repro.trees.SpatialNode` views, just
-like the C++ templates in the paper's Fig 7.  The batched hooks
-(``open_batch``/``node_batch``/``leaf_batch`` over many targets, the
-``*_sources`` mirror over many sources, ``*_pairs`` over flat pair arrays,
-and ``done_targets`` for the up-and-down engine's early exit) let vectorised
-engines amortise the interpreter cost; their default implementations fall
-back to the scalar methods, so a minimal paper-style visitor works with
-every engine.
+There is one hook family in two forms.  The scalar form above works on
+:class:`~repro.trees.SpatialNode` views, like the C++ templates in the
+paper's Fig 7.  The pair form — ``open_pairs`` / ``node_pairs`` /
+``leaf_pairs`` over flat, target-major ``(source, target)`` index arrays,
+plus ``done_targets`` for the up-and-down early exit — is what every
+top-down engine calls, so one numpy kernel serves a whole frontier slice.
+Each form is the other's default: a visitor writes ``open``/``node``/``leaf``
+once, in whichever form suits it, and runs on every engine.  The *order* in
+which pairs arrive belongs to the Traverser, never to the Visitor.
 """
 
 from __future__ import annotations
@@ -30,25 +31,18 @@ from ..trees import SpatialNode, Tree
 __all__ = ["Visitor"]
 
 
-def _group_pairs_by_source(sources: np.ndarray):
-    """Yield ``(source, index_array)`` segments of a pair frontier, sorted by
-    source.  The stable sort keeps each target's per-source pair order
-    deterministic regardless of how the frontier was assembled."""
-    order = np.argsort(sources, kind="stable")
-    sorted_src = sources[order]
-    bounds = np.flatnonzero(sorted_src[1:] != sorted_src[:-1]) + 1
-    starts = np.concatenate([[0], bounds])
-    ends = np.concatenate([bounds, [len(sorted_src)]])
-    for a, b in zip(starts, ends):
-        yield int(sorted_src[a]), order[a:b]
+def _one_pair(source: SpatialNode, target: SpatialNode) -> tuple[Tree, np.ndarray, np.ndarray]:
+    return source.tree, np.array([source.index]), np.array([target.index])
+
+
+def _node_pairs(tree: Tree, sources: np.ndarray, targets: np.ndarray):
+    return zip(map(tree.node, sources.tolist()), map(tree.node, targets.tolist()))
 
 
 class Visitor:
-    """Base visitor; subclass and override at least ``open``/``node``/``leaf``.
-
-    Targets are identified by *leaf index* of the target tree; engines pass
-    batches of those indices to the batched hooks.
-    """
+    """Base visitor; subclass and override each of ``open``/``node``/``leaf``
+    in its scalar or its ``*_pairs`` form (targets are *leaf indices* of the
+    target tree there).  The base class derives the other form."""
 
     #: Parallel execution (``repro.exec``): True means the thread backend
     #: may run one shared instance from many workers because every write
@@ -56,105 +50,55 @@ class Visitor:
     #: disjoint, so under the GIL no synchronisation is needed.
     exec_shareable = False
 
-    # -- scalar interface (paper-faithful) ---------------------------------
+    def check_hooks(self) -> None:
+        """Raise unless ``open``, ``node`` and ``leaf`` each have one form."""
+        cls = type(self)
+        for name in ("open", "node", "leaf"):
+            pairs = f"{name}_pairs"
+            if getattr(cls, name) is getattr(Visitor, name) \
+                    and getattr(cls, pairs) is getattr(Visitor, pairs):
+                raise TypeError(f"{cls.__name__} must override {name}() or {pairs}()")
+
+    # -- scalar form (paper-faithful); default: the pair form on one pair ----
     def open(self, source: SpatialNode, target: SpatialNode) -> bool:
-        raise NotImplementedError
+        return bool(self.open_pairs(*_one_pair(source, target))[0])
 
     def node(self, source: SpatialNode, target: SpatialNode) -> None:
-        raise NotImplementedError
+        self.node_pairs(*_one_pair(source, target))
 
     def leaf(self, source: SpatialNode, target: SpatialNode) -> None:
-        raise NotImplementedError
+        self.leaf_pairs(*_one_pair(source, target))
 
     def cell(self, source: SpatialNode, target: SpatialNode) -> bool:
         """Dual-tree only; default: always open the target too."""
         return True
 
     def done(self, target: SpatialNode) -> bool:
-        """Early-exit hook for up-and-down traversals (e.g. kNN can stop
-        climbing when the current search ball is inside already-visited
-        space).  Default: never stop early."""
+        """Early exit: True stops ``target``'s walk (consulted between
+        expansions by the priority engine and, through ``done_targets``,
+        between rounds by up-and-down).  Default: never stop early."""
         return False
 
-    def path_advanced(self, target: SpatialNode, path_node: SpatialNode) -> None:
-        """Up-and-down only: called after the top-down pass rooted at
-        ``path_node`` (a node on the leaf-to-root path) completes, before
-        ``done`` is consulted.  Lets the visitor track how much space has
-        been covered (kNN containment test)."""
+    # -- pair form (what the engines call); default: the scalar form, pair by
+    # pair in the order given -----------------------------------------------
+    def open_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        return np.fromiter((self.open(s, t) for s, t in _node_pairs(tree, sources, targets)),
+                           dtype=bool, count=len(sources))
+
+    def node_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
+        for s, t in _node_pairs(tree, sources, targets):
+            self.node(s, t)
+
+    def leaf_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
+        for s, t in _node_pairs(tree, sources, targets):
+            self.leaf(s, t)
 
     def done_targets(self, tree: Tree, targets: np.ndarray, path_nodes: np.ndarray) -> np.ndarray:
         """Up-and-down only, once per round: target ``targets[i]`` has just
-        finished the top-down pass rooted at ``path_nodes[i]``; True retires
-        it.  Default: the scalar ``path_advanced`` then ``done``, target by
-        target; vectorised visitors override it with one array test."""
-        out = np.empty(len(targets), dtype=bool)
-        for i, (t, p) in enumerate(zip(targets.tolist(), path_nodes.tolist())):
-            target = tree.node(t)
-            self.path_advanced(target, tree.node(p))
-            out[i] = self.done(target)
-        return out
-
-    # -- batched over targets (one source node, many target leaves) --------
-    def open_batch(self, tree: Tree, source: int, targets: np.ndarray) -> np.ndarray:
-        src = tree.node(source)
-        return np.fromiter(
-            (self.open(src, tree.node(int(t))) for t in targets),
-            dtype=bool,
-            count=len(targets),
-        )
-
-    def node_batch(self, tree: Tree, source: int, targets: np.ndarray) -> None:
-        src = tree.node(source)
-        for t in targets:
-            self.node(src, tree.node(int(t)))
-
-    def leaf_batch(self, tree: Tree, source: int, targets: np.ndarray) -> None:
-        src = tree.node(source)
-        for t in targets:
-            self.leaf(src, tree.node(int(t)))
-
-    # -- batched over (source, target) pairs (the "batched" and
-    # "up-and-down" engines) ----------------------------------------------
-    # Both carry their frontier as flat, target-major pair arrays and hand
-    # them over in slices cut between targets.
-    # Defaults group the pairs by source (stable, so per-target ordering is
-    # deterministic) and delegate to the *_batch hooks — every existing
-    # visitor works unchanged; vectorised visitors override these with the
-    # frontier kernels (see repro.trees.kernels).
-
-    def open_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        out = np.empty(len(sources), dtype=bool)
-        for src, idx in _group_pairs_by_source(sources):
-            out[idx] = np.asarray(self.open_batch(tree, src, targets[idx]), dtype=bool)
-        return out
-
-    def node_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
-        for src, idx in _group_pairs_by_source(sources):
-            self.node_batch(tree, src, targets[idx])
-
-    def leaf_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
-        for src, idx in _group_pairs_by_source(sources):
-            self.leaf_batch(tree, src, targets[idx])
-
-    # -- batched over sources (many source nodes, one target leaf): the
-    # per-bucket ordering --------------------------------------------------
-    def open_sources(self, tree: Tree, sources: np.ndarray, target: int) -> np.ndarray:
-        tgt = tree.node(target)
-        return np.fromiter(
-            (self.open(tree.node(int(s)), tgt) for s in sources),
-            dtype=bool,
-            count=len(sources),
-        )
-
-    def node_sources(self, tree: Tree, sources: np.ndarray, target: int) -> None:
-        tgt = tree.node(target)
-        for s in sources:
-            self.node(tree.node(int(s)), tgt)
-
-    def leaf_sources(self, tree: Tree, sources: np.ndarray, target: int) -> None:
-        tgt = tree.node(target)
-        for s in sources:
-            self.leaf(tree.node(int(s)), tgt)
+        finished the top-down pass rooted at ``path_nodes[i]`` (a node on its
+        leaf-to-root path); True retires it.  Default: scalar ``done``."""
+        return np.fromiter((self.done(tree.node(t)) for t in targets.tolist()),
+                           dtype=bool, count=len(targets))
 
     # -- parallel-execution protocol (repro.exec) --------------------------
     # A visitor opts into worker-side reconstruction by returning a non-None

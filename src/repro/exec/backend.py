@@ -122,6 +122,7 @@ class ExecutionBackend:
         warm concurrently, exercising its wait-free fill path.
         """
         engine = get_traverser(traverser) if isinstance(traverser, str) else traverser
+        visitor.check_hooks()
         targets = Traverser._resolve_targets(tree, targets)
         chunks = self._chunk(tree, targets, decomposition)
         self.last_supervision = None

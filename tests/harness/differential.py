@@ -44,6 +44,7 @@ __all__ = [
     "TREE_BUILDERS",
     "RunResult",
     "CountInRadiusVisitor",
+    "ScalarCountInRadiusVisitor",
     "run_combination",
     "assert_equivalent",
     "differential_matrix",
@@ -90,7 +91,8 @@ class CountInRadiusVisitor(Visitor):
     Counts, per particle, how many *other* particles lie within ``radius``.
     Integer outputs make every comparison exact regardless of evaluation
     order, so any engine/backend discrepancy is a real traversal bug, never
-    floating-point reassociation.
+    floating-point reassociation.  Written in the pair form only; the scalar
+    ``open``/``node``/``leaf`` are the base class's.
     """
 
     exec_shareable = True
@@ -102,59 +104,31 @@ class CountInRadiusVisitor(Visitor):
         self.counts = np.zeros(tree.n_particles, dtype=np.int64)
 
     # a source box farther from the target box than the radius cannot
-    # contribute any pair, so node() on pruned nodes is correctly a no-op
-    def open(self, source, target) -> bool:
-        t = self.tree
-        d2 = boxes_box_distance_sq(
-            t.box_lo[source.index], t.box_hi[source.index],
-            t.box_lo[target.index], t.box_hi[target.index],
-        )
-        return bool(d2 <= self.r2)
-
-    def node(self, source, target) -> None:
-        pass
-
-    def leaf(self, source, target) -> None:
-        self._count(int(source.index), np.array([int(target.index)]))
-
-    def open_batch(self, tree: Tree, source: int, targets: np.ndarray) -> np.ndarray:
-        return boxes_box_distance_sq(
-            tree.box_lo[targets], tree.box_hi[targets],
-            tree.box_lo[source], tree.box_hi[source],
-        ) <= self.r2
-
-    def node_batch(self, tree: Tree, source: int, targets: np.ndarray) -> None:
-        pass
-
-    def leaf_batch(self, tree: Tree, source: int, targets: np.ndarray) -> None:
-        self._count(source, np.asarray(targets))
-
-    def open_sources(self, tree: Tree, sources: np.ndarray, target: int) -> np.ndarray:
+    # contribute any pair, so node_pairs on pruned nodes is correctly a no-op
+    def open_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         return boxes_box_distance_sq(
             tree.box_lo[sources], tree.box_hi[sources],
-            tree.box_lo[target], tree.box_hi[target],
+            tree.box_lo[targets], tree.box_hi[targets],
         ) <= self.r2
 
-    def node_sources(self, tree: Tree, sources: np.ndarray, target: int) -> None:
+    def node_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
         pass
 
-    def leaf_sources(self, tree: Tree, sources: np.ndarray, target: int) -> None:
-        for s in np.asarray(sources):
-            self._count(int(s), np.array([target]))
+    def leaf_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
+        for src, tgt in zip(sources.tolist(), targets.tolist()):
+            self._count(src, tgt)
 
-    def _count(self, source: int, targets: np.ndarray) -> None:
+    def _count(self, src: int, tgt: int) -> None:
         t = self.tree
         pos = t.particles.position
-        ss, se = int(t.pstart[source]), int(t.pend[source])
-        src_idx = np.arange(ss, se)
-        for tgt in targets:
-            ts, te = int(t.pstart[tgt]), int(t.pend[tgt])
-            tgt_idx = np.arange(ts, te)
-            d = pos[src_idx][None, :, :] - pos[tgt_idx][:, None, :]
-            d2 = np.einsum("tcj,tcj->tc", d, d)
-            within = d2 <= self.r2
-            within &= tgt_idx[:, None] != src_idx[None, :]  # exclude self
-            self.counts[ts:te] += within.sum(axis=1)
+        src_idx = np.arange(t.pstart[src], t.pend[src])
+        ts, te = int(t.pstart[tgt]), int(t.pend[tgt])
+        tgt_idx = np.arange(ts, te)
+        d = pos[src_idx][None, :, :] - pos[tgt_idx][:, None, :]
+        d2 = np.einsum("tcj,tcj->tc", d, d)
+        within = d2 <= self.r2
+        within &= tgt_idx[:, None] != src_idx[None, :]  # exclude self
+        self.counts[ts:te] += within.sum(axis=1)
 
     # -- parallel-execution protocol ---------------------------------------
     def exec_config(self) -> dict:
@@ -175,6 +149,28 @@ class CountInRadiusVisitor(Visitor):
 
         rows = ranges_to_indices(tree.pstart[targets], tree.pend[targets])
         self.counts[rows] = outputs["counts"]
+
+
+class ScalarCountInRadiusVisitor(Visitor):
+    """:class:`CountInRadiusVisitor` written the other way round — scalar
+    ``open``/``node``/``leaf`` only, the pair hooks are the base class's —
+    so the two must agree on every engine (the hook-derivation matrix)."""
+
+    __init__ = CountInRadiusVisitor.__init__
+    _count = CountInRadiusVisitor._count
+
+    def open(self, source, target) -> bool:
+        t = self.tree
+        return bool(boxes_box_distance_sq(
+            t.box_lo[source.index], t.box_hi[source.index],
+            t.box_lo[target.index], t.box_hi[target.index],
+        ) <= self.r2)
+
+    def node(self, source, target) -> None:
+        pass
+
+    def leaf(self, source, target) -> None:
+        self._count(source.index, target.index)
 
 
 def brute_force_radius_counts(positions: np.ndarray, radius: float) -> np.ndarray:

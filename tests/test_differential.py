@@ -41,12 +41,12 @@ HYPOTHESIS_COMMON = dict(
 
 @pytest.fixture(scope="module")
 def small_tree():
-    return build_tree(uniform_cube(500, seed=11), tree_type="oct", bucket_size=12)
+    return build_tree(uniform_cube(400, seed=11), tree_type="oct", bucket_size=12)
 
 
 @pytest.fixture(scope="module")
 def clustered_tree():
-    return build_tree(clustered_clumps(800, seed=5), tree_type="kd", bucket_size=10)
+    return build_tree(clustered_clumps(640, seed=5), tree_type="kd", bucket_size=10)
 
 
 def gravity_setup(tree, with_potential=False, with_quadrupole=False):
@@ -175,22 +175,16 @@ class TestBatchedEngineDifferential:
         assert rb.counts == rt.counts
 
 
-    def test_quadrupole_leg_matrix_and_no_grouped_fallback(self, small_tree, monkeypatch):
+    def test_quadrupole_leg_matrix_and_no_grouped_fallback(self, small_tree):
         """The quadrupole expansion has its own frontier kernel: bit-identical
-        across backends and workers like the monopole leg, equal to the
-        per-source kernel of the transposed engine to rounding, and never
-        routed through the base Visitor's group-by-source fallback."""
-        from repro.core import visitor as visitor_module
-
+        across backends and workers like the monopole leg, and equal to
+        rounding under the transposed schedule, which hands the same kernel
+        one source's pairs at a time.  (There is no grouped-by-source
+        fallback left to fall into: the visitor has the pair form only.)"""
         make, collect = gravity_setup(small_tree, with_quadrupole=True)
         differential_matrix(small_tree, "batched", make, collect,
                             workers=WORKER_COUNTS, expect_parallel=True)
         rt = run_combination(small_tree, "transposed", make, collect)
-
-        def no_fallback(sources):
-            raise AssertionError("batched quadrupole took the grouped-by-source fallback")
-
-        monkeypatch.setattr(visitor_module, "_group_pairs_by_source", no_fallback)
         rb = run_combination(small_tree, "batched", make, collect)
         np.testing.assert_allclose(rb.outputs["accel"], rt.outputs["accel"],
                                    rtol=1e-11, atol=1e-13)

@@ -258,7 +258,7 @@ class TestThreadCacheStress:
     quiescence), no double fills (each tree node materialised at most
     once), structural validity, and physics bit-identical to serial."""
 
-    def _make(self, n=1500, parts=8, fail=0.0, seed=0):
+    def _make(self, n=1000, parts=8, fail=0.0, seed=0):
         ps = clustered_clumps(n, seed=17)
         tree = build_tree(ps, tree_type="oct", bucket_size=12)
         decomp = decompose(tree, SfcDecomposer().assign(ps, parts),
@@ -319,7 +319,7 @@ class TestThreadCacheStress:
     @pytest.mark.slow
     def test_many_seeds_heavy_contention(self):
         for seed in range(4, 12):
-            tree, cache = self._make(n=2000, parts=12, fail=0.4, seed=seed)
+            tree, cache = self._make(n=1400, parts=12, fail=0.4, seed=seed)
             serial = _gravity_visitor(tree)
             get_traverser("transposed").traverse(tree, serial, None)
             backend = ThreadBackend(workers=6, cache_warm_fills=40)

@@ -181,7 +181,7 @@ class TestTraceAndProfile:
         assert t.runtime_estimate_s < b.runtime_estimate_s
 
     def test_profile_multi_cpu_divides_runtime(self):
-        tree = build_tree(uniform_cube(1500, seed=3), tree_type="oct", bucket_size=16)
+        tree = build_tree(uniform_cube(1200, seed=3), tree_type="oct", bucket_size=16)
         one = profile_traversal_style(tree, "transposed", n_cpus=1, cache_scale=16)
         four = profile_traversal_style(tree, "transposed", n_cpus=4, cache_scale=16)
         assert four.runtime_estimate_s < one.runtime_estimate_s
@@ -245,3 +245,78 @@ class TestTraceEdgeCases:
             engine.traverse(tree, GravityVisitor(tree, arrays), None, rec)
             volumes[batched] = rec.n_accesses
         assert volumes[False] > volumes[True]
+
+
+class TestOrderingContract:
+    """What memsim Table II, the DES and Fig 10 read off the two reference
+    orderings: the event stream a recorder sees, in order.  The digests were
+    recorded at the last commit where ``per-bucket`` and ``transposed`` were
+    engines with hook families of their own (PR 15); they are schedules over
+    the pair hooks now and must still deliver the same stream."""
+
+    PINS = {
+        "transposed": {
+            "trace": "8bb5548154b604923e16d9f9198aa16c6ac2253cfb6464223ee8c3766f12abaf",
+            "lists": "59cc734c9e98cfc14e142401a07855f6260fc8aa3a1fb8e317ed93970a75f56b",
+            "table2": {
+                "l1_load_miss_rate": 0.026940580456809204,
+                "l1_loads": 46584,
+                "l1_stores": 13540,
+                "l1l2_store_miss_rate": 0.009453471196454948,
+                "l2_load_miss_rate": 0.7633466135458168,
+                "l3_load_miss_rate": 0.592901878914405,
+                "l3_store_miss_rate": 0.5,
+                "n_accesses": 60124,
+                "n_cpus": 2,
+                "runtime_estimate_s": 9.24504761904762e-05,
+                "style": "transposed",
+            },
+        },
+        "per-bucket": {
+            "trace": "8bf2acfbc574592236d70b906cb3ed05fd2ba9b93ce6481682ecb5d170c1cd06",
+            "lists": "c1bbe8735dca66f209525f19c710ca22fa1b8f5567b041b2073fe729fc7bf499",
+            "table2": {
+                "l1_load_miss_rate": 0.01680354796320631,
+                "l1_loads": 60880,
+                "l1_stores": 13980,
+                "l1l2_store_miss_rate": 0.009155937052932762,
+                "l2_load_miss_rate": 0.9364613880742912,
+                "l3_load_miss_rate": 0.592901878914405,
+                "l3_store_miss_rate": 0.5,
+                "n_accesses": 74860,
+                "n_cpus": 2,
+                "runtime_estimate_s": 0.0001059847619047619,
+                "style": "per-bucket",
+            },
+        },
+    }
+
+    @pytest.mark.parametrize("style", sorted(PINS))
+    def test_recorded_stream_is_pinned(self, style):
+        import hashlib
+
+        from repro.apps.gravity import GravityVisitor, compute_centroid_arrays
+        from repro.core import InteractionLists, get_traverser
+        from repro.particles import clustered_clumps
+
+        tree = build_tree(clustered_clumps(300, seed=16), tree_type="oct", bucket_size=8)
+        arrays = compute_centroid_arrays(tree, theta=0.7)
+        engine = get_traverser(style)
+
+        trace = MemoryTraceRecorder(tree, batched_kernels=(style == "transposed"))
+        engine.traverse(tree, GravityVisitor(tree, arrays), None, trace)
+        addrs, writes = trace.trace()
+        lists = InteractionLists()
+        engine.traverse(tree, GravityVisitor(tree, arrays), None, lists)
+        per_target = repr([(name, sorted(store.items())) for name, store in
+                           (("node", lists.node_lists), ("leaf", lists.leaf_lists),
+                            ("open", lists.visited))])
+        row = profile_traversal_style(tree, style, n_cpus=2, cache_scale=16,
+                                      buckets_per_partition=24)
+        got = {
+            "trace": hashlib.sha256(addrs.astype("<i8").tobytes()
+                                    + writes.tobytes()).hexdigest(),
+            "lists": hashlib.sha256(per_target.encode()).hexdigest(),
+            "table2": row.as_dict(),
+        }
+        assert got == self.PINS[style]

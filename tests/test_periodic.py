@@ -11,7 +11,7 @@ from repro.apps.gravity import (
     minimum_image,
 )
 from repro.apps.gravity import compute_centroid_arrays
-from repro.apps.gravity.kernels import pairwise_accel
+from repro.apps.gravity.kernels import pairwise_accel, pairwise_potential
 from repro.apps.gravity.periodic import _ShiftedGravityVisitor
 from repro.core import get_traverser, top_down_engines
 from repro.particles import ParticleSet, uniform_cube
@@ -97,11 +97,11 @@ class TestPeriodicGravity:
 
     @pytest.mark.parametrize("n_images", [0, 1])
     def test_every_top_down_engine_sees_the_image_offset(self, n_images):
-        """Each registered top-down engine reaches the shifted visitor
-        through different hooks (``*_batch``, ``*_sources``, ``*_pairs``);
-        all of them must apply the image offset: same interaction set, same
-        forces.  (The pair hooks once ignored it: 11x the pp interactions
-        and a relative error of 23.)"""
+        """Every registered top-down engine is a schedule over the shifted
+        visitor's pair hooks, whose one shift is ``_pair_frame``; all of them
+        must apply the image offset: same interaction set, same forces.
+        (When each ordering had its own hook family, one copy forgot it: 11x
+        the pp interactions and a relative error of 23.)"""
         from tests.harness.differential import INTERACTION_KEYS
 
         particles = uniform_cube(600, seed=4)
@@ -121,13 +121,17 @@ class TestPeriodicGravity:
             assert np.allclose(res.accel, ref.accel, rtol=1e-9, atol=1e-12 * scale), engine
 
     def test_shifted_pair_hooks_match_the_batch_hooks_with_potential(self):
+        """``_pair_frame`` is the only shift: under it the transposed
+        schedule (one source a call — what the ``*_batch`` hooks used to see)
+        and the batched one agree to rounding, and both are the direct sum
+        over the translated sources, potential included."""
         tree = build_tree(uniform_cube(400, seed=6), tree_type="oct", bucket_size=12)
         arrays = compute_centroid_arrays(tree, theta=0.6)
+        offset = np.array([1.0, 0.0, -1.0])
         out = {}
         for engine in ("transposed", "batched"):
             visitor = _ShiftedGravityVisitor(tree, arrays, softening=0.01,
-                                             with_potential=True,
-                                             offset=np.array([1.0, 0.0, -1.0]))
+                                             with_potential=True, offset=offset)
             get_traverser(engine).traverse(tree, visitor)
             out[engine] = visitor
         assert np.abs(out["transposed"].potential).min() > 0
@@ -135,6 +139,13 @@ class TestPeriodicGravity:
                                    rtol=1e-10, atol=1e-14)
         np.testing.assert_allclose(out["batched"].potential, out["transposed"].potential,
                                    rtol=1e-12)
+        pos, mass = tree.particles.position, tree.particles.mass
+        exact = pairwise_accel(pos, pos + offset, mass, 1.0, 0.01)
+        rel = np.linalg.norm(out["batched"].accel - exact, axis=1) / np.linalg.norm(exact, axis=1)
+        assert np.median(rel) < 5e-3
+        np.testing.assert_allclose(out["batched"].potential,
+                                   pairwise_potential(pos, pos + offset, mass, 1.0, 0.01),
+                                   rtol=5e-3)
 
     def test_validation(self, cloud):
         with pytest.raises(ValueError):

@@ -26,6 +26,11 @@ class TestPriorityTraverser:
             def open(self, s, t):
                 return True
 
+            def node(self, s, t):
+                pass
+
+            leaf = node
+
         with pytest.raises(TypeError, match="priority"):
             get_traverser("priority").traverse(tree, NoPriority())
 
@@ -73,6 +78,8 @@ class TestPriorityTraverser:
 
             def leaf(self, source, target):
                 pass
+
+            node = leaf
 
             def done(self, target):
                 return StopImmediately.opens >= 3

@@ -1,5 +1,5 @@
 """Traversal engines: cross-engine equivalence, stats, recorders, and the
-scalar-visitor fallback path."""
+one hook family (scalar and pair form are each other's defaults)."""
 
 import numpy as np
 import pytest
@@ -16,15 +16,19 @@ from repro.core import (
     Visitor,
     get_traverser,
     register_traverser,
+    top_down_engines,
 )
 from repro.core.traverser import BucketLoadRecorder, Traverser
-from repro.particles import plummer_sphere, uniform_cube
+from repro.particles import clustered_clumps, plummer_sphere, uniform_cube
 from repro.trees import build_tree
+
+from tests.harness.differential import (INTERACTION_KEYS, CountInRadiusVisitor,
+                                        ScalarCountInRadiusVisitor)
 
 
 @pytest.fixture(scope="module")
 def particles():
-    return plummer_sphere(800, seed=2)
+    return plummer_sphere(600, seed=2)
 
 
 @pytest.fixture(scope="module")
@@ -113,12 +117,94 @@ class TestTargetSubsets:
         with pytest.raises(ValueError):
             get_traverser("transposed").traverse(tree, visitor, np.array([0]))
 
+    @pytest.mark.parametrize("engine", [*top_down_engines(), "up-and-down"])
+    @pytest.mark.parametrize("bad", ["negative", "out of range", "duplicate"])
+    def test_bad_targets_rejected(self, tree, engine, bad):
+        """``[-1]`` is not "the last node", and a bucket named twice is not
+        computed twice by some engines and once by others."""
+        leaf = int(tree.leaf_indices[3])
+        targets = {"negative": [-1], "out of range": [leaf, tree.n_nodes],
+                   "duplicate": [leaf, int(tree.leaf_indices[0]), leaf]}[bad]
+        visitor = GravityVisitor(tree, compute_centroid_arrays(tree))
+        with pytest.raises(ValueError, match="distinct leaf indices"):
+            get_traverser(engine).traverse(tree, visitor, np.array(targets))
+        assert not visitor.accel.any()
+
     def test_empty_targets(self, tree):
         visitor = GravityVisitor(tree, compute_centroid_arrays(tree))
         stats = get_traverser("transposed").traverse(
             tree, visitor, np.empty(0, dtype=np.int64)
         )
         assert stats.opens == 0
+
+
+ALL_ENGINES = ("batched", "transposed", "per-bucket", "up-and-down", "priority", "dual-tree")
+
+
+class ByLevel:
+    """What the priority engine needs on top of the three hooks."""
+
+    def priority(self, tree, source, target):
+        return float(tree.level[source])
+
+
+class ScalarForm(ByLevel, ScalarCountInRadiusVisitor):
+    pass
+
+
+class PairForm(ByLevel, CountInRadiusVisitor):
+    pass
+
+
+class TestHookDerivation:
+    """One hook family: a visitor states ``open``/``node``/``leaf`` once, in
+    the scalar or the pair form, and every engine runs it."""
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_scalar_only_equals_pair_only(self, engine):
+        tree = build_tree(clustered_clumps(250, seed=7), tree_type="oct", bucket_size=8)
+        runs = []
+        for form in (ScalarForm, PairForm):
+            visitor = form(tree, 0.08)
+            stats = get_traverser(engine).traverse(tree, visitor).as_dict()
+            runs.append((visitor.counts.tobytes(), {k: stats[k] for k in INTERACTION_KEYS}))
+        assert runs[0] == runs[1]
+        assert any(runs[0][0])
+
+    @pytest.mark.parametrize("leg", ["monopole", "quadrupole", "potential"])
+    def test_gravity_orderings_are_schedules(self, leg):
+        """``per-bucket`` is the batched frontier walk one target at a time —
+        one more cut, the same bytes; ``transposed`` hands the same kernels a
+        source-major grouping, equal to rounding."""
+        tree = build_tree(clustered_clumps(400, seed=8), tree_type="oct", bucket_size=8)
+        arrays = compute_centroid_arrays(tree, theta=0.6,
+                                         with_quadrupole=(leg == "quadrupole"))
+        out = {}
+        for engine in top_down_engines():
+            visitor = GravityVisitor(tree, arrays, softening=1e-3,
+                                     with_potential=(leg == "potential"))
+            stats = get_traverser(engine).traverse(tree, visitor).as_dict()
+            fields = [visitor.accel] + ([visitor.potential] if leg == "potential" else [])
+            out[engine] = fields, {k: stats[k] for k in INTERACTION_KEYS}
+        (batched, counts) = out["batched"]
+        for engine, (fields, engine_counts) in out.items():
+            assert engine_counts == counts
+            for got, want in zip(fields, batched):
+                if engine == "per-bucket":
+                    assert got.tobytes() == want.tobytes()
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_neither_form_is_a_type_error(self, tree, engine):
+        class OnlyOpens(Visitor):
+            def open(self, source, target):
+                return True
+
+            def leaf_pairs(self, tree, sources, targets):
+                pass
+
+        with pytest.raises(TypeError, match=r"OnlyOpens must override node\(\) or node_pairs\(\)"):
+            get_traverser(engine).traverse(tree, OnlyOpens())
 
 
 class TestScalarFallback:

@@ -32,8 +32,9 @@ class CountingVisitor(Visitor):
     def leaf(self, source, target):
         self.leaf_seen.add((source.index, target.index))
 
-    def path_advanced(self, target, path_node):
-        self.path_log.append((target.index, path_node.index))
+    def done_targets(self, tree, targets, path_nodes):
+        self.path_log.extend(zip(targets.tolist(), path_nodes.tolist()))
+        return super().done_targets(tree, targets, path_nodes)
 
 
 class TestUpAndDown:

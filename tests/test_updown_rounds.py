@@ -18,12 +18,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.knn import KNNVisitor
-from repro.core import TraversalStats, batched, get_traverser
+from repro.core import TraversalStats, get_traverser
 from repro.core.traverser import InteractionLists
 from repro.particles import clustered_clumps, uniform_cube
 from repro.trees import build_tree
 
-from tests.harness.differential import INTERACTION_KEYS, CountInRadiusVisitor
+from tests.harness.differential import INTERACTION_KEYS, ScalarCountInRadiusVisitor
 from tests.harness.updown_reference import reference_up_and_down
 from tests.test_segments import UNBOUNDED, budgets, set_budgets
 
@@ -76,33 +76,29 @@ class TestRoundsChangeNoBits:
     @pytest.mark.parametrize("tree_type", ["oct", "kd", "longest"])
     def test_scalar_visitor_through_the_default_hooks(self, monkeypatch, tree_type):
         """A visitor with no pair hooks and no ``done_targets`` of its own
-        (grouped-by-source defaults, scalar ``path_advanced`` + ``done``)
-        stops each target where the per-target walk stops it."""
+        (every pair and every round goes through the base class's scalar
+        defaults) stops each target where the per-target walk stops it."""
         tree = build_tree(clustered_clumps(300, seed=2), tree_type=tree_type, bucket_size=8)
-        radius = 0.05
 
-        class StopsWhenCovered(CountInRadiusVisitor):
-            def path_advanced(self, target, path_node):
-                self.covered = path_node.index
-
+        class StopsWhenCrowded(ScalarCountInRadiusVisitor):
             def done(self, target):
-                t = self.tree
-                return bool(np.all(t.box_lo[target.index] - radius >= t.box_lo[self.covered])
-                            and np.all(t.box_hi[target.index] + radius
-                                       <= t.box_hi[self.covered]))
+                return bool(self.counts[target.pslice].min() >= 3)
 
         def make(t):
-            return StopsWhenCovered(t, radius)
+            return StopsWhenCrowded(t, 0.05)
 
+        engine = get_traverser("up-and-down").traverse
         ref, ref_counts, ref_lists = walk(reference_up_and_down, tree, make,
                                           [tree.leaf_indices])
         set_budgets(monkeypatch, 7, 5)
-        got, counts, lists = walk(get_traverser("up-and-down").traverse, tree, make,
+        got, counts, lists = walk(engine, tree, make,
                                   np.array_split(tree.leaf_indices[::-1], 3))
         assert got.counts.tobytes() == ref.counts.tobytes()
         assert counts == ref_counts and lists == ref_lists
-        # the early exit did prune: an unpruned walk opens every leaf pair
-        assert counts["leaf_interactions"] < len(tree.leaf_indices) ** 2 / 2
+        # the early exit did prune: without it every walk climbs to the root
+        _, full_counts, _ = walk(engine, tree, lambda t: ScalarCountInRadiusVisitor(t, 0.05),
+                                 [tree.leaf_indices])
+        assert counts["opens"] < full_counts["opens"]
 
     def test_a_bucket_heavier_than_the_budget_runs_in_one_slice(self, monkeypatch):
         """One target's own candidate list cannot be cut: with a row budget
