@@ -4,6 +4,7 @@ Usage::
 
     python .github/scripts/serve_probe.py burst <socket>
     python .github/scripts/serve_probe.py probe <socket> <answers.json>
+    python .github/scripts/serve_probe.py mixed <socket>
 
 ``burst`` fires one synchronous wave of queries at a rate-limited server
 and asserts the shed policy engaged: some queries shed, every shed reply
@@ -13,6 +14,12 @@ carries a ``retry_after`` hint, and some queries were still answered.
 rate (retrying sheds after their hint) and writes the ``ok`` results to a
 JSON file — two probe files from a server and its ``--resume`` restart
 must compare equal, which is the byte-identical-restart check.
+
+``mixed`` sends one wave of good and bad queries of all three ops down one
+connection (so they share micro-batches, and with ``--executor processes``
+worker chunks) and asserts per-query isolation: every bad query gets its
+own ``error`` reply, every good one an ``ok`` result equal to the answer
+the same query gets alone.
 """
 
 import asyncio
@@ -71,6 +78,33 @@ def probe(where, out):
     print(f"probe: wrote {len(answers)} answers to {out}")
 
 
+def mixed(where):
+    good = []
+    for i, p in enumerate(_points(48, seed=11)):
+        op = ("knn", "range", "density")[i % 3]
+        good.append({"id": f"g{i:02d}", "op": op, "point": list(p),
+                     **({"radius": 0.08} if op == "range" else {"k": 1 + i % 9})})
+    bad = [{"id": "bad-k", "op": "knn", "point": [0.5, 0.5, 0.5], "k": 10 ** 9},
+           {"id": "bad-radius", "op": "range", "point": [0.5, 0.5, 0.5], "radius": -1.0},
+           {"id": "bad-point", "op": "density", "point": [0.5, None, 0.5], "k": 4},
+           {"id": "bad-op", "op": "nearest", "point": [0.5, 0.5, 0.5]}]
+    wave = list(good)
+    for j, doc in enumerate(bad):
+        wave.insert(5 + 13 * j, doc)       # spread through the micro-batches
+    replies = {d["id"]: d for d in asyncio.run(socket_query(where, wave, timeout=120))}
+    assert len(replies) == len(wave) == len(good) + len(bad), (len(replies), len(wave))
+    for doc in bad:
+        reply = replies[doc["id"]]
+        assert reply["status"] == "error" and reply.get("error"), reply
+    for doc in good:
+        reply = replies[doc["id"]]
+        assert reply["status"] == "ok", reply
+        alone = asyncio.run(socket_query(where, [doc], timeout=60))[0]
+        assert alone["status"] == "ok" and alone["result"] == reply["result"], (reply, alone)
+    print(f"mixed: {len(good)} good answers equal their solo answers, "
+          f"{len(bad)} bad queries each got their own error")
+
+
 def main():
     cmd, sock = sys.argv[1], sys.argv[2]
     where = sock if ":" in sock else f"unix:{sock}"
@@ -78,6 +112,8 @@ def main():
         burst(where)
     elif cmd == "probe":
         probe(where, sys.argv[3])
+    elif cmd == "mixed":
+        mixed(where)
     else:
         raise SystemExit(f"unknown command {cmd!r}")
 

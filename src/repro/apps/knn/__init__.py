@@ -8,19 +8,26 @@ traversal whose pruning radius tightens as closer neighbours are found.
 Also provides fixed-radius ball searches — both as a building block for
 collision detection and as the primitive of the Gadget-2-style
 smoothing-length iteration baseline.
+
+Targets need not be tree leaves: ``knn_points``/``range_points`` answer a
+batch of arbitrary query points with the same visitors on the same pair
+frontier (what ``repro serve`` executes).
 """
 
-from .knn import KNNResult, KNNVisitor, knn_search, brute_force_knn
-from .balls import BallSearchVisitor, ball_search, brute_force_ball
+from .knn import KNNResult, KNNVisitor, Targets, knn_points, knn_search, brute_force_knn
+from .balls import BallSearchVisitor, ball_search, brute_force_ball, range_points
 from .driver import KNNDriver
 
 __all__ = [
     "KNNDriver",
     "KNNResult",
     "KNNVisitor",
+    "Targets",
+    "knn_points",
     "knn_search",
     "brute_force_knn",
     "BallSearchVisitor",
     "ball_search",
+    "range_points",
     "brute_force_ball",
 ]

@@ -105,15 +105,22 @@ def cut_at_targets(targets: np.ndarray, weights: np.ndarray, budget: int) -> lis
 
 
 def walk_frontier(tree: Tree, visitor: Visitor, sources: np.ndarray, targets: np.ndarray,
-                  stats: TraversalStats, recorder: Recorder | None) -> None:
+                  stats: TraversalStats, recorder: Recorder | None,
+                  target_rows: np.ndarray | None = None) -> None:
     """Walk the target-major pair frontier ``(sources, targets)`` to the
     bottom of the tree, depth-first over segments and breadth-first inside
     one, counting into ``stats``.  A target's pairs at one level meet the
-    visitor only after all its pairs of the levels above have."""
+    visitor only after all its pairs of the levels above have.
+
+    Sources are nodes of ``tree``; a target is whatever the visitor's hooks
+    take it for.  The walk itself needs only each target's row count (for
+    ``stats`` and the slice budget): ``target_rows[t]``, by default the
+    particle count of tree node ``t``."""
     _prime_allocator()
     first_child = tree.first_child
     n_children = tree.n_children
     counts = tree.pend - tree.pstart
+    target_rows = counts if target_rows is None else target_rows
 
     def in_slices(kind, sources, targets, rows):
         """``visitor.<kind>_pairs`` over slices of at most SLICE_ROWS."""
@@ -136,7 +143,7 @@ def walk_frontier(tree: Tree, visitor: Visitor, sources: np.ndarray, targets: np
 
         closed_s, closed_t = S[~mask], T[~mask]
         if closed_s.size:
-            rows = counts[closed_t]
+            rows = target_rows[closed_t]
             stats.node_interactions += int(closed_s.size)
             stats.pn_interactions += int(rows.sum())
             in_slices("node", closed_s, closed_t, rows)
@@ -145,7 +152,7 @@ def walk_frontier(tree: Tree, visitor: Visitor, sources: np.ndarray, targets: np
         leaf_mask = first_child[open_s] == -1
         leaf_s, leaf_t = open_s[leaf_mask], open_t[leaf_mask]
         if leaf_s.size:
-            rows = counts[leaf_s] * counts[leaf_t]
+            rows = counts[leaf_s] * target_rows[leaf_t]
             stats.leaf_interactions += int(leaf_s.size)
             stats.pp_interactions += int(rows.sum())
             in_slices("leaf", leaf_s, leaf_t, rows)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ranges_to_indices", "segment_sums", "scatter_add_rows"]
+__all__ = ["ranges_to_indices", "segment_sums"]
 
 
 def ranges_to_indices(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -15,24 +15,11 @@ def ranges_to_indices(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     bucket particle ranges into one flat index array.
     """
     starts = np.asarray(starts, dtype=np.int64)
-    ends = np.asarray(ends, dtype=np.int64)
-    counts = ends - starts
-    if np.any(counts < 0):
-        raise ValueError("ranges_to_indices: ends must be >= starts")
-    # Drop empty ranges up front; they contribute nothing.
-    nonempty = counts > 0
-    if not np.all(nonempty):
-        starts, ends, counts = starts[nonempty], ends[nonempty], counts[nonempty]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    # Steps are +1 everywhere except at range boundaries, where the value
-    # jumps from ends[j]-1 to starts[j+1].
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    boundaries = np.cumsum(counts)[:-1]
-    out[boundaries] = starts[1:] - (ends[:-1] - 1)
-    return np.cumsum(out)
+    counts = np.asarray(ends, dtype=np.int64) - starts    # a negative one: ValueError below
+    # Output position i of range j (which ends at last[j]) holds
+    # starts[j] + i - (last[j] - counts[j]); empty ranges repeat zero times.
+    last = np.cumsum(counts)
+    return np.arange(last[-1] if last.size else 0) - np.repeat(last - counts - starts, counts)
 
 
 def segment_sums(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -45,8 +32,3 @@ def segment_sums(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np
     values = np.asarray(values, dtype=np.float64)
     cum = np.concatenate([np.zeros((1,) + values.shape[1:]), np.cumsum(values, axis=0)])
     return cum[np.asarray(ends)] - cum[np.asarray(starts)]
-
-
-def scatter_add_rows(target: np.ndarray, indices: np.ndarray, values: np.ndarray) -> None:
-    """``target[indices] += values`` with correct accumulation on repeats."""
-    np.add.at(target, indices, values)

@@ -21,7 +21,7 @@ from .batcher import BatchPolicy, MicroBatcher
 from .bench import BenchResult, accounting_delta, calibrate_capacity, run_trace
 from .desmodel import ServeSimResult, ServiceModel, simulate_service
 from .executor import BatchExecutor, CircuitBreaker
-from .kernels import density_point, execute_queries, knn_point, range_point
+from .kernels import execute_queries
 from .protocol import (
     OPS,
     SERVE_SCHEMA,
@@ -78,12 +78,9 @@ __all__ = [
     "calibrate_capacity",
     "checkpoint_resident",
     "decode_query_line",
-    "density_point",
     "encode_line",
     "execute_queries",
     "generate_traffic",
-    "knn_point",
-    "range_point",
     "run_trace",
     "simulate_service",
     "socket_query",

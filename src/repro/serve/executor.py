@@ -1,12 +1,14 @@
 """Supervised batch execution with a circuit breaker.
 
-Batches from the micro-batcher are split into bucket-shaped chunks and
-dispatched through the PR 5 :class:`~repro.exec.supervise.ChunkSupervisor`
-over a thread or process pool — so a worker death or hang degrades the
-batch (retry, re-dispatch, quarantine-to-serial) instead of killing the
-server.  Around that sits a :class:`CircuitBreaker`: repeated pool
-rebuilds or failed runs open the breaker and the executor answers
-serially in-parent until a cool-down trial succeeds.
+Batches from the micro-batcher are split into one contiguous chunk per
+worker (a chunk is one frontier walk, and one walk of 64 queries costs about
+half of four walks of 16) and dispatched through the PR 5
+:class:`~repro.exec.supervise.ChunkSupervisor` over a thread or process
+pool — so a worker death or hang degrades the batch (retry, re-dispatch,
+quarantine-to-serial) instead of killing the server.  Around that sits a
+:class:`CircuitBreaker`: repeated pool rebuilds or failed runs open the
+breaker and the executor answers serially in-parent until a cool-down
+trial succeeds.
 
 Process workers rebuild the resident tree once in their initializer
 from the picklable dataset spec; chunks then travel as plain lists of
@@ -106,7 +108,8 @@ class BatchExecutor:
         self.state = state
         self.mode = mode
         self.workers = max(1, int(workers))
-        self.chunk_size = int(chunk_size or state.tree.bucket_size)
+        #: explicit chunk length; None = one contiguous chunk per worker
+        self.chunk_size = chunk_size
         self.max_results = max_results
         self.breaker = breaker or CircuitBreaker()
         self.supervisor = ChunkSupervisor(
@@ -148,11 +151,8 @@ class BatchExecutor:
 
     # -- execution -----------------------------------------------------------
     def _chunks(self, queries: list[dict[str, Any]]) -> list[list[dict[str, Any]]]:
-        size = self.chunk_size
+        size = self.chunk_size or -(-len(queries) // self.workers)
         return [queries[i:i + size] for i in range(0, len(queries), size)]
-
-    def _execute_serial(self, queries: list[dict[str, Any]]) -> list[dict[str, Any]]:
-        return self._chunk_fn(queries)
 
     def execute(self, queries: list[dict[str, Any]]) -> list[dict[str, Any]]:
         """One result dict per query, in order.  Never raises for
@@ -162,7 +162,7 @@ class BatchExecutor:
         self.batches += 1
         if self.mode == "inline" or self._pool is None or not self.breaker.allow():
             self.serial_batches += 1
-            return self._execute_serial(queries)
+            return self._chunk_fn(queries)
 
         chunks = self._chunks(queries)
 
@@ -184,7 +184,7 @@ class BatchExecutor:
             # count it against the breaker and answer serially
             self.breaker.record_failure()
             self.serial_batches += 1
-            return self._execute_serial(queries)
+            return self._chunk_fn(queries)
 
         if stats.pool_rebuilds or stats.quarantined:
             self.breaker.record_failure()

@@ -1,12 +1,15 @@
-"""Point-query kernels over the resident tree.
+"""Point-query execution over the resident tree.
 
-The batch pipelines answer particle-to-particle queries through the
-Visitor protocol; the server instead answers *arbitrary-point* queries,
-so these kernels walk the SoA tree directly with a nearest-first stack
-(the classic prune: skip any node whose box is farther than the current
-k-th neighbour).  They are pure functions of ``(tree, query)`` — no
-clocks, no RNG — which is what makes drained-and-resumed servers return
-bit-identical answers.
+A batch of wire-format queries is one batch of *query-side targets* for the
+same engine the batch pipelines run on: every doc is validated by the rule
+the service admits with (:meth:`~repro.serve.protocol.Query.validate`),
+the knn and density rows share one seeded frontier walk at the largest
+``k`` of the batch (:func:`repro.apps.knn.knn_points`; a row keeps its
+first ``k`` columns — a canonical ``(dist, index)`` prefix), the range rows
+one ball walk (:func:`repro.apps.knn.range_points`).  A reply is a pure
+function of ``(tree, query)`` — no clocks, no RNG, and not of which other
+queries share the batch — which is what makes drained-and-resumed servers,
+and any executor chunking, return bit-identical answers.
 
 Results are returned JSON-ready (lists of Python ints/floats) because
 they cross both the socket protocol and process-pool pickling.
@@ -18,106 +21,29 @@ from typing import Any
 
 import numpy as np
 
-from ..geometry import point_box_distance_sq
-from ..trees.node import NO_NODE, Tree
+from ..apps.knn import knn_points, range_points
+from ..trees.node import Tree
+from .protocol import ProtocolError, Query
 
 
-def knn_point(tree: Tree, point: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k nearest particles to ``point``: ``(indices (k,), dist_sq (k,))``.
-
-    Output is sorted by ``(dist_sq, index)`` — a canonical order, so two
-    servers over byte-identical trees agree even on distance ties.
-    """
-    pos = tree.particles.position
-    lo, hi = tree.box_lo, tree.box_hi
-    first, nkids = tree.first_child, tree.n_children
-    pstart, pend = tree.pstart, tree.pend
-
-    best_d2 = np.full(k, np.inf)
-    best_idx = np.full(k, -1, dtype=np.int64)
-    worst = np.inf
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        if float(point_box_distance_sq(lo[node], hi[node], point)) > worst:
-            continue
-        if first[node] == NO_NODE:
-            cand = np.arange(pstart[node], pend[node], dtype=np.int64)
-            if cand.size == 0:
-                continue
-            delta = pos[cand] - point
-            d2 = np.einsum("ij,ij->i", delta, delta)
-            all_d2 = np.concatenate([best_d2, d2])
-            all_idx = np.concatenate([best_idx, cand])
-            if all_d2.size > k:
-                sel = np.argpartition(all_d2, k - 1)[:k]
-                best_d2, best_idx = all_d2[sel], all_idx[sel]
-            else:
-                best_d2, best_idx = all_d2, all_idx
-            worst = float(best_d2.max())
-        else:
-            kids = np.arange(first[node], first[node] + nkids[node])
-            kd2 = point_box_distance_sq(lo[kids], hi[kids], point)
-            # push farthest first so the nearest child pops first
-            for j in np.argsort(-kd2, kind="stable"):
-                if kd2[j] <= worst:
-                    stack.append(int(kids[j]))
-    order = np.lexsort((best_idx, best_d2))
-    return best_idx[order], best_d2[order]
-
-
-def range_point(tree: Tree, point: np.ndarray, radius: float,
-                max_results: int | None = None) -> np.ndarray:
-    """Indices of particles within ``radius`` of ``point`` (ascending).
-
-    ``max_results`` caps the *returned* array so a pathological radius
-    cannot produce an unbounded response line.  Callers that need the
-    exact hit count must take it before capping — ``execute_queries``
-    does, reporting an exact ``count`` plus a ``truncated`` flag.
-    """
-    pos = tree.particles.position
-    lo, hi = tree.box_lo, tree.box_hi
-    first, nkids = tree.first_child, tree.n_children
-    pstart, pend = tree.pstart, tree.pend
-    r2 = float(radius) * float(radius)
-
-    hits: list[np.ndarray] = []
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        if float(point_box_distance_sq(lo[node], hi[node], point)) > r2:
-            continue
-        if first[node] == NO_NODE:
-            cand = np.arange(pstart[node], pend[node], dtype=np.int64)
-            if cand.size == 0:
-                continue
-            delta = pos[cand] - point
-            d2 = np.einsum("ij,ij->i", delta, delta)
-            inside = cand[d2 <= r2]
-            if inside.size:
-                hits.append(inside)
-        else:
-            stack.extend(int(c) for c in
-                         range(first[node], first[node] + nkids[node]))
-    if not hits:
-        return np.empty(0, dtype=np.int64)
-    out = np.sort(np.concatenate(hits))
-    if max_results is not None and out.size > max_results:
-        out = out[:max_results]
+def _knn_rows(tree: Tree, points, queries, max_results) -> list[dict[str, Any]]:
+    found = knn_points(tree, points, max(q.k for q in queries))
+    dist = np.sqrt(found.dist_sq)
+    out: list[dict[str, Any]] = []
+    for query, idx, d in zip(queries, found.index, dist):
+        if query.op == "knn":
+            out.append({"idx": idx[:query.k].tolist(), "dist": d[:query.k].tolist()})
+        else:  # density: neighbour mass inside the k-th distance over its ball
+            h = float(d[query.k - 1])
+            msum = float(tree.particles.mass[idx[:query.k]].sum())
+            out.append({"rho": msum / ((4.0 / 3.0) * np.pi * max(h ** 3, 1e-300)), "h": h})
     return out
 
 
-def density_point(tree: Tree, point: np.ndarray, k: int) -> tuple[float, float]:
-    """kNN mass-density estimate at ``point``: ``(rho, h)``.
-
-    ``h`` is the k-th neighbour distance; ``rho`` is the neighbour mass
-    inside the ball over its volume (the simple SPH gather estimate).
-    """
-    idx, d2 = knn_point(tree, point, k)
-    h = float(np.sqrt(d2[-1]))
-    msum = float(tree.particles.mass[idx].sum())
-    volume = (4.0 / 3.0) * np.pi * max(h, 1e-300) ** 3
-    return msum / volume, h
+def _range_rows(tree: Tree, points, queries, max_results) -> list[dict[str, Any]]:
+    counts, lists = range_points(tree, points, [q.radius for q in queries], max_results)
+    return [{"count": n, **({"truncated": True} if n > max_results else {}), "idx": idx.tolist()}
+            for n, idx in zip(counts.tolist(), lists)]
 
 
 def execute_queries(tree: Tree, queries: list[dict[str, Any]],
@@ -125,32 +51,29 @@ def execute_queries(tree: Tree, queries: list[dict[str, Any]],
     """Run one chunk of wire-format queries; one result dict per query.
 
     This is the function the executor ships to workers, so it takes and
-    returns only plain (picklable, JSON-ready) structures.  A per-query
-    failure becomes an ``{"error": ...}`` result instead of poisoning
-    the chunk.
+    returns only plain (picklable, JSON-ready) structures.  A doc the
+    service would have refused gets ``{"error": ...}`` in its slot and never
+    reaches a walk; a walk that raises fails its own rows, not the chunk.
     """
-    out: list[dict[str, Any]] = []
-    for doc in queries:
+    out: list[dict[str, Any]] = [{}] * len(queries)
+    groups: dict[Any, list[tuple[int, Query]]] = {_knn_rows: [], _range_rows: []}
+    for slot, doc in enumerate(queries):
         try:
-            point = np.asarray(doc["point"], dtype=np.float64)
-            op = doc["op"]
-            if op == "knn":
-                idx, d2 = knn_point(tree, point, int(doc["k"]))
-                out.append({"idx": [int(i) for i in idx],
-                            "dist": [float(np.sqrt(d)) for d in d2]})
-            elif op == "range":
-                idx = range_point(tree, point, float(doc["radius"]))
-                res: dict[str, Any] = {"count": int(idx.size)}
-                if idx.size > max_results:
-                    idx = idx[:max_results]
-                    res["truncated"] = True
-                res["idx"] = [int(i) for i in idx]
-                out.append(res)
-            elif op == "density":
-                rho, h = density_point(tree, point, int(doc["k"]))
-                out.append({"rho": float(rho), "h": float(h)})
-            else:
-                out.append({"error": f"unknown op {op!r}"})
-        except Exception as exc:  # noqa: BLE001 - per-query isolation
-            out.append({"error": f"{type(exc).__name__}: {exc}"})
+            query = Query.from_wire(doc)
+            bad = query.validate(tree.n_particles, tree.n_particles)
+        except ProtocolError as exc:
+            bad = str(exc)
+        if bad is None:
+            groups[_range_rows if query.op == "range" else _knn_rows].append((slot, query))
+        else:
+            out[slot] = {"error": bad}
+    for run, members in groups.items():
+        if members:
+            slots, parsed = zip(*members)
+            try:
+                results = run(tree, np.array([q.point for q in parsed]), parsed, max_results)
+            except Exception as exc:  # noqa: BLE001 - per-query isolation
+                results = [{"error": f"{type(exc).__name__}: {exc}"}] * len(slots)
+            for slot, result in zip(slots, results):
+                out[slot] = result
     return out

@@ -73,20 +73,10 @@ def expand_pair_products(
     """
     from ..core.util import ranges_to_indices
 
-    tstart = np.asarray(tstart, dtype=np.int64)
-    tend = np.asarray(tend, dtype=np.int64)
-    sstart = np.asarray(sstart, dtype=np.int64)
-    send = np.asarray(send, dtype=np.int64)
     tc = tend - tstart
-    sc = send - sstart
-    if int((tc * sc).sum()) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
     # Division-free expansion: each target row of pair p repeats sc[p]
     # times, and each (pair, target-row) block replays [sstart_p, send_p).
-    t_all = ranges_to_indices(tstart, tend)
-    sc_per_trow = np.repeat(sc, tc)
-    t_rows = np.repeat(t_all, sc_per_trow)
+    t_rows = np.repeat(ranges_to_indices(tstart, tend), np.repeat(send - sstart, tc))
     s_rows = ranges_to_indices(np.repeat(sstart, tc), np.repeat(send, tc))
     return t_rows, s_rows
 
@@ -464,23 +454,42 @@ def accumulate_quadrupole(accel, rows, pos, center, mass, quad, G=1.0, softening
 # before it could be trusted, and no build here has numba.
 # ---------------------------------------------------------------------------
 
-def pair_dist_sq(positions, rows_a, rows_b):
+def _rows_of(positions, rows):
+    """``positions[rows]`` by coordinate.  SoA columns (an O(N) copy that a
+    walk over every particle makes once) are gathered from; an ``(n, 3)``
+    array is gathered first and split after, O(rows)."""
+    if isinstance(positions, np.ndarray):
+        return list(np.moveaxis(positions[rows], -1, 0))
+    return [c[rows] for c in positions]
+
+
+def pair_dist_sq(positions, rows_a, rows_b, target_positions=None):
     """Squared distance of each ``(a, b)`` particle-row pair.  The row
     arrays broadcast against each other, so ``rows_a[:, None]`` against
-    ``rows_b[None, :]`` is the all-pairs matrix."""
-    pos = components(positions)
-    return _separation([c[rows_a] for c in pos], [c[rows_b] for c in pos])[1]
+    ``rows_b[None, :]`` is the all-pairs matrix.  ``rows_a`` index
+    ``target_positions`` when the targets are not rows of ``positions``."""
+    targets = positions if target_positions is None else target_positions
+    return _separation(_rows_of(targets, rows_a), _rows_of(positions, rows_b))[1]
 
 
-def merge_nearest(dist_sq, index, positions, tstart, tend, sstart, send):
+def _run_bounds(a):
+    """``b`` such that ``a[b[j]:b[j + 1]]`` is the j-th run of equal adjacent
+    values of the non-empty ``a``."""
+    return np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1], [True])))
+
+
+def merge_nearest(dist_sq, index, positions, tstart, tend, sstart, send,
+                  target_positions=None):
     """Merge candidate neighbours into running k-nearest rows.
 
     Pair ``p`` offers the particles ``[sstart[p], send[p])`` to every target
     row in ``[tstart[p], tend[p])``; pairs are target-major, so the pairs of
     one target bucket are adjacent.  ``dist_sq``/``index`` are the ``(N, k)``
     running lists, every row ascending in ``(dist_sq, index)`` with unused
-    slots ``(inf, -1)`` — an invariant this function keeps.  A row never
-    meets its own particle, and no candidate twice.
+    slots ``(inf, -1)`` — an invariant this function keeps.  No row meets a
+    candidate twice.  Target rows are rows of ``positions`` and never meet
+    their own particle — unless ``target_positions`` says where they are
+    instead (query points: nothing to exclude).
 
     Selection and order are lexicographic in ``(dist_sq, index)``, so the
     result is the k smallest such tuples seen so far: a function of the
@@ -496,16 +505,19 @@ def merge_nearest(dist_sq, index, positions, tstart, tend, sstart, send):
 
     k = dist_sq.shape[1]
     t_rows, s_rows = expand_pair_products(tstart, tend, sstart, send)
-    d2 = pair_dist_sq(positions, t_rows, s_rows)
+    d2 = pair_dist_sq(positions, t_rows, s_rows, target_positions)
     kth_d, kth_i = dist_sq[t_rows, -1], index[t_rows, -1]
     enters = (d2 < kth_d) | ((d2 == kth_d) & (s_rows < kth_i))
-    enters &= t_rows != s_rows
+    if target_positions is None:
+        enters &= t_rows != s_rows
     entering = np.flatnonzero(enters)
     if entering.size:
         # group the entering candidates by row (a row's pairs repeat it)
         entering = entering[np.argsort(t_rows[entering], kind="stable")]
         t_in, s_in, d_in = t_rows[entering], s_rows[entering], d2[entering]
-        rows, starts, per_row = np.unique(t_in, return_index=True, return_counts=True)
+        bounds = _run_bounds(t_in)
+        starts, per_row = bounds[:-1], bounds[1:] - bounds[:-1]
+        rows = t_in[starts]
         local = np.repeat(np.arange(rows.size), per_row)
         column = k + np.arange(t_in.size) - np.repeat(starts, per_row)
         width = k + int(per_row.max())
@@ -514,9 +526,9 @@ def merge_nearest(dist_sq, index, positions, tstart, tend, sstart, send):
         d_all[:, :k], i_all[:, :k] = dist_sq[rows], index[rows]
         d_all[local, column], i_all[local, column] = d_in, s_in
         keep = np.lexsort((i_all, d_all), axis=1)[:, :k]
-        dist_sq[rows] = np.take_along_axis(d_all, keep, axis=1)
-        index[rows] = np.take_along_axis(i_all, keep, axis=1)
-    first = np.flatnonzero(np.r_[True, tstart[1:] != tstart[:-1]])
-    bucket_rows = ranges_to_indices(tstart[first], tend[first])
-    offsets = np.cumsum(tend[first] - tstart[first]) - (tend[first] - tstart[first])
-    return first, np.maximum.reduceat(dist_sq[bucket_rows, -1], offsets)
+        each = np.arange(rows.size)[:, None]
+        dist_sq[rows], index[rows] = d_all[each, keep], i_all[each, keep]
+    first = _run_bounds(tstart)[:-1]
+    start, n = tstart[first], tend[first] - tstart[first]
+    kth = dist_sq[ranges_to_indices(start, start + n), -1]
+    return first, np.maximum.reduceat(kth, np.cumsum(n) - n)

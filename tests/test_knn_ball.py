@@ -141,25 +141,27 @@ class TestCanonicalTieOrder:
         assert np.array_equal(visitor.index, want_i)
 
     def test_agrees_with_the_point_query(self, points, tree_type):
-        """``serve.kernels.knn_point`` orders its reply the same way; a point
-        query for k + 1 also finds the particle itself.  (Rows whose cut
-        falls inside a tie are left out: the point query does not yet choose
-        among those canonically.)"""
-        from repro.serve.kernels import knn_point
+        """``knn_points`` is the same search from the query side: a query
+        placed on particle *i* for k + 1 finds *i* itself (distance 0), then
+        ``knn_search``'s row *i* — the same bytes, also where the cut falls
+        inside a tie (the per-point walker it replaced picked among those
+        with ``argpartition``)."""
+        from repro.apps.knn import knn_points
 
         tree = self.tree(points, tree_type)
         pos = tree.particles.position
-        checked = 0
+        cuts_in_ties = 0
         for k in (4, self.K):
             d2, _ = canonical_knn(pos, k + 1)
+            cuts_in_ties += np.count_nonzero(d2[:, k - 1] == d2[:, k])
             res = knn_search(tree, k)
-            for i in np.flatnonzero(d2[:, k - 1] < d2[:, k])[::7]:
-                idx, dist = knn_point(tree, pos[i], k + 1)
-                others = idx != i
-                assert np.array_equal(idx[others], res.index[i])
-                assert np.array_equal(dist[others], res.dist_sq[i])
-                checked += 1
-        assert checked
+            got = knn_points(tree, pos, k + 1)
+            for i in range(len(pos)):
+                others = got.index[i] != i
+                assert others.sum() == k and got.dist_sq[i][~others] == 0.0
+                assert got.index[i][others].tobytes() == res.index[i].tobytes()
+                assert got.dist_sq[i][others].tobytes() == res.dist_sq[i].tobytes()
+        assert cuts_in_ties
 
 
 class TestBallSearch:

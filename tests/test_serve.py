@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.knn import knn_points, range_points
 from repro.particles import clustered_clumps
 from repro.serve import (
     ADMITTED,
@@ -30,12 +31,9 @@ from repro.serve import (
     build_resident_state,
     checkpoint_resident,
     decode_query_line,
-    density_point,
     encode_line,
     execute_queries,
     generate_traffic,
-    knn_point,
-    range_point,
     simulate_service,
 )
 from repro.serve.admission import QueueEntry
@@ -255,15 +253,21 @@ def serve_tree():
 
 
 class TestKernels:
+    """The batch functions on one-row batches (what a linger that catches
+    one query executes), against the einsum brute force of the bench."""
+
     def test_knn_matches_brute_force(self, serve_tree):
         pos = serve_tree.particles.position
         rng = np.random.default_rng(5)
         for _ in range(25):
             pt = pos[rng.integers(len(pos))] + rng.normal(0, 0.05, 3)
-            idx, d2 = knn_point(serve_tree, pt, 6)
+            res = knn_points(serve_tree, pt[None], 6)
+            idx, d2 = res.index[0], res.dist_sq[0]
             delta = pos - pt
-            ref = np.sort(np.einsum("ij,ij->i", delta, delta))[:6]
-            np.testing.assert_allclose(np.sort(d2), ref)
+            ref = np.einsum("ij,ij->i", delta, delta)
+            order = np.lexsort((np.arange(len(pos)), ref))[:6]
+            np.testing.assert_array_equal(idx, order)   # canonical (dist, index)
+            np.testing.assert_allclose(d2, ref[order], rtol=1e-12, atol=0)
             assert np.all(np.diff(d2) >= 0)  # sorted output
 
     def test_range_matches_brute_force(self, serve_tree):
@@ -271,17 +275,19 @@ class TestKernels:
         rng = np.random.default_rng(6)
         for _ in range(25):
             pt = pos[rng.integers(len(pos))] + rng.normal(0, 0.02, 3)
-            idx = range_point(serve_tree, pt, 0.15)
+            counts, (idx,) = range_points(serve_tree, pt[None], 0.15)
             delta = pos - pt
             ref = np.where(np.einsum("ij,ij->i", delta, delta) <= 0.15**2)[0]
             np.testing.assert_array_equal(idx, np.sort(ref))
+            assert counts.tolist() == [len(ref)]
 
     def test_range_max_results_caps_payload(self, serve_tree):
         pt = serve_tree.particles.position.mean(axis=0)
-        full = range_point(serve_tree, pt, 10.0)
-        capped = range_point(serve_tree, pt, 10.0, max_results=7)
+        _, (full,) = range_points(serve_tree, pt[None], 10.0)
+        counts, (capped,) = range_points(serve_tree, pt[None], 10.0, max_results=7)
         assert len(full) == len(serve_tree.particles)
-        assert len(capped) == 7
+        np.testing.assert_array_equal(capped, np.arange(7))   # the smallest
+        assert counts.tolist() == [len(full)]                 # count stays exact
 
     def test_range_count_exact_when_capped(self, serve_tree):
         """A capped range payload still reports the exact hit count and
@@ -299,9 +305,18 @@ class TestKernels:
         assert "truncated" not in full
 
     def test_density_positive(self, serve_tree):
+        """density = the kNN row's mass over the ball of its k-th distance."""
         pt = serve_tree.particles.position[0]
-        rho, h = density_point(serve_tree, pt, 12)
-        assert rho > 0 and h > 0
+        doc = {"op": "density", "point": [float(c) for c in pt], "k": 12}
+        out, = execute_queries(serve_tree, [doc])
+        assert out["rho"] > 0 and out["h"] > 0
+        res = knn_points(serve_tree, pt[None], 12)
+        assert out["h"] == float(np.sqrt(res.dist_sq[0, -1]))
+        msum = float(serve_tree.particles.mass[res.index[0]].sum())
+        assert out["rho"] == msum / ((4.0 / 3.0) * np.pi * out["h"] ** 3)
+        on_particle = {"op": "density", "point": [float(c) for c in pt], "k": 1}
+        out, = execute_queries(serve_tree, [on_particle])    # h = 0: clamped, still JSON
+        assert out["h"] == 0.0 and np.isfinite(out["rho"])
 
     def test_execute_queries_isolates_bad_query(self, serve_tree):
         docs = [
