@@ -28,7 +28,7 @@ therefore would need cross-process merging during tree build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,24 +59,48 @@ class LocalBucket:
 
 @dataclass
 class Partition:
-    """A unit of traversal load: a set of local buckets."""
+    """A unit of traversal load: a set of local buckets, held as arrays.
+
+    One row per local bucket, in ``tree.leaf_indices`` order.  A whole leaf
+    is the tree-order range ``[bucket_start, bucket_end)``; a split piece
+    (rare, §II-C-1) is that range of ``split_particles``, which holds the
+    tree-order indices of this partition's share of every split leaf.
+    """
 
     index: int
-    buckets: list[LocalBucket] = field(default_factory=list)
-    process: int = 0
+    process: int
+    bucket_leaf: np.ndarray
+    bucket_start: np.ndarray
+    bucket_end: np.ndarray
+    bucket_split: np.ndarray
+    split_particles: np.ndarray
+
+    @property
+    def buckets(self) -> list[LocalBucket]:
+        """The local buckets as objects, materialised on demand."""
+        return [
+            LocalBucket(int(leaf), self.split_particles[s:e] if split else np.arange(s, e),
+                        bool(split))
+            for leaf, s, e, split in zip(self.bucket_leaf, self.bucket_start,
+                                         self.bucket_end, self.bucket_split)
+        ]
 
     @property
     def n_particles(self) -> int:
-        return sum(len(b.particle_idx) for b in self.buckets)
+        return int((self.bucket_end - self.bucket_start).sum())
 
     @property
     def leaf_ids(self) -> np.ndarray:
-        return np.array(sorted({b.leaf for b in self.buckets}), dtype=np.int64)
+        return np.unique(self.bucket_leaf)
 
     def particle_indices(self) -> np.ndarray:
-        if not self.buckets:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([b.particle_idx for b in self.buckets])
+        """Tree-order indices of every local bucket's particles, bucket by bucket."""
+        from ..core.util import ranges_to_indices  # repro.core imports repro.decomp
+
+        out = ranges_to_indices(self.bucket_start, self.bucket_end)
+        piece = np.repeat(self.bucket_split, self.bucket_end - self.bucket_start)
+        out[piece] = self.split_particles[out[piece]]
+        return out
 
 
 @dataclass
@@ -121,17 +145,12 @@ class Decomposition:
         """Summed load per partition (defaults to particle counts)."""
         n = self.tree.n_particles
         load = np.ones(n) if per_particle_load is None else np.asarray(per_particle_load)
-        out = np.zeros(len(self.partitions))
-        np.add.at(out, self.particle_partition, load)
-        return out
+        return np.bincount(self.particle_partition, weights=load, minlength=len(self.partitions))
 
     def node_process(self) -> np.ndarray:
         """Home process of every tree node (-1 for the replicated branch)."""
-        out = np.full(self.tree.n_nodes, -1, dtype=np.int64)
-        for st in self.subtrees:
-            nodes = self.tree.subtree_nodes(st.root)
-            out[nodes] = st.process
-        return out
+        process = np.array([st.process for st in self.subtrees], dtype=np.int64)
+        return np.where(self.node_subtree >= 0, process[self.node_subtree], -1)
 
     def leaf_partition(self) -> np.ndarray:
         """Majority-owner partition per leaf node (split buckets are rare,
@@ -209,54 +228,86 @@ def decompose(
         Processes to place partitions/subtrees on; defaults to the number of
         partitions.
     """
-    particle_partition = np.asarray(particle_partition, dtype=np.int64)
-    if len(particle_partition) != tree.n_particles:
-        raise ValueError("particle_partition length must match particle count")
+    from ..core.util import ranges_to_indices  # repro.core imports repro.decomp
+
+    particle_partition = _partition_ids(particle_partition, tree.n_particles)
     n_parts = int(particle_partition.max()) + 1 if len(particle_partition) else 1
     n_processes = n_processes or n_parts
 
     # --- Subtrees: consistent with the tree ------------------------------
-    roots = _choose_subtree_roots(tree, n_subtrees)
+    roots = np.array(_choose_subtree_roots(tree, n_subtrees), dtype=np.int64)
     subtrees = [
         Subtree(
             index=k,
-            root=r,
+            root=int(r),
             pstart=int(tree.pstart[r]),
             pend=int(tree.pend[r]),
             process=k % n_processes,
         )
         for k, r in enumerate(roots)
     ]
-    node_subtree = np.full(tree.n_nodes, -1, dtype=np.int64)
-    for st in subtrees:
-        node_subtree[tree.subtree_nodes(st.root)] = st.index
+    # The roots' ranges tile [0, N) in order, so a node's subtree is the one
+    # its first particle falls in — if the node ends inside it too and is no
+    # shallower than the root (an equal range one level up is an ancestor on
+    # a single-child chain).
+    k = np.searchsorted(tree.pstart[roots], tree.pstart, side="right") - 1
+    inside = (tree.pend <= tree.pend[roots][k]) & (tree.level >= tree.level[roots][k])
+    node_subtree = np.where(inside, k, -1)
 
     # --- Partitions: local buckets via leaf sharing (Figs 4-5) -----------
-    partitions = [Partition(index=p, process=p % n_processes) for p in range(n_parts)]
-    n_split = 0
-    n_shared = 0
+    # Leaf ranges tile [0, N) too: a leaf is unsplit iff the smallest and the
+    # largest partition id in its range agree.
     leaves = tree.leaf_indices
-    # Subtree id per leaf tells us the bucket's home; a bucket is "shared"
-    # when some of its particles belong to partitions on other processes.
-    for leaf in leaves:
-        s, e = int(tree.pstart[leaf]), int(tree.pend[leaf])
-        owners = particle_partition[s:e]
-        uniq = np.unique(owners)
-        if len(uniq) == 1:
-            partitions[int(uniq[0])].buckets.append(
-                LocalBucket(leaf=int(leaf), particle_idx=np.arange(s, e), is_split=False)
-            )
-            continue
-        n_split += 1
-        home_subtree = node_subtree[leaf]
-        home_proc = subtrees[home_subtree].process if home_subtree >= 0 else 0
-        for p in uniq:
-            idx = np.arange(s, e)[owners == p]
-            partitions[int(p)].buckets.append(
-                LocalBucket(leaf=int(leaf), particle_idx=idx, is_split=True)
-            )
-            if partitions[int(p)].process != home_proc:
-                n_shared += len(idx)
+    by_start = np.argsort(tree.pstart[leaves])
+    starts = tree.pstart[leaves[by_start]]
+    owner = np.empty(len(leaves), dtype=np.int64)
+    last_owner = np.empty(len(leaves), dtype=np.int64)
+    owner[by_start] = np.minimum.reduceat(particle_partition, starts)
+    last_owner[by_start] = np.maximum.reduceat(particle_partition, starts)
+    is_split = owner != last_owner
+
+    # The particles of split leaves, grouped by (partition, leaf) and in tree
+    # order inside a group: partition p's slice of ``rows`` is its
+    # ``split_particles`` and every run of one (partition, leaf) is a piece.
+    split = np.flatnonzero(is_split)
+    s, e = tree.pstart[leaves[split]], tree.pend[leaves[split]]
+    rows = ranges_to_indices(s, e)
+    group = particle_partition[rows] * len(leaves) + np.repeat(split, e - s)
+    order = np.argsort(group, kind="stable")
+    rows, group = rows[order], group[order]
+    row_part, row_rank = np.divmod(group, len(leaves))
+    part_rows = np.searchsorted(row_part, np.arange(n_parts + 1))
+    head = np.flatnonzero(np.diff(group, prepend=-1))  # first row of every piece
+    piece_base = part_rows[row_part[head]]
+    # A bucket is "shared" when some of its particles belong to partitions
+    # on other processes than its home Subtree's.
+    home = node_subtree[leaves[row_rank]]
+    home_proc = np.where(home >= 0, home % n_processes, 0)
+    n_shared = int(np.count_nonzero(row_part % n_processes != home_proc))
+
+    # One row per local bucket: (leaf rank, partition, range); a whole leaf's
+    # range is in tree order, a piece's indexes its partition's rows.
+    whole = np.flatnonzero(~is_split)
+    rank = np.concatenate([whole, row_rank[head]])
+    part = np.concatenate([owner[whole], row_part[head]])
+    start = np.concatenate([tree.pstart[leaves[whole]], head - piece_base])
+    end = np.concatenate([tree.pend[leaves[whole]], np.append(head[1:], len(rows)) - piece_base])
+    order = np.lexsort((rank, part))  # per partition, tree.leaf_indices order
+    rank, start, end = rank[order], start[order], end[order]
+    bounds = np.searchsorted(part[order], np.arange(n_parts + 1))
+    partitions = [
+        Partition(
+            index=p,
+            process=p % n_processes,
+            bucket_leaf=leaves[rank[a:b]],
+            bucket_start=start[a:b],
+            bucket_end=end[a:b],
+            bucket_split=is_split[rank[a:b]],
+            split_particles=rows[part_rows[p]:part_rows[p + 1]],
+        )
+        for p, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
+    ]
+    n_split = int(is_split.sum())
 
     # --- co-location optimisation ----------------------------------------
     # When every leaf's particles map to a single partition AND subtree
@@ -275,6 +326,17 @@ def decompose(
         n_shared_particles=n_shared,
         colocated=colocated,
     )
+
+
+def _partition_ids(ids: np.ndarray, n_particles: int) -> np.ndarray:
+    """``ids`` as int64, or a one-line ValueError: a negative id would file
+    its particles under the last partition and a float one be truncated."""
+    ids = np.asarray(ids)
+    if ids.shape != (n_particles,):
+        raise ValueError("particle_partition length must match particle count")
+    if ids.dtype.kind not in "iu" or (ids.size and ids.min() < 0):
+        raise ValueError("particle_partition must hold non-negative integer partition ids")
+    return ids.astype(np.int64, copy=False)
 
 
 def branch_duplication_count(tree: Tree, particle_partition: np.ndarray) -> int:

@@ -176,20 +176,10 @@ class OctDecomposer(Decomposer):
 
         # Pack Morton-ordered leaves into partitions of near-equal weight.
         leaves = sorted(heap, key=lambda item: item[2] << (3 * (self.max_level - item[1])))
-        leaf_w = np.array([-item[0] for item in leaves])
-        cum = np.cumsum(leaf_w)
-        total = cum[-1] if len(cum) else 1.0
-        targets = total * (np.arange(1, n_parts) / n_parts)
-        cuts = np.searchsorted(cum, targets, side="left")
-        leaf_part = np.zeros(len(leaves), dtype=np.int64)
-        np.add.at(leaf_part, np.minimum(cuts, len(leaves) - 1), 1)
-        leaf_part = np.minimum(np.cumsum(leaf_part), n_parts - 1)
-
-        out_sorted = np.empty(n, dtype=np.int64)
-        for (negw, lvl, prefix, s, e), part in zip(leaves, leaf_part):
-            out_sorted[s:e] = part
+        negw, _, _, start, end = (np.array(column) for column in zip(*leaves))
+        leaf_part = _weighted_contiguous_slices(np.arange(len(leaves)), -negw, n_parts)
         out = np.empty(n, dtype=np.int64)
-        out[order] = out_sorted
+        out[order] = np.repeat(leaf_part, end - start)
         return out
 
 

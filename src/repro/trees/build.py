@@ -51,9 +51,9 @@ class TreeBuildConfig:
         builder of :mod:`repro.trees.linear`, the default: ~4x faster) or
         ``"recursive"`` (the node-at-a-time stack walk, kept as the
         reference the byte-identity tests compare against).  Both produce
-        byte-identical trees; the switch only trades build time.  Binary
-        tree types always use their recursive builder, so ``builder`` is an
-        octree knob.
+        byte-identical trees; the switch only trades build time.  It is an
+        octree knob: the binary tree types have one, level-synchronous
+        builder (:mod:`repro.trees.build_binary`) and ignore it.
     """
 
     tree_type: TreeType | str = TreeType.OCT

@@ -11,20 +11,24 @@ the split axis is chosen:
   current box (paper §IV-B), which keeps aspect ratios in check for flat,
   disk-like particle distributions.
 
-The median split uses ``argpartition`` on the node's slice of a global
-permutation array, so the particle set is permuted exactly once at the end.
+The build is level-synchronous (docs/tree-build.md): one stable rank array
+per axis up front, then every open node of a level is split at its median at
+once — one sort of the integer key ``segment * n + rank[axis, particle]``
+over the open nodes' rows, two order statistics per cut for the split plane —
+and the level-order arrays are renumbered by
+:func:`repro.trees.linear.tree_from_levels`.  Inside a split, particles end
+up ascending in ``(coordinate on the split axis, input index)``.
 Node keys are heap path keys (root 1, children ``2k`` and ``2k+1``), unique
 per node and prefix-ordered along root-to-leaf paths like Morton keys are.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from ..particles import ParticleSet
 from .build import TreeBuildConfig
+from .linear import tree_from_levels
 from .node import NO_NODE, Tree
 
 __all__ = ["build_kd_tree", "build_longest_dim_tree"]
@@ -35,109 +39,100 @@ _MAX_BINARY_DEPTH = 62
 
 def build_kd_tree(particles: ParticleSet, config: TreeBuildConfig) -> Tree:
     """k-d tree with depth-cycled split axes."""
-
-    def pick_axis(level: int, lo: np.ndarray, hi: np.ndarray) -> int:
-        return level % 3
-
-    return _build_binary(particles, config, pick_axis, "kd")
+    return _build_binary(particles, config, "kd")
 
 
 def build_longest_dim_tree(particles: ParticleSet, config: TreeBuildConfig) -> Tree:
     """Longest-dimension tree: always split the node box's longest axis."""
-
-    def pick_axis(level: int, lo: np.ndarray, hi: np.ndarray) -> int:
-        return int(np.argmax(hi - lo))
-
-    return _build_binary(particles, config, pick_axis, "longest")
+    return _build_binary(particles, config, "longest")
 
 
-def _build_binary(
-    particles: ParticleSet,
-    config: TreeBuildConfig,
-    pick_axis: Callable[[int, np.ndarray, np.ndarray], int],
-    tree_type: str,
-) -> Tree:
+def _axis_orders(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, rank)``, both (3, N) flattened: per axis the argsort of the
+    coordinate with ties in input order, and its inverse."""
+    n = len(pos)
+    order = np.empty((3, n), dtype=np.int64)
+    rank = np.empty((3, n), dtype=np.int64)
+    for axis in range(3):
+        x = np.ascontiguousarray(pos[:, axis])
+        by_x = np.argsort(x)
+        sorted_x = x[by_x]
+        if np.any(sorted_x[1:] == sorted_x[:-1]):
+            # only a stable sort orders tied coordinates by input index; it
+            # costs 5x the default one, which is the same answer without ties
+            by_x = np.argsort(x, kind="stable")
+        order[axis] = by_x
+        rank[axis, by_x] = np.arange(n)
+    return order.ravel(), rank.ravel()
+
+
+def _build_binary(particles: ParticleSet, config: TreeBuildConfig, tree_type: str) -> Tree:
+    # Function-level import: repro.core imports repro.trees at package load.
+    from ..core.util import ranges_to_indices
+
     n = len(particles)
     pos = particles.position
+    order, rank = _axis_orders(pos)
     perm = np.arange(n, dtype=np.int64)
-    max_depth = min(config.max_depth, _MAX_BINARY_DEPTH)
-
-    parent: list[int] = []
-    first_child: list[int] = []
-    n_children: list[int] = []
-    pstart: list[int] = []
-    pend: list[int] = []
-    box_lo: list[np.ndarray] = []
-    box_hi: list[np.ndarray] = []
-    level_arr: list[int] = []
-    node_key: list[int] = []
-
-    def add_node(par: int, start: int, end: int, lo, hi, level: int, key: int) -> int:
-        idx = len(parent)
-        parent.append(par)
-        first_child.append(NO_NODE)
-        n_children.append(0)
-        pstart.append(start)
-        pend.append(end)
-        box_lo.append(np.asarray(lo, dtype=np.float64))
-        box_hi.append(np.asarray(hi, dtype=np.float64))
-        level_arr.append(level)
-        node_key.append(key)
-        return idx
-
     universe = particles.bounding_box()
-    root = add_node(NO_NODE, 0, n, universe.lo, universe.hi, 0, 1)
-    queue = [root]
-    while queue:
-        i = queue.pop()
-        start, end = pstart[i], pend[i]
-        count = end - start
-        lvl = level_arr[i]
-        if count <= config.bucket_size or lvl >= max_depth:
-            continue
-        axis = pick_axis(lvl, box_lo[i], box_hi[i])
-        coords = pos[perm[start:end], axis]
-        mid = count // 2
-        part = np.argpartition(coords, mid)
-        perm[start:end] = perm[start:end][part]
+
+    # The open level; children of one parent are adjacent and parents keep
+    # their order, so every level is sorted by particle range.
+    parent = np.array([NO_NODE], dtype=np.int64)  # level-order (BFS) index
+    start = np.array([0], dtype=np.int64)
+    end = np.array([n], dtype=np.int64)
+    lo = np.array(universe.lo, dtype=np.float64).reshape(1, 3)
+    hi = np.array(universe.hi, dtype=np.float64).reshape(1, 3)
+    key = np.array([1], dtype=np.uint64)
+    levels = []
+    base = 0  # level-order index of the open level's first node
+
+    for lvl in range(min(config.max_depth, _MAX_BINARY_DEPTH)):
+        split = np.flatnonzero(end - start > config.bucket_size)
+        if split.size == 0:
+            break
+        s, e = start[split], end[split]
+        count = e - s
+        if tree_type == "kd":
+            axis = np.full(split.size, lvl % 3)
+        else:
+            axis = np.argmax(hi[split] - lo[split], axis=1)
+
+        # Sort every splitting node's rows by (node, rank on its axis) in one
+        # pass: ranks are distinct, so the keys are, and sorting their values
+        # beats an argsort — the particle is read back off the rank.
+        rows = ranges_to_indices(s, e)
+        segment = np.repeat(np.arange(split.size) * n, count)
+        column = np.repeat(axis * n, count)
+        keys = segment + rank[column + perm[rows]]
+        keys.sort()
+        perm[rows] = order[column + (keys - segment)]
+
         # Split plane halfway between the two sides' extreme particles; if
         # all coordinates are identical the children share the plane, which
         # is fine (boxes may be degenerate but remain valid).
-        left_max = float(coords[part[:mid]].max())
-        right_min = float(coords[part[mid:]].min())
-        split = 0.5 * (left_max + right_min)
-        lo, hi = box_lo[i], box_hi[i]
-        l_hi = hi.copy()
-        l_hi[axis] = split
-        r_lo = lo.copy()
-        r_lo[axis] = split
-        key = node_key[i]
-        left = add_node(i, start, start + mid, lo.copy(), l_hi, lvl + 1, 2 * key)
-        right = add_node(i, start + mid, end, r_lo, hi.copy(), lvl + 1, 2 * key + 1)
-        first_child[i] = left
-        n_children[i] = 2
-        queue.append(left)
-        queue.append(right)
+        cut = s + count // 2
+        plane = 0.5 * (pos[perm[cut - 1], axis] + pos[perm[cut], axis])
+        left = 2 * np.arange(split.size)
+        child_lo = np.repeat(lo[split], 2, axis=0)
+        child_hi = np.repeat(hi[split], 2, axis=0)
+        child_hi[left, axis] = plane
+        child_lo[left + 1, axis] = plane
 
-    particles = particles.permuted(perm)
-    tree = Tree(
-        particles=particles,
-        parent=np.asarray(parent),
-        first_child=np.asarray(first_child),
-        n_children=np.asarray(n_children),
-        pstart=np.asarray(pstart),
-        pend=np.asarray(pend),
-        box_lo=np.asarray(box_lo),
-        box_hi=np.asarray(box_hi),
-        level=np.asarray(level_arr),
-        key=np.asarray(node_key, dtype=np.uint64),
-        tree_type=tree_type,
-        bucket_size=config.bucket_size,
-    )
-    if config.tight_boxes:
-        p = tree.particles.position
-        for j in range(tree.n_nodes):
-            s, e = tree.pstart[j], tree.pend[j]
-            tree.box_lo[j] = p[s:e].min(axis=0)
-            tree.box_hi[j] = p[s:e].max(axis=0)
-    return tree
+        first = np.full(len(start), NO_NODE, dtype=np.int64)
+        first[split] = base + len(start) + left
+        n_children = np.zeros(len(start), dtype=np.int64)
+        n_children[split] = 2
+        levels.append((parent, first, n_children, start, end, lo, hi, key))
+
+        parent = np.repeat(base + split, 2)
+        base += len(start)
+        start = np.column_stack([s, cut]).ravel()
+        end = np.column_stack([cut, e]).ravel()
+        lo, hi = child_lo, child_hi
+        key = np.column_stack([2 * key[split], 2 * key[split] + 1]).ravel()
+
+    # Whatever is still open when the loop ends is a level of leaves.
+    first = np.full(len(start), NO_NODE, dtype=np.int64)
+    levels.append((parent, first, np.zeros(len(start), dtype=np.int64), start, end, lo, hi, key))
+    return tree_from_levels(particles.permuted(perm), levels, tree_type, config)

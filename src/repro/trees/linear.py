@@ -68,7 +68,6 @@ def build_octree_linear(particles: ParticleSet, config: TreeBuildConfig) -> Tree
     lvl_parent = [np.array([NO_NODE], dtype=np.int64)]  # global BFS index
     lvl_first = []   # global BFS index of first child, NO_NODE for leaves
     lvl_nchild = []  # children per node
-    lvl_counts = []  # children per *splitting* node (segment lengths)
     level_base = [0]
 
     for lvl in range(max_level):
@@ -122,7 +121,6 @@ def build_octree_linear(particles: ParticleSet, config: TreeBuildConfig) -> Tree
         nchild[split] = counts
         lvl_first.append(first)
         lvl_nchild.append(nchild)
-        lvl_counts.append(counts)
 
         lvl_start.append(child_start)
         lvl_end.append(child_end)
@@ -136,37 +134,44 @@ def build_octree_linear(particles: ParticleSet, config: TreeBuildConfig) -> Tree
         lvl_first.append(np.full(len(lvl_start[-1]), NO_NODE, dtype=np.int64))
         lvl_nchild.append(np.zeros(len(lvl_start[-1]), dtype=np.int64))
 
-    parent_b = np.concatenate(lvl_parent)
-    first_b = np.concatenate(lvl_first)
-    nchild_b = np.concatenate(lvl_nchild)
-    start_b = np.concatenate(lvl_start)
-    end_b = np.concatenate(lvl_end)
-    lo_b = np.concatenate(lvl_lo, axis=0)
-    hi_b = np.concatenate(lvl_hi, axis=0)
-    key_b = np.concatenate(lvl_key)
-    level_b = np.concatenate(
-        [np.full(len(a), d, dtype=np.int64) for d, a in enumerate(lvl_start)]
-    )
-    m = len(parent_b)
-    n_levels = len(lvl_start)
+    levels = list(zip(lvl_parent, lvl_first, lvl_nchild, lvl_start, lvl_end,
+                      lvl_lo, lvl_hi, lvl_key))
+    return tree_from_levels(particles, levels, "oct", config)
 
-    # -- phase 2: canonical (recursive-builder) numbering --------------------
+
+def tree_from_levels(particles: ParticleSet, levels: list, tree_type: str,
+                     config: TreeBuildConfig) -> Tree:
+    """Assemble a :class:`Tree` from level-order arrays, renumbered the way a
+    LIFO work stack numbers nodes (phase 2; shared with the binary builders).
+
+    ``levels[d]`` is ``(parent, first_child, n_children, pstart, pend, box_lo,
+    box_hi, key)`` for the nodes of depth ``d``, ``parent`` / ``first_child``
+    being level-order (BFS) indices; children of one parent are contiguous
+    and parents keep their order from one level to the next.  ``particles``
+    are already in tree order.
+    """
+    parent_b, first_b, nchild_b, start_b, end_b, lo_b, hi_b, key_b = (
+        np.concatenate(column) for column in zip(*levels)
+    )
+    widths = [len(level[0]) for level in levels]
+    level_b = np.repeat(np.arange(len(levels)), widths)
+    level_base = np.concatenate([[0], np.cumsum(widths)])
+    m = len(parent_b)
+
     # Subtree sizes, bottom-up: children of level L live at level L-1.
     size = np.ones(m, dtype=np.int64)
-    for lvl in range(n_levels - 1, 0, -1):
-        idx = np.arange(level_base[lvl], level_base[lvl] + len(lvl_start[lvl]))
+    for lvl in range(len(levels) - 1, 0, -1):
+        idx = np.arange(level_base[lvl], level_base[lvl + 1])
         np.add.at(size, parent_b[idx], size[idx])
 
     # Depth-first position of every node under "last child first" descent:
     # pos(child_j) = pos(parent) + 1 + sum of later siblings' subtree sizes.
     pos = np.zeros(m, dtype=np.int64)
-    for lvl in range(n_levels - 1):
-        counts = lvl_counts[lvl] if lvl < len(lvl_counts) else None
-        if counts is None or counts.size == 0:
-            continue
-        idx = np.arange(level_base[lvl + 1], level_base[lvl + 1] + len(lvl_start[lvl + 1]))
-        sizes = size[idx]
-        cs = np.cumsum(sizes)
+    for lvl in range(1, len(levels)):
+        idx = np.arange(level_base[lvl], level_base[lvl + 1])
+        above = nchild_b[level_base[lvl - 1]:level_base[lvl]]
+        counts = above[above > 0]  # children per splitting parent
+        cs = np.cumsum(size[idx])
         lastpos = np.cumsum(counts) - 1
         seg_id = np.repeat(np.arange(counts.size), counts)
         tail = cs[lastpos][seg_id] - cs
@@ -206,32 +211,32 @@ def build_octree_linear(particles: ParticleSet, config: TreeBuildConfig) -> Tree
         box_hi=hi_b[inv],
         level=level_b[inv],
         key=key_b[inv],
-        tree_type="oct",
+        tree_type=tree_type,
         bucket_size=config.bucket_size,
     )
     if config.tight_boxes:
-        _tighten_boxes_vectorized(tree)
+        tree.box_lo, tree.box_hi = tight_bounds(tree)
     return tree
 
 
-def _tighten_boxes_vectorized(tree: Tree) -> None:
-    """Vectorised equivalent of ``build_oct._tighten_boxes``.
+def tight_bounds(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)``, both (M, 3): the tight bounds of every node's particles.
 
     Leaf slices tile ``[0, N)``, so ``np.minimum.reduceat`` over the
-    pstart-sorted leaves gives every leaf's tight box in one pass; internal
-    boxes follow bottom-up (min/max are exact, so combining children is
+    pstart-sorted leaves gives every leaf's bounds in one pass; internal
+    nodes follow bottom-up (min/max are exact, so combining children is
     bit-identical to reducing the node's whole particle slice).
     """
     pos = tree.particles.position
     leaves = tree.leaf_indices
     lsort = leaves[np.argsort(tree.pstart[leaves])]
     starts = tree.pstart[lsort]
-    tree.box_lo[lsort] = np.minimum.reduceat(pos, starts, axis=0)
-    tree.box_hi[lsort] = np.maximum.reduceat(pos, starts, axis=0)
-    internal = tree.first_child != NO_NODE
-    tree.box_lo[internal] = np.inf
-    tree.box_hi[internal] = -np.inf
+    lo = np.full((tree.n_nodes, 3), np.inf)
+    hi = np.full((tree.n_nodes, 3), -np.inf)
+    lo[lsort] = np.minimum.reduceat(pos, starts, axis=0)
+    hi[lsort] = np.maximum.reduceat(pos, starts, axis=0)
     for lvl in range(int(tree.level.max()), 0, -1):
         idx = np.flatnonzero(tree.level == lvl)
-        np.minimum.at(tree.box_lo, tree.parent[idx], tree.box_lo[idx])
-        np.maximum.at(tree.box_hi, tree.parent[idx], tree.box_hi[idx])
+        np.minimum.at(lo, tree.parent[idx], lo[idx])
+        np.maximum.at(hi, tree.parent[idx], hi[idx])
+    return lo, hi

@@ -130,24 +130,25 @@ class Tree:
         return out
 
     def subtree_nodes(self, i: int) -> np.ndarray:
-        """All node indices in the subtree rooted at ``i`` (preorder)."""
-        out: list[int] = []
-        stack = [int(i)]
-        while stack:
-            n = stack.pop()
-            out.append(n)
-            fc = self.first_child[n]
-            if fc != NO_NODE:
-                stack.extend(range(fc, fc + self.n_children[n]))
-        return np.asarray(out, dtype=np.int64)
+        """All node indices in the subtree rooted at ``i`` (preorder, the
+        last child first — the order a LIFO stack walk visits them).
+
+        Node ranges nest, so the subtree is every node whose particle range
+        lies inside ``i``'s and that is no shallower (an equal range one
+        level up is an ancestor on a single-child chain); descending ``pend``,
+        then ascending level, is that preorder.
+        """
+        inside = np.flatnonzero(
+            (self.pstart >= self.pstart[i]) & (self.pend <= self.pend[i])
+            & (self.level >= self.level[i])
+        )
+        return inside[np.lexsort((self.level[inside], -self.pend[inside]))]
 
     def leaf_of_particle(self) -> np.ndarray:
         """(N,) array mapping each particle (tree order) to its leaf index."""
-        out = np.empty(self.n_particles, dtype=np.int64)
         leaves = self.leaf_indices
-        for leaf in leaves:
-            out[self.pstart[leaf]:self.pend[leaf]] = leaf
-        return out
+        leaves = leaves[np.argsort(self.pstart[leaves])]
+        return np.repeat(leaves, self.pend[leaves] - self.pstart[leaves])
 
     def iter_preorder(self) -> Iterator[int]:
         stack = [0] if self.n_nodes else []

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import boxes_contain_points
+from .linear import tight_bounds
 from .node import NO_NODE, Tree
 
 __all__ = ["check_tree_invariants"]
@@ -26,58 +26,54 @@ def check_tree_invariants(tree: Tree, check_boxes: bool = True) -> None:
        tight-box trees where it holds by construction);
     6. node keys are unique.
     """
+    from ..core.util import ranges_to_indices  # repro.core imports repro.trees
+
     n = tree.n_particles
     assert tree.n_nodes >= 1, "tree must have at least a root"
     assert tree.pstart[0] == 0 and tree.pend[0] == n, "root must span all particles"
     assert tree.parent[0] == NO_NODE and tree.level[0] == 0
 
-    keys_seen = set(tree.key.tolist())
-    assert len(keys_seen) == tree.n_nodes, "node keys must be unique"
+    assert len(np.unique(tree.key)) == tree.n_nodes, "node keys must be unique"
 
-    max_level = tree.level.max() if tree.n_nodes else 0
-    for i in range(tree.n_nodes):
-        fc = tree.first_child[i]
-        if fc == NO_NODE:
-            assert tree.n_children[i] == 0
-            count = tree.pend[i] - tree.pstart[i]
-            assert count >= 1, f"leaf {i} is empty"
-            if tree.level[i] < max_level or max_level < 60:
-                # Depth-capped leaves may legitimately exceed the bucket.
-                pass
-            continue
-        nc = tree.n_children[i]
-        assert nc >= 1, f"internal node {i} has no children"
-        cursor = tree.pstart[i]
-        for c in range(fc, fc + nc):
-            assert tree.parent[c] == i, f"child {c} does not point back to {i}"
-            assert tree.level[c] == tree.level[i] + 1
-            assert tree.pstart[c] == cursor, (
-                f"child {c} range starts at {tree.pstart[c]}, expected {cursor}"
-            )
-            cursor = tree.pend[c]
-        assert cursor == tree.pend[i], (
-            f"children of {i} cover [{tree.pstart[i]}, {cursor}), "
-            f"expected end {tree.pend[i]}"
-        )
+    def first(bad: np.ndarray) -> int:
+        """The lowest index where ``bad`` holds (only read when one does)."""
+        return int(np.argmax(bad))
 
-    if check_boxes:
-        pos = tree.particles.position
-        # A tiny tolerance absorbs the float arithmetic in split planes.  It
-        # must scale with the coordinate magnitude: Morton binning quantises
-        # positions on an integer grid while child boxes come from float
-        # halving, and the two disagree by up to a few ulps of the universe
-        # extent (catastrophic cancellation near split planes).
-        scale = float(max(np.abs(tree.box_lo[0]).max(), np.abs(tree.box_hi[0]).max(), 1.0))
-        tol = 1e-12 + 8.0 * np.finfo(np.float64).eps * scale
-        for i in range(tree.n_nodes):
-            s, e = tree.pstart[i], tree.pend[i]
-            lo = tree.box_lo[i] - tol
-            hi = tree.box_hi[i] + tol
-            inside = boxes_contain_points(lo, hi, pos[s:e])
-            assert bool(np.all(inside)), f"node {i} has particles outside its box"
+    is_leaf = tree.first_child == NO_NODE
+    leaves = np.flatnonzero(is_leaf)
+    assert not np.any(tree.n_children[leaves] != 0)
+    empty = tree.pend[leaves] - tree.pstart[leaves] < 1
+    assert not empty.any(), f"leaf {leaves[first(empty)]} is empty"
+
+    node = np.flatnonzero(~is_leaf)
+    fc, nc = tree.first_child[node], tree.n_children[node]
+    childless = nc < 1
+    assert not childless.any(), f"internal node {node[first(childless)]} has no children"
+    child = ranges_to_indices(fc, fc + nc)
+    owner = np.repeat(node, nc)  # the node each child is listed under
+    stray = tree.parent[child] != owner
+    assert not stray.any(), (
+        f"child {child[first(stray)]} does not point back to {owner[first(stray)]}"
+    )
+    assert not np.any(tree.level[child] != tree.level[owner] + 1)
+    # A child starts where its left sibling ends, the first where its parent does.
+    cursor = np.empty(len(child), dtype=np.int64)
+    cursor[1:] = tree.pend[child[:-1]]
+    cursor[np.cumsum(nc) - nc] = tree.pstart[node]
+    gap = tree.pstart[child] != cursor
+    assert not gap.any(), (
+        f"child {child[first(gap)]} range starts at {tree.pstart[child[first(gap)]]}, "
+        f"expected {cursor[first(gap)]}"
+    )
+    covered = tree.pend[child[np.cumsum(nc) - 1]]
+    short = covered != tree.pend[node]
+    assert not short.any(), (
+        f"children of {node[first(short)]} cover "
+        f"[{tree.pstart[node[first(short)]]}, {covered[first(short)]}), "
+        f"expected end {tree.pend[node[first(short)]]}"
+    )
 
     # Leaf ranges partition [0, N).
-    leaves = tree.leaf_indices
     order = np.argsort(tree.pstart[leaves])
     leaves = leaves[order]
     assert tree.pstart[leaves[0]] == 0
@@ -85,3 +81,17 @@ def check_tree_invariants(tree: Tree, check_boxes: bool = True) -> None:
     assert bool(np.all(tree.pend[leaves[:-1]] == tree.pstart[leaves[1:]])), (
         "leaf ranges must tile the particle array"
     )
+
+    if check_boxes:
+        # A tiny tolerance absorbs the float arithmetic in split planes.  It
+        # must scale with the coordinate magnitude: Morton binning quantises
+        # positions on an integer grid while child boxes come from float
+        # halving, and the two disagree by up to a few ulps of the universe
+        # extent (catastrophic cancellation near split planes).
+        scale = float(max(np.abs(tree.box_lo[0]).max(), np.abs(tree.box_hi[0]).max(), 1.0))
+        tol = 1e-12 + 8.0 * np.finfo(np.float64).eps * scale
+        # Every particle of a node is inside its box iff the tight bounds of
+        # its particles are (the checks above make the ranges nest).
+        lo, hi = tight_bounds(tree)
+        outside = ~np.all((lo >= tree.box_lo - tol) & (hi <= tree.box_hi + tol), axis=1)
+        assert not outside.any(), f"node {first(outside)} has particles outside its box"

@@ -1,5 +1,7 @@
 """Decomposers, the Partitions-Subtrees model, and load balancing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,14 @@ from repro.decomp import (
     spatial_bisection_rebalance,
 )
 from repro.decomp.loadbalance import apply_rebalance
+from repro.exec.chunking import chunk_targets
 from repro.particles import clustered_clumps, keplerian_disk, uniform_cube
 from repro.trees import build_tree
+from tests.harness.decompose_reference import (
+    reference_decompose,
+    reference_node_process,
+    reference_partition_loads,
+)
 
 DECOMPOSERS = ["sfc", "oct", "longest"]
 
@@ -104,6 +112,20 @@ class TestSplitters:
     def test_unknown_decomposer(self):
         with pytest.raises(ValueError):
             get_decomposer("voronoi")
+
+    @pytest.mark.parametrize("n_parts, unweighted, weighted", [
+        (8, "13a1d024dd159fae", "13a1d024dd159fae"),
+        (16, "253d3137f137091a", "34373a4d18c6a38e"),
+    ])
+    def test_oct_packing_is_the_shared_quantile_cut(self, n_parts, unweighted, weighted):
+        """``OctDecomposer`` packs its leaves with the function the curve
+        decomposers slice with; the digests are its output before it did."""
+        p = clustered_clumps(20_000, seed=7)
+        w = np.random.default_rng(n_parts).random(len(p)) ** 4
+        for weights, digest in ((None, unweighted), (w, weighted)):
+            ids = OctDecomposer().assign(p, n_parts, weights=weights)
+            assert ids.dtype == np.int64
+            assert hashlib.sha256(ids.tobytes()).hexdigest()[:16] == digest
 
 
 class TestPartitionsSubtrees:
@@ -204,6 +226,98 @@ class TestPartitionsSubtrees:
         tree, _, _ = setup
         with pytest.raises(ValueError):
             decompose(tree, np.zeros(3, dtype=np.int64), n_subtrees=2)
+
+    def test_negative_partition_id_rejected(self, setup):
+        """A -1 used to file its particles under the *last* partition."""
+        tree, parts, _ = setup
+        bad = parts.copy()
+        bad[5] = -1
+        with pytest.raises(ValueError, match="non-negative integer"):
+            decompose(tree, bad, n_subtrees=2)
+
+    def test_fractional_partition_id_rejected(self, setup):
+        """A 0.7 used to be truncated to partition 0."""
+        tree, parts, _ = setup
+        with pytest.raises(ValueError, match="non-negative integer"):
+            decompose(tree, parts + 0.7, n_subtrees=2)
+
+    def test_buckets_are_a_view_of_the_arrays(self, setup):
+        tree, parts, dec = setup
+        for p in dec.partitions:
+            buckets = p.buckets
+            assert [b.leaf for b in buckets] == p.bucket_leaf.tolist()
+            assert [b.is_split for b in buckets] == p.bucket_split.tolist()
+            assert sum(len(b.particle_idx) for b in buckets) == p.n_particles
+            assert np.array_equal(np.concatenate([b.particle_idx for b in buckets]),
+                                  p.particle_indices())
+
+
+def assert_equals_reference(tree, ids, n_subtrees, n_processes=None):
+    """The array-pass ``decompose`` against the per-leaf loop it replaced."""
+    new = decompose(tree, ids, n_subtrees, n_processes)
+    ref = reference_decompose(tree, ids, n_subtrees, n_processes)
+    for name in ("n_processes", "n_split_buckets", "n_shared_particles", "colocated"):
+        assert getattr(new, name) == getattr(ref, name), name
+        assert type(getattr(new, name)) is type(getattr(ref, name)), name
+    assert new.subtrees == ref.subtrees
+    for name in ("particle_partition", "node_subtree"):
+        a, b = getattr(new, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert len(new.partitions) == len(ref.partitions)
+    for p, q in zip(new.partitions, ref.partitions):
+        assert (p.index, p.process, p.n_particles) == (q.index, q.process, q.n_particles)
+        assert np.array_equal(p.leaf_ids, q.leaf_ids) and p.leaf_ids.dtype == q.leaf_ids.dtype
+        assert np.array_equal(p.particle_indices(), q.particle_indices())
+        assert p.particle_indices().dtype == q.particle_indices().dtype
+        assert len(p.buckets) == len(q.buckets)
+        for a, b in zip(p.buckets, q.buckets):
+            assert (a.leaf, a.is_split) == (b.leaf, b.is_split)
+            assert np.array_equal(a.particle_idx, b.particle_idx)
+    assert np.array_equal(new.leaf_partition(), ref.leaf_partition())
+    assert np.array_equal(new.node_process(), reference_node_process(ref))
+    load = np.random.default_rng(3).random(tree.n_particles)
+    for weights in (load, np.ones(tree.n_particles)):
+        assert new.partition_loads(weights).tobytes() == \
+            reference_partition_loads(ref, weights).tobytes()
+    chunks = [chunk_targets(tree, tree.leaf_indices, d) for d in (new, ref)]
+    assert len(chunks[0]) == len(chunks[1])
+    assert all(np.array_equal(a, b) for a, b in zip(*chunks))
+    return new
+
+
+class TestDecomposeEqualsReference:
+    @pytest.fixture(scope="class", params=["oct", "kd", "longest"])
+    def tree(self, request):
+        return build_tree(clustered_clumps(700, seed=5), tree_type=request.param, bucket_size=8)
+
+    @pytest.mark.parametrize("name", ["sfc", "hilbert", "oct", "longest"])
+    def test_matrix(self, tree, name):
+        for n_parts in (1, 2, 8, 16, tree.n_leaves + 5):
+            ids = get_decomposer(name).assign(tree.particles, n_parts)
+            for n_subtrees in (1, 8, tree.n_leaves + 3):
+                assert_equals_reference(tree, ids, n_subtrees)
+            assert_equals_reference(tree, ids, 8, n_processes=3)
+
+    def test_every_leaf_split(self, tree):
+        """Adversarial assignment: random ids, and the first two particles of
+        every leaf that has two forced apart."""
+        ids = np.random.default_rng(8).integers(0, 6, tree.n_particles)
+        big = tree.leaf_indices[tree.node_particle_count(tree.leaf_indices) > 1]
+        ids[tree.pstart[big] + 1] = (ids[tree.pstart[big]] + 1) % 6
+        dec = assert_equals_reference(tree, ids, 8, n_processes=4)
+        assert dec.n_split_buckets == len(big) > 0.5 * tree.n_leaves
+        assert not dec.colocated
+
+    def test_single_child_chains(self):
+        """Duplicates make an octree a chain of equal-range nodes: the chain
+        above a Subtree root is shared branch, the chain below is its own."""
+        p = uniform_cube(40, seed=2)
+        p.position[:30] = p.position[0]
+        tree = build_tree(p, tree_type="oct", bucket_size=4, max_depth=8)
+        assert tree.n_children.max() > 1 and (tree.n_children == 1).any()
+        ids = SfcDecomposer().assign(tree.particles, 3)
+        for n_subtrees in (1, 2, 4, 50):
+            assert_equals_reference(tree, ids, n_subtrees)
 
 
 class TestBranchDuplication:

@@ -184,6 +184,92 @@ class TestConfigAndRegistry:
         assert np.allclose(tree.box_lo[0], tree.particles.position.min(axis=0))
 
 
+class TestInvariantCheckerHasTeeth:
+    """``check_tree_invariants`` evaluates whole arrays; a tree corrupted in
+    each invariant its docstring lists must still be rejected."""
+
+    @pytest.fixture(params=ALL_TYPES)
+    def tree(self, request):
+        tree = build_tree(clustered_clumps(700, seed=3), tree_type=request.param, bucket_size=6)
+        check_tree_invariants(tree)
+        return tree
+
+    @staticmethod
+    def node_with_children(tree, at_least=2):
+        return int(np.flatnonzero(tree.n_children >= at_least)[-1])
+
+    def test_1_root_range(self, tree):
+        tree.pend[0] -= 1
+        with pytest.raises(AssertionError, match="root must span"):
+            check_tree_invariants(tree)
+
+    def test_2_gap_between_siblings(self, tree):
+        first = tree.first_child[self.node_with_children(tree)]
+        tree.pend[first] += 1
+        with pytest.raises(AssertionError, match=f"child {first + 1} range starts at"):
+            check_tree_invariants(tree)
+
+    def test_2_children_stop_short(self, tree):
+        node = self.node_with_children(tree)
+        tree.pend[tree.first_child[node] + tree.n_children[node] - 1] += 1
+        with pytest.raises(AssertionError, match=f"children of {node} cover"):
+            check_tree_invariants(tree)
+
+    def test_3_parent_pointer(self, tree):
+        child = tree.first_child[self.node_with_children(tree)]
+        tree.parent[child] = 0 if tree.parent[child] != 0 else 1
+        with pytest.raises(AssertionError, match=f"child {child} does not point back"):
+            check_tree_invariants(tree)
+
+    def test_3_level(self, tree):
+        tree.level[tree.first_child[self.node_with_children(tree)]] += 1
+        with pytest.raises(AssertionError):
+            check_tree_invariants(tree)
+
+    def test_3_internal_node_without_children(self, tree):
+        node = self.node_with_children(tree)
+        tree.n_children[node] = 0
+        with pytest.raises(AssertionError, match=f"internal node {node} has no children"):
+            check_tree_invariants(tree)
+
+    def test_4_empty_leaf(self, tree):
+        """Hand a leaf's particles to its right sibling: ranges still chain."""
+        leaves = tree.leaf_indices
+        pair = np.flatnonzero((leaves[1:] == leaves[:-1] + 1)
+                              & (tree.parent[leaves[1:]] == tree.parent[leaves[:-1]]))
+        leaf = int(leaves[pair[0]])
+        tree.pend[leaf] = tree.pstart[leaf + 1] = tree.pstart[leaf]
+        with pytest.raises(AssertionError, match=f"leaf {leaf} is empty"):
+            check_tree_invariants(tree)
+
+    def test_4_leaf_with_a_child_count(self, tree):
+        tree.n_children[tree.leaf_indices[3]] = 2
+        with pytest.raises(AssertionError):
+            check_tree_invariants(tree)
+
+    def test_5_particle_outside_its_box(self, tree):
+        leaf = int(tree.leaf_indices[3])
+        tree.particles.position[tree.pstart[leaf], 1] = tree.box_hi[leaf, 1] + 1e-3
+        with pytest.raises(AssertionError, match="has particles outside its box"):
+            check_tree_invariants(tree)
+        check_tree_invariants(tree, check_boxes=False)
+
+    def test_6_duplicate_key(self, tree):
+        tree.key[2] = tree.key[1]
+        with pytest.raises(AssertionError, match="node keys must be unique"):
+            check_tree_invariants(tree)
+
+    def test_orphan_leaf_breaks_the_tiling(self, tree):
+        """A leaf no parent lists passes every per-node check."""
+        node = self.node_with_children(tree)
+        tree.n_children[node] -= 1
+        last = tree.first_child[node] + tree.n_children[node]
+        tree.pend[last - 1] = tree.pend[last]
+        tree._leaf_indices = None
+        with pytest.raises(AssertionError, match="leaf ranges must tile"):
+            check_tree_invariants(tree, check_boxes=False)
+
+
 def test_tree_enum_str():
     assert str(TreeType.OCT) == "oct"
     assert TreeType("longest") == TreeType.LONGEST_DIM

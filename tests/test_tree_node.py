@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.particles import uniform_cube
+from repro.particles import clustered_clumps, uniform_cube
 from repro.trees import build_tree
+from tests.harness.decompose_reference import reference_leaf_of_particle, reference_subtree_nodes
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +56,20 @@ class TestTopology:
         for leaf in tree.leaf_indices[:10]:
             s, e = tree.pstart[leaf], tree.pend[leaf]
             assert np.all(leaf_of[s:e] == leaf)
+
+    @pytest.mark.parametrize("tree_type", ["oct", "kd", "longest"])
+    def test_range_queries_equal_the_stack_walks(self, tree_type):
+        """``subtree_nodes`` and ``leaf_of_particle`` are range containment;
+        the walks they replaced give the same arrays, in the same order —
+        also down an octree's chains of single children (duplicates)."""
+        p = clustered_clumps(900, seed=4)
+        p.position[:40] = p.position[0]
+        t = build_tree(p, tree_type=tree_type, bucket_size=4, max_depth=12)
+        for i in range(t.n_nodes):
+            nodes = t.subtree_nodes(i)
+            assert nodes.dtype == np.int64
+            assert np.array_equal(nodes, reference_subtree_nodes(t, i))
+        assert np.array_equal(t.leaf_of_particle(), reference_leaf_of_particle(t))
 
     def test_preorder_visits_all_once(self, tree):
         seen = list(tree.iter_preorder())
