@@ -1,12 +1,11 @@
 """Linear-octree build and batched-kernel benchmarks (PR 10 acceptance gate).
 
-Five bars:
+Four bars:
 
-* ``build.recursive`` — the seed builder: node-at-a-time stack walk.
-* ``build.linear_vs_recursive`` — both builders over the same particles;
-  the payload records the speedup, and the setup asserts the trees are
-  byte-identical before any timing happens (a fast build that builds the
-  wrong tree must never produce a green benchmark).
+* ``build.linear`` — the octree builder; the setup asserts the tree is
+  byte-identical to the node-at-a-time oracle's
+  (``tests/harness/oct_reference.py``) before any timing happens (a fast
+  build that builds the wrong tree must never produce a green benchmark).
 * ``kernels.batched_vs_scalar`` — one gravity traversal through the
   batched engine (segmented frontier, flat kernels) vs the transposed
   per-node engine on the same tree; payload records both times and the
@@ -21,6 +20,8 @@ Run ``python -m repro bench run --quick 'build.*' 'kernels.*' -o
 BENCH_pr10.json`` and gate with ``repro bench compare``.
 """
 
+import importlib.util
+import pathlib
 import time
 
 import numpy as np
@@ -33,7 +34,6 @@ from repro.particles import clustered_clumps, uniform_cube
 from repro.perf import benchmark as perf_benchmark
 from repro.trees import TreeBuildConfig, build_tree
 from repro.trees.kernels import pair_dist_sq
-from repro.trees.build_oct import build_octree
 from repro.trees.linear import build_octree_linear
 
 
@@ -41,48 +41,36 @@ def _particles(quick):
     return clustered_clumps(8_000 if quick else 25_000, seed=17)
 
 
-@perf_benchmark("build.recursive", group="build",
-                description="seed octree builder (node-at-a-time stack walk)")
-def bench_build_recursive(quick=False):
-    p = _particles(quick)
-    config = TreeBuildConfig(tree_type="oct", bucket_size=16)
-
-    def run():
-        tree = build_octree(p.copy(), config)
-        return {"n_nodes": int(tree.n_nodes)}
-
-    return run
+def _reference_build_octree():
+    """The oracle builder, loaded by path: the registry imports this script
+    from anywhere, and ``tests`` need not be a package on ``sys.path``."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "tests/harness/oct_reference.py"
+    spec = importlib.util.spec_from_file_location("_oct_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.build_octree
 
 
-@perf_benchmark("build.linear_vs_recursive", group="build",
-                description="vectorised linear builder vs recursive on the "
-                            "same particles (trees asserted byte-identical)")
-def bench_build_linear_vs_recursive(quick=False):
+@perf_benchmark("build.linear", group="build",
+                description="vectorised linear octree builder (tree asserted "
+                            "byte-identical to the node-at-a-time oracle)")
+def bench_build_linear(quick=False):
     p = _particles(quick)
     config = TreeBuildConfig(tree_type="oct", bucket_size=16)
 
     # Equivalence gate before timing: a wrong tree must fail the bench.
-    rec = build_octree(p.copy(), config)
+    ref = _reference_build_octree()(p.copy(), config)
     lin = build_octree_linear(p.copy(), config)
     for name in ("parent", "first_child", "n_children", "pstart", "pend",
                  "level", "key"):
-        assert np.array_equal(getattr(rec, name), getattr(lin, name)), name
-    assert rec.box_lo.tobytes() == lin.box_lo.tobytes()
-    assert rec.box_hi.tobytes() == lin.box_hi.tobytes()
+        assert np.array_equal(getattr(ref, name), getattr(lin, name)), name
+    assert ref.box_lo.tobytes() == lin.box_lo.tobytes()
+    assert ref.box_hi.tobytes() == lin.box_hi.tobytes()
+    assert np.array_equal(ref.particles.orig_index, lin.particles.orig_index)
 
     def run():
-        t0 = time.perf_counter()
-        build_octree(p.copy(), config)
-        t_rec = time.perf_counter() - t0
-        t0 = time.perf_counter()
         tree = build_octree_linear(p.copy(), config)
-        t_lin = time.perf_counter() - t0
-        return {
-            "recursive_s": t_rec,
-            "linear_s": t_lin,
-            "speedup": t_rec / t_lin,
-            "n_nodes": int(tree.n_nodes),
-        }
+        return {"n_nodes": int(tree.n_nodes)}
 
     return run
 

@@ -801,7 +801,6 @@ def cmd_serve(args) -> int:
         dataset = {"kind": args.dataset, "n": args.n, "seed": args.seed}
     dataset["tree_type"] = args.tree
     dataset["bucket_size"] = args.bucket
-    dataset["tree_builder"] = args.tree_builder
     admission = AdmissionConfig(
         queue_capacity=args.queue_cap, rate=args.rate, burst=args.burst,
         slo=args.shed_slo, default_deadline=args.deadline)

@@ -40,9 +40,6 @@ def dataset_options(n_default: int) -> tuple:
 TREE_OPTIONS = (
     ("--bucket", "config.bucket_size", 16, "leaf bucket size"),
     ("--tree", "config.tree_type", "oct", None, ["oct", "kd", "longest"]),
-    ("--tree-builder", "config.tree_builder", "linear",
-     "octree construction algorithm (byte-identical output; 'recursive' is "
-     "the node-at-a-time reference)", ["linear", "recursive"]),
 )
 
 

@@ -3,11 +3,11 @@
 from .centroid import CentroidData, GravityNodeArrays, compute_centroid_arrays
 from .direct import acceleration_error, direct_accelerations, direct_potential
 from .integrator import LeapfrogIntegrator, kick, drift, kick_drift_kick_half
-from .kernels import pairwise_accel, pairwise_potential, point_mass_accel, quadrupole_accel
 from .solver import GravityDriver, GravityResult, compute_gravity, compute_gravity_on_tree
 from .fmm import FMMResult, FMMVisitor, compute_fmm_gravity, derivative_tensors
 from .periodic import PeriodicGravityResult, compute_gravity_periodic, minimum_image
 from .visitor import GravityVisitor
+from ...trees.kernels import pairwise_accel, pairwise_potential
 
 __all__ = [
     "CentroidData",
@@ -30,8 +30,6 @@ __all__ = [
     "acceleration_error",
     "pairwise_accel",
     "pairwise_potential",
-    "point_mass_accel",
-    "quadrupole_accel",
     "LeapfrogIntegrator",
     "kick",
     "drift",

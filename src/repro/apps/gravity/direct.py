@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...particles import ParticleSet
-from .kernels import pairwise_accel, pairwise_potential
+from ...trees.kernels import pairwise_accel, pairwise_potential
 
 __all__ = ["direct_accelerations", "direct_potential", "acceleration_error"]
 

@@ -32,8 +32,8 @@ from ...core import TraversalStats, get_traverser
 from ...core.util import segment_sums
 from ...core.visitor import Visitor
 from ...trees import SpatialNode, Tree, build_tree
+from ...trees.kernels import pairwise_accel
 from ...particles import ParticleSet
-from .kernels import pairwise_accel
 
 __all__ = ["FMMResult", "FMMVisitor", "compute_fmm_gravity", "derivative_tensors"]
 

@@ -73,14 +73,12 @@ def compute_gravity(
     with_quadrupole: bool = False,
     with_potential: bool = False,
     recorder: Recorder | None = None,
-    tree_builder: str = "linear",
 ) -> GravityResult:
     """Build a tree over ``particles`` and compute Barnes-Hut accelerations.
 
     ``result.accel`` is aligned with the input particle order.
     """
-    tree = build_tree(particles, tree_type=tree_type, bucket_size=bucket_size,
-                      builder=tree_builder)
+    tree = build_tree(particles, tree_type=tree_type, bucket_size=bucket_size)
     return compute_gravity_on_tree(
         tree,
         theta=theta,

@@ -4,8 +4,8 @@ Where :class:`~repro.core.topdown.TransposedTraverser` walks source nodes
 one at a time (each against a target batch), this engine keeps the active
 frontier as flat ``(source, target)`` index arrays and advances all pairs
 of a *segment* one level per step.  Every visitor decision then happens in
-a handful of numpy (or numba — see :mod:`repro.trees.kernels`) calls over
-the segment instead of one Python-level call per tree node.
+a handful of numpy calls (see :mod:`repro.trees.kernels`) over the segment
+instead of one Python-level call per tree node.
 
 The visit *set* is identical to the other engines (same pruning semantics);
 only the batching differs.  Within a level the engine processes closed

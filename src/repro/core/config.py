@@ -35,10 +35,6 @@ class Configuration:
     tree_type: TreeType | str = TreeType.OCT
     decomp_type: str = "sfc"
     bucket_size: int = 16
-    #: Octree construction algorithm: "linear" (vectorised level-by-level
-    #: build) or "recursive" (node-at-a-time stack walk, the reference the
-    #: byte-identity tests compare against); the output is byte-identical.
-    tree_builder: str = "linear"
     #: Minimum number of Partitions (load units); 0 = one per target bucket
     #: group chosen automatically.
     num_partitions: int = 8
@@ -78,10 +74,6 @@ class Configuration:
                               ("nodes_per_request", 1), ("shared_branch_levels", 0)):
             if getattr(self, name) < minimum:
                 raise ValueError(f"{name} must be >= {minimum}")
-        if self.tree_builder not in ("recursive", "linear"):
-            raise ValueError(
-                f"tree_builder must be 'recursive' or 'linear', got {self.tree_builder!r}"
-            )
         # names are checked against their registries here, so a typo fails
         # before particles are generated rather than after the tree build
         get_traverser(self.traverser)
@@ -93,11 +85,7 @@ class Configuration:
             )
 
     def tree_build_config(self) -> TreeBuildConfig:
-        return TreeBuildConfig(
-            tree_type=self.tree_type,
-            bucket_size=self.bucket_size,
-            builder=self.tree_builder,
-        )
+        return TreeBuildConfig(tree_type=self.tree_type, bucket_size=self.bucket_size)
 
     def to_dict(self) -> dict:
         """JSON-serializable view of every knob (checkpoint metadata)."""
@@ -107,7 +95,6 @@ class Configuration:
             "tree_type": str(TreeType(self.tree_type).value),
             "decomp_type": self.decomp_type,
             "bucket_size": int(self.bucket_size),
-            "tree_builder": self.tree_builder,
             "num_partitions": int(self.num_partitions),
             "num_subtrees": int(self.num_subtrees),
             "traverser": self.traverser,
@@ -124,6 +111,9 @@ class Configuration:
     def from_dict(cls, d: dict) -> "Configuration":
         """Inverse of :meth:`to_dict`; an unknown key or an out-of-range
         value raises ``ValueError`` naming it."""
+        # checkpoints written while there were two octree builders carry
+        # the choice; the trees were byte-identical, so it is dropped
+        d = {k: v for k, v in d.items() if k != "tree_builder"}
         try:
             return cls(**d)
         except TypeError as exc:  # unexpected keyword

@@ -11,14 +11,13 @@ from .box import (
     boxes_center,
     boxes_contain_points,
     boxes_intersect_boxes,
-    boxes_intersect_sphere,
     boxes_longest_dim,
     boxes_union,
     bounding_box,
     point_box_distance_sq,
     points_boxes_distance_sq,
 )
-from .sphere import Sphere, spheres_intersect_box
+from .sphere import Sphere
 from .hilbert import HILBERT_BITS, hilbert_decode, hilbert_encode, hilbert_keys
 from .morton import (
     MORTON_BITS,
@@ -42,7 +41,6 @@ __all__ = [
     "boxes_center",
     "boxes_contain_points",
     "boxes_intersect_boxes",
-    "boxes_intersect_sphere",
     "boxes_longest_dim",
     "boxes_union",
     "morton_decode",
@@ -51,5 +49,4 @@ __all__ = [
     "normalize_to_grid",
     "point_box_distance_sq",
     "points_boxes_distance_sq",
-    "spheres_intersect_box",
 ]

@@ -19,7 +19,6 @@ __all__ = [
     "boxes_center",
     "boxes_contain_points",
     "boxes_intersect_boxes",
-    "boxes_intersect_sphere",
     "boxes_longest_dim",
     "boxes_union",
     "point_box_distance_sq",
@@ -248,13 +247,3 @@ def boxes_box_distance_sq(
     """
     d = np.maximum(np.maximum(np.asarray(lo_a) - hi_b, np.asarray(lo_b) - hi_a), 0.0)
     return np.einsum("...i,...i->...", d, d)
-
-
-def boxes_intersect_sphere(
-    lo: np.ndarray, hi: np.ndarray, center: np.ndarray, radius_sq: np.ndarray
-) -> np.ndarray:
-    """Does each of M boxes intersect the (broadcast) sphere(s)?
-
-    ``center`` may be (3,) or (M, 3); ``radius_sq`` scalar or (M,).
-    """
-    return point_box_distance_sq(lo, hi, center) <= radius_sq

@@ -8,7 +8,7 @@ import numpy as np
 
 from .box import point_box_distance_sq
 
-__all__ = ["Sphere", "spheres_intersect_box"]
+__all__ = ["Sphere"]
 
 
 @dataclass
@@ -44,19 +44,6 @@ class Sphere:
         d = other.center - self.center
         r = self.radius + other.radius
         return bool(np.dot(d, d) <= r * r)
-
-
-def spheres_intersect_box(
-    centers: np.ndarray, radii_sq: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """Do M spheres intersect a single box? -> (M,) bool.
-
-    Used by the transposed traversal to test one target box against the
-    bounding spheres of a batch of source nodes.
-    """
-    centers = np.asarray(centers)
-    d = np.maximum(np.maximum(np.asarray(lo) - centers, centers - np.asarray(hi)), 0.0)
-    return np.einsum("...i,...i->...", d, d) <= np.asarray(radii_sq)
 
 
 def sphere_box_distance_sq(center: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -276,11 +276,8 @@ def capture_run(
     )
 
 
-#: configuration keys a resume may legitimately change.  ``tree_builder``
-#: qualifies because the linear and recursive builders produce
-#: byte-identical trees (pinned by tests/test_linear_tree.py), so switching
-#: builders mid-run cannot diverge the physics.
-_RESUMABLE_KEYS = {"num_iterations", "input_file", "tree_builder"}
+#: configuration keys a resume may legitimately change.
+_RESUMABLE_KEYS = {"num_iterations", "input_file"}
 
 
 def restore_run(
@@ -296,10 +293,13 @@ def restore_run(
     ckpt = source if isinstance(source, Checkpoint) else load_checkpoint(source)
     if strict_config and ckpt.config:
         current = driver.config.to_dict()
+        # "tree_builder": recorded by checkpoints from when there were two
+        # (byte-identical) octree builders; no longer a knob, so not compared
+        free = _RESUMABLE_KEYS | {"tree_builder"}
         mismatched = {
             key: (val, current.get(key))
             for key, val in ckpt.config.items()
-            if key not in _RESUMABLE_KEYS and current.get(key) != val
+            if key not in free and current.get(key) != val
         }
         if mismatched:
             detail = ", ".join(

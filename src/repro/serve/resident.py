@@ -50,7 +50,9 @@ def build_resident_state(spec: dict[str, Any]) -> ResidentState:
     spec = dict(spec)
     tree_type = spec.setdefault("tree_type", "oct")
     bucket = int(spec.setdefault("bucket_size", 16))
-    builder = spec.setdefault("tree_builder", "linear")
+    # specs and drain checkpoints from when there were two (byte-identical)
+    # octree builders name one; the key is dropped, not an error
+    spec.pop("tree_builder", None)
 
     if spec.get("checkpoint"):
         ckpt = load_checkpoint(spec["checkpoint"])
@@ -58,7 +60,6 @@ def build_resident_state(spec: dict[str, Any]) -> ResidentState:
         tree_cfg = ckpt.app_config.get("tree", {})
         tree_type = tree_cfg.get("tree_type", tree_type)
         bucket = int(tree_cfg.get("bucket_size", bucket))
-        builder = tree_cfg.get("tree_builder", builder)
         # adopt the checkpoint's recorded generator spec: the resumed
         # server's own drain checkpoint then byte-matches the original
         # (same metadata, same tree-ordered arrays).  Checkpoints from
@@ -68,14 +69,12 @@ def build_resident_state(spec: dict[str, Any]) -> ResidentState:
         if recorded:
             spec = dict(recorded)
         spec["tree_type"], spec["bucket_size"] = tree_type, bucket
-        spec["tree_builder"] = builder
     else:
         particles = generate({"kind": spec.setdefault("kind", "clumps"),
                               "n": spec.setdefault("n", 20000),
                               "seed": spec.setdefault("seed", 1)})
 
-    tree = build_tree(particles, tree_type=tree_type, bucket_size=bucket,
-                      builder=builder)
+    tree = build_tree(particles, tree_type=tree_type, bucket_size=bucket)
     return ResidentState(spec=spec, particles=particles, tree=tree)
 
 
@@ -94,10 +93,9 @@ def checkpoint_resident(state: ResidentState, path: str,
         app="serve",
         app_config={
             "dataset": {k: v for k, v in state.spec.items()
-                        if k not in ("tree_type", "bucket_size", "tree_builder")},
+                        if k not in ("tree_type", "bucket_size")},
             "tree": {"tree_type": state.spec["tree_type"],
-                     "bucket_size": state.spec["bucket_size"],
-                     "tree_builder": state.spec["tree_builder"]},
+                     "bucket_size": state.spec["bucket_size"]},
             **(extra or {}),
         },
     )

@@ -16,7 +16,6 @@ Built-in tree types (selected via :class:`TreeType`):
 
 from .node import SpatialNode, Tree
 from .build import TreeBuildConfig, TreeType, build_tree
-from .build_oct import build_octree
 from .build_binary import build_kd_tree, build_longest_dim_tree
 from .linear import build_octree_linear
 from .validate import check_tree_invariants
@@ -27,7 +26,6 @@ __all__ = [
     "TreeBuildConfig",
     "TreeType",
     "build_tree",
-    "build_octree",
     "build_octree_linear",
     "build_kd_tree",
     "build_longest_dim_tree",

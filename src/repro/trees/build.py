@@ -47,13 +47,10 @@ class TreeBuildConfig:
         particles (improves pruning; octree keys still follow the geometric
         boxes).
     builder:
-        Construction algorithm: ``"linear"`` (the vectorised level-by-level
-        builder of :mod:`repro.trees.linear`, the default: ~4x faster) or
-        ``"recursive"`` (the node-at-a-time stack walk, kept as the
-        reference the byte-identity tests compare against).  Both produce
-        byte-identical trees; the switch only trades build time.  It is an
-        octree knob: the binary tree types have one, level-synchronous
-        builder (:mod:`repro.trees.build_binary`) and ignore it.
+        ``"linear"``, the only value.  Every tree type has one builder
+        (:mod:`repro.trees.linear`, :mod:`repro.trees.build_binary`); the
+        field is still accepted because the frozen ``bench_e2e/`` benchmark
+        spells ``build_tree(..., builder="linear")``.
     """
 
     tree_type: TreeType | str = TreeType.OCT
@@ -68,10 +65,8 @@ class TreeBuildConfig:
             raise ValueError(f"bucket_size must be >= 1, got {self.bucket_size}")
         if self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.builder not in ("recursive", "linear"):
-            raise ValueError(
-                f"builder must be 'recursive' or 'linear', got {self.builder!r}"
-            )
+        if self.builder != "linear":
+            raise ValueError(f"builder must be 'linear', got {self.builder!r}")
 
 
 _BUILDERS: dict[str, Callable[[ParticleSet, TreeBuildConfig], Tree]] = {}
@@ -101,21 +96,17 @@ def build_tree(particles: ParticleSet, config: TreeBuildConfig | None = None, **
 
     # Imported here to avoid a circular import at module load.
     from ..obs import get_telemetry
-    from .build_oct import build_octree
     from .build_binary import build_kd_tree, build_longest_dim_tree
     from .linear import build_octree_linear
 
     name = str(config.tree_type)
     with get_telemetry().tracer.span(
         "build_tree", cat="trees", tree_type=name, n_particles=len(particles),
-        builder=config.builder,
     ):
         if name in _BUILDERS:
             return _BUILDERS[name](particles, config)
         if config.tree_type == TreeType.OCT:
-            if config.builder == "linear":
-                return build_octree_linear(particles, config)
-            return build_octree(particles, config)
+            return build_octree_linear(particles, config)
         if config.tree_type == TreeType.KD:
             return build_kd_tree(particles, config)
         if config.tree_type == TreeType.LONGEST_DIM:

@@ -1,4 +1,4 @@
-"""Frontier traversal kernels: numpy fallback + optional numba JIT.
+"""Frontier traversal kernels (numpy).
 
 The batched traversal engine (:mod:`repro.core.batched`) carries its
 frontier as flat ``(source, target)`` pair arrays and hands them over in
@@ -7,31 +7,22 @@ MAC acceptance test, the monopole/quadrupole/leaf gravity accumulation, and
 the neighbour-search pair (the one squared-distance kernel, and the
 segmented k-nearest merge behind the up-and-down engine's ``leaf_pairs``).
 
-Two implementations exist for every gravity kernel (the neighbour kernels
-are numpy only):
-
-* a **numpy** fallback that reduces per-row partial sums strictly
-  sequentially in pair order (``np.bincount`` walks its input in order)
-  and folds them into the output with one masked vector add per call;
-* an optional **numba** JIT that fills the same partial-sum buffer with a
-  fused scalar loop and shares the fold.
-
-The numba path is feature-detected at import time and falls back silently —
-``import repro`` never requires numba, and results are bit-identical either
-way (the golden tests in ``tests/test_differential.py`` pin this).  Set
-``REPRO_NO_NUMBA=1`` to force the numpy fallback even when numba is
-installed (the CI ``build-equiv`` matrix runs both legs).
+Every kernel has one implementation, written by coordinate in a fixed
+operation order: per-row partial sums are reduced strictly sequentially in
+pair order (``np.bincount`` walks its input in order) and folded into the
+output with one masked vector add per call.  The scalar-loop goldens in
+``tests/test_differential.py`` state the same arithmetic one pair at a time
+and pin it bit for bit.  The dense ``(targets, sources)`` front-ends
+:func:`pairwise_accel` / :func:`pairwise_potential` (direct summation, FMM
+P2P) evaluate the same per-pair expressions, so a direct sum and a tree walk
+that meet the same pair compute the same bits for it.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "HAVE_NUMBA",
-    "numba_enabled",
     "components",
     "symmetric_components",
     "mac_open_pairs",
@@ -41,23 +32,11 @@ __all__ = [
     "accumulate_quadrupole",
     "accumulate_pp",
     "accumulate_pp_potential",
+    "pairwise_accel",
+    "pairwise_potential",
     "pair_dist_sq",
     "merge_nearest",
 ]
-
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - the default container path
-    HAVE_NUMBA = False
-    _njit = None
-
-
-def numba_enabled() -> bool:
-    """True when the JIT path is active (numba importable and not opted out)."""
-    return HAVE_NUMBA and os.environ.get("REPRO_NO_NUMBA", "") != "1"
-
 
 # ---------------------------------------------------------------------------
 # Pair expansion helpers (pure indexing — one implementation).
@@ -115,40 +94,15 @@ def symmetric_components(q) -> tuple:
 # MAC acceptance (pairwise sphere-box test).
 # ---------------------------------------------------------------------------
 
-def _mac_open_pairs_np(box_lo, box_hi, center, radius_sq):
+def mac_open_pairs(box_lo, box_hi, center, radius_sq) -> np.ndarray:
+    """Pairwise multipole-acceptance test: does target box k intersect the
+    opening sphere of source k?  All inputs are per-pair."""
     d2 = 0.0
-    for lo, hi, c in zip(box_lo, box_hi, center):
+    for lo, hi, c in zip(components(box_lo), components(box_hi), components(center)):
         d = np.maximum(np.maximum(lo - c, c - hi), 0.0)
         d *= d
         d2 = d2 + d
     return d2 <= radius_sq
-
-
-if HAVE_NUMBA:  # pragma: no cover - numba-only leg
-    @_njit(cache=True)
-    def _axis_gap_sq(lo, hi, c):
-        d = max(max(lo - c, c - hi), 0.0)
-        return d * d
-
-    @_njit(cache=True)
-    def _mac_open_pairs_nb(lx, ly, lz, hx, hy, hz, cx, cy, cz, radius_sq):
-        n = radius_sq.shape[0]
-        out = np.empty(n, dtype=np.bool_)
-        for k in range(n):
-            d2 = (_axis_gap_sq(lx[k], hx[k], cx[k]) + _axis_gap_sq(ly[k], hy[k], cy[k])
-                  + _axis_gap_sq(lz[k], hz[k], cz[k]))
-            out[k] = d2 <= radius_sq[k]
-        return out
-
-
-def mac_open_pairs(box_lo, box_hi, center, radius_sq) -> np.ndarray:
-    """Pairwise multipole-acceptance test: does target box k intersect the
-    opening sphere of source k?  All inputs are per-pair."""
-    box_lo, box_hi, center = components(box_lo), components(box_hi), components(center)
-    if numba_enabled():  # pragma: no cover - numba-only leg
-        return _mac_open_pairs_nb(*box_lo, *box_hi, *center,
-                                  np.ascontiguousarray(radius_sq))
-    return _mac_open_pairs_np(box_lo, box_hi, center, radius_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +110,10 @@ def mac_open_pairs(box_lo, box_hi, center, radius_sq) -> np.ndarray:
 #
 # Every accumulate_* kernel first reduces its per-pair values into a fresh
 # per-row partial-sum buffer, sequentially in pair order (np.bincount walks
-# its input in order, exactly like the numba loop), and then folds that
-# buffer into the output with ONE vector add restricted to the rows that
-# actually received contributions.  Consequences:
+# its input in order, exactly like the scalar loop of the golden tests), and
+# then folds that buffer into the output with ONE vector add restricted to
+# the rows that actually received contributions.  Consequences:
 #
-# * numpy and numba legs are bit-identical (bincount order == loop order;
-#   the masked fold is shared);
 # * results are chunk-independent (a row's partial sum depends only on its
 #   own pair subsequence, and the fold happens exactly once per call in
 #   which the row participates), which is what makes the batched engine
@@ -191,136 +143,81 @@ def _bincount3(rows, values, n):
     return contrib
 
 
-def _separation(source, target):
-    """Per-pair ``d = source - target`` by coordinate, and ``|d|²``."""
-    d = [s - t for s, t in zip(source, target)]
+def _norm_sq(d):
+    """``|d|²`` of per-coordinate separations, squares summed x, y, z."""
     r2 = d[0] * d[0]
     r2 += d[1] * d[1]
     r2 += d[2] * d[2]
-    return d, r2
+    return r2
+
+
+def _separation(source, target):
+    """Per-pair ``d = source - target`` by coordinate, and ``|d|²``."""
+    d = [s - t for s, t in zip(source, target)]
+    return d, _norm_sq(d)
 
 
 # ---------------------------------------------------------------------------
-# Gravity: Plummer point-mass accumulation.  A node's monopole against the
-# rows of a target bucket and a source particle against a target particle
-# are the same sum over (row, source point, source mass) pairs.
+# Gravity: the Plummer point mass, ``a = G m d / (r² + ε²)^{3/2}`` and
+# ``φ = -G m / sqrt(r² + ε²)`` with ``d = source - target``; a pair at zero
+# distance (a particle and itself) contributes nothing.  The weight and the
+# inverse distance are written once: a node's monopole against the rows of a
+# target bucket, a source particle against a target particle (the flat
+# frontier kernels) and every target against every source (the dense
+# direct-sum front-ends below) evaluate the same expressions, on flat pair
+# arrays or on a broadcast ``(targets, sources)`` grid.
 # ---------------------------------------------------------------------------
 
-def _accel_contrib_np(rows, target, source, mass, G, eps2, n):
-    d, r2 = _separation(source, target)
+def _plummer_weight(r2, gm, eps2):
+    """Per-pair ``gm / (r2 + eps2)^{3/2}``, zero where ``r2`` is."""
     rs = r2 + eps2
     with np.errstate(divide="ignore", invalid="ignore"):
         # rs * sqrt(rs) instead of rs ** 1.5: sqrt and multiply are
-        # correctly rounded everywhere, so the vectorised and the scalar
-        # (numba) legs agree bit-for-bit; pow's SIMD path does not.
+        # correctly rounded everywhere, so a scalar loop over the pairs
+        # (the golden tests) agrees bit-for-bit; pow's SIMD path does not.
         w = np.sqrt(rs)
         w *= rs
-        np.divide(G * mass, w, out=w)
+        np.divide(gm, w, out=w)
     w[r2 == 0.0] = 0.0
+    return w
+
+
+def _inverse_distance(r2, eps2):
+    """Per-pair ``1 / sqrt(r2 + eps2)``, zero where ``r2`` is."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(r2 > 0.0, 1.0 / np.sqrt(r2 + eps2), 0.0)
+
+
+def _accel_contrib(rows, target, source, mass, G, eps2, n):
+    d, r2 = _separation(source, target)
+    w = _plummer_weight(r2, G * mass, eps2)
     for dj in d:
         dj *= w
     return _bincount3(rows, d, n)
 
 
-def _potential_contrib_np(rows, target, source, mass, G, eps2, n):
+def _potential_contrib(rows, target, source, mass, G, eps2, n):
     _, r2 = _separation(source, target)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(r2 > 0.0, 1.0 / np.sqrt(r2 + eps2), 0.0)
-    return np.bincount(rows, weights=-G * mass * inv, minlength=n)
+    return np.bincount(rows, weights=-G * mass * _inverse_distance(r2, eps2), minlength=n)
 
 
-if HAVE_NUMBA:  # pragma: no cover - numba-only leg
-    @_njit(cache=True)
-    def _accel_contrib_nb(rows, tx, ty, tz, sx, sy, sz, mass, G, eps2, n):
-        contrib = np.zeros((n, 3), dtype=np.float64)
-        for k in range(rows.shape[0]):
-            dx = sx[k] - tx[k]
-            dy = sy[k] - ty[k]
-            dz = sz[k] - tz[k]
-            r2 = dx * dx + dy * dy + dz * dz
-            if r2 > 0.0:
-                rs = r2 + eps2
-                w = G * mass[k] / (rs * np.sqrt(rs))
-                r = rows[k]
-                contrib[r, 0] += dx * w
-                contrib[r, 1] += dy * w
-                contrib[r, 2] += dz * w
-        return contrib
-
-    @_njit(cache=True)
-    def _potential_contrib_nb(rows, tx, ty, tz, sx, sy, sz, mass, G, eps2, n):
-        contrib = np.zeros(n, dtype=np.float64)
-        for k in range(rows.shape[0]):
-            dx = sx[k] - tx[k]
-            dy = sy[k] - ty[k]
-            dz = sz[k] - tz[k]
-            r2 = dx * dx + dy * dy + dz * dz
-            if r2 > 0.0:
-                contrib[rows[k]] += -G * mass[k] * (1.0 / np.sqrt(r2 + eps2))
-        return contrib
-
-    @_njit(cache=True)
-    def _pp_accel_contrib_nb(t_rows, s_rows, tx, ty, tz, sx, sy, sz, masses,
-                             G, eps2, n):
-        contrib = np.zeros((n, 3), dtype=np.float64)
-        for k in range(t_rows.shape[0]):
-            t = t_rows[k]
-            s = s_rows[k]
-            dx = sx[s] - tx[t]
-            dy = sy[s] - ty[t]
-            dz = sz[s] - tz[t]
-            r2 = dx * dx + dy * dy + dz * dz
-            if r2 > 0.0:
-                rs = r2 + eps2
-                w = G * masses[s] / (rs * np.sqrt(rs))
-                contrib[t, 0] += dx * w
-                contrib[t, 1] += dy * w
-                contrib[t, 2] += dz * w
-        return contrib
-
-    @_njit(cache=True)
-    def _pp_potential_contrib_nb(t_rows, s_rows, tx, ty, tz, sx, sy, sz, masses,
-                                 G, eps2, n):
-        contrib = np.zeros(n, dtype=np.float64)
-        for k in range(t_rows.shape[0]):
-            t = t_rows[k]
-            s = s_rows[k]
-            dx = sx[s] - tx[t]
-            dy = sy[s] - ty[t]
-            dz = sz[s] - tz[t]
-            r2 = dx * dx + dy * dy + dz * dz
-            if r2 > 0.0:
-                contrib[t] += -G * masses[s] * (1.0 / np.sqrt(r2 + eps2))
-        return contrib
-else:
-    _accel_contrib_nb = _potential_contrib_nb = None
-    _pp_accel_contrib_nb = _pp_potential_contrib_nb = None
-
-
-def _accumulate_point_mass(out, rows, pos, center, mass, G, softening, np_leg, nb_leg):
-    pos, center = components(pos), components(center)
+def _accumulate_point_mass(out, rows, pos, center, mass, G, softening, contrib):
     eps2 = float(softening * softening)
-    n = out.shape[0]
-    if numba_enabled():  # pragma: no cover - numba-only leg
-        contrib = nb_leg(np.ascontiguousarray(rows), *pos, *center,
-                         np.ascontiguousarray(mass), float(G), eps2, n)
-    else:
-        contrib = np_leg(rows, pos, center, mass, float(G), eps2, n)
-    _fold_rows(out, rows, contrib)
+    _fold_rows(out, rows, contrib(rows, components(pos), components(center), mass,
+                                  float(G), eps2, out.shape[0]))
 
 
 def accumulate_monopole(accel, rows, pos, center, mass, G=1.0, softening=0.0):
     """Fold Plummer-monopole pair contributions ``w_k * (center_k - pos_k)``
     into ``accel`` (per-row partial sums in pair order, one fold per call).
     ``pos``, ``center`` and ``mass`` are per pair; ``rows`` index ``accel``."""
-    _accumulate_point_mass(accel, rows, pos, center, mass, G, softening,
-                           _accel_contrib_np, _accel_contrib_nb)
+    _accumulate_point_mass(accel, rows, pos, center, mass, G, softening, _accel_contrib)
 
 
 def accumulate_monopole_potential(potential, rows, pos, center, mass, G=1.0, softening=0.0):
     """Monopole potential companion of :func:`accumulate_monopole`."""
     _accumulate_point_mass(potential, rows, pos, center, mass, G, softening,
-                           _potential_contrib_np, _potential_contrib_nb)
+                           _potential_contrib)
 
 
 # ---------------------------------------------------------------------------
@@ -328,24 +225,17 @@ def accumulate_monopole_potential(potential, rows, pos, center, mass, G=1.0, sof
 # ---------------------------------------------------------------------------
 
 def _accumulate_pp(out, t_rows, s_rows, positions, masses, G, softening,
-                   target_positions, np_leg, nb_leg):
+                   target_positions, contrib):
     source = components(positions)
     target = source if target_positions is None else components(target_positions)
     eps2 = float(softening * softening)
-    n = out.shape[0]
-    if numba_enabled():  # pragma: no cover - numba-only leg
-        contrib = nb_leg(np.ascontiguousarray(t_rows), np.ascontiguousarray(s_rows),
-                         *target, *source, np.ascontiguousarray(masses),
-                         float(G), eps2, n)
-    else:
-        # Gathered by coordinate into contiguous 1-D temporaries: the
-        # per-particle coordinate arrays are tiny (they stay in cache), so
-        # the pair-sized temporaries dominate memory traffic and every pass
-        # over them should be unit-stride.
-        contrib = np_leg(t_rows, [c[t_rows] for c in target],
-                         [c[s_rows] for c in source], masses[s_rows],
-                         float(G), eps2, n)
-    _fold_rows(out, t_rows, contrib)
+    # Gathered by coordinate into contiguous 1-D temporaries: the
+    # per-particle coordinate arrays are tiny (they stay in cache), so the
+    # pair-sized temporaries dominate memory traffic and every pass over
+    # them should be unit-stride.
+    _fold_rows(out, t_rows, contrib(t_rows, [c[t_rows] for c in target],
+                                    [c[s_rows] for c in source], masses[s_rows],
+                                    float(G), eps2, out.shape[0]))
 
 
 def accumulate_pp(accel, t_rows, s_rows, positions, masses, G=1.0, softening=0.0,
@@ -358,27 +248,65 @@ def accumulate_pp(accel, t_rows, s_rows, positions, masses, G=1.0, softening=0.0
     slice passes the views that span it, a caller whose targets sit in a
     translated frame (periodic images) passes the translated positions."""
     _accumulate_pp(accel, t_rows, s_rows, positions, masses, G, softening,
-                   target_positions, _accel_contrib_np, _pp_accel_contrib_nb)
+                   target_positions, _accel_contrib)
 
 
 def accumulate_pp_potential(potential, t_rows, s_rows, positions, masses, G=1.0,
                             softening=0.0, target_positions=None):
     """Exact pairwise potential companion of :func:`accumulate_pp`."""
     _accumulate_pp(potential, t_rows, s_rows, positions, masses, G, softening,
-                   target_positions, _potential_contrib_np, _pp_potential_contrib_nb)
+                   target_positions, _potential_contrib)
+
+
+# ---------------------------------------------------------------------------
+# Gravity: dense direct summation (the paper's ``gravExact`` over whole
+# arrays): every target against every source on a broadcast (nt, ns) grid,
+# the per-pair values being those of the frontier kernels above.  A row's
+# sum over its sources is numpy's pairwise reduction, so a direct sum and a
+# tree walk that opens everything agree to summation order, not in bits.
+# ---------------------------------------------------------------------------
+
+def _columns(a):
+    """``a`` — ``(n, 3)`` rows, one bare ``(3,)`` point, or coordinate
+    columns — as a contiguous ``(3, n)`` array."""
+    return np.ascontiguousarray(np.atleast_2d(a).T if isinstance(a, np.ndarray) else a)
+
+
+def _dense_separation(targets, sources):
+    """:func:`_separation` of every (target, source) pair: ``d`` stacked
+    ``(3, nt, ns)``, ``|d|²`` ``(nt, ns)``."""
+    d = _columns(sources)[:, None, :] - _columns(targets)[:, :, None]
+    return d, _norm_sq(d)
+
+
+def pairwise_accel(targets, sources, source_mass, G=1.0, softening=0.0) -> np.ndarray:
+    """Exact accelerations ``(nt, 3)`` of ``targets`` due to ``sources``
+    (each ``(n, 3)`` or coordinate columns); zero-distance pairs (a
+    particle and itself) contribute nothing."""
+    d, r2 = _dense_separation(targets, sources)
+    d *= _plummer_weight(r2, float(G) * np.asarray(source_mass, dtype=np.float64),
+                         float(softening * softening))
+    return np.ascontiguousarray(d.sum(axis=2).T)
+
+
+def pairwise_potential(targets, sources, source_mass, G=1.0, softening=0.0) -> np.ndarray:
+    """Exact potential at each target: ``φ_i = -G Σ_j m_j / sqrt(r² + ε²)``."""
+    _, r2 = _dense_separation(targets, sources)
+    mass = np.asarray(source_mass, dtype=np.float64)
+    return (-float(G) * mass * _inverse_distance(r2, float(softening * softening))).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Gravity: monopole + traceless-quadrupole node accumulation.
 #
-# The same expansion as apps.gravity.kernels.quadrupole_accel,
 #   a = G [ m d / r³ − Q·d / r⁵ + 5/2 (dᵀQd) d / r⁷ ],  r² = |d|² + ε²,
-# written out by coordinate in one fixed operation order (no matmul or
-# einsum, whose summation order is the BLAS's business) so that the numpy
-# leg, the numba leg and the scalar golden loop agree bit-for-bit.
+# with Q = Σ m (3 ddᵀ − |d|² I) about the node centroid (Dehnen 2002; the
+# paper's "higher order multipole expansion"), written out by coordinate in
+# one fixed operation order (no matmul or einsum, whose summation order is
+# the BLAS's business) so that the scalar golden loop agrees bit-for-bit.
 # ---------------------------------------------------------------------------
 
-def _quadrupole_contrib_np(rows, target, source, mass, quad, G, eps2, n):
+def _quadrupole_contrib(rows, target, source, mass, quad, G, eps2, n):
     d, r2 = _separation(source, target)
     dx, dy, dz = d
     xx, xy, xz, yy, yz, zz = quad
@@ -398,48 +326,14 @@ def _quadrupole_contrib_np(rows, target, source, mass, quad, G, eps2, n):
         rows, [mono * dj + G * (stretch * dj - qdj * inv_r5) for dj, qdj in zip(d, qd)], n)
 
 
-if HAVE_NUMBA:  # pragma: no cover - numba-only leg
-    @_njit(cache=True)
-    def _quadrupole_contrib_nb(rows, tx, ty, tz, sx, sy, sz, mass,
-                               xx, xy, xz, yy, yz, zz, G, eps2, n):
-        contrib = np.zeros((n, 3), dtype=np.float64)
-        for k in range(rows.shape[0]):
-            dx = sx[k] - tx[k]
-            dy = sy[k] - ty[k]
-            dz = sz[k] - tz[k]
-            r2 = dx * dx + dy * dy + dz * dz + eps2
-            if r2 > 0.0:
-                inv_r2 = 1.0 / r2
-                inv_r3 = inv_r2 * np.sqrt(inv_r2)
-                inv_r5 = inv_r3 * inv_r2
-                inv_r7 = inv_r5 * inv_r2
-                qx = xx[k] * dx + xy[k] * dy + xz[k] * dz
-                qy = xy[k] * dx + yy[k] * dy + yz[k] * dz
-                qz = xz[k] * dx + yz[k] * dy + zz[k] * dz
-                dqd = dx * qx + dy * qy + dz * qz
-                mono = (G * mass[k]) * inv_r3
-                stretch = 2.5 * (dqd * inv_r7)
-                r = rows[k]
-                contrib[r, 0] += mono * dx + G * (stretch * dx - qx * inv_r5)
-                contrib[r, 1] += mono * dy + G * (stretch * dy - qy * inv_r5)
-                contrib[r, 2] += mono * dz + G * (stretch * dz - qz * inv_r5)
-        return contrib
-
-
 def accumulate_quadrupole(accel, rows, pos, center, mass, quad, G=1.0, softening=0.0):
     """Fold monopole + quadrupole pair contributions into ``accel``; ``quad``
     holds each pair's traceless quadrupole tensor about ``center`` (see
     :func:`symmetric_components`).  Otherwise as :func:`accumulate_monopole`."""
     pos, center, quad = components(pos), components(center), symmetric_components(quad)
     eps2 = float(softening * softening)
-    n = accel.shape[0]
-    if numba_enabled():  # pragma: no cover - numba-only leg
-        contrib = _quadrupole_contrib_nb(
-            np.ascontiguousarray(rows), *pos, *center, np.ascontiguousarray(mass),
-            *quad, float(G), eps2, n)
-    else:
-        contrib = _quadrupole_contrib_np(rows, pos, center, mass, quad, float(G), eps2, n)
-    _fold_rows(accel, rows, contrib)
+    _fold_rows(accel, rows, _quadrupole_contrib(rows, pos, center, mass, quad, float(G),
+                                                eps2, accel.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +344,6 @@ def accumulate_quadrupole(accel, rows, pos, center, mass, quad, G=1.0, softening
 # brute-force references — is ``pair_dist_sq``: differences by coordinate,
 # squares summed x, y, z.  Two codes that agree on the operation order agree
 # on the bits, so "equal to brute force" can be asserted with ``atol=0``.
-# Numpy only: a numba leg would have to be run against this one bit for bit
-# before it could be trusted, and no build here has numba.
 # ---------------------------------------------------------------------------
 
 def _rows_of(positions, rows):

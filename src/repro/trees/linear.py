@@ -1,10 +1,11 @@
 """Vectorised linear-octree builder (Cornerstone-style).
 
-The recursive builder in :mod:`repro.trees.build_oct` does Python-level work
-per *node* (a ``searchsorted`` and a box split inside a ``while`` loop over a
-stack).  This module builds the identical tree with work proportional to the
-*depth* instead: one Morton sort, then one counting pass per level in which
-every node of that level is subdivided at once.
+The octree builder.  The textbook construction does Python-level work per
+*node* (a ``searchsorted`` and a box split inside a ``while`` loop over a
+stack; that loop is the oracle in ``tests/harness/oct_reference.py``).  This
+module builds the identical tree with work proportional to the *depth*
+instead: one Morton sort, then one counting pass per level in which every
+node of that level is subdivided at once.
 
 The construction runs in two fully vectorised phases:
 
@@ -14,7 +15,7 @@ The construction runs in two fully vectorised phases:
    over adjacent prefixes finds all boundaries of a level, and two
    ``searchsorted`` calls distribute them to the splitting parents — no
    per-node Python whatsoever.
-2. **Canonical renumbering.**  The recursive builder numbers nodes in the
+2. **Canonical renumbering.**  The node-at-a-time loop numbers nodes in the
    order its LIFO work stack pops them (children appear contiguously, in
    octant order, when their parent is popped — i.e. a depth-first order that
    descends through the *last* child first).  We reproduce that numbering
@@ -22,12 +23,11 @@ The construction runs in two fully vectorised phases:
    depth-first positions (top-down segment suffix-sums), and child-block
    offsets (one ``cumsum`` over the internal nodes in pop order).
 
-Because phase 2 makes the output *byte-identical* to
-:func:`~repro.trees.build_oct.build_octree` — same node order, same float
-boxes (child boxes are derived by the same ``0.5 * (lo + hi)`` halving), same
-keys, same particle permutation — every downstream consumer (traversal
-engines, decomposition tie-breaks, checkpoints, the shm arena) sees exactly
-the tree it would have seen from the recursive builder.
+Phase 2 makes the output *byte-identical* to the reference loop's — same
+node order, same float boxes (child boxes are derived by the same
+``0.5 * (lo + hi)`` halving), same keys, same particle permutation — which is
+the numbering every downstream consumer (traversal engines, decomposition
+tie-breaks, checkpoints, the shm arena) and every recorded digest assumes.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ __all__ = ["build_octree_linear"]
 
 
 def build_octree_linear(particles: ParticleSet, config: TreeBuildConfig) -> Tree:
-    """Build an octree without per-node recursion; bit-identical to
-    :func:`~repro.trees.build_oct.build_octree`."""
+    """Build an octree without per-node Python work; returns a
+    :class:`Tree` with Morton-prefix node keys."""
     # Function-level import: repro.core imports repro.trees at package load.
     from ..core.util import ranges_to_indices
 
@@ -109,7 +109,7 @@ def build_octree_linear(particles: ParticleSet, config: TreeBuildConfig) -> Tree
 
         # Child boxes by float halving of the parent box — the identical
         # arithmetic (0.5 * (lo + hi), then replace one face per axis) the
-        # recursive builder performs, so the floats match bit for bit.
+        # reference loop performs, so the floats match bit for bit.
         center = 0.5 * (lvl_lo[lvl][split] + lvl_hi[lvl][split])
         rep = np.repeat(np.arange(split.size), counts)
         plo, phi, pcenter = lvl_lo[lvl][split][rep], lvl_hi[lvl][split][rep], center[rep]
@@ -178,7 +178,7 @@ def tree_from_levels(particles: ParticleSet, levels: list, tree_type: str,
         pos[idx] = pos[parent_b[idx]] + 1 + tail
 
     # Internal nodes in pop (depth-first) order each claim the next
-    # contiguous child block — exactly the recursive builder's numbering.
+    # contiguous child block — exactly the reference loop's numbering.
     new_idx = np.empty(m, dtype=np.int64)
     new_idx[0] = 0
     internal = np.flatnonzero(nchild_b > 0)

@@ -41,7 +41,6 @@ __all__ = [
     "INTERACTION_KEYS",
     "BACKENDS",
     "WORKER_COUNTS",
-    "TREE_BUILDERS",
     "RunResult",
     "CountInRadiusVisitor",
     "ScalarCountInRadiusVisitor",
@@ -49,7 +48,6 @@ __all__ = [
     "assert_equivalent",
     "differential_matrix",
     "attribution_matrix",
-    "builder_differential_matrix",
 ]
 
 #: TraversalStats fields that must be invariant across engines' batching
@@ -65,11 +63,6 @@ INTERACTION_KEYS = (
 
 BACKENDS = ("serial", "threads", "processes")
 WORKER_COUNTS = (1, 2, 4)
-#: Tree construction algorithms (PR 10): the linear builder must be
-#: byte-identical to the recursive one, so it joins the matrix as a third
-#: axis — every engine/backend/worker combination must produce the same
-#: bits regardless of how the tree was built.
-TREE_BUILDERS = ("recursive", "linear")
 
 
 @dataclass
@@ -328,41 +321,4 @@ def differential_matrix(
                     f"got {other.mode}"
                 )
             assert_equivalent(base, other)
-    return base
-
-
-def builder_differential_matrix(
-    particles,
-    engine: str,
-    make_visitor: Callable[[Tree], Visitor],
-    collect: Callable[[Visitor], dict[str, np.ndarray]],
-    bucket_size: int = 16,
-    builders: tuple[str, ...] = TREE_BUILDERS,
-    backends: tuple[str, ...] = BACKENDS,
-    workers: tuple[int, ...] = WORKER_COUNTS,
-    record: bool = False,
-) -> RunResult:
-    """Pin the full (builder × backend × workers) cube bit-identical for one
-    engine.
-
-    One tree per builder; the linear builder's byte-identical-tree contract
-    means outputs across builders share the particle permutation, so they
-    compare with ``np.array_equal`` directly.  Returns the recursive-build
-    serial oracle.
-    """
-    from repro.trees import build_tree
-
-    base = None
-    for builder in builders:
-        tree = build_tree(particles.copy(), bucket_size=bucket_size,
-                          builder=builder)
-        result = differential_matrix(
-            tree, engine, make_visitor, collect,
-            backends=backends, workers=workers, record=record,
-        )
-        result.label = f"{builder}/{result.label}"
-        if base is None:
-            base = result
-        else:
-            assert_equivalent(base, result)
     return base

@@ -1,38 +1,20 @@
-"""Newtonian force kernels: the ``gravExact`` / ``gravApprox`` helpers of the
-paper's Fig 7, fully vectorised.
+"""Reference node approximations: the ``gravApprox`` helpers of the paper's
+Fig 7, one node against an array of targets.
 
-All kernels use Plummer softening: ``a_i = G Σ_j m_j r_ij / (r² + ε²)^{3/2}``.
-Self-pairs (r = 0) contribute zero, so a leaf can interact with itself.
+These are ``repro.apps.gravity.kernels.point_mass_accel`` /
+``quadrupole_accel`` as they stood while that module existed, moved here
+verbatim when nothing in ``src/`` called them any more.  They state the
+Plummer monopole and the traceless-quadrupole expansion in einsum / matmul
+form (``(r² + ε²) ** 1.5``, ``d @ Q.T``) — an operation order that shares
+nothing with the by-coordinate kernels of ``repro.trees.kernels``, which is
+what makes them an independent oracle for those (to rounding, not in bits).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["pairwise_accel", "point_mass_accel", "quadrupole_accel", "pairwise_potential"]
-
-
-def pairwise_accel(
-    targets: np.ndarray,
-    sources: np.ndarray,
-    source_mass: np.ndarray,
-    G: float = 1.0,
-    softening: float = 0.0,
-) -> np.ndarray:
-    """Exact particle-particle accelerations: (nt, 3) from (ns,) sources.
-
-    ``gravExact``: every target feels every source; zero-distance pairs
-    (a particle interacting with itself) are masked out.
-    """
-    targets = np.atleast_2d(targets)
-    sources = np.atleast_2d(sources)
-    d = sources[None, :, :] - targets[:, None, :]  # (nt, ns, 3)
-    r2 = np.einsum("tsj,tsj->ts", d, d)
-    eps2 = softening * softening
-    denom = (r2 + eps2) ** 1.5
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(r2 > 0.0, G * np.asarray(source_mass)[None, :] / denom, 0.0)
-    return np.einsum("ts,tsj->tj", w, d)
+__all__ = ["point_mass_accel", "quadrupole_accel"]
 
 
 def point_mass_accel(
@@ -87,21 +69,3 @@ def quadrupole_accel(
     # Sign note: with d pointing target->node, the monopole term is
     # attractive as written; the quadrupole correction follows Dehnen (2002).
     return mono + quad_term
-
-
-def pairwise_potential(
-    targets: np.ndarray,
-    sources: np.ndarray,
-    source_mass: np.ndarray,
-    G: float = 1.0,
-    softening: float = 0.0,
-) -> np.ndarray:
-    """Exact potential at each target: ``φ_i = -G Σ_j m_j / sqrt(r² + ε²)``."""
-    targets = np.atleast_2d(targets)
-    sources = np.atleast_2d(sources)
-    d = sources[None, :, :] - targets[:, None, :]
-    r2 = np.einsum("tsj,tsj->ts", d, d)
-    eps2 = softening * softening
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(r2 > 0.0, 1.0 / np.sqrt(r2 + eps2), 0.0)
-    return -G * np.einsum("s,ts->t", np.asarray(source_mass, dtype=np.float64), inv)

@@ -1,4 +1,10 @@
-"""Octree builder over Morton-sorted particles.
+"""Reference octree builder: one node at a time.
+
+This is ``repro.trees.build_oct`` as it stood while the product had two
+octree builders, moved here verbatim (imports apart) as the byte-identity
+oracle for ``repro.trees.linear.build_octree_linear`` — not a second product
+path.  ``tests/test_linear_tree.py`` requires every structure array, box
+and the particle permutation of the product build to equal this loop's.
 
 The classic hashed-octree construction (Warren & Salmon 1993): particles are
 sorted once by Morton key, after which every octree node corresponds to a key
@@ -14,10 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import MORTON_BITS, morton_keys
-from ..particles import ParticleSet
-from .build import TreeBuildConfig
-from .node import NO_NODE, Tree
+from repro.geometry import MORTON_BITS, morton_keys
+from repro.particles import ParticleSet
+from repro.trees import Tree, TreeBuildConfig
+from repro.trees.node import NO_NODE
 
 __all__ = ["build_octree"]
 

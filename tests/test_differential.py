@@ -23,12 +23,10 @@ from repro.particles.generators import clustered_clumps, uniform_cube
 from repro.trees import build_tree
 
 from tests.harness.differential import (
-    TREE_BUILDERS,
     WORKER_COUNTS,
     CountInRadiusVisitor,
     assert_equivalent,
     brute_force_radius_counts,
-    builder_differential_matrix,
     differential_matrix,
     run_combination,
 )
@@ -191,52 +189,6 @@ class TestBatchedEngineDifferential:
         assert rb.counts == rt.counts
 
 
-class TestTreeBuilderDifferential:
-    """The tree_builder axis: recursive ≡ linear through the whole cube."""
-
-    def test_count_visitor_cube(self):
-        particles = uniform_cube(600, seed=21)
-        make = lambda t: CountInRadiusVisitor(t, 0.15)  # noqa: E731
-        collect = lambda v: {"counts": v.counts}  # noqa: E731
-        base = builder_differential_matrix(
-            particles, "transposed", make, collect, bucket_size=12,
-            workers=(1, 2, 4),
-        )
-        oracle = brute_force_radius_counts(
-            uniform_cube(600, seed=21).position, 0.15
-        )
-        # counts are in tree order; both builders share the permutation
-        tree = build_tree(uniform_cube(600, seed=21), bucket_size=12)
-        assert np.array_equal(
-            tree.particles.scatter_to_input_order(base.outputs["counts"]),
-            oracle,
-        )
-
-    def test_gravity_builders_bit_identical(self):
-        particles = clustered_clumps(700, seed=13)
-        trees = {
-            b: build_tree(particles.copy(), bucket_size=16, builder=b)
-            for b in TREE_BUILDERS
-        }
-        results = {}
-        for b, tree in trees.items():
-            make, collect = gravity_setup(tree, with_potential=True)
-            results[b] = run_combination(tree, "transposed", make, collect)
-        assert (results["recursive"].outputs["accel"].tobytes()
-                == results["linear"].outputs["accel"].tobytes())
-        assert (results["recursive"].outputs["potential"].tobytes()
-                == results["linear"].outputs["potential"].tobytes())
-        assert results["recursive"].counts == results["linear"].counts
-
-    @pytest.mark.slow
-    def test_batched_engine_builder_cube(self):
-        particles = clustered_clumps(800, seed=3)
-        make = lambda t: CountInRadiusVisitor(t, 0.3)  # noqa: E731
-        collect = lambda v: {"counts": v.counts}  # noqa: E731
-        builder_differential_matrix(particles, "batched", make, collect,
-                                    workers=(1, 2, 4), record=True)
-
-
 @pytest.mark.slow
 class TestFullMatrix:
     """The wide matrix: every engine × backend × worker count × dataset."""
@@ -336,9 +288,7 @@ class TestBatchedKernelsGolden:
     """Kernel-vs-scalar golden tests for repro.trees.kernels (PR 10).
 
     A pure-Python reference loop defines the accumulation semantics; the
-    numpy fallback must match it bit-for-bit (np.add.at is sequential), and
-    — where numba is installed — the JIT leg must match the numpy leg
-    bit-for-bit too.
+    kernels must match it bit-for-bit (``np.bincount`` is sequential).
     """
 
     @staticmethod
@@ -426,6 +376,82 @@ class TestBatchedKernelsGolden:
         assert got_a.tobytes() == want_a.tobytes()
         assert got_p.tobytes() == want_p.tobytes()
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_dense_front_ends_share_the_frontier_kernels_pair_maths(self, eps):
+        """One Plummer point mass: for any single (target, source) pair the
+        dense front-ends (direct sum, FMM P2P) and the frontier kernels (the
+        tree walk) write the same bytes — scales 1e-9 … 1e12, separations
+        down to 1e-6 of the scale, coincident points, ``(n, 3)`` and
+        structure-of-arrays inputs."""
+        from repro.apps.gravity import pairwise_accel, pairwise_potential
+        from repro.trees.kernels import (accumulate_monopole, accumulate_pp,
+                                         accumulate_pp_potential, components)
+
+        rng = np.random.default_rng(21)
+        n, G = 2000, 1.3
+        scale = 10.0 ** rng.uniform(-9, 12, size=(n, 1))
+        t = rng.standard_normal((n, 3)) * scale
+        s = t + rng.standard_normal((n, 3)) * scale * 10.0 ** rng.uniform(-6, 1, size=(n, 1))
+        s[::25] = t[::25]
+        m = rng.random(n) * scale[:, 0]
+        rows = np.arange(n)       # frontier pair k: target row k, source row k
+        accel, mono, pot = np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n)
+        accumulate_pp(accel, rows, rows, s, m, G, eps, target_positions=t)
+        accumulate_monopole(mono, rows, t, s, m, G, eps)
+        accumulate_pp_potential(pot, rows, rows, components(s), m, G, eps,
+                                target_positions=components(t))
+        assert np.isfinite(accel).all() and np.isfinite(pot).all()
+        assert not accel[::25].any() and accel[1::25].all(axis=1).all()
+        differing = 0
+        for k in range(n):
+            one = slice(k, k + 1)
+            for form in (np.asarray, components):
+                a = pairwise_accel(form(t[one]), form(s[one]), m[one], G, eps)
+                phi = pairwise_potential(form(t[one]), form(s[one]), m[one], G, eps)
+                differing += (a.tobytes() != accel[one].tobytes()
+                              or a.tobytes() != mono[one].tobytes()
+                              or phi.tobytes() != pot[one].tobytes())
+        assert differing == 0
+
+    def test_pairwise_kernels_match_scalar_loop(self):
+        """The direct sum's own oracle, sharing no code with it: every pair
+        term from a scalar loop in the stated operation order, a row's terms
+        added exactly (``fsum``).  ``pairwise_accel`` adds the same terms in
+        numpy's pairwise order, so it may differ from the exact sum by the
+        any-order bound ``(ns - 1) u Σ|term|`` (u = 2⁻⁵³) plus one rounding of
+        the result — nothing else; a single source leaves no sum, so bits."""
+        from math import fsum, sqrt
+
+        from repro.apps.gravity import pairwise_accel, pairwise_potential
+
+        rng = np.random.default_rng(23)
+        nt, ns, G, eps = 12, 300, 0.9, 1e-4
+        src, mass = rng.random((ns, 3)), rng.random(ns)
+        tgt = np.concatenate([src[:4], rng.random((nt - 4, 3))])   # 4 self pairs
+        eps2, u = eps * eps, 2.0 ** -53
+        for sources in (slice(0, ns), slice(5, 6), slice(2, 3)):
+            got_a = pairwise_accel(tgt, src[sources], mass[sources], G, eps)
+            got_p = pairwise_potential(tgt, src[sources], mass[sources], G, eps)
+            for i in range(nt):
+                terms = [[], [], [], []]
+                for j in range(*sources.indices(ns)):
+                    d = [float(src[j, c]) - float(tgt[i, c]) for c in range(3)]
+                    r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+                    if r2 > 0.0:
+                        rs = r2 + eps2
+                        w = G * float(mass[j]) / (rs * sqrt(rs))
+                        for c in range(3):
+                            terms[c].append(d[c] * w)
+                        terms[3].append(-G * float(mass[j]) * (1.0 / sqrt(rs)))
+                got = [*got_a[i].tolist(), float(got_p[i])]
+                for c in range(4):
+                    exact = fsum(terms[c])
+                    if len(terms[c]) <= 1:
+                        assert got[c] == exact
+                    else:
+                        slack = (len(terms[c]) - 1) * u * fsum(abs(x) for x in terms[c])
+                        assert abs(got[c] - exact) <= slack + u * abs(exact)
+
     @staticmethod
     def _quadrupoles(n, seed):
         rng = np.random.default_rng(seed)
@@ -441,8 +467,8 @@ class TestBatchedKernelsGolden:
         ``quadrupole_accel`` the other engines use."""
         from math import sqrt
 
-        from repro.apps.gravity.kernels import quadrupole_accel
         from repro.trees.kernels import accumulate_quadrupole
+        from tests.harness.gravity_reference import quadrupole_accel
 
         pos, rows, center, mass = self._pairs(seed=11)
         quad = self._quadrupoles(len(rows), seed=12)
@@ -563,40 +589,6 @@ class TestBatchedKernelsGolden:
                     want_s.append(s)
         assert t_rows.tolist() == want_t
         assert s_rows.tolist() == want_s
-
-    def test_numba_leg_matches_numpy_leg(self, monkeypatch):
-        """Where numba is installed, the JIT leg must equal the numpy
-        fallback bit-for-bit (CI's build-equiv matrix runs both)."""
-        from repro.trees import kernels
-
-        if not kernels.HAVE_NUMBA:
-            pytest.skip("numba not installed; numpy fallback is the only leg")
-
-        pos, rows, center, mass = self._pairs(seed=5)
-
-        def run():
-            acc = np.zeros((64, 3))
-            kernels.accumulate_monopole(acc, rows, pos, center, mass, 1.1, 1e-3)
-            pot = np.zeros(64)
-            kernels.accumulate_monopole_potential(pot, rows, pos, center, mass, 1.1, 1e-3)
-            mac = kernels.mac_open_pairs(pos, pos + 0.1, center, mass * 0.1)
-            quad = np.zeros((64, 3))
-            kernels.accumulate_quadrupole(quad, rows, pos, center, mass,
-                                          self._quadrupoles(len(rows), seed=6), 1.1, 1e-3)
-            t_rows, s_rows = rows, rows[::-1].copy()
-            pp = np.zeros((64, 3))
-            kernels.accumulate_pp(pp, t_rows, s_rows, pos[:64], mass[:64], 1.1, 1e-3)
-            pp_pot = np.zeros(64)
-            kernels.accumulate_pp_potential(pp_pot, t_rows, s_rows, pos[:64], mass[:64],
-                                            1.1, 1e-3)
-            return acc, pot, mac, quad, pp, pp_pot
-
-        monkeypatch.setenv("REPRO_NO_NUMBA", "1")
-        np_leg = run()
-        monkeypatch.delenv("REPRO_NO_NUMBA")
-        nb_leg = run()
-        for a, b in zip(np_leg, nb_leg):
-            assert a.tobytes() == b.tobytes()
 
     def test_batched_gravity_uses_kernels_consistently(self, small_tree):
         """End-to-end: the batched engine's gravity equals a re-run of

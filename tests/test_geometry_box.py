@@ -9,7 +9,6 @@ from repro.geometry import (
     boxes_center,
     boxes_contain_points,
     boxes_intersect_boxes,
-    boxes_intersect_sphere,
     boxes_longest_dim,
     boxes_union,
     point_box_distance_sq,
@@ -165,12 +164,6 @@ class TestVectorisedKernels:
 
     def test_boxes_intersect_boxes_self(self):
         assert boxes_intersect_boxes(self.lo, self.hi, self.lo, self.hi).all()
-
-    def test_boxes_intersect_sphere_matches_scalar(self):
-        center = np.array([0.2, -0.3, 0.1])
-        out = boxes_intersect_sphere(self.lo, self.hi, center, 0.25)
-        for i in range(len(self.lo)):
-            assert out[i] == Box3(self.lo[i], self.hi[i]).intersects_sphere(center, 0.5)
 
     def test_boxes_box_distance_symmetry_and_overlap(self):
         d = boxes_box_distance_sq(self.lo, self.hi, self.lo[0], self.hi[0])

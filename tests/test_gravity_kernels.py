@@ -11,11 +11,10 @@ from repro.apps.gravity import (
     kick,
     pairwise_accel,
     pairwise_potential,
-    point_mass_accel,
-    quadrupole_accel,
 )
 from repro.apps.gravity.direct import acceleration_error
 from repro.particles import ParticleSet, plummer_sphere
+from tests.harness.gravity_reference import point_mass_accel, quadrupole_accel
 
 
 class TestPairwiseKernels:
@@ -104,6 +103,46 @@ class TestQuadrupole:
         a = quadrupole_accel(t, np.zeros(3), 2.0, np.zeros((3, 3)))
         b = point_mass_accel(t, np.zeros(3), 2.0)
         assert np.allclose(a, b)
+
+
+class TestTreeWalkOpeningEverythingIsTheDirectSum:
+    """θ → 0 opens every node, so the tree walk meets exactly the N² particle
+    pairs of direct summation — and, the per-pair arithmetic being the one
+    shared implementation (``tests/test_differential.py`` pins the bits),
+    the two results are sums of *identical* terms in different orders."""
+
+    @pytest.mark.parametrize("tree_type", ["oct", "kd", "longest"])
+    def test_counts_exact_and_values_within_summation_order(self, tree_type):
+        from repro.apps.gravity import compute_gravity
+        from repro.particles import clustered_clumps
+
+        p = clustered_clumps(1500, seed=31)
+        n, eps = len(p), 1e-3
+        result = compute_gravity(p.copy(), theta=1e-9, softening=eps, tree_type=tree_type)
+        assert result.stats.pn_interactions == 0
+        assert result.stats.pp_interactions == n * n
+        direct = direct_accelerations(p, softening=eps)
+        # Any summation order of n terms x_j is within γ Σ|x_j| of their exact
+        # sum, γ = (n-1)u / (1 - (n-1)u), u = 2⁻⁵³ (Higham, Accuracy and
+        # Stability of Numerical Algorithms, §4.2): two orders differ by at
+        # most 2γ Σ|x_j|.  Σ|x_j| is rebuilt here from the formula; its own
+        # rounding (a few u, relative) is covered by the factor 1.001.
+        d = p.position[None, :, :] - p.position[:, None, :]
+        r2 = (d * d).sum(axis=2)
+        w = np.where(r2 > 0.0, p.mass[None, :] / (r2 + eps * eps) ** 1.5, 0.0)
+        magnitude = (np.abs(d) * w[:, :, None]).sum(axis=1)
+        nu = (n - 1) * 2.0 ** -53
+        bound = 1.001 * 2 * nu / (1 - nu) * magnitude
+        assert (np.abs(result.accel - direct) <= bound).all()
+        # what the bound is worth (6e-13 of a typical component at this n):
+        # no physics tolerance hides in it
+        assert np.median(bound / np.abs(direct)) < 1e-12
+
+    def test_theta_zero_is_rejected(self):
+        from repro.apps.gravity import compute_gravity
+
+        with pytest.raises(ValueError, match=r"^theta must be > 0, got 0$"):
+            compute_gravity(plummer_sphere(64, seed=1), theta=0)
 
 
 class TestIntegrator:

@@ -1,12 +1,12 @@
-"""Equivalence suite for the vectorised linear octree builder (PR 10).
+"""Equivalence suite for the octree builder (vectorised, linear; PR 10).
 
-The contract under test is stronger than "same physics": the linear
-builder (:func:`repro.trees.linear.build_octree_linear`) must produce a
-tree **byte-identical** to the recursive builder's — same node numbering,
-same SoA arrays bit-for-bit, same particle permutation.  Everything
-downstream (engines, exec backends, checkpoints, the serve layer) then
-consumes it unchanged, which is what lets ``tree_builder=linear`` be a
-pure build-time switch.
+The contract under test is stronger than "same physics": the product
+builder (``build_tree`` -> :func:`repro.trees.linear.build_octree_linear`)
+must produce a tree **byte-identical** to the node-at-a-time reference loop
+in ``tests/harness/oct_reference.py`` — same node numbering, same SoA arrays
+bit-for-bit, same particle permutation.  That numbering is what every
+downstream consumer (engines, exec backends, checkpoints, the serve layer)
+and every recorded digest assumes.
 
 Hypothesis drives random point clouds; the deterministic cases cover the
 degenerate geometry the level loop has to get right (duplicates at the
@@ -23,8 +23,8 @@ from hypothesis.extra.numpy import arrays
 from repro.apps.gravity.centroid import compute_centroid_arrays
 from repro.particles import ParticleSet, clustered_clumps, uniform_cube
 from repro.trees import TreeBuildConfig, build_tree, check_tree_invariants
-from repro.trees.build_oct import build_octree
-from repro.trees.linear import build_octree_linear
+
+from tests.harness.oct_reference import build_octree
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -58,7 +58,7 @@ def assert_trees_identical(rec, lin):
 def build_both(particles, **cfg):
     config = TreeBuildConfig(tree_type="oct", **cfg)
     rec = build_octree(particles.copy(), config)
-    lin = build_octree_linear(particles.copy(), config)
+    lin = build_tree(particles.copy(), config)
     return rec, lin
 
 
@@ -90,7 +90,7 @@ class TestLinearEqualsRecursiveProperty:
         rec, lin = build_both(particles_from(pos), bucket_size=bucket)
         check_tree_invariants(lin)
         # Leaf membership: each leaf's particle set (by original index)
-        # matches the recursive tree's leaf with the same key.
+        # matches the reference tree's leaf with the same key.
         rec_leaves = {
             int(rec.key[i]): frozenset(
                 rec.particles.orig_index[rec.pstart[i]:rec.pend[i]].tolist()
@@ -185,19 +185,34 @@ class TestSummariesAndDispatch:
         assert ar.open_radius_sq.tobytes() == al.open_radius_sq.tobytes()
         assert ar.quad.tobytes() == al.quad.tobytes()
 
-    def test_build_tree_builder_switch(self):
-        p = clustered_clumps(1500, seed=4)
-        rec = build_tree(p.copy(), bucket_size=16, builder="recursive")
-        lin = build_tree(p.copy(), bucket_size=16, builder="linear")
-        assert_trees_identical(rec, lin)
-
     def test_builder_validation(self):
-        with pytest.raises(ValueError, match="builder"):
-            TreeBuildConfig(builder="magic")
+        """``builder`` has one value (the spelling ``bench_e2e/`` uses)."""
+        assert TreeBuildConfig(builder="linear") == TreeBuildConfig()
+        for name in ("magic", "recursive"):
+            with pytest.raises(ValueError, match=f"^builder must be 'linear', got '{name}'$"):
+                build_tree(uniform_cube(10, seed=1), builder=name)
 
-    def test_binary_trees_ignore_builder(self):
-        p = uniform_cube(500, seed=1)
-        kd_rec = build_tree(p.copy(), tree_type="kd", bucket_size=8, builder="recursive")
-        kd_lin = build_tree(p.copy(), tree_type="kd", bucket_size=8, builder="linear")
-        assert np.array_equal(kd_rec.pstart, kd_lin.pstart)
-        assert np.array_equal(kd_rec.key, kd_lin.key)
+
+class TestOracleComparisonHasTeeth:
+    """``assert_trees_identical`` is the gate the whole suite above leans on:
+    one node of the product tree corrupted in any compared array, or two
+    particles swapped, must fail it."""
+
+    def test_one_node_corruption_is_caught(self):
+        particles = clustered_clumps(600, seed=8)
+        rec, lin = build_both(particles, bucket_size=8)
+        assert_trees_identical(rec, lin)
+        node = lin.n_nodes // 2
+        for name in TOPOLOGY_ARRAYS + BOX_ARRAYS:
+            _, lin = build_both(particles, bucket_size=8)
+            array = getattr(lin, name)
+            if name in BOX_ARRAYS:
+                array[node, 1] = np.nextafter(array[node, 1], np.inf)   # one ulp
+            else:
+                array[node] += array.dtype.type(1)
+            with pytest.raises(AssertionError, match=name):
+                assert_trees_identical(rec, lin)
+        _, lin = build_both(particles, bucket_size=8)
+        lin.particles.orig_index[[0, 1]] = lin.particles.orig_index[[1, 0]]
+        with pytest.raises(AssertionError, match="permutation"):
+            assert_trees_identical(rec, lin)

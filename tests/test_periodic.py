@@ -11,7 +11,7 @@ from repro.apps.gravity import (
     minimum_image,
 )
 from repro.apps.gravity import compute_centroid_arrays
-from repro.apps.gravity.kernels import pairwise_accel, pairwise_potential
+from repro.apps.gravity import pairwise_accel, pairwise_potential
 from repro.apps.gravity.periodic import _ShiftedGravityVisitor
 from repro.core import get_traverser, top_down_engines
 from repro.particles import ParticleSet, uniform_cube

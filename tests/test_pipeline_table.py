@@ -11,7 +11,6 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from repro.__main__ import main
@@ -263,13 +262,14 @@ def test_faults_flag_is_honoured_with_or_without_a_distributed_phase(capsys):
 # -- nothing renamed or dropped; start-up stays lazy -----------------------------
 
 #: option strings each subcommand accepted at the commit before the table
-#: (PR 12); the table must declare exactly these
+#: (PR 12), less ``--tree-builder`` (retired with the second octree builder);
+#: the table must declare exactly these
 OPTIONS_AT_PR12 = {
     "_run": ["--backend", "--checkpoint-dir", "--checkpoint-every",
              "--chunk-deadline", "--exec-faults", "--faults", "--flight",
              "--max-chunk-retries", "--metrics", "--no-supervise", "--report",
              "--save-state", "--status-file", "--trace", "--workers"],
-    "_tree": ["--bucket", "--n", "--seed", "--tree", "--tree-builder"],
+    "_tree": ["--bucket", "--n", "--seed", "--tree"],
     "gravity": ["_run", "_tree", "--check", "--critical-path", "--dt",
                 "--iterations", "--quadrupole", "--slo", "--slo-report",
                 "--softening", "--theta", "--traverser"],
@@ -366,16 +366,24 @@ def test_traverser_default_and_choices_live_in_core(capsys):
     assert "'batched', 'transposed', 'per-bucket'" in capsys.readouterr().err
 
 
-def test_tree_builder_defaults_to_linear_everywhere():
+def test_tree_builder_is_gone_everywhere(capsys):
+    """One octree builder: the option that chose between two is not accepted
+    under any of its spellings, except as a key of old specs (ignored)."""
     from repro.apps.gravity import compute_gravity
     from repro.particles import uniform_cube
     from repro.serve.resident import build_resident_state
     from repro.trees import TreeBuildConfig
 
-    assert Configuration().tree_builder == "linear"
+    for command in ("gravity", "sph", "knn", "explain", "serve"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", "200", "--tree-builder", "linear"])
+        assert exc.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert error == "repro: error: unrecognized arguments: --tree-builder linear"
+    with pytest.raises(TypeError, match="tree_builder"):
+        Configuration(tree_builder="linear")
+    with pytest.raises(TypeError, match="tree_builder"):
+        compute_gravity(uniform_cube(50, seed=2), tree_builder="linear")
     assert TreeBuildConfig().builder == "linear"
-    assert build_resident_state({"n": 200}).spec["tree_builder"] == "linear"
-    particles = uniform_cube(300, seed=2)
-    np.testing.assert_array_equal(
-        compute_gravity(particles.copy()).accel,
-        compute_gravity(particles.copy(), tree_builder="recursive").accel)
+    assert "tree_builder" not in build_resident_state(
+        {"n": 200, "tree_builder": "recursive"}).spec

@@ -396,23 +396,22 @@ class TestBitIdenticalResume:
 
 
 class TestLinearBuilderResilience:
-    """The vectorised linear octree builder through the resilience stack.
+    """The octree builder through the resilience stack: a resumed run
+    rebuilds the tree the interrupted one had, byte for byte — including a
+    run interrupted while ``tree_builder`` was still a knob."""
 
-    The builder equivalence proof (tests/test_linear_tree.py) says the two
-    builders produce byte-identical trees; these tests pin the downstream
-    consequence — checkpoints, resumes, and audits cannot tell the builders
-    apart, and a resume may legitimately switch builders."""
+    APP = {"theta": 0.7, "softening": 1e-3, "dt": 1e-3}
 
     def test_linear_run_resumes_bit_identically(self, tmp_path):
-        baseline = _gravity_driver(tree_builder="linear")
+        baseline = _gravity_driver()
         baseline.run()
 
-        interrupted = _gravity_driver(tree_builder="linear")
+        interrupted = _gravity_driver()
         interrupted.observe(CheckpointWriter(tmp_path, every=1))
         interrupted.config.num_iterations = 2
         interrupted.run()
 
-        resumed = _gravity_driver(tree_builder="linear")
+        resumed = _gravity_driver()
         resumed.config.num_iterations = baseline.config.num_iterations
         resumed.run(resume_from=load_checkpoint(tmp_path / "ckpt_000002.npz"))
 
@@ -420,59 +419,46 @@ class TestLinearBuilderResilience:
         np.testing.assert_array_equal(baseline.accelerations, resumed.accelerations)
         assert audit_restore(resumed) == []
 
-    def test_linear_and_recursive_twins_write_identical_checkpoints(self, tmp_path):
-        """`repro audit` between a linear run and its recursive twin passes:
-        every checkpoint the two runs write carries byte-identical state."""
-        lin_dir, rec_dir = tmp_path / "lin", tmp_path / "rec"
-        lin = _gravity_driver(tree_builder="linear")
-        lin.observe(CheckpointWriter(lin_dir, every=1, keep=10))
-        lin.run()
-
-        rec = _gravity_driver(tree_builder="recursive")
-        rec.observe(CheckpointWriter(rec_dir, every=1, keep=10))
-        rec.run()
-
-        names = sorted(p.name for p in lin_dir.glob("ckpt_*.npz"))
-        assert names == sorted(p.name for p in rec_dir.glob("ckpt_*.npz"))
-        assert names  # at least one checkpoint written
-        for name in names:
-            assert audit_checkpoints(lin_dir / name, rec_dir / name) == []
-        np.testing.assert_array_equal(lin.accelerations, rec.accelerations)
-        _assert_fields_equal(_fields(lin), _fields(rec))
-
-    def test_resume_may_switch_builders(self, tmp_path):
-        """tree_builder is a resumable key: a recursive run's checkpoint
-        resumed under the linear builder matches the uninterrupted recursive
-        baseline bit-for-bit (and vice versa would too, by symmetry)."""
-        baseline = _gravity_driver(tree_builder="recursive")
+    @pytest.mark.parametrize("builder", ["recursive", "linear"])
+    def test_old_checkpoint_with_tree_builder(self, tmp_path, builder):
+        """Checkpoints written up to PR 20 record ``tree_builder`` (the two
+        builders made byte-identical trees).  Both ways in — an explicit
+        driver through ``restore_run``'s strict comparison, and ``repro
+        resume`` through ``Configuration.from_dict`` — ignore the key and end
+        bit-identical to the uninterrupted run, ``repro audit`` clean."""
+        baseline = _gravity_driver()
+        baseline.observe(CheckpointWriter(tmp_path / "whole", every=1, keep=10,
+                                          app="gravity", app_config=self.APP))
         baseline.run()
 
-        interrupted = _gravity_driver(tree_builder="recursive")
-        interrupted.observe(CheckpointWriter(tmp_path, every=1))
-        interrupted.config.num_iterations = 2
+        interrupted = _gravity_driver(iterations=2)
+        interrupted.observe(CheckpointWriter(tmp_path / "cut", every=1,
+                                             app="gravity", app_config=self.APP))
         interrupted.run()
+        old = load_checkpoint(tmp_path / "cut" / "ckpt_000002.npz")
+        assert "tree_builder" not in old.config
+        old.config["tree_builder"] = builder
+        save_checkpoint(tmp_path / "old.npz", old)
+        assert load_checkpoint(tmp_path / "old.npz").config["tree_builder"] == builder
 
-        resumed = _gravity_driver(tree_builder="linear")
-        resumed.config.num_iterations = baseline.config.num_iterations
-        resumed.run(resume_from=tmp_path / "ckpt_000002.npz")
+        ways = {"explicit": _gravity_driver(),
+                "from_checkpoint": driver_from_checkpoint(load_checkpoint(tmp_path / "old.npz"))}
+        for way, resumed in ways.items():
+            resumed.config.num_iterations = baseline.config.num_iterations
+            resumed.observe(CheckpointWriter(tmp_path / way, every=1, keep=10,
+                                             app="gravity", app_config=self.APP))
+            resumed.run(resume_from=tmp_path / "old.npz")
+            _assert_fields_equal(_fields(baseline), _fields(resumed))
+            np.testing.assert_array_equal(baseline.accelerations, resumed.accelerations)
+            assert audit_restore(resumed) == []
+            assert audit_state_files(tmp_path / "whole" / "ckpt_000003.npz",
+                                     tmp_path / way / "ckpt_000003.npz") == []
 
-        _assert_fields_equal(_fields(baseline), _fields(resumed))
-        np.testing.assert_array_equal(baseline.accelerations, resumed.accelerations)
-        assert audit_restore(resumed) == []
-
-    def test_tree_builder_round_trips_through_checkpoint(self, tmp_path):
-        driver = _gravity_driver(tree_builder="linear", iterations=2)
-        driver.observe(CheckpointWriter(
-            tmp_path, every=1, app="gravity",
-            app_config={"theta": 0.7, "softening": 1e-3, "dt": 1e-3},
-        ))
-        driver.run()
-
-        ckpt = load_checkpoint(latest_checkpoint(tmp_path))
-        assert ckpt.config["tree_builder"] == "linear"
-        rebuilt = driver_from_checkpoint(ckpt)
-        assert rebuilt.config.tree_builder == "linear"
-        assert Configuration.from_dict(ckpt.config).tree_builder == "linear"
+    def test_only_the_retired_key_is_dropped(self):
+        assert "tree_builder" not in Configuration().to_dict()
+        assert Configuration.from_dict({"tree_builder": "recursive"}) == Configuration()
+        with pytest.raises(ValueError, match="^bad configuration: .*'tree_bilder'"):
+            Configuration.from_dict({"tree_bilder": "linear"})
 
 
 class TestAudit:

@@ -418,6 +418,32 @@ class TestResident:
         b = execute_queries(restored.tree, [q.to_wire()])
         assert a == b
 
+    def test_drain_checkpoint_naming_a_tree_builder_still_resumes(self, tmp_path):
+        """Drain checkpoints (and specs) written up to PR 20 name a
+        ``tree_builder``; the key is ignored: the same tree, the same
+        answers, and the resumed server's own drain checkpoint audits clean
+        against a fresh one."""
+        from repro.resilience import audit_state_files, load_checkpoint, save_checkpoint
+
+        state = build_resident_state(
+            {"kind": "clumps", "n": 500, "seed": 9, "bucket_size": 8})
+        fresh, old = str(tmp_path / "fresh.npz"), str(tmp_path / "old.npz")
+        checkpoint_resident(state, fresh)
+        ckpt = load_checkpoint(fresh)
+        assert "tree_builder" not in ckpt.app_config["tree"]
+        ckpt.app_config["tree"]["tree_builder"] = "recursive"
+        save_checkpoint(old, ckpt)
+        restored = build_resident_state({"checkpoint": old, "tree_builder": "recursive"})
+        assert restored.spec == state.spec
+        for name in ("parent", "first_child", "n_children", "pstart", "pend",
+                     "box_lo", "box_hi", "level", "key"):
+            assert getattr(restored.tree, name).tobytes() == getattr(state.tree, name).tobytes()
+        wire = [_q(i, point=state.particles.position[i] + 0.02).to_wire() for i in range(8)]
+        assert execute_queries(restored.tree, wire) == execute_queries(state.tree, wire)
+        again = str(tmp_path / "again.npz")
+        checkpoint_resident(restored, again)
+        assert audit_state_files(fresh, again) == []
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown dataset kind"):
             build_resident_state({"kind": "torus", "n": 10})

@@ -5,7 +5,7 @@ import pytest
 
 from repro.bench import format_series, format_table
 from repro.bench.workloads import build_gravity_workload, build_sph_workloads
-from repro.geometry import Sphere, spheres_intersect_box
+from repro.geometry import Sphere
 
 
 class TestSphere:
@@ -33,12 +33,6 @@ class TestSphere:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             Sphere([0, 0, 0], -1.0)
-
-    def test_spheres_intersect_box_batch(self):
-        centers = np.array([[0.5, 0.5, 0.5], [3.0, 3.0, 3.0]])
-        radii_sq = np.array([0.01, 0.01])
-        out = spheres_intersect_box(centers, radii_sq, [0, 0, 0], [1, 1, 1])
-        assert out.tolist() == [True, False]
 
     def test_radius_sq(self):
         assert Sphere([0, 0, 0], 3.0).radius_sq == 9.0

@@ -224,7 +224,7 @@ class TestScalarFallback:
                 return bool(target.box.intersects_sphere(c, np.sqrt(rsq)))
 
             def node(self, source, target):
-                from repro.apps.gravity import point_mass_accel
+                from tests.harness.gravity_reference import point_mass_accel
 
                 idx = np.arange(tree.pstart[target.index], tree.pend[target.index])
                 self.accel[idx] += point_mass_accel(
