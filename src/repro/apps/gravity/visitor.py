@@ -1,9 +1,11 @@
 """``GravityVisitor`` (paper Fig 7), written once in the pair form.
 
 ``open_pairs`` is the MAC, ``node_pairs`` the centroid approximation and
-``leaf_pairs`` the exact bucket-bucket sum, each one frontier kernel of
-:mod:`repro.trees.kernels` over a slice of ``(source, target)`` pairs,
-accumulating into one acceleration array aligned with tree order.  Which
+``leaf_pairs`` the exact bucket-bucket sum.  Both accumulating hooks hand
+one kernel of :mod:`repro.trees.kernels` the same thing — each target
+bucket of the slice against its list of point masses (closed nodes'
+centroids, opened leaves' particles) — accumulating into one acceleration
+array aligned with tree order.  Which
 pairs arrive together and in what order is the Traverser's business
 (batched, transposed, per-bucket, up-and-down: schedules over these three
 hooks); the scalar ``open``/``node``/``leaf`` the dual-tree engine calls are
@@ -97,10 +99,11 @@ class GravityVisitor(Visitor):
             self.potential[rows] = outputs["potential"]
 
     # -- the hooks: frontier kernels from repro.trees.kernels ----------------
-    # One call per engine slice.  Each works on the views of accel/potential/
-    # positions that span the slice's targets: the batched engine hands over
-    # a few buckets at a time, so the kernels' partial-sum buffers are that
-    # short, not N long.
+    # One call per engine slice.  A call's pairs become each target's
+    # interaction list (``list_layout``): a closed node is one item,
+    # an opened leaf its particles.  The hooks gather the item tables, at
+    # list length, and one kernel call adds every row's list into accel /
+    # potential.
 
     def _pair_frame(self) -> tuple[np.ndarray, np.ndarray]:
         """Target particle positions and MAC sphere centres as the hooks
@@ -120,8 +123,10 @@ class GravityVisitor(Visitor):
         source, center = components(position), components(centroid)
         return {
             "source": source,
+            "source_gm": self.G * tree.particles.mass,
             "target": source if target is position else components(target),
             "centroid": center,
+            "centroid_gm": self.G * self.arrays.mass,
             "mac_center": center if mac_center is centroid else components(mac_center),
             "box_lo": components(tree.box_lo), "box_hi": components(tree.box_hi),
             "quad": None if quad is None else symmetric_components(quad),
@@ -139,55 +144,34 @@ class GravityVisitor(Visitor):
         )
 
     def node_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
-        from ...trees.kernels import (accumulate_monopole, accumulate_monopole_potential,
-                                      accumulate_quadrupole)
+        from ...trees.kernels import list_layout
 
         if not len(targets):
             return
-        pstart, pend = tree.pstart[targets], tree.pend[targets]
-        lo, hi = int(pstart.min()), int(pend.max())
-        rows = ranges_to_indices(pstart - lo, pend - lo)
-        if not rows.size:
-            return
         tables = self._pair_tables
-        src = np.repeat(sources, pend - pstart)
-        pos = [c[lo:hi][rows] for c in tables["target"]]
-        center = [c[src] for c in tables["centroid"]]
-        mass = self.arrays.mass[src]
-        if tables["quad"] is not None:
-            accumulate_quadrupole(
-                self.accel[lo:hi], rows, pos, center, mass,
-                [q[src] for q in tables["quad"]], self.G, self.softening,
-            )
-        else:
-            accumulate_monopole(
-                self.accel[lo:hi], rows, pos, center, mass, self.G, self.softening,
-            )
-        if self.potential is not None:
-            accumulate_monopole_potential(
-                self.potential[lo:hi], rows, pos, center, mass, self.G, self.softening,
-            )
+        quad = None if tables["quad"] is None else [q[sources] for q in tables["quad"]]
+        self._accumulate(list_layout(targets, tree.pstart[targets], tree.pend[targets]),
+                         [c[sources] for c in tables["centroid"]],
+                         tables["centroid_gm"][sources], quad)
 
     def leaf_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
-        from ...trees.kernels import accumulate_pp, accumulate_pp_potential, expand_pair_products
+        from ...trees.kernels import list_layout
 
         if not len(targets):
             return
-        pstart, pend = tree.pstart[targets], tree.pend[targets]
-        lo, hi = int(pstart.min()), int(pend.max())
-        t_rows, s_rows = expand_pair_products(
-            pstart - lo, pend - lo, tree.pstart[sources], tree.pend[sources],
-        )
-        if not t_rows.size:
-            return
         tables = self._pair_tables
-        target = [c[lo:hi] for c in tables["target"]]
-        accumulate_pp(
-            self.accel[lo:hi], t_rows, s_rows, tables["source"],
-            tree.particles.mass, self.G, self.softening, target_positions=target,
-        )
-        if self.potential is not None:
-            accumulate_pp_potential(
-                self.potential[lo:hi], t_rows, s_rows, tables["source"],
-                tree.particles.mass, self.G, self.softening, target_positions=target,
-            )
+        sstart, send = tree.pstart[sources], tree.pend[sources]
+        items = ranges_to_indices(sstart, send)
+        self._accumulate(list_layout(targets, tree.pstart[targets], tree.pend[targets],
+                                     send - sstart),
+                         [c[items] for c in tables["source"]], tables["source_gm"][items])
+
+    def _accumulate(self, layout, source, gm, quad=None) -> None:
+        """One kernel call per output: the item tables into accel and, if
+        tracked, the potential."""
+        from ...trees.kernels import accumulate_point_masses
+
+        for out in (self.accel, self.potential):
+            if out is not None:
+                accumulate_point_masses(out, layout, self._pair_tables["target"], source, gm,
+                                        self.softening, quad, self.G)

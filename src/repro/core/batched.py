@@ -16,11 +16,11 @@ pairs one level up and of nothing else.
 
 That is what bounds the working set without changing a bit.  A frontier may
 be cut *between two targets* anywhere: each piece then holds, for every
-target in it, exactly the pair subsequence the whole frontier held, and the
-kernels fold each row's partial sum once per call (see "Scatter
-accumulation strategy" in :mod:`repro.trees.kernels`), so a target's rows
-see the same additions in the same order whichever other targets share the
-call.  The engine cuts in two places, each against one module constant:
+target in it, exactly the pair subsequence the whole frontier held — the
+same interaction list — and the kernels reduce each row's list once per
+call (see "Interaction lists" in :mod:`repro.trees.kernels`), so a target's
+rows see the same additions in the same order whichever other targets share
+the call.  The engine cuts in two places, each against one module constant:
 
 * a segment whose expansion would exceed :data:`SEGMENT_PAIRS` pairs is
   split *before* it is expanded, and the pieces (views of the parent, never
@@ -61,8 +61,9 @@ __all__ = ["BatchedTraverser", "walk_frontier", "SEGMENT_PAIRS", "SLICE_ROWS"]
 #: them live at once: at 16 384 rows that is 128 KiB each and ~3 MiB in
 #: all, resident in L2/L3 and reused by the allocator, where one whole level
 #: of the frontier is 56-87 MB per temporary, mapped and page-faulted afresh
-#: on every call.  Twice the budget reads ~7 % faster and 5 % more peak RSS,
-#: four times ~15 % and 18 %; docs/benchmarking.md has the table.
+#: on every call.  Twice the budget reads ~4 % faster for 6 % more peak RSS,
+#: four times ~8 % for 17 % and past the traced-temporary bound of
+#: tests/test_segments.py; docs/benchmarking.md has the table.
 SEGMENT_PAIRS = 16_384
 SLICE_ROWS = 16_384
 

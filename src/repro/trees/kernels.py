@@ -3,22 +3,26 @@
 The batched traversal engine (:mod:`repro.core.batched`) carries its
 frontier as flat ``(source, target)`` pair arrays and hands them over in
 slices of bounded work.  The kernels here evaluate one slice per call: the
-MAC acceptance test, the monopole/quadrupole/leaf gravity accumulation, and
-the neighbour-search pair (the one squared-distance kernel, and the
-segmented k-nearest merge behind the up-and-down engine's ``leaf_pairs``).
+MAC acceptance test, gravity over per-target interaction lists (point
+masses — node centroids or leaf particles — and the quadrupole terms of
+node items), and the neighbour-search pair (the one squared-distance
+kernel, and the segmented k-nearest merge behind the up-and-down engine's
+``leaf_pairs``).
 
 Every kernel has one implementation, written by coordinate in a fixed
-operation order: per-row partial sums are reduced strictly sequentially in
-pair order (``np.bincount`` walks its input in order) and folded into the
-output with one masked vector add per call.  The scalar-loop goldens in
-``tests/test_differential.py`` state the same arithmetic one pair at a time
-and pin it bit for bit.  The dense ``(targets, sources)`` front-ends
-:func:`pairwise_accel` / :func:`pairwise_potential` (direct summation, FMM
-P2P) evaluate the same per-pair expressions, so a direct sum and a tree walk
-that meet the same pair compute the same bits for it.
+operation order: a target row's contributions within one call are summed by
+``np.add.reduceat`` over that row's interaction list, in list order, and
+added to the output once per call.  The scalar-loop goldens in
+``tests/test_differential.py`` state the same per-pair arithmetic one pair
+at a time and pin it bit for bit.  The dense ``(targets, sources)``
+front-ends :func:`pairwise_accel` / :func:`pairwise_potential` (direct
+summation, FMM P2P) evaluate the same per-pair expressions, so a direct sum
+and a tree walk that meet the same pair compute the same bits for it.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,11 +31,9 @@ __all__ = [
     "symmetric_components",
     "mac_open_pairs",
     "expand_pair_products",
-    "accumulate_monopole",
-    "accumulate_monopole_potential",
-    "accumulate_quadrupole",
-    "accumulate_pp",
-    "accumulate_pp_potential",
+    "ListLayout",
+    "list_layout",
+    "accumulate_point_masses",
     "pairwise_accel",
     "pairwise_potential",
     "pair_dist_sq",
@@ -106,41 +108,93 @@ def mac_open_pairs(box_lo, box_hi, center, radius_sq) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Scatter accumulation strategy.
+# Interaction lists: the accumulation layout of the gravity kernels.
 #
-# Every accumulate_* kernel first reduces its per-pair values into a fresh
-# per-row partial-sum buffer, sequentially in pair order (np.bincount walks
-# its input in order, exactly like the scalar loop of the golden tests), and
-# then folds that buffer into the output with ONE vector add restricted to
-# the rows that actually received contributions.  Consequences:
+# A call receives a target-major slice of the frontier, so all pairs of one
+# target form a run, and that run is the target's interaction list for the
+# call: a closed pair adds one item (the node's centroid and G m), an opened
+# leaf its particles, in pair order.  The caller gathers the item tables
+# once, at list length.  Each target row is then expanded against its own
+# list — row-major: the row repeats, the list replays — so a row's
+# contributions are contiguous, one ``np.add.reduceat`` per coordinate sums
+# them in list order, and one ``out[rows] += sums`` adds them in.
 #
-# * results are chunk-independent (a row's partial sum depends only on its
-#   own pair subsequence, and the fold happens exactly once per call in
-#   which the row participates), which is what makes the batched engine
-#   bit-identical across exec backends, worker counts and frontier cuts;
-# * it is ~5x faster than np.add.at, whose buffered inner loop dominated
-#   the batched traversal profile.
-#
-# The buffer is as long as the output the caller passes.  The batched engine
-# calls with slices of a few target buckets, so callers pass the view of the
-# output that spans the slice (``accel[lo:hi]``, rows counted from ``lo``)
-# and the buffer, its zeroing and the fold stay that small.
+# * A row's sum is a function of its own list, and a target's list is the
+#   same whichever other targets share the call: the engine cuts between
+#   targets, so the bits do not depend on the cut, the chunking, the worker
+#   count or the schedule that delivers a target's pairs.
+# * No temporary is as long as the output, and no pair array exists only to
+#   be scattered back.
+# * A call that is one list (the per-bucket schedule; an oversized target)
+#   needs no index arrays: its rows are a range and the items a table, so
+#   an ``(n_rows, 1)`` column broadcast against a ``(1, n_items)`` row lays
+#   the contributions out in the same row-major order.
 # ---------------------------------------------------------------------------
 
-def _fold_rows(out, rows, contrib):
-    """``out[r] += contrib[r]`` for every row r present in ``rows``."""
-    touched = np.zeros(out.shape[0], dtype=bool)
-    touched[rows] = True
-    idx = np.flatnonzero(touched)
-    out[idx] += contrib[idx]
+def _run_bounds(a):
+    """``b`` such that ``a[b[j]:b[j + 1]]`` is the j-th run of equal adjacent
+    values of the non-empty ``a``."""
+    return np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1], [True])))
 
 
-def _bincount3(rows, values, n):
-    """Per-coordinate ``bincount(rows, values[j])`` -> ``(n, 3)``."""
-    contrib = np.empty((n, 3), dtype=np.float64)
-    for j in range(3):
-        contrib[:, j] = np.bincount(rows, weights=values[j], minlength=n)
-    return contrib
+class ListLayout(NamedTuple):
+    """Where each contribution of one call comes from and goes to: the
+    target ``rows``, each once; where each row's contributions ``starts``;
+    and the index, per contribution, of its row (``row_of``) and of its list
+    item (``item_of``).  A call that is one list indexes with a
+    ``(rows, None)`` column and a ``(None, items)`` row instead: its
+    contributions are a broadcast ``(n_rows, n_items)`` block of views."""
+
+    rows: np.ndarray | slice
+    starts: np.ndarray
+    row_of: np.ndarray | tuple
+    item_of: np.ndarray | tuple
+
+
+def list_layout(targets, tstart, tend, n_items=None) -> ListLayout:
+    """The interaction lists of one slice of ``(source, target)`` pairs.
+
+    Pair ``p`` offers ``n_items[p]`` list items (default one) to each
+    target row in ``[tstart[p], tend[p])``; items are numbered in pair
+    order, which is how the caller's item tables are laid out.  Every list
+    holds an item (tree leaves are never empty).  Pairs should be
+    target-major; a target met in more than one run has its pairs grouped,
+    in order, so no row is added to twice."""
+    from ..core.util import ranges_to_indices
+
+    n_items = np.ones(targets.size, dtype=np.int64) if n_items is None else n_items
+    bounds = _run_bounds(targets)
+    if bounds.size == 2:
+        rows, n_list = slice(int(tstart[0]), int(tend[0])), int(n_items.sum())
+        return ListLayout(rows, np.arange(0, (rows.stop - rows.start) * n_list, n_list),
+                          (rows, None), (None, slice(None)))
+    run = bounds[:-1]
+    if np.unique(targets[run]).size != run.size:
+        # the layout of the pairs grouped by target, items renumbered
+        order = np.argsort(targets, kind="stable")
+        first = (np.cumsum(n_items) - n_items)[order]
+        layout = list_layout(targets[order], tstart[order], tend[order], n_items[order])
+        return layout._replace(item_of=ranges_to_indices(first, first + n_items[order])
+                               [layout.item_of])
+    list_end = np.cumsum(n_items)[bounds[1:] - 1]
+    list_start = np.concatenate(([0], list_end[:-1]))
+    n_rows = tend[run] - tstart[run]
+    rows = ranges_to_indices(tstart[run], tend[run])
+    seg = np.repeat(list_end - list_start, n_rows)
+    ends = np.cumsum(seg)
+    starts = ends - seg
+    item_of = np.arange(ends[-1]) - np.repeat(starts - np.repeat(list_start, n_rows), seg)
+    return ListLayout(rows, starts, np.repeat(rows, seg), item_of)
+
+
+def _add_row_sums(out, layout, values):
+    """``out[rows] +=`` each row's ``values`` summed in list order (``out``
+    is ``(n, len(values))``, or ``(n,)`` for one value)."""
+    if values[0].size != layout.starts.size:      # some list holds more than one item
+        values = [np.add.reduceat(v.ravel(), layout.starts) for v in values]
+    columns = [out] if out.ndim == 1 else [out[:, j] for j in range(out.shape[1])]
+    for column, v in zip(columns, values):
+        column[layout.rows] += v.ravel()
 
 
 def _norm_sq(d):
@@ -161,11 +215,10 @@ def _separation(source, target):
 # Gravity: the Plummer point mass, ``a = G m d / (r² + ε²)^{3/2}`` and
 # ``φ = -G m / sqrt(r² + ε²)`` with ``d = source - target``; a pair at zero
 # distance (a particle and itself) contributes nothing.  The weight and the
-# inverse distance are written once: a node's monopole against the rows of a
-# target bucket, a source particle against a target particle (the flat
-# frontier kernels) and every target against every source (the dense
-# direct-sum front-ends below) evaluate the same expressions, on flat pair
-# arrays or on a broadcast ``(targets, sources)`` grid.
+# inverse distance are written once: a list item (a node's centroid, a leaf
+# particle) against a target row (the frontier kernel) and every target
+# against every source (the dense direct-sum front-ends below) evaluate the
+# same expressions, on contribution arrays or on a broadcast grid.
 # ---------------------------------------------------------------------------
 
 def _plummer_weight(r2, gm, eps2):
@@ -188,74 +241,34 @@ def _inverse_distance(r2, eps2):
         return np.where(r2 > 0.0, 1.0 / np.sqrt(r2 + eps2), 0.0)
 
 
-def _accel_contrib(rows, target, source, mass, G, eps2, n):
-    d, r2 = _separation(source, target)
-    w = _plummer_weight(r2, G * mass, eps2)
-    for dj in d:
-        dj *= w
-    return _bincount3(rows, d, n)
+def accumulate_point_masses(out, layout, target, source, gm, softening=0.0, quad=None,
+                            G=1.0):
+    """Add to each target row the point masses of its interaction list:
+    the acceleration if ``out`` is ``(n, 3)``, the potential if it is
+    ``(n,)``.  Items are Plummer point masses, or node centroids with their
+    quadrupole terms when ``quad`` holds each item's traceless quadrupole
+    tensor about it (see :func:`symmetric_components`; the potential stays
+    the monopole's).
 
-
-def _potential_contrib(rows, target, source, mass, G, eps2, n):
-    _, r2 = _separation(source, target)
-    return np.bincount(rows, weights=-G * mass * _inverse_distance(r2, eps2), minlength=n)
-
-
-def _accumulate_point_mass(out, rows, pos, center, mass, G, softening, contrib):
+    ``target`` holds the positions of ``out``'s rows (a caller whose
+    targets sit in a translated frame — periodic images — passes the
+    translated positions); ``source``, ``gm`` (G times the mass) and
+    ``quad`` are the item tables, one entry per list item.  Positions are
+    ``(n, 3)`` arrays or coordinate columns."""
     eps2 = float(softening * softening)
-    _fold_rows(out, rows, contrib(rows, components(pos), components(center), mass,
-                                  float(G), eps2, out.shape[0]))
-
-
-def accumulate_monopole(accel, rows, pos, center, mass, G=1.0, softening=0.0):
-    """Fold Plummer-monopole pair contributions ``w_k * (center_k - pos_k)``
-    into ``accel`` (per-row partial sums in pair order, one fold per call).
-    ``pos``, ``center`` and ``mass`` are per pair; ``rows`` index ``accel``."""
-    _accumulate_point_mass(accel, rows, pos, center, mass, G, softening, _accel_contrib)
-
-
-def accumulate_monopole_potential(potential, rows, pos, center, mass, G=1.0, softening=0.0):
-    """Monopole potential companion of :func:`accumulate_monopole`."""
-    _accumulate_point_mass(potential, rows, pos, center, mass, G, softening,
-                           _potential_contrib)
-
-
-# ---------------------------------------------------------------------------
-# Gravity: exact particle-particle (leaf) accumulation.
-# ---------------------------------------------------------------------------
-
-def _accumulate_pp(out, t_rows, s_rows, positions, masses, G, softening,
-                   target_positions, contrib):
-    source = components(positions)
-    target = source if target_positions is None else components(target_positions)
-    eps2 = float(softening * softening)
-    # Gathered by coordinate into contiguous 1-D temporaries: the
-    # per-particle coordinate arrays are tiny (they stay in cache), so the
-    # pair-sized temporaries dominate memory traffic and every pass over
-    # them should be unit-stride.
-    _fold_rows(out, t_rows, contrib(t_rows, [c[t_rows] for c in target],
-                                    [c[s_rows] for c in source], masses[s_rows],
-                                    float(G), eps2, out.shape[0]))
-
-
-def accumulate_pp(accel, t_rows, s_rows, positions, masses, G=1.0, softening=0.0,
-                  target_positions=None):
-    """Exact pairwise accumulation over expanded (target, source) particle
-    row pairs; self/coincident pairs (r = 0) contribute zero.
-
-    ``s_rows`` index ``positions``/``masses``; ``t_rows`` index ``accel`` and
-    ``target_positions`` (default: ``positions``) — a caller working on a
-    slice passes the views that span it, a caller whose targets sit in a
-    translated frame (periodic images) passes the translated positions."""
-    _accumulate_pp(accel, t_rows, s_rows, positions, masses, G, softening,
-                   target_positions, _accel_contrib)
-
-
-def accumulate_pp_potential(potential, t_rows, s_rows, positions, masses, G=1.0,
-                            softening=0.0, target_positions=None):
-    """Exact pairwise potential companion of :func:`accumulate_pp`."""
-    _accumulate_pp(potential, t_rows, s_rows, positions, masses, G, softening,
-                   target_positions, _potential_contrib)
+    d, r2 = _separation([c[layout.item_of] for c in components(source)],
+                        [c[layout.row_of] for c in components(target)])
+    gm = gm[layout.item_of]
+    if out.ndim == 1:
+        d = [np.negative(gm * _inverse_distance(r2, eps2))]
+    elif quad is not None:
+        d = _quadrupole_terms(d, r2 + eps2, gm, float(G),
+                              [q[layout.item_of] for q in symmetric_components(quad)])
+    else:
+        w = _plummer_weight(r2, gm, eps2)
+        for dj in d:
+            dj *= w
+    _add_row_sums(out, layout, d)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +310,7 @@ def pairwise_potential(targets, sources, source_mass, G=1.0, softening=0.0) -> n
 
 
 # ---------------------------------------------------------------------------
-# Gravity: monopole + traceless-quadrupole node accumulation.
+# Gravity: the quadrupole terms of node items.
 #
 #   a = G [ m d / r³ − Q·d / r⁵ + 5/2 (dᵀQd) d / r⁷ ],  r² = |d|² + ε²,
 # with Q = Σ m (3 ddᵀ − |d|² I) about the node centroid (Dehnen 2002; the
@@ -306,11 +319,11 @@ def pairwise_potential(targets, sources, source_mass, G=1.0, softening=0.0) -> n
 # the BLAS's business) so that the scalar golden loop agrees bit-for-bit.
 # ---------------------------------------------------------------------------
 
-def _quadrupole_contrib(rows, target, source, mass, quad, G, eps2, n):
-    d, r2 = _separation(source, target)
+def _quadrupole_terms(d, r2, gm, G, quad):
+    """Per contribution: a node item's monopole + quadrupole acceleration,
+    ``d`` by coordinate, ``r2 = |d|² + ε²``."""
     dx, dy, dz = d
     xx, xy, xz, yy, yz, zz = quad
-    r2 += eps2
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_r2 = np.where(r2 > 0.0, 1.0 / r2, 0.0)
     inv_r3 = inv_r2 * np.sqrt(inv_r2)
@@ -320,20 +333,9 @@ def _quadrupole_contrib(rows, target, source, mass, quad, G, eps2, n):
           xy * dx + yy * dy + yz * dz,
           xz * dx + yz * dy + zz * dz)
     dqd = dx * qd[0] + dy * qd[1] + dz * qd[2]
-    mono = (G * mass) * inv_r3
+    mono = gm * inv_r3
     stretch = 2.5 * (dqd * inv_r7)
-    return _bincount3(
-        rows, [mono * dj + G * (stretch * dj - qdj * inv_r5) for dj, qdj in zip(d, qd)], n)
-
-
-def accumulate_quadrupole(accel, rows, pos, center, mass, quad, G=1.0, softening=0.0):
-    """Fold monopole + quadrupole pair contributions into ``accel``; ``quad``
-    holds each pair's traceless quadrupole tensor about ``center`` (see
-    :func:`symmetric_components`).  Otherwise as :func:`accumulate_monopole`."""
-    pos, center, quad = components(pos), components(center), symmetric_components(quad)
-    eps2 = float(softening * softening)
-    _fold_rows(accel, rows, _quadrupole_contrib(rows, pos, center, mass, quad, float(G),
-                                                eps2, accel.shape[0]))
+    return [mono * dj + G * (stretch * dj - qdj * inv_r5) for dj, qdj in zip(d, qd)]
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +364,6 @@ def pair_dist_sq(positions, rows_a, rows_b, target_positions=None):
     ``target_positions`` when the targets are not rows of ``positions``."""
     targets = positions if target_positions is None else target_positions
     return _separation(_rows_of(targets, rows_a), _rows_of(positions, rows_b))[1]
-
-
-def _run_bounds(a):
-    """``b`` such that ``a[b[j]:b[j + 1]]`` is the j-th run of equal adjacent
-    values of the non-empty ``a``."""
-    return np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1], [True])))
 
 
 def merge_nearest(dist_sq, index, positions, tstart, tend, sstart, send,

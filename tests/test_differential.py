@@ -285,22 +285,103 @@ class TestHypothesisDifferential:
 
 
 class TestBatchedKernelsGolden:
-    """Kernel-vs-scalar golden tests for repro.trees.kernels (PR 10).
+    """Kernel-vs-scalar golden tests for repro.trees.kernels.
 
-    A pure-Python reference loop defines the accumulation semantics; the
-    kernels must match it bit-for-bit (``np.bincount`` is sequential).
+    A pure-Python loop states each pair's arithmetic in the kernels'
+    operation order.  The gravity kernels must match it three ways: per-pair
+    values in bits (one-item lists), each row's sum in bits when the loop's
+    per-row vector is reduced in the stated order (``np.add.reduceat`` over
+    the row's interaction list, in list order), and within the any-order
+    bound of the exact (``fsum``) row sum.
     """
 
     @staticmethod
-    def _pairs(n=400, seed=0):
+    def _layout(seed, max_items, n_rows=64, n_targets=12):
+        """One target-major call: targets own consecutive row ranges and come
+        in any order, each with 1-4 pairs of 1..max_items items.  Returns
+        ``list_layout``'s arguments."""
         rng = np.random.default_rng(seed)
-        pos = rng.random((n, 3))
-        rows = rng.integers(0, 64, size=n)
-        center = rng.random((n, 3))
-        mass = rng.random(n)
-        # a few coincident pairs exercise the r2 == 0 guard
-        center[::17] = pos[::17]
-        return pos, rows, center, mass
+        inner = rng.choice(np.arange(1, n_rows), n_targets - 1, replace=False)
+        edges = np.concatenate(([0], np.sort(inner), [n_rows]))
+        targets = np.repeat(rng.permutation(n_targets), rng.integers(1, 5, size=n_targets))
+        n_items = rng.integers(1, max_items + 1, size=targets.size)
+        return targets, edges[targets], edges[targets + 1], n_items
+
+    @staticmethod
+    def _diagonal(n):
+        """Pair k: target row k against item k — every list one item."""
+        rows = np.arange(n)
+        return rows, rows, rows + 1, np.ones(n, dtype=np.int64)
+
+    @staticmethod
+    def _points(layout, seed):
+        """Target rows, items and G m for ``layout``; every 7th item sits
+        exactly on the first row it meets (r = 0)."""
+        _, tstart, tend, n_items = layout
+        rng = np.random.default_rng(seed)
+        target = rng.random((int(tend.max()), 3))
+        source = rng.random((int(n_items.sum()), 3))
+        met = np.repeat(tstart, n_items)
+        source[::7] = target[met[::7]]
+        return target, source, rng.random(source.shape[0])
+
+    @staticmethod
+    def _row_terms(layout, term):
+        """``{row: [term(row, item), ...]}`` in list order: the row's pairs
+        in pair order, each pair's items in order."""
+        targets, tstart, tend, n_items = layout
+        first = np.cumsum(n_items) - n_items
+        terms = {}
+        for p in range(targets.size):
+            items = range(first[p], first[p] + n_items[p])
+            for row in range(tstart[p], tend[p]):
+                terms.setdefault(row, []).extend(term(row, k) for k in items)
+        return terms
+
+    @staticmethod
+    def _check_rows(got, terms):
+        """``got`` == each row's terms reduced by ``np.add.reduceat`` in list
+        order, in bits; and within ``γ_{n-1} Σ|term|`` (any order of n
+        terms, Higham §4.2) of the exact sum."""
+        from math import fsum
+
+        u = 2.0 ** -53
+        got2 = got.reshape(got.shape[0], -1)
+        want = np.zeros_like(got2)
+        for row, values in terms.items():
+            values = np.array(values, dtype=np.float64)
+            n = values.shape[0]
+            gamma = (n - 1) * u / (1 - (n - 1) * u)
+            for c in range(values.shape[1]):
+                want[row, c] += np.add.reduceat(values[:, c], [0])[0]
+                exact = fsum(values[:, c])
+                assert abs(got2[row, c] - exact) <= gamma * fsum(abs(values[:, c]))
+        assert got2.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _point_mass_term(target, source, gm, eps2, potential=False):
+        from math import sqrt
+
+        def term(row, k):
+            d = [float(source[k, c]) - float(target[row, c]) for c in range(3)]
+            r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+            if potential:
+                return (-(gm[k] * (1.0 / sqrt(r2 + eps2) if r2 > 0.0 else 0.0)),)
+            rs = r2 + eps2
+            w = gm[k] / (rs * sqrt(rs)) if r2 > 0.0 else 0.0
+            return tuple(dj * w for dj in d)
+        return term
+
+    def _check_point_masses(self, max_items, G, eps, seed, potential):
+        from repro.trees.kernels import accumulate_point_masses, list_layout
+
+        for layout in (self._layout(seed, max_items), self._diagonal(200)):
+            target, source, mass = self._points(layout, seed + 1)
+            gm = G * mass
+            got = np.zeros(target.shape[0] if potential else target.shape)
+            accumulate_point_masses(got, list_layout(*layout), target, source, gm, eps)
+            self._check_rows(got, self._row_terms(
+                layout, self._point_mass_term(target, source, gm, eps * eps, potential)))
 
     def test_mac_open_pairs_matches_scalar(self):
         from repro.geometry.box import point_box_distance_sq
@@ -319,73 +400,29 @@ class TestBatchedKernelsGolden:
         assert np.array_equal(got, want)
 
     def test_accumulate_monopole_matches_scalar_loop(self):
-        from repro.trees.kernels import accumulate_monopole
-
-        pos, rows, center, mass = self._pairs()
-        G, eps = 1.3, 1e-3
-        got = np.zeros((64, 3))
-        accumulate_monopole(got, rows, pos, center, mass, G, eps)
-        want = np.zeros((64, 3))
-        eps2 = eps * eps
-        for k in range(len(rows)):
-            d = center[k] - pos[k]
-            r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-            if r2 > 0.0:
-                rs = r2 + eps2
-                want[rows[k]] += (G * mass[k] / (rs * np.sqrt(rs))) * d
-        assert got.tobytes() == want.tobytes()
+        """Node items (one per pair) into the acceleration."""
+        self._check_point_masses(max_items=1, G=1.3, eps=1e-3, seed=0, potential=False)
 
     def test_accumulate_monopole_potential_matches_scalar_loop(self):
-        from repro.trees.kernels import accumulate_monopole_potential
-
-        pos, rows, center, mass = self._pairs(seed=3)
-        got = np.zeros(64)
-        accumulate_monopole_potential(got, rows, pos, center, mass, 1.0, 0.0)
-        want = np.zeros(64)
-        for k in range(len(rows)):
-            d = center[k] - pos[k]
-            r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-            if r2 > 0.0:
-                want[rows[k]] += -mass[k] * (1.0 / np.sqrt(r2))
-        assert got.tobytes() == want.tobytes()
+        """Node items into the potential, unsoftened (r = 0 guard)."""
+        self._check_point_masses(max_items=1, G=1.0, eps=0.0, seed=3, potential=True)
 
     def test_accumulate_pp_matches_scalar_loop(self):
-        from repro.trees.kernels import accumulate_pp, accumulate_pp_potential
-
-        rng = np.random.default_rng(7)
-        positions = rng.random((50, 3))
-        masses = rng.random(50)
-        t_rows = rng.integers(0, 50, size=600)
-        s_rows = rng.integers(0, 50, size=600)
-        s_rows[::13] = t_rows[::13]  # self pairs must contribute zero
-        G, eps = 0.9, 1e-4
-        got_a = np.zeros((50, 3))
-        got_p = np.zeros(50)
-        accumulate_pp(got_a, t_rows, s_rows, positions, masses, G, eps)
-        accumulate_pp_potential(got_p, t_rows, s_rows, positions, masses, G, eps)
-        want_a = np.zeros((50, 3))
-        want_p = np.zeros(50)
-        eps2 = eps * eps
-        for k in range(len(t_rows)):
-            d = positions[s_rows[k]] - positions[t_rows[k]]
-            r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-            if r2 > 0.0:
-                rs = r2 + eps2
-                want_a[t_rows[k]] += (G * masses[s_rows[k]] / (rs * np.sqrt(rs))) * d
-                want_p[t_rows[k]] += -G * masses[s_rows[k]] * (1.0 / np.sqrt(rs))
-        assert got_a.tobytes() == want_a.tobytes()
-        assert got_p.tobytes() == want_p.tobytes()
+        """Leaf items (a leaf's particles per pair) into the acceleration and
+        the potential; the self pairs contribute zero."""
+        for potential in (False, True):
+            self._check_point_masses(max_items=9, G=0.9, eps=1e-4, seed=7, potential=potential)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     def test_dense_front_ends_share_the_frontier_kernels_pair_maths(self, eps):
         """One Plummer point mass: for any single (target, source) pair the
-        dense front-ends (direct sum, FMM P2P) and the frontier kernels (the
-        tree walk) write the same bytes — scales 1e-9 … 1e12, separations
-        down to 1e-6 of the scale, coincident points, ``(n, 3)`` and
+        dense front-ends (direct sum, FMM P2P) and the frontier kernel (the
+        tree walk) write the same bytes — a call of many one-item lists and
+        a call of one list alike; scales 1e-9 … 1e12, separations down to
+        1e-6 of the scale, coincident points, ``(n, 3)`` and
         structure-of-arrays inputs."""
         from repro.apps.gravity import pairwise_accel, pairwise_potential
-        from repro.trees.kernels import (accumulate_monopole, accumulate_pp,
-                                         accumulate_pp_potential, components)
+        from repro.trees.kernels import accumulate_point_masses, components, list_layout
 
         rng = np.random.default_rng(21)
         n, G = 2000, 1.3
@@ -394,22 +431,25 @@ class TestBatchedKernelsGolden:
         s = t + rng.standard_normal((n, 3)) * scale * 10.0 ** rng.uniform(-6, 1, size=(n, 1))
         s[::25] = t[::25]
         m = rng.random(n) * scale[:, 0]
-        rows = np.arange(n)       # frontier pair k: target row k, source row k
-        accel, mono, pot = np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n)
-        accumulate_pp(accel, rows, rows, s, m, G, eps, target_positions=t)
-        accumulate_monopole(mono, rows, t, s, m, G, eps)
-        accumulate_pp_potential(pot, rows, rows, components(s), m, G, eps,
-                                target_positions=components(t))
+        gm = G * m
+        diagonal = list_layout(*self._diagonal(n)[:3])
+        accel, pot = np.zeros((n, 3)), np.zeros(n)
+        accumulate_point_masses(accel, diagonal, t, s, gm, eps)
+        accumulate_point_masses(pot, diagonal, components(t), components(s), gm, eps)
         assert np.isfinite(accel).all() and np.isfinite(pot).all()
         assert not accel[::25].any() and accel[1::25].all(axis=1).all()
+        one_list = list_layout(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
+                                     np.ones(1, dtype=np.int64))
         differing = 0
         for k in range(n):
             one = slice(k, k + 1)
+            alone = np.zeros((1, 3))
+            accumulate_point_masses(alone, one_list, t[one], s[one], gm[one], eps)
             for form in (np.asarray, components):
                 a = pairwise_accel(form(t[one]), form(s[one]), m[one], G, eps)
                 phi = pairwise_potential(form(t[one]), form(s[one]), m[one], G, eps)
                 differing += (a.tobytes() != accel[one].tobytes()
-                              or a.tobytes() != mono[one].tobytes()
+                              or a.tobytes() != alone.tobytes()
                               or phi.tobytes() != pot[one].tobytes())
         assert differing == 0
 
@@ -461,27 +501,27 @@ class TestBatchedKernelsGolden:
 
     @pytest.mark.parametrize("eps", [1e-3, 0.0])
     def test_accumulate_quadrupole_matches_scalar_loop(self, eps):
-        """The quadrupole frontier leg: bit-identical to a scalar loop in the
-        kernel's stated operation order (eps = 0 exercises the r = 0 guard
-        on the coincident pairs), and the same expansion as the per-source
+        """The quadrupole terms on node items, in the kernel's stated
+        operation order (eps = 0 exercises the r = 0 guard on the coincident
+        items), and the same expansion as the per-source
         ``quadrupole_accel`` the other engines use."""
         from math import sqrt
 
-        from repro.trees.kernels import accumulate_quadrupole
+        from repro.trees.kernels import accumulate_point_masses, list_layout
         from tests.harness.gravity_reference import quadrupole_accel
 
-        pos, rows, center, mass = self._pairs(seed=11)
-        quad = self._quadrupoles(len(rows), seed=12)
         G, eps2 = 1.3, eps * eps
-        got = np.zeros((64, 3))
-        accumulate_quadrupole(got, rows, pos, center, mass, quad, G, eps)
-        want = np.zeros((64, 3))
-        loose = np.zeros((64, 3))
-        for k in range(len(rows)):
-            d = [float(c) for c in center[k] - pos[k]]
-            r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + eps2
-            if r2 > 0.0:
-                inv_r2 = 1.0 / r2
+        for layout in (self._layout(11, max_items=1), self._diagonal(200)):
+            target, center, mass = self._points(layout, seed=12)
+            quad = self._quadrupoles(mass.size, seed=13)
+            got = np.zeros(target.shape)
+            accumulate_point_masses(got, list_layout(*layout), target, center, G * mass, eps,
+                                    quad, G)
+
+            def term(row, k):
+                d = [float(center[k, c]) - float(target[row, c]) for c in range(3)]
+                r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + eps2
+                inv_r2 = 1.0 / r2 if r2 > 0.0 else 0.0
                 inv_r3 = inv_r2 * sqrt(inv_r2)
                 inv_r5 = inv_r3 * inv_r2
                 inv_r7 = inv_r5 * inv_r2
@@ -490,39 +530,43 @@ class TestBatchedKernelsGolden:
                 dqd = d[0] * qd[0] + d[1] * qd[1] + d[2] * qd[2]
                 mono = (G * float(mass[k])) * inv_r3
                 stretch = 2.5 * (dqd * inv_r7)
-                for j in range(3):
-                    want[rows[k], j] += mono * d[j] + G * (stretch * d[j] - qd[j] * inv_r5)
-            loose[rows[k]] += quadrupole_accel(pos[k], center[k], mass[k], quad[k], G, eps)[0]
-        assert got.tobytes() == want.tobytes()
-        np.testing.assert_allclose(got, loose, rtol=1e-10, atol=1e-12)
+                return tuple(mono * d[j] + G * (stretch * d[j] - qd[j] * inv_r5)
+                             for j in range(3))
+
+            self._check_rows(got, self._row_terms(layout, term))
+            loose = np.zeros(target.shape)
+            for row, values in self._row_terms(layout, lambda row, k: [quadrupole_accel(
+                    target[row], center[k], mass[k], quad[k], G, eps)[0]]).items():
+                loose[row] = np.sum(values, axis=0)
+            np.testing.assert_allclose(got, loose, rtol=1e-10, atol=1e-12)
 
     def test_kernels_accept_components_and_views(self):
         """Structure-of-arrays inputs and a row-range view of the output give
-        the same bytes as ``(n, 3)`` inputs and the whole output."""
-        from repro.trees.kernels import (accumulate_monopole, accumulate_pp, components,
-                                         mac_open_pairs)
+        the same bytes as ``(n, 3)`` / ``(n, 3, 3)`` inputs and the whole
+        output."""
+        from repro.trees.kernels import (accumulate_point_masses, components, list_layout,
+                                         mac_open_pairs, symmetric_components)
 
-        pos, rows, center, mass = self._pairs(seed=2)
-        whole = np.zeros((80, 3))
-        accumulate_monopole(whole, rows + 10, pos, center, mass, 1.1, 1e-3)
-        view = np.zeros((80, 3))
-        accumulate_monopole(view[10:74], rows, components(pos), components(center),
-                            mass, 1.1, 1e-3)
-        assert view.tobytes() == whole.tobytes()
+        rng = np.random.default_rng(2)
+        pos, center, mass = rng.random((400, 3)), rng.random((400, 3)), rng.random(400)
         assert np.array_equal(
             mac_open_pairs(pos, pos + 0.1, center, mass * 0.1),
             mac_open_pairs(components(pos), components(pos + 0.1), components(center),
                            mass * 0.1))
 
-        rng = np.random.default_rng(4)
-        positions, masses = rng.random((50, 3)), rng.random(50)
-        t_rows, s_rows = rng.integers(5, 30, size=300), rng.integers(0, 50, size=300)
-        whole = np.zeros((50, 3))
-        accumulate_pp(whole, t_rows, s_rows, positions, masses, 0.9, 1e-4)
-        view = np.zeros((50, 3))
-        accumulate_pp(view[5:30], t_rows - 5, s_rows, positions, masses, 0.9, 1e-4,
-                      target_positions=[c[5:30] for c in components(positions)])
-        assert view.tobytes() == whole.tobytes()
+        targets, tstart, tend, n_items = self._layout(4, max_items=5)
+        target, source, gm = self._points((targets, tstart, tend, n_items), seed=5)
+        quad = self._quadrupoles(gm.size, seed=6)
+        padded = np.concatenate([np.ones((10, 3)), target, np.ones((6, 3))])
+        for whole_quad, view_quad in ((None, None), (quad, symmetric_components(quad))):
+            whole = np.zeros((80, 3))
+            accumulate_point_masses(whole, list_layout(targets, tstart + 10, tend + 10, n_items),
+                                    padded, source, gm, 1e-3, whole_quad, 1.1)
+            view = np.zeros((80, 3))
+            accumulate_point_masses(view[10:74], list_layout(targets, tstart, tend, n_items),
+                                    [c[10:74] for c in components(padded)], components(source),
+                                    gm, 1e-3, view_quad, 1.1)
+            assert view.tobytes() == whole.tobytes()
 
     def test_pair_dist_sq_matches_scalar_loop(self):
         from repro.trees.kernels import components, pair_dist_sq

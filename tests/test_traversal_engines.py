@@ -194,6 +194,73 @@ class TestHookDerivation:
                     assert got.tobytes() == want.tobytes()
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    def test_gravity_pair_hooks_take_pairs_in_any_order(self):
+        """``*_pairs`` add every pair given, in any order: a target met in
+        two non-adjacent runs (``[a, b, a]``), shuffled pair orders and one
+        pair per call through the scalar ``node`` / ``leaf`` defaults (the
+        dual-tree engine's calls) all equal a per-pair scalar loop within the
+        any-order summation bound ``γ_{n-1} Σ|term|`` (Higham §4.2) — and
+        an interleaved call equals its stably grouped twin in bits."""
+        from math import fsum, sqrt
+
+        tree = build_tree(clustered_clumps(300, seed=9), tree_type="oct", bucket_size=8)
+        arrays = compute_centroid_arrays(tree, theta=0.6)
+        leaves = tree.leaf_indices.tolist()
+        inner = np.flatnonzero(tree.first_child != -1).tolist()
+        a, b = leaves[2], leaves[-3]
+        hooks = {
+            "node": np.array([(inner[1], a), (inner[2], b), (inner[3], a), (leaves[5], b),
+                              (inner[0], a)]),
+            "leaf": np.array([(leaves[7], a), (leaves[8], b), (a, a), (leaves[9], b),
+                              (b, a), (leaves[11], a)]),
+        }
+        G, eps = 1.3, 1e-3
+        pos, mass = tree.particles.position, tree.particles.mass
+
+        terms = {}          # row -> [(ax, ay, az, phi)], the per-pair scalar loop
+        for kind, pairs in hooks.items():
+            for s, t in pairs.tolist():
+                items = ([(arrays.centroid[s], arrays.mass[s])] if kind == "node" else
+                         [(pos[j], mass[j]) for j in range(tree.pstart[s], tree.pend[s])])
+                for row in range(tree.pstart[t], tree.pend[t]):
+                    for center, m in items:
+                        d = [float(center[c]) - float(pos[row, c]) for c in range(3)]
+                        r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+                        if r2 > 0.0:
+                            rs = r2 + eps * eps
+                            w = G * m / (rs * sqrt(rs))
+                            terms.setdefault(row, []).append(
+                                (d[0] * w, d[1] * w, d[2] * w, -(G * m * (1.0 / sqrt(rs)))))
+
+        def run(calls, one_pair_per_call=False):
+            v = GravityVisitor(tree, arrays, G=G, softening=eps, with_potential=True)
+            for kind, pairs in calls:
+                if one_pair_per_call:
+                    for s, t in pairs.tolist():
+                        getattr(v, kind)(tree.node(s), tree.node(t))
+                else:
+                    getattr(v, f"{kind}_pairs")(tree, pairs[:, 0], pairs[:, 1])
+            return np.column_stack([v.accel, v.potential])
+
+        rng = np.random.default_rng(3)
+        runs = {
+            "interleaved": run(hooks.items()),
+            "shuffled": run([(k, p[rng.permutation(len(p))]) for k, p in hooks.items()]),
+            "shuffled again": run([(k, p[rng.permutation(len(p))]) for k, p in hooks.items()]),
+            "one pair per call": run(hooks.items(), one_pair_per_call=True),
+        }
+        u = 2.0 ** -53
+        for name, got in runs.items():
+            assert not np.delete(got, list(terms), axis=0).any(), name
+            for row, values in terms.items():
+                n = len(values)
+                gamma = (n - 1) * u / (1 - (n - 1) * u)
+                for c, column in enumerate(zip(*values)):
+                    bound = gamma * fsum(abs(x) for x in column)
+                    assert abs(got[row, c] - fsum(column)) <= bound, (name, row, c)
+        grouped = run([(k, p[np.argsort(p[:, 1], kind="stable")]) for k, p in hooks.items()])
+        assert runs["interleaved"].tobytes() == grouped.tobytes()
+
     @pytest.mark.parametrize("engine", ALL_ENGINES)
     def test_neither_form_is_a_type_error(self, tree, engine):
         class OnlyOpens(Visitor):
