@@ -16,6 +16,7 @@ import numpy as np
 from repro.apps.gravity import GravityVisitor, compute_centroid_arrays
 from repro.bench import format_table, paper_reference, print_banner
 from repro.core import BucketLoadRecorder, InteractionLists, get_traverser
+from repro.core.driver import _MultiRecorder
 from repro.decomp import decompose, get_decomposer, imbalance
 from repro.decomp.loadbalance import sfc_rebalance, spatial_bisection_rebalance
 from repro.particles import clustered_clumps
@@ -55,20 +56,8 @@ def _measure():
     visitor = GravityVisitor(tree, compute_centroid_arrays(tree, theta=0.7))
     lists = InteractionLists()
     load_rec = BucketLoadRecorder(tree)
-
-    class Both:
-        def on_open(self, *a):
-            lists.on_open(*a)
-
-        def on_node(self, *a):
-            lists.on_node(*a)
-            load_rec.on_node(*a)
-
-        def on_leaf(self, *a):
-            lists.on_leaf(*a)
-            load_rec.on_leaf(*a)
-
-    get_traverser("transposed").traverse(tree, visitor, None, Both())
+    get_traverser("transposed").traverse(tree, visitor, None,
+                                         _MultiRecorder([lists, load_rec]))
     per_particle = load_rec.per_particle_load(tree)
 
     assignments = {

@@ -62,9 +62,9 @@ def bench_attr_on(quick=False):
 
     if quick:
         # Gate before timing: a recorder attached to the default (batched)
-        # engine gets one callback per target run of every engine step, and
-        # that must not cost more than the transposed ordering's one callback
-        # per tree node.  Fastest of three alternating runs each, 10 % slack.
+        # engine gets one call per level of a frontier segment, and that must
+        # not cost more than the transposed ordering's one call per tree
+        # node.  Fastest of three alternating runs each, 10 % slack.
         fastest = {Configuration.traverser: np.inf, "transposed": np.inf}
         for _ in range(3):
             for traverser in fastest:

@@ -135,6 +135,40 @@ class FetchStats:
         return float(self.requests.sum() / u) if u else 1.0
 
 
+def _remote_references(lists: InteractionLists, decomp: Decomposition,
+                       groups: FetchGroups, n_processes: int):
+    """The recorded open tests that reference a remote fetch group.
+
+    Per reference: the target's rank among the recorded targets, the
+    target's partition (its majority owner) and process, the group, and the
+    source node.  Groups of the shared branch (replicated everywhere) and
+    of subtrees on the target's own process are local."""
+    n_parts = len(decomp.partitions)
+    part_proc = (np.arange(n_parts, dtype=np.int64) * n_processes) // n_parts
+    n_subtrees = len(decomp.subtrees)
+    st_proc = (np.arange(n_subtrees, dtype=np.int64) * n_processes) // n_subtrees
+    opened = lists["open"]
+    rank = np.repeat(np.arange(opened.targets.size), np.diff(opened.offsets))
+    part = decomp.leaf_partition()[opened.targets][rank]
+    proc = part_proc[part]
+    group = groups.group_of_node[opened.sources]
+    remote = group >= 0
+    remote[remote] = st_proc[groups.group_subtree[group[remote]]] != proc[remote]
+    return rank[remote], part[remote], proc[remote], group[remote], opened.sources[remote]
+
+
+def _unique_fetches(owner: np.ndarray, group: np.ndarray, groups: FetchGroups,
+                    n_owners: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct groups per owner and the bytes they ship, over the
+    (owner, group) references."""
+    n_groups = max(groups.n_groups, 1)
+    fetched = np.unique(owner * n_groups + group)
+    owner = fetched // n_groups
+    return (np.bincount(owner, minlength=n_owners),
+            np.bincount(owner, weights=groups.group_bytes[fetched % n_groups],
+                        minlength=n_owners))
+
+
 def fetch_statistics(
     tree: Tree,
     lists: InteractionLists,
@@ -147,45 +181,21 @@ def fetch_statistics(
 ) -> FetchStats:
     """Communication volume per process for one cache model.
 
-    Buckets are assigned to worker threads round-robin within their process
-    to estimate thread-scope duplication.  ``inflight_duplication`` models
+    Buckets are assigned to worker threads round-robin in target order to
+    estimate thread-scope duplication.  ``inflight_duplication`` models
     insert-time dedupe (the Sequential design): requests issued while a fill
     is queued behind the single writer are not suppressed; 1.0 means no
     duplicates.
     """
-    n_parts = len(decomp.partitions)
-    leaf_part = _leaf_partition(tree, decomp)
-    part_proc = (np.arange(n_parts, dtype=np.int64) * n_processes) // n_parts
-    n_subtrees = len(decomp.subtrees)
-    st_proc = (np.arange(n_subtrees, dtype=np.int64) * n_processes) // n_subtrees
-
-    # (process, group) and (process, thread, group) visit sets.
-    proc_groups: list[set[int]] = [set() for _ in range(n_processes)]
-    thread_groups: list[set[tuple[int, int]]] = [set() for _ in range(n_processes)]
-    bytes_in = np.zeros(n_processes)
-    touches = np.zeros(n_processes)
-
-    bucket_seq: dict[int, int] = {}
-    for leaf, visited in lists.visited.items():
-        part = int(leaf_part[leaf])
-        proc = int(part_proc[part])
-        thread = bucket_seq.setdefault(leaf, len(bucket_seq)) % max(workers_per_process, 1)
-        for node in visited:
-            g = int(groups.group_of_node[node])
-            if g < 0:
-                continue  # shared branch: replicated
-            home = int(st_proc[groups.group_subtree[g]])
-            if home == proc:
-                continue  # local subtree
-            touches[proc] += 1
-            if g not in proc_groups[proc]:
-                proc_groups[proc].add(g)
-                bytes_in[proc] += groups.group_bytes[g]
-            thread_groups[proc].add((thread, g))
-
-    unique = np.array([len(s) for s in proc_groups], dtype=np.float64)
+    rank, _, proc, group, _ = _remote_references(lists, decomp, groups, n_processes)
+    touches = np.bincount(proc, minlength=n_processes).astype(np.float64)
+    unique, bytes_in = _unique_fetches(proc, group, groups, n_processes)
+    unique = unique.astype(np.float64)
     if cache_model.dedupe_scope == "thread":
-        requests = np.array([len(s) for s in thread_groups], dtype=np.float64)
+        threads = max(workers_per_process, 1)
+        requests, _ = _unique_fetches(proc * threads + rank % threads, group, groups,
+                                      n_processes * threads)
+        requests = requests.reshape(n_processes, threads).sum(axis=1).astype(np.float64)
         # every duplicate request pulls its own copy of the bytes
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(unique > 0, requests / np.maximum(unique, 1), 1.0)
@@ -223,41 +233,22 @@ def miss_attribution(
     subtrees' boundary bands replicated locally (Burstedde's AMR ghost
     layers; ROADMAP item 3).
 
-    Deterministic by construction: buckets are processed in sorted leaf
-    order and everything accumulated is an integer count or an exact sum
-    of fixed group sizes.  Returns a JSON-ready dict with one row per
-    partition that touched remote data, each with its top foreign
-    subtrees, plus a per-node remote-touch array for heat-mapping.
+    Deterministic by construction: everything accumulated is an integer
+    count or an exact sum of fixed group sizes.  Returns a JSON-ready dict
+    with one row per partition that touched remote data, each with its top
+    foreign subtrees, plus a per-node remote-touch array for heat-mapping.
     """
     n_parts = len(decomp.partitions)
-    leaf_part = _leaf_partition(tree, decomp)
     part_proc = (np.arange(n_parts, dtype=np.int64) * n_processes) // n_parts
     n_subtrees = len(decomp.subtrees)
-    st_proc = (np.arange(n_subtrees, dtype=np.int64) * n_processes) // n_subtrees
-
-    touches = np.zeros(n_parts, dtype=np.int64)
-    unique_groups: list[set[int]] = [set() for _ in range(n_parts)]
-    bytes_in = np.zeros(n_parts, dtype=np.float64)
+    _, owner, _, group, node = _remote_references(lists, decomp, groups, n_processes)
+    touches = np.bincount(owner, minlength=n_parts)
     # (partition, foreign subtree) -> remote touches
-    part_subtree = np.zeros((n_parts, n_subtrees), dtype=np.int64)
-    node_remote = np.zeros(tree.n_nodes, dtype=np.int64)
-
-    for leaf, visited in sorted(lists.visited.items()):
-        part = int(leaf_part[leaf])
-        proc = int(part_proc[part])
-        for node in visited:
-            g = int(groups.group_of_node[node])
-            if g < 0:
-                continue  # shared branch: replicated everywhere
-            st = int(groups.group_subtree[g])
-            if int(st_proc[st]) == proc:
-                continue  # subtree lives on this partition's process
-            touches[part] += 1
-            part_subtree[part, st] += 1
-            node_remote[node] += 1
-            if g not in unique_groups[part]:
-                unique_groups[part].add(g)
-                bytes_in[part] += groups.group_bytes[g]
+    part_subtree = np.bincount(
+        owner * n_subtrees + groups.group_subtree[group], minlength=n_parts * n_subtrees,
+    ).reshape(n_parts, n_subtrees)
+    node_remote = np.bincount(node, minlength=tree.n_nodes)
+    unique_groups, bytes_in = _unique_fetches(owner, group, groups, n_parts)
 
     rows = []
     for part in range(n_parts):
@@ -269,7 +260,7 @@ def miss_attribution(
             "partition": part,
             "process": int(part_proc[part]),
             "touches": int(touches[part]),
-            "unique_groups": len(unique_groups[part]),
+            "unique_groups": int(unique_groups[part]),
             "bytes": float(bytes_in[part]),
             "top_subtrees": [
                 {"subtree": int(st), "touches": int(foreign[st])}
@@ -281,15 +272,8 @@ def miss_attribution(
         "n_partitions": n_parts,
         "n_processes": int(n_processes),
         "total_remote_touches": int(touches.sum()),
-        "total_unique_groups": int(sum(len(s) for s in unique_groups)),
+        "total_unique_groups": int(unique_groups.sum()),
         "total_bytes": float(bytes_in.sum()),
         "partitions": rows,
         "node_remote_touches": node_remote.tolist(),
     }
-
-
-def _leaf_partition(tree: Tree, decomp: Decomposition) -> np.ndarray:
-    """Majority-owner partition per leaf — delegates to
-    :meth:`~repro.decomp.Decomposition.leaf_partition` (the rollup now
-    lives with the decomposition, where partition semantics are defined)."""
-    return decomp.leaf_partition()

@@ -47,8 +47,7 @@ import functools
 import numpy as np
 
 from ..trees import Tree
-from .traverser import (Recorder, TraversalStats, Traverser, record_pairs,
-                        register_traverser)
+from .traverser import Recorder, TraversalStats, Traverser, register_traverser
 from .util import ranges_to_indices
 from .visitor import Visitor
 
@@ -126,7 +125,7 @@ def walk_frontier(tree: Tree, visitor: Visitor, sources: np.ndarray, targets: np
     def in_slices(kind, sources, targets, rows):
         """``visitor.<kind>_pairs`` over slices of at most SLICE_ROWS."""
         if recorder is not None:
-            record_pairs(recorder, kind, tree, sources, targets)
+            getattr(recorder, f"on_{kind}_pairs")(tree, sources, targets)
         hook = getattr(visitor, f"{kind}_pairs")
         cuts = cut_at_targets(targets, rows, SLICE_ROWS)
         for a, b in zip(cuts, cuts[1:]):
@@ -139,7 +138,7 @@ def walk_frontier(tree: Tree, visitor: Visitor, sources: np.ndarray, targets: np
         stats.nodes_visited += int(S.size)
         stats.opens += int(S.size)
         if recorder is not None:
-            record_pairs(recorder, "open", tree, S, T)
+            recorder.on_open_pairs(tree, S, T)
         mask = np.asarray(visitor.open_pairs(tree, S, T), dtype=bool)
 
         closed_s, closed_t = S[~mask], T[~mask]

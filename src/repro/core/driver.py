@@ -41,7 +41,6 @@ from .traverser import (
     Recorder,
     TraversalStats,
     get_traverser,
-    record_pairs,
 )
 from .visitor import Visitor
 
@@ -65,8 +64,7 @@ class Partitions:
     def _run(self, traverser_name: str, visitor: Visitor) -> TraversalStats:
         driver = self._driver
         engine = get_traverser(traverser_name)
-        recorders = [r for r in (driver._extra_recorder, *driver._recorders) if r]
-        recorder = _MultiRecorder(recorders) if recorders else None
+        recorder = _MultiRecorder(driver._recorders) if driver._recorders else None
         backend = driver.exec_backend
         if backend is not None:
             stats = backend.run(
@@ -99,33 +97,22 @@ class Partitions:
 
 
 class _MultiRecorder(Recorder):
+    """Several recorders attached to one traversal, called in list order."""
+
     def __init__(self, recorders: list[Recorder]) -> None:
         self.recorders = recorders
 
-    def on_open(self, tree, sources, targets):
-        for r in self.recorders:
-            r.on_open(tree, sources, targets)
-
-    def on_node(self, tree, sources, targets):
-        for r in self.recorders:
-            r.on_node(tree, sources, targets)
-
-    def on_leaf(self, tree, sources, targets):
-        for r in self.recorders:
-            r.on_leaf(tree, sources, targets)
-
-    # flat pair arrays (batched engine): each recorder in the form it takes
     def on_open_pairs(self, tree, sources, targets):
         for r in self.recorders:
-            record_pairs(r, "open", tree, sources, targets)
+            r.on_open_pairs(tree, sources, targets)
 
     def on_node_pairs(self, tree, sources, targets):
         for r in self.recorders:
-            record_pairs(r, "node", tree, sources, targets)
+            r.on_node_pairs(tree, sources, targets)
 
     def on_leaf_pairs(self, tree, sources, targets):
         for r in self.recorders:
-            record_pairs(r, "leaf", tree, sources, targets)
+            r.on_leaf_pairs(tree, sources, targets)
 
     def fork(self):
         forks = [r.fork() for r in self.recorders]
@@ -291,7 +278,6 @@ class Driver:
         #: the running (then last) iteration's execution-backend outcome
         self.exec_runs = ExecRuns()
         self._partitions = Partitions(self)
-        self._extra_recorder: Recorder | None = None
         #: recorders attached to the running iteration's traversals
         self._recorders: list[Recorder] = []
         self._pending_assignment: np.ndarray | None = None
@@ -341,10 +327,6 @@ class Driver:
     # -- library ------------------------------------------------------------
     def partitions(self) -> Partitions:
         return self._partitions
-
-    def set_recorder(self, recorder: Recorder | None) -> None:
-        """Attach an observer to every traversal (profiling, memsim)."""
-        self._extra_recorder = recorder
 
     def observe(self, observer: IterationObserver) -> IterationObserver:
         """Plug a cross-cutting feature into every subsequent iteration

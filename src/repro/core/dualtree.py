@@ -51,12 +51,12 @@ class DualTreeTraverser(Traverser):
             stats.opens += 1
             stats.nodes_visited += 1
             if recorder is not None:
-                recorder.on_open(tree, np.array([s]), np.array([t]))
+                recorder.on_open_pairs(tree, np.array([s]), np.array([t]))
             if not visitor.open(s_node, t_node):
                 stats.node_interactions += 1
                 stats.pn_interactions += int(counts[t])
                 if recorder is not None:
-                    recorder.on_node(tree, np.array([s]), np.array([t]))
+                    recorder.on_node_pairs(tree, np.array([s]), np.array([t]))
                 visitor.node(s_node, t_node)
                 continue
             s_leaf = first_child[s] == -1
@@ -65,7 +65,7 @@ class DualTreeTraverser(Traverser):
                 stats.leaf_interactions += 1
                 stats.pp_interactions += int(counts[s]) * int(counts[t])
                 if recorder is not None:
-                    recorder.on_leaf(tree, np.array([s]), np.array([t]))
+                    recorder.on_leaf_pairs(tree, np.array([s]), np.array([t]))
                 visitor.leaf(s_node, t_node)
             elif s_leaf:
                 fc = int(first_child[t])

@@ -59,7 +59,7 @@ class _Replaying(IterationObserver):
         """The lists to replay; None when no traversal went through
         ``partitions()`` (nothing distributed happened)."""
         lists = driver.last_interaction_lists
-        if lists is None or not lists.visited or driver.decomposition is None:
+        if lists is None or not lists["open"] or driver.decomposition is None:
             return None
         return lists
 

@@ -66,19 +66,19 @@ class PriorityTraverser(Traverser):
                 stats.nodes_visited += 1
                 stats.opens += 1
                 if recorder is not None:
-                    recorder.on_open(tree, np.array([src]), np.array([tgt]))
+                    recorder.on_open_pairs(tree, np.array([src]), np.array([tgt]))
                 if not visitor.open(tree.node(src), tree.node(tgt)):
                     stats.node_interactions += 1
                     stats.pn_interactions += tgt_count
                     if recorder is not None:
-                        recorder.on_node(tree, np.array([src]), np.array([tgt]))
+                        recorder.on_node_pairs(tree, np.array([src]), np.array([tgt]))
                     visitor.node(tree.node(src), tree.node(tgt))
                     continue
                 if first_child[src] == -1:
                     stats.leaf_interactions += 1
                     stats.pp_interactions += int(counts[src]) * tgt_count
                     if recorder is not None:
-                        recorder.on_leaf(tree, np.array([src]), np.array([tgt]))
+                        recorder.on_leaf_pairs(tree, np.array([src]), np.array([tgt]))
                     visitor.leaf(tree.node(src), tree.node(tgt))
                     continue
                 fc = int(first_child[src])

@@ -80,17 +80,16 @@ class TransposedTraverser(Traverser):
             stats.nodes_visited += 1
             stats.opens += int(active.size)
             # the pair hooks see this one source broadcast over its targets
-            src_arr = np.array([src])
-            pair_src = np.broadcast_to(src_arr, active.shape)
+            pair_src = np.broadcast_to(np.array([src]), active.shape)
             if recorder is not None:
-                recorder.on_open(tree, src_arr, active)
+                recorder.on_open_pairs(tree, pair_src, active)
             mask = np.asarray(visitor.open_pairs(tree, pair_src, active), dtype=bool)
             closed = active[~mask]
             if closed.size:
                 stats.node_interactions += int(closed.size)
                 stats.pn_interactions += int(counts[closed].sum())
                 if recorder is not None:
-                    recorder.on_node(tree, src_arr, closed)
+                    recorder.on_node_pairs(tree, pair_src[:closed.size], closed)
                 visitor.node_pairs(tree, pair_src[:closed.size], closed)
             opened = active[mask]
             if not opened.size:
@@ -99,7 +98,7 @@ class TransposedTraverser(Traverser):
                 stats.leaf_interactions += int(opened.size)
                 stats.pp_interactions += int(counts[src]) * int(counts[opened].sum())
                 if recorder is not None:
-                    recorder.on_leaf(tree, src_arr, opened)
+                    recorder.on_leaf_pairs(tree, pair_src[:opened.size], opened)
                 visitor.leaf_pairs(tree, pair_src[:opened.size], opened)
             else:
                 fc = int(first_child[src])

@@ -44,15 +44,17 @@ import numpy as np
 
 from ..obs import get_telemetry
 from ..trees import Tree
+from .util import ranges_to_indices
 from .visitor import Visitor
 
 __all__ = [
     "TraversalStats",
     "Recorder",
+    "PairList",
+    "LIST_KINDS",
     "InteractionLists",
     "BucketLoadRecorder",
     "Traverser",
-    "record_pairs",
     "get_traverser",
     "register_traverser",
     "top_down_engines",
@@ -100,22 +102,25 @@ class TraversalStats:
 
 
 class Recorder:
-    """Observer of traversal events, in the engine's actual evaluation order.
+    """Observer of the (source, target) pairs a traversal evaluates, in the
+    engine's evaluation order.
 
-    Every callback receives arrays of source node indices and target leaf
-    indices with outer-product semantics ("each source against each
-    target").  One of the two arrays has length 1 depending on the engine's
-    batching direction — which is exactly the memory-access-order
-    information the cache simulator consumes.
+    Each hook receives two equal-length index arrays: pair ``i`` is source
+    node ``sources[i]`` against target ``targets[i]``.  How pairs are grouped
+    into calls is the schedule's: the frontier walk hands over one
+    target-major level of a segment per call, ``transposed`` one source node
+    (broadcast) against the targets still interested in it, ``dual-tree``
+    and ``priority`` one pair.  The arrays belong to the engine: a recorder
+    may keep them but must not write to them.
     """
 
-    def on_open(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
+    def on_open_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
         pass
 
-    def on_node(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
+    def on_node_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
         pass
 
-    def on_leaf(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
+    def on_leaf_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
         pass
 
     # -- parallel execution (repro.exec) -----------------------------------
@@ -131,65 +136,80 @@ class Recorder:
         raise NotImplementedError
 
 
-def record_pairs(recorder, kind: str, tree: Tree, sources: np.ndarray,
-                 targets: np.ndarray) -> None:
-    """Deliver flat, target-major (source, target) pairs to ``recorder``'s
-    ``on_<kind>`` hook (``kind``: ``"open"``, ``"node"`` or ``"leaf"``).
+@dataclass(frozen=True)
+class PairList:
+    """One kind of interaction list in CSR form: the sources of target
+    ``targets[i]`` are ``sources[offsets[i]:offsets[i + 1]]``, in the order
+    they were recorded.  ``targets`` ascend; ``len()`` counts pairs."""
 
-    A recorder that defines ``on_<kind>_pairs`` takes the pair arrays whole.
-    Any other gets one outer-product callback per target run — many
-    sources, one target, the per-bucket direction — so a target's recorded
-    source sequence is its own pair order, whichever other targets share
-    the arrays."""
-    whole = getattr(recorder, f"on_{kind}_pairs", None)
-    if whole is not None:
-        whole(tree, sources, targets)
-        return
-    callback = getattr(recorder, f"on_{kind}")
-    bounds = (np.flatnonzero(targets[1:] != targets[:-1]) + 1).tolist()
-    for a, b in zip([0, *bounds], [*bounds, targets.size]):
-        callback(tree, sources[a:b], targets[a:a + 1])
+    targets: np.ndarray
+    offsets: np.ndarray
+    sources: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.sources.size)
+
+    def pair_targets(self) -> np.ndarray:
+        """The target of every entry of ``sources``."""
+        return np.repeat(self.targets, np.diff(self.offsets))
+
+
+#: the interaction-list kinds, one per Recorder hook
+LIST_KINDS = ("open", "node", "leaf")
 
 
 class InteractionLists(Recorder):
-    """Recorder that collects, per target bucket, which source nodes were
-    approximated (``node_lists``) and which leaves interacted exactly
-    (``leaf_lists``), plus every node whose open() was evaluated
-    (``visited``).  These lists drive the distributed-fetch statistics and
-    the FDPS-style bulk-interaction comparison."""
+    """Recorder that collects, per target, every source whose ``open`` test
+    was evaluated (``lists["open"]``), every node approximated (``"node"``)
+    and every leaf that interacted exactly (``"leaf"``), each a
+    :class:`PairList`.  These lists drive the distributed-fetch statistics
+    and the DES workload.
+
+    Each call's pair arrays are kept as they come; reading a kind
+    concatenates them and stable-sorts by target.  A target's sources thus
+    stay in recording order, forks absorb by concatenation in chunk order,
+    and — chunks owning disjoint targets, and a target's pair order not
+    depending on which targets share its calls — a chunked run gives the
+    bytes of a serial one."""
 
     def __init__(self) -> None:
-        self.node_lists: dict[int, list[int]] = {}
-        self.leaf_lists: dict[int, list[int]] = {}
-        self.visited: dict[int, list[int]] = {}
+        self._calls: dict[str, list] = {kind: [] for kind in LIST_KINDS}
+        self._lists: dict[str, PairList] = {}
 
-    def _extend(self, store: dict[int, list[int]], sources: np.ndarray, targets: np.ndarray) -> None:
-        src = [int(s) for s in np.atleast_1d(sources)]
-        for t in np.atleast_1d(targets):
-            store.setdefault(int(t), []).extend(src)
+    def _record(self, kind: str, sources: np.ndarray, targets: np.ndarray) -> None:
+        self._calls[kind].append((targets, sources))
+        self._lists.pop(kind, None)
 
-    def on_open(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
-        self._extend(self.visited, sources, targets)
+    def on_open_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
+        self._record("open", sources, targets)
 
-    def on_node(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
-        self._extend(self.node_lists, sources, targets)
+    def on_node_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
+        self._record("node", sources, targets)
 
-    def on_leaf(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
-        self._extend(self.leaf_lists, sources, targets)
+    def on_leaf_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
+        self._record("leaf", sources, targets)
 
     def fork(self) -> "InteractionLists":
         return InteractionLists()
 
     def absorb(self, other: "InteractionLists") -> None:
-        # Chunks own disjoint target buckets, so per-target lists come from
-        # exactly one fork and stay identical to a serial run.
-        for mine, theirs in (
-            (self.node_lists, other.node_lists),
-            (self.leaf_lists, other.leaf_lists),
-            (self.visited, other.visited),
-        ):
-            for t, src in theirs.items():
-                mine.setdefault(t, []).extend(src)
+        for kind in LIST_KINDS:
+            self._calls[kind] += other._calls[kind]
+            self._lists.pop(kind, None)
+
+    def __getitem__(self, kind: str) -> PairList:
+        """The ``kind`` lists (one of :data:`LIST_KINDS`) in CSR form."""
+        lists = self._lists.get(kind)
+        if lists is None:
+            calls = self._calls[kind] or [(np.empty(0, np.int64),) * 2]
+            t = np.concatenate([c[0] for c in calls], dtype=np.int64)
+            s = np.concatenate([c[1] for c in calls], dtype=np.int64)
+            order = np.argsort(t, kind="stable")
+            t, s = t[order], s[order]
+            self._calls[kind] = [(t, s)]
+            starts = np.flatnonzero(np.diff(t, prepend=-1))
+            lists = self._lists[kind] = PairList(t[starts], np.append(starts, t.size), s)
+        return lists
 
 
 class BucketLoadRecorder(Recorder):
@@ -201,14 +221,11 @@ class BucketLoadRecorder(Recorder):
         self.work = np.zeros(tree.n_nodes, dtype=np.float64)
         self._counts = tree.pend - tree.pstart
 
-    def on_node(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
-        t = np.atleast_1d(targets)
-        self.work[t] += len(np.atleast_1d(sources)) * self._counts[t]
+    def on_node_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
+        np.add.at(self.work, targets, self._counts[targets])
 
-    def on_leaf(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
-        t = np.atleast_1d(targets)
-        src_particles = int(self._counts[np.atleast_1d(sources)].sum())
-        self.work[t] += src_particles * self._counts[t]
+    def on_leaf_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
+        np.add.at(self.work, targets, self._counts[sources] * self._counts[targets])
 
     def fork(self) -> "BucketLoadRecorder":
         out = object.__new__(BucketLoadRecorder)
@@ -221,11 +238,11 @@ class BucketLoadRecorder(Recorder):
 
     def per_particle_load(self, tree: Tree) -> np.ndarray:
         """Spread each bucket's work evenly over its particles -> (N,)."""
+        leaves = tree.leaf_indices
+        counts = self._counts[leaves]
         out = np.zeros(tree.n_particles)
-        for leaf in tree.leaf_indices:
-            s, e = int(tree.pstart[leaf]), int(tree.pend[leaf])
-            if e > s and self.work[leaf] > 0:
-                out[s:e] = self.work[leaf] / (e - s)
+        out[ranges_to_indices(tree.pstart[leaves], tree.pend[leaves])] = np.repeat(
+            self.work[leaves] / np.maximum(counts, 1), counts)
         return out
 
 

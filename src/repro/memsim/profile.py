@@ -86,9 +86,7 @@ def profile_traversal_style(
         my_leaves = leaves[bounds[c]:bounds[c + 1]]
         if len(my_leaves) == 0:
             continue
-        recorder = MemoryTraceRecorder(
-            tree, layout, batched_kernels=(style == "transposed")
-        )
+        recorder = MemoryTraceRecorder(tree, style, layout)
         visitor = GravityVisitor(tree, arrays)
         for s in range(0, len(my_leaves), buckets_per_partition):
             targets = my_leaves[s:s + buckets_per_partition]

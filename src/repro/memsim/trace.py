@@ -1,11 +1,11 @@
 """Memory-trace generation from real traversals.
 
 :class:`MemoryTraceRecorder` plugs into a traversal engine as a
-:class:`~repro.core.traverser.Recorder`; every callback converts the
-engine's actual evaluation step into the cache lines it touches, under an
-explicit :class:`DataLayout`.  Because the per-bucket and transposed engines
-deliver the callbacks in their own loop orders, the *same physics* produces
-two different address streams — exactly the effect Table II measures.
+:class:`~repro.core.traverser.Recorder`; every call converts the engine's
+actual evaluation steps into the cache lines they touch, under an explicit
+:class:`DataLayout`.  Because the per-bucket and transposed engines deliver
+the pairs in their own loop orders, the *same physics* produces two
+different address streams — exactly the effect Table II measures.
 
 Touched data per step (line-granular):
 
@@ -102,20 +102,16 @@ _SCRATCH_BASE = 0xC000_0000
 class MemoryTraceRecorder(Recorder):
     """Collects a (line_address, is_write) stream in engine order."""
 
-    def __init__(
-        self,
-        tree: Tree,
-        layout: DataLayout | None = None,
-        batched_kernels: bool = True,
-    ) -> None:
-        """``batched_kernels=True`` models kernels that stream the target
-        batch once per delivered event (ParaTreeT's transposed processing);
-        ``False`` models the classic node-at-a-time DFS kernel (ChaNGa),
-        which re-touches the target bucket for every source node/leaf of a
-        batched event."""
+    def __init__(self, tree: Tree, style: str, layout: DataLayout | None = None) -> None:
+        """``style`` names the schedule whose pairs are recorded, which fixes
+        what one step of it touches.  ``"transposed"``: one source node
+        against a target batch, processed by kernels that stream the batch
+        once (ParaTreeT).  Any other: one target bucket against its sources,
+        processed node at a time as in the classic DFS (ChaNGa), which
+        re-touches the bucket for every source."""
         self.tree = tree
         self.layout = layout or DataLayout()
-        self.batched_kernels = batched_kernels
+        self._transposed = style == "transposed"
         self._chunks: list[tuple[np.ndarray, bool]] = []
         self._scratch_cursor = 0
 
@@ -126,53 +122,53 @@ class MemoryTraceRecorder(Recorder):
         self._scratch_cursor = (self._scratch_cursor + n_lines) % _SCRATCH_LINES
         return base + idx
 
+    def _steps(self, sources: np.ndarray, targets: np.ndarray):
+        """The schedule's steps in one call, as ``(sources, targets)``: the
+        runs of one source node (transposed) or of one target bucket."""
+        key = sources if self._transposed else targets
+        bounds = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
+        for a, b in zip([0, *bounds], [*bounds, key.size]):
+            if self._transposed:
+                yield sources[a:a + 1], targets[a:b]
+            else:
+                yield sources[a:b], targets[a:a + 1]
+
     # -- Recorder interface ---------------------------------------------------
-    def on_open(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
+    def on_open_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
         lay = self.layout
-        s = np.atleast_1d(sources)
-        t = np.atleast_1d(targets)
-        self._load(lay.node_lines(s))
-        self._load(lay.node_lines(t))
-        # Traversal bookkeeping. Per-bucket walks push a stack entry per
-        # visited node (8 B each); the transposed walk appends surviving
-        # targets to compact active lists (4 B each).  Both live in small
-        # reused buffers.
-        if len(t) == 1:  # per-bucket direction: stack pushes per source node
-            self._store(self._scratch(max(1, len(s) * 8 // lay.line_size)))
-        else:  # transposed direction: active-list append per target
-            self._store(self._scratch(max(1, len(t) * 4 // lay.line_size)))
+        for s, t in self._steps(sources, targets):
+            self._load(lay.node_lines(s))
+            self._load(lay.node_lines(t))
+            # Traversal bookkeeping. Per-bucket walks push a stack entry per
+            # visited node (8 B each); the transposed walk appends surviving
+            # targets to compact active lists (4 B each).  Both live in small
+            # reused buffers.
+            if self._transposed:
+                self._store(self._scratch(max(1, len(t) * 4 // lay.line_size)))
+            else:
+                self._store(self._scratch(max(1, len(s) * 8 // lay.line_size)))
 
-    def on_node(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
+    def on_node_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
         lay = self.layout
-        s = np.atleast_1d(sources)
-        t = np.atleast_1d(targets)
-        self._load(lay.node_lines(s))
-        pos = lay.pos_lines(tree.pstart[t], tree.pend[t])
-        acc = lay.acc_lines(tree.pstart[t], tree.pend[t])
-        # Batched kernels stream the target batch once per event; the
-        # node-at-a-time DFS re-touches the bucket per source node.
-        reps = 1 if self.batched_kernels else max(len(s), 1)
-        for _ in range(reps):
-            self._load(pos)
-            self._load(acc)
-            self._store(acc)
+        for s, t in self._steps(sources, targets):
+            self._load(lay.node_lines(s))
+            pos = lay.pos_lines(tree.pstart[t], tree.pend[t])
+            acc = lay.acc_lines(tree.pstart[t], tree.pend[t])
+            # Batched kernels stream the target batch once per step; the
+            # node-at-a-time DFS re-touches the bucket per source node.
+            for _ in range(1 if self._transposed else max(len(s), 1)):
+                self._load(pos)
+                self._load(acc)
+                self._store(acc)
 
-    def on_leaf(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
+    def on_leaf_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
         lay = self.layout
-        s = np.atleast_1d(sources)
-        t = np.atleast_1d(targets)
-        tgt_pos = lay.pos_lines(tree.pstart[t], tree.pend[t])
-        tgt_acc = lay.acc_lines(tree.pstart[t], tree.pend[t])
-        if self.batched_kernels:
-            self._load(lay.pos_lines(tree.pstart[s], tree.pend[s]))
-            self._load(lay.mass_lines(tree.pstart[s], tree.pend[s]))
-            self._load(tgt_pos)
-            self._load(tgt_acc)
-            self._store(tgt_acc)
-        else:
-            # One leaf at a time: re-touch the target bucket per source leaf.
-            for leaf in s:
-                one = np.array([leaf])
+        for s, t in self._steps(sources, targets):
+            tgt_pos = lay.pos_lines(tree.pstart[t], tree.pend[t])
+            tgt_acc = lay.acc_lines(tree.pstart[t], tree.pend[t])
+            # One leaf at a time unless transposed: re-touch the target
+            # bucket per source leaf.
+            for one in [s] if self._transposed else s[:, None]:
                 self._load(lay.pos_lines(tree.pstart[one], tree.pend[one]))
                 self._load(lay.mass_lines(tree.pstart[one], tree.pend[one]))
                 self._load(tgt_pos)

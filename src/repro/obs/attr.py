@@ -83,14 +83,10 @@ PP_COST_NS = 9      # one particle-particle kernel pair
 class AttributionRecorder:
     """Recorder accumulating per-node and per-bucket traversal counters.
 
-    Duck-types :class:`~repro.core.traverser.Recorder` (``on_open`` /
-    ``on_node`` / ``on_leaf`` + ``fork``/``absorb``) without importing
-    ``repro.core`` — the core traverser module imports ``repro.obs``, so
-    the dependency must point this way only.
-
-    Callback arrays have outer-product semantics (each source against
-    each target; one side is usually length 1 depending on the engine's
-    batching direction), which both loops here handle symmetrically.
+    Duck-types :class:`~repro.core.traverser.Recorder` (``on_*_pairs`` +
+    ``fork``/``absorb``) without importing ``repro.core`` — the core
+    traverser module imports ``repro.obs``, so the dependency must point
+    this way only.
     """
 
     __slots__ = ("n_nodes", "visits", "mac_accepts", "leaf_hits",
@@ -114,33 +110,6 @@ class AttributionRecorder:
         return counts
 
     # -- Recorder protocol ---------------------------------------------------
-    def on_open(self, tree, sources: np.ndarray, targets: np.ndarray) -> None:
-        src = np.atleast_1d(sources)
-        tgt = np.atleast_1d(targets)
-        np.add.at(self.visits, src, tgt.size)
-        np.add.at(self.bucket_visits, tgt, src.size)
-
-    def on_node(self, tree, sources: np.ndarray, targets: np.ndarray) -> None:
-        src = np.atleast_1d(sources)
-        tgt = np.atleast_1d(targets)
-        counts = self._particle_counts(tree)
-        np.add.at(self.mac_accepts, src, tgt.size)
-        # one (source node, target bucket) approximation costs one
-        # particle-node pair per target-bucket particle
-        np.add.at(self.pn_pairs, src, int(counts[tgt].sum()))
-        np.add.at(self.bucket_pn, tgt, counts[tgt] * src.size)
-
-    def on_leaf(self, tree, sources: np.ndarray, targets: np.ndarray) -> None:
-        src = np.atleast_1d(sources)
-        tgt = np.atleast_1d(targets)
-        counts = self._particle_counts(tree)
-        np.add.at(self.leaf_hits, src, tgt.size)
-        tgt_particles = int(counts[tgt].sum())
-        np.add.at(self.pp_pairs, src, counts[src] * tgt_particles)
-        np.add.at(self.bucket_pp, tgt, counts[tgt] * int(counts[src].sum()))
-
-    # -- the same counters from flat (source, target) pair arrays -----------
-    # (the batched engine's form: one call per engine step, not per node)
     def on_open_pairs(self, tree, sources: np.ndarray, targets: np.ndarray) -> None:
         np.add.at(self.visits, sources, 1)
         np.add.at(self.bucket_visits, targets, 1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cache.stats import FetchGroups, assign_fetch_groups
-from ..core.traverser import InteractionLists
+from ..core.traverser import LIST_KINDS, InteractionLists
 from ..decomp import Decomposition
 from ..trees import Tree
 
@@ -123,32 +123,38 @@ def workload_from_traversal(
             shared_branch_levels=shared_branch_levels,
         )
     counts = tree.pend - tree.pstart
-    group_of_node = groups.group_of_node
+    opened, node, leaf = (lists[kind] for kind in LIST_KINDS)
+    node_t, leaf_t = node.pair_targets(), leaf.pair_targets()
 
-    # Majority-owner partition per leaf (same rule as cache.stats).
-    pp = decomp.particle_partition
-    leaf_part: dict[int, int] = {}
-    for leaf in tree.leaf_indices:
-        s, e = int(tree.pstart[leaf]), int(tree.pend[leaf])
-        vals, cnt = np.unique(pp[s:e], return_counts=True)
-        leaf_part[int(leaf)] = int(vals[np.argmax(cnt)])
-
-    buckets: list[BucketWork] = []
-    for leaf in tree.leaf_indices:
-        leaf = int(leaf)
-        nb = int(counts[leaf])
-        bw = BucketWork(leaf=leaf, partition=leaf_part[leaf])
-        wbg = bw.work_by_group
-        for node in lists.visited.get(leaf, ()):  # opening tests
-            g = int(group_of_node[node])
-            wbg[g] = wbg.get(g, 0.0) + cost.c_open
-        for node in lists.node_lists.get(leaf, ()):  # centroid approximations
-            g = int(group_of_node[node])
-            wbg[g] = wbg.get(g, 0.0) + cost.c_pn * nb
-        for src in lists.leaf_lists.get(leaf, ()):  # exact leaf interactions
-            g = int(group_of_node[src])
-            wbg[g] = wbg.get(g, 0.0) + cost.c_pp * nb * int(counts[src])
-        buckets.append(bw)
+    # Every recorded pair's cost, charged to (target, fetch group).  A
+    # bucket's sums run in a fixed order: opening tests, then centroid
+    # approximations, then exact leaf interactions, each in recording order.
+    targets = np.concatenate([opened.pair_targets(), node_t, leaf_t])
+    order = np.argsort(targets, kind="stable")
+    n_keys = groups.n_groups + 1                   # group -1 (shared branch) is key 0
+    sources = np.concatenate([opened.sources, node.sources, leaf.sources])[order]
+    key = targets[order] * n_keys + groups.group_of_node[sources] + 1
+    work = np.concatenate([
+        np.full(len(opened), cost.c_open),
+        cost.c_pn * counts[node_t],
+        cost.c_pp * counts[leaf_t] * counts[leaf.sources],
+    ])[order]
+    keys, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    sums = np.zeros(keys.size)
+    np.add.at(sums, inverse, work)
+    # a bucket's groups in order of first appearance
+    by_first = np.argsort(first)
+    keys, sums = keys[by_first], sums[by_first]
+    key_target = keys // n_keys
+    starts = np.flatnonzero(np.diff(key_target, prepend=-1)).tolist()
+    group_list, sum_list = (keys % n_keys - 1).tolist(), sums.tolist()
+    work_of = {
+        int(key_target[a]): dict(zip(group_list[a:b], sum_list[a:b]))
+        for a, b in zip(starts, [*starts[1:], keys.size])
+    }
+    leaf_part = decomp.leaf_partition()
+    buckets = [BucketWork(leaf=t, partition=int(leaf_part[t]), work_by_group=work_of.get(t, {}))
+               for t in tree.leaf_indices.tolist()]
 
     return WorkloadSpec(
         buckets=buckets,

@@ -12,7 +12,8 @@ worker-count) combination and require
   a node once per *batch*, so chunking the targets legitimately revisits
   upper nodes (the interaction set is unchanged — the property the paper's
   engines guarantee and Curtin et al.'s tree-independent framing formalises);
-* **equal per-target interaction lists** when a recorder is attached.
+* **equal interaction lists** when a recorder is attached: the targets,
+  offsets and sources of every kind, byte for byte.
 
 Usage::
 
@@ -31,7 +32,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.traverser import InteractionLists, TraversalStats
+from repro.core.traverser import LIST_KINDS, InteractionLists, TraversalStats
 from repro.core.visitor import Visitor
 from repro.exec import get_backend
 from repro.geometry.box import boxes_box_distance_sq
@@ -46,6 +47,7 @@ __all__ = [
     "ScalarCountInRadiusVisitor",
     "run_combination",
     "assert_equivalent",
+    "list_bytes",
     "differential_matrix",
     "attribution_matrix",
 ]
@@ -236,10 +238,16 @@ def assert_equivalent(base: RunResult, other: RunResult) -> None:
         f"{base.counts} ({base.label})"
     )
     if base.lists is not None and other.lists is not None:
-        for attr in ("node_lists", "leaf_lists", "visited"):
-            mine = getattr(base.lists, attr)
-            theirs = getattr(other.lists, attr)
-            assert mine == theirs, f"{other.label}: recorder {attr} differs"
+        mine, theirs = list_bytes(base.lists), list_bytes(other.lists)
+        for name in mine:
+            assert mine[name] == theirs[name], f"{other.label}: interaction lists {name} differ"
+
+
+def list_bytes(lists: InteractionLists) -> dict[str, bytes]:
+    """The recorded interaction lists as bytes: the targets, offsets and
+    sources of each kind, in :data:`LIST_KINDS` order."""
+    return {f"{kind}.{field}": getattr(lists[kind], field).tobytes()
+            for kind in LIST_KINDS for field in ("targets", "offsets", "sources")}
 
 
 def attribution_matrix(

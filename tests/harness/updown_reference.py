@@ -60,22 +60,21 @@ def _descend(tree, visitor, roots, tgt, stats, recorder) -> None:
     n_children = tree.n_children
     counts = tree.pend - tree.pstart
     tgt_count = int(counts[tgt])
-    one = np.array([tgt])
     frontier = roots
     while frontier.size:
         stats.nodes_visited += int(frontier.size)
         stats.opens += int(frontier.size)
+        column = np.full(frontier.size, tgt)
         if recorder is not None:
-            recorder.on_open(tree, frontier, one)
-        mask = np.asarray(
-            visitor.open_pairs(tree, frontier, np.full(frontier.size, tgt)), dtype=bool)
+            recorder.on_open_pairs(tree, frontier, column)
+        mask = np.asarray(visitor.open_pairs(tree, frontier, column), dtype=bool)
         closed = frontier[~mask]
         if closed.size:
             stats.node_interactions += int(closed.size)
             stats.pn_interactions += int(closed.size) * tgt_count
             if recorder is not None:
-                recorder.on_node(tree, closed, one)
-            visitor.node_pairs(tree, closed, np.full(closed.size, tgt))
+                recorder.on_node_pairs(tree, closed, column[:closed.size])
+            visitor.node_pairs(tree, closed, column[:closed.size])
         opened = frontier[mask]
         leaf_mask = first_child[opened] == -1
         leaves = opened[leaf_mask]
@@ -83,8 +82,8 @@ def _descend(tree, visitor, roots, tgt, stats, recorder) -> None:
             stats.leaf_interactions += int(leaves.size)
             stats.pp_interactions += int(counts[leaves].sum()) * tgt_count
             if recorder is not None:
-                recorder.on_leaf(tree, leaves, one)
-            visitor.leaf_pairs(tree, leaves, np.full(leaves.size, tgt))
+                recorder.on_leaf_pairs(tree, leaves, column[:leaves.size])
+            visitor.leaf_pairs(tree, leaves, column[:leaves.size])
         internal = opened[~leaf_mask]
         frontier = ranges_to_indices(
             first_child[internal], first_child[internal] + n_children[internal]

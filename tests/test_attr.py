@@ -97,26 +97,18 @@ class TestRecorderCounters:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_pair_hooks_attribute_identically(self, small_tree):
-        """The batched engine delivers flat pair arrays: whole to a recorder
-        with ``on_*_pairs`` hooks (AttributionRecorder, and through a
-        ``_MultiRecorder``), as per-target outer products to any other —
-        the same counters either way, and the same as the other engines."""
+        """The batched engine's per-level pair arrays — handed whole to the
+        recorder, directly or through the driver's ``_MultiRecorder`` — give
+        the counters of the transposed schedule's per-node calls."""
         from repro.core.driver import _MultiRecorder
-        from repro.core.traverser import Recorder
-
-        class OuterProductOnly(Recorder):
-            def __init__(self, inner):
-                self.on_open, self.on_node, self.on_leaf = (
-                    inner.on_open, inner.on_node, inner.on_leaf)
 
         want, _ = _run_serial(small_tree, "transposed")
         whole, _ = _run_serial(small_tree, "batched")
-        multi, runs = (AttributionRecorder(small_tree.n_nodes) for _ in range(2))
-        engine = get_traverser("batched")
-        for rec in (_MultiRecorder([multi, InteractionLists()]), OuterProductOnly(runs)):
-            engine.traverse(small_tree, CountInRadiusVisitor(small_tree, 0.25),
-                            small_tree.leaf_indices, rec)
-        for got in (whole, multi, runs):
+        multi = AttributionRecorder(small_tree.n_nodes)
+        get_traverser("batched").traverse(
+            small_tree, CountInRadiusVisitor(small_tree, 0.25), small_tree.leaf_indices,
+            _MultiRecorder([multi, InteractionLists()]))
+        for got in (whole, multi):
             for name in ARRAY_FIELDS:
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
@@ -160,8 +152,8 @@ class TestRecorderCounters:
         for name in ARRAY_FIELDS:
             assert np.array_equal(getattr(clone, name), getattr(rec, name))
         # the clone keeps recording correctly after unpickling
-        clone.on_leaf(small_tree, np.array([small_tree.leaf_indices[0]]),
-                      np.array([small_tree.leaf_indices[0]]))
+        clone.on_leaf_pairs(small_tree, np.array([small_tree.leaf_indices[0]]),
+                            np.array([small_tree.leaf_indices[0]]))
         assert clone.pp_pairs.sum() > rec.pp_pairs.sum()
 
 
@@ -323,7 +315,7 @@ class TestDriverIntegration:
             assert prof.totals()["visits"] == rep.attribution["totals"]["visits"]
         # lists retained for the explain DES replay
         assert driver.last_interaction_lists is not None
-        assert driver.last_interaction_lists.visited
+        assert driver.last_interaction_lists["open"]
 
     def test_parallel_matches_serial_driver(self):
         serial = _AttrGravity.make()

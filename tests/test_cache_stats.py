@@ -15,10 +15,16 @@ from repro.cache import (
     assign_fetch_groups,
     fetch_statistics,
 )
+from repro.cache.stats import miss_attribution
 from repro.core import InteractionLists, get_traverser
 from repro.decomp import SfcDecomposer, decompose
 from repro.particles import clustered_clumps
+from repro.runtime import CostModel, workload_from_traversal
 from repro.trees import build_tree
+
+from tests.harness.replay_reference import (reference_fetch_statistics,
+                                            reference_miss_attribution,
+                                            reference_work_by_group)
 
 
 class TestCacheModelDescriptors:
@@ -139,3 +145,55 @@ class TestFetchStatistics:
         few = fetch_statistics(tree, lists, dec, groups, 4, PER_THREAD, workers_per_process=2)
         many = fetch_statistics(tree, lists, dec, groups, 4, PER_THREAD, workers_per_process=16)
         assert many.total_requests >= few.total_requests
+
+
+class TestArrayPassesEqualReferenceLoops:
+    """What the fetch statistics, the miss attribution and the DES workload
+    read off the CSR lists equals, byte for byte and in dict order, the
+    per-node loops kept in ``tests/harness/replay_reference.py``."""
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_fetch_statistics(self, traversal_setup, workers):
+        tree, dec, lists = traversal_setup
+        groups = assign_fetch_groups(tree, dec)
+        for n_proc in (2, 8, 32):
+            unique, thread_requests, bytes_in, touches = reference_fetch_statistics(
+                lists, dec, groups, n_proc, workers)
+            wf, pt = (fetch_statistics(tree, lists, dec, groups, n_proc, model,
+                                       workers_per_process=workers)
+                      for model in (WAITFREE, PER_THREAD))
+            for st in (wf, pt):
+                assert st.unique_fetches.tobytes() == unique.tobytes()
+                assert st.touches.tobytes() == touches.tobytes()
+            assert wf.bytes_in.tobytes() == bytes_in.tobytes()
+            assert pt.requests.tobytes() == thread_requests.tobytes()
+
+    def test_miss_attribution(self, traversal_setup):
+        tree, dec, lists = traversal_setup
+        groups = assign_fetch_groups(tree, dec)
+        touches, unique, bytes_in, part_subtree, node_remote = reference_miss_attribution(
+            tree, lists, dec, groups, 8)
+        got = miss_attribution(tree, lists, dec, groups, 8)
+        assert got["node_remote_touches"] == node_remote.tolist()
+        assert got["total_unique_groups"] == int(unique.sum())
+        assert got["total_bytes"] == float(bytes_in.sum())
+        for row in got["partitions"]:
+            part = row["partition"]
+            assert (row["touches"], row["unique_groups"], row["bytes"]) == (
+                touches[part], unique[part], bytes_in[part])
+            assert all(part_subtree[part, s["subtree"]] == s["touches"]
+                       for s in row["top_subtrees"])
+        assert len(got["partitions"]) == np.count_nonzero(touches)
+
+    @pytest.mark.parametrize("engine", ["transposed", "batched"])
+    def test_workload_sums_and_group_order(self, traversal_setup, engine):
+        tree, dec, _ = traversal_setup
+        lists = InteractionLists()
+        get_traverser(engine).traverse(
+            tree, GravityVisitor(tree, compute_centroid_arrays(tree, theta=0.7)), None, lists)
+        groups = assign_fetch_groups(tree, dec)
+        want = reference_work_by_group(tree, lists, groups, CostModel())
+        got = workload_from_traversal(tree, dec, lists, groups=groups)
+        assert [b.leaf for b in got.buckets] == list(want)
+        for bucket in got.buckets:
+            assert list(bucket.work_by_group.items()) == list(want[bucket.leaf].items())

@@ -85,16 +85,18 @@ class TestGravityDifferential:
     def test_matrix_with_recorder_and_potential(self, small_tree):
         make, collect = gravity_setup(small_tree, with_potential=True)
         differential_matrix(small_tree, "transposed", make, collect,
-                            workers=(2, 4), record=True, expect_parallel=True)
+                            workers=WORKER_COUNTS, record=True, expect_parallel=True)
 
     def test_matrix_with_decomposition_chunking(self, small_tree):
-        """Partition-steered chunks (the decomp.partitions reuse path)."""
+        """Partition-steered chunks (the decomp.partitions reuse path), with
+        the interaction lists compared as arrays."""
         pp = SfcDecomposer().assign(small_tree.particles, 4)
         decomp = decompose(small_tree, pp, n_subtrees=4)
         make, collect = gravity_setup(small_tree)
-        differential_matrix(small_tree, "transposed", make, collect,
-                            workers=(2, 4), decomposition=decomp,
-                            expect_parallel=True)
+        for engine in ("transposed", "batched"):
+            differential_matrix(small_tree, engine, make, collect,
+                                workers=WORKER_COUNTS, decomposition=decomp,
+                                record=True, expect_parallel=True)
 
 
 class TestKNNDifferential:

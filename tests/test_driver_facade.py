@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps.gravity import GravityDriver
-from repro.core import Configuration, Recorder
+from repro.core import Configuration, IterationObserver, Recorder
 from repro.particles import clustered_clumps
 
 
@@ -14,14 +14,24 @@ class CountingRecorder(Recorder):
         self.nodes = 0
         self.leaves = 0
 
-    def on_open(self, tree, sources, targets):
-        self.opens += 1
+    def on_open_pairs(self, tree, sources, targets):
+        self.opens += len(sources)
 
-    def on_node(self, tree, sources, targets):
-        self.nodes += 1
+    def on_node_pairs(self, tree, sources, targets):
+        self.nodes += len(sources)
 
-    def on_leaf(self, tree, sources, targets):
-        self.leaves += 1
+    def on_leaf_pairs(self, tree, sources, targets):
+        self.leaves += len(sources)
+
+
+class OffersRecorder(IterationObserver):
+    """Offers one recorder to the traversals of the iterations in ``when``."""
+
+    def __init__(self, recorder, when):
+        self.rec, self.when = recorder, when
+
+    def recorder(self, driver, iteration):
+        return self.rec if iteration in self.when else None
 
 
 def make_driver(**extra):
@@ -95,22 +105,23 @@ class TestPartitionsFacade:
 
 
 class TestDriverRecorder:
-    def test_set_recorder_observes_traversal(self):
+    def test_observer_recorder_observes_traversal(self):
         d = make_driver()
         rec = CountingRecorder()
-        d.set_recorder(rec)
+        d.observe(OffersRecorder(rec, when={0}))
         d.run()
-        assert rec.opens > 0
-        assert rec.nodes > 0
-        assert rec.leaves > 0
+        stats = d.reports[0].stats
+        assert (rec.opens, rec.nodes, rec.leaves) == (
+            stats.opens, stats.node_interactions, stats.leaf_interactions)
+        assert rec.nodes > 0 and rec.leaves > 0
 
     def test_recorder_can_be_cleared(self):
-        d = make_driver()
+        d = make_driver(num_iterations=2)
         rec = CountingRecorder()
-        d.set_recorder(rec)
-        d.set_recorder(None)
+        d.observe(OffersRecorder(rec, when={0}))
         d.run()
-        assert rec.opens == 0
+        assert rec.opens == d.reports[0].stats.opens
+        assert d.reports[1].stats.opens > 0
 
 
 class TestFoFOnPrebuiltTree:

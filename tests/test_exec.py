@@ -317,8 +317,11 @@ class TestThreadCacheStress:
         assert len(nodes) == len(set(nodes))
 
     @pytest.mark.slow
-    def test_many_seeds_heavy_contention(self):
-        for seed in range(4, 12):
+    def test_many_seeds_heavy_contention(self, request):
+        # Eight seeds when the slow matrices are selected (`-m slow`); one
+        # in a run that selects every test.
+        sweep = request.config.getoption("markexpr") == "slow"
+        for seed in range(4, 12 if sweep else 5):
             tree, cache = self._make(n=1400, parts=12, fail=0.4, seed=seed)
             serial = _gravity_visitor(tree)
             get_traverser("transposed").traverse(tree, serial, None)

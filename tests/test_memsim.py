@@ -16,6 +16,8 @@ from repro.memsim.trace import interleave_traces
 from repro.particles import uniform_cube
 from repro.trees import build_tree
 
+from tests.harness.differential import list_bytes
+
 
 class TestCacheLevel:
     def test_cold_miss_then_hit(self):
@@ -155,7 +157,7 @@ class TestTraceAndProfile:
         from repro.apps.gravity import GravityVisitor, compute_centroid_arrays
         from repro.core import get_traverser
 
-        rec = MemoryTraceRecorder(tree)
+        rec = MemoryTraceRecorder(tree, "transposed")
         visitor = GravityVisitor(tree, compute_centroid_arrays(tree))
         get_traverser("transposed").traverse(tree, visitor, None, rec)
         addrs, writes = rec.trace()
@@ -196,7 +198,7 @@ class TestTraceEdgeCases:
             ParticleSet(np.random.default_rng(0).uniform(0, 1, (100, 3))),
             tree_type="kd", bucket_size=8,
         )
-        rec = MemoryTraceRecorder(tree)
+        rec = MemoryTraceRecorder(tree, "transposed")
         lines1 = rec._scratch(10)
         lines2 = rec._scratch(_SCRATCH_LINES)
         # the window is bounded: all addresses fall in one small region
@@ -228,9 +230,10 @@ class TestTraceEdgeCases:
         assert addrs[-1] == 9
         assert set(np.unique(cpus)) == {0, 1}
 
-    def test_batched_flag_changes_volume(self):
-        """Node-at-a-time kernels re-touch target buckets, so the unbatched
-        trace is strictly larger for the same traversal."""
+    def test_style_changes_volume(self):
+        """The same pairs traced as per-bucket steps (one target each, its
+        tree data re-read per target) touch strictly more lines than as the
+        transposed schedule's steps (one source against a target batch)."""
         from repro.apps.gravity import GravityVisitor, compute_centroid_arrays
         from repro.core import get_traverser
         from repro.memsim.trace import MemoryTraceRecorder
@@ -238,26 +241,31 @@ class TestTraceEdgeCases:
 
         tree = build_tree(uniform_cube(600, seed=4), tree_type="oct", bucket_size=8)
         arrays = compute_centroid_arrays(tree)
-        engine = get_traverser("per-bucket")
+        engine = get_traverser("transposed")
         volumes = {}
-        for batched in (True, False):
-            rec = MemoryTraceRecorder(tree, batched_kernels=batched)
-            engine.traverse(tree, GravityVisitor(tree, arrays), None, rec)
-            volumes[batched] = rec.n_accesses
-        assert volumes[False] > volumes[True]
+        for style in ("transposed", "per-bucket"):
+            rec = MemoryTraceRecorder(tree, style)
+            engine.traverse(tree, GravityVisitor(tree, arrays), tree.leaf_indices[:24], rec)
+            volumes[style] = rec.n_accesses
+        assert volumes["per-bucket"] > volumes["transposed"]
 
 
 class TestOrderingContract:
     """What memsim Table II, the DES and Fig 10 read off the two reference
-    orderings: the event stream a recorder sees, in order.  The digests were
-    recorded at the last commit where ``per-bucket`` and ``transposed`` were
-    engines with hook families of their own (PR 15); they are schedules over
-    the pair hooks now and must still deliver the same stream."""
+    orderings: the event stream a recorder sees, in order.  The ``trace``
+    digests and Table II rows were recorded at the last commit where
+    ``per-bucket`` and ``transposed`` were engines with hook families of
+    their own (PR 15); they are schedules over the pair hooks now and must
+    still deliver the same stream.  The ``lists`` digests hash the
+    interaction lists' arrays (targets, offsets and sources of each kind);
+    they were restated once, when the lists moved from per-target dicts to
+    arrays, as the hash of the dict lists of that commit converted to
+    arrays — not regenerated from the new code."""
 
     PINS = {
         "transposed": {
             "trace": "8bb5548154b604923e16d9f9198aa16c6ac2253cfb6464223ee8c3766f12abaf",
-            "lists": "59cc734c9e98cfc14e142401a07855f6260fc8aa3a1fb8e317ed93970a75f56b",
+            "lists": "3f7a32d8b0b82230b2eba414356dfd1c0dd412d28f51444c459ec79324d75a1f",
             "table2": {
                 "l1_load_miss_rate": 0.026940580456809204,
                 "l1_loads": 46584,
@@ -274,7 +282,7 @@ class TestOrderingContract:
         },
         "per-bucket": {
             "trace": "8bf2acfbc574592236d70b906cb3ed05fd2ba9b93ce6481682ecb5d170c1cd06",
-            "lists": "c1bbe8735dca66f209525f19c710ca22fa1b8f5567b041b2073fe729fc7bf499",
+            "lists": "f04028e3ae6764308c5b58cfabc1581aa4716799744f974ee6728eccdaef9fe4",
             "table2": {
                 "l1_load_miss_rate": 0.01680354796320631,
                 "l1_loads": 60880,
@@ -303,20 +311,17 @@ class TestOrderingContract:
         arrays = compute_centroid_arrays(tree, theta=0.7)
         engine = get_traverser(style)
 
-        trace = MemoryTraceRecorder(tree, batched_kernels=(style == "transposed"))
+        trace = MemoryTraceRecorder(tree, style)
         engine.traverse(tree, GravityVisitor(tree, arrays), None, trace)
         addrs, writes = trace.trace()
         lists = InteractionLists()
         engine.traverse(tree, GravityVisitor(tree, arrays), None, lists)
-        per_target = repr([(name, sorted(store.items())) for name, store in
-                           (("node", lists.node_lists), ("leaf", lists.leaf_lists),
-                            ("open", lists.visited))])
         row = profile_traversal_style(tree, style, n_cpus=2, cache_scale=16,
                                       buckets_per_partition=24)
         got = {
             "trace": hashlib.sha256(addrs.astype("<i8").tobytes()
                                     + writes.tobytes()).hexdigest(),
-            "lists": hashlib.sha256(per_target.encode()).hexdigest(),
+            "lists": hashlib.sha256(b"".join(list_bytes(lists).values())).hexdigest(),
             "table2": row.as_dict(),
         }
         assert got == self.PINS[style]

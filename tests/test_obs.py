@@ -7,7 +7,7 @@ Covers the observability invariants the layer promises:
 * the Chrome trace-event golden schema (``ph``/``ts``/``dur``/``pid``/``tid``)
   with all seven driver phases nested inside the iteration span;
 * telemetry-disabled driver runs producing byte-identical reports;
-* the vectorised ``utilization_profile`` and ``_leaf_partition`` matching
+* the vectorised ``utilization_profile`` and ``leaf_partition`` matching
   their original loop implementations (kept here as references).
 """
 
@@ -18,7 +18,6 @@ import pytest
 
 from repro.apps.gravity import GravityDriver
 from repro.cache import WAITFREE
-from repro.cache.stats import _leaf_partition
 from repro.core import Configuration
 from repro.decomp import SfcDecomposer, decompose
 from repro.obs import (
@@ -365,7 +364,7 @@ class TestVectorizedProfiles:
         parts = SfcDecomposer().assign(tree.particles, 17)
         dec = decompose(tree, parts, n_subtrees=16)
 
-        got = _leaf_partition(tree, dec)
+        got = dec.leaf_partition()
 
         ref = np.zeros(tree.n_nodes, dtype=np.int64)
         pp = dec.particle_partition

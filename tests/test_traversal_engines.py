@@ -24,6 +24,7 @@ from repro.trees import build_tree
 
 from tests.harness.differential import (INTERACTION_KEYS, CountInRadiusVisitor,
                                         ScalarCountInRadiusVisitor)
+from tests.harness.replay_reference import reference_per_particle_load
 
 
 @pytest.fixture(scope="module")
@@ -329,13 +330,10 @@ class TestRecorders:
         visitor = GravityVisitor(tree, arrays)
         lists = InteractionLists()
         stats = get_traverser("transposed").traverse(tree, visitor, None, lists)
-        n_node = sum(len(v) for v in lists.node_lists.values())
-        n_leaf = sum(len(v) for v in lists.leaf_lists.values())
-        n_open = sum(len(v) for v in lists.visited.values())
-        assert n_node == stats.node_interactions
-        assert n_leaf == stats.leaf_interactions
-        assert n_open == stats.opens
-        assert set(lists.visited) <= set(tree.leaf_indices.tolist())
+        assert len(lists["node"]) == stats.node_interactions
+        assert len(lists["leaf"]) == stats.leaf_interactions
+        assert len(lists["open"]) == stats.opens
+        assert np.isin(lists["open"].targets, tree.leaf_indices).all()
 
     def test_lists_identical_across_engines(self, tree):
         arrays = compute_centroid_arrays(tree, theta=0.6)
@@ -344,11 +342,14 @@ class TestRecorders:
             lists = InteractionLists()
             get_traverser(engine).traverse(tree, GravityVisitor(tree, arrays), None, lists)
             per_engine[engine] = lists
-        a, b = per_engine["transposed"], per_engine["per-bucket"]
-        for t in a.node_lists:
-            assert sorted(a.node_lists[t]) == sorted(b.node_lists.get(t, []))
-        for t in a.leaf_lists:
-            assert sorted(a.leaf_lists[t]) == sorted(b.leaf_lists.get(t, []))
+        for kind in ("node", "leaf"):
+            a, b = (per_engine[e][kind] for e in ("transposed", "per-bucket"))
+            assert np.array_equal(a.targets, b.targets)
+            assert np.array_equal(a.offsets, b.offsets)
+            # the same sources per target, each in its schedule's own order
+            a_pairs, b_pairs = (np.sort(x.pair_targets() * tree.n_nodes + x.sources)
+                                for x in (a, b))
+            assert np.array_equal(a_pairs, b_pairs)
 
     def test_bucket_load_recorder(self, tree):
         arrays = compute_centroid_arrays(tree, theta=0.6)
@@ -358,7 +359,7 @@ class TestRecorders:
         )
         assert rec.work.sum() > 0
         per_particle = rec.per_particle_load(tree)
-        assert per_particle.shape == (tree.n_particles,)
+        assert per_particle.tobytes() == reference_per_particle_load(tree, rec.work).tobytes()
         assert per_particle.sum() == pytest.approx(rec.work.sum())
         # total recorded work equals the stats' interaction totals
         assert rec.work.sum() == pytest.approx(

@@ -23,7 +23,8 @@ from repro.core.traverser import InteractionLists
 from repro.particles import clustered_clumps, uniform_cube
 from repro.trees import build_tree
 
-from tests.harness.differential import INTERACTION_KEYS, ScalarCountInRadiusVisitor
+from tests.harness.differential import (INTERACTION_KEYS, ScalarCountInRadiusVisitor,
+                                        list_bytes)
 from tests.harness.updown_reference import reference_up_and_down
 from tests.test_segments import UNBOUNDED, budgets, set_budgets
 
@@ -39,8 +40,7 @@ def walk(traverse, tree, make_visitor, chunks):
     for chunk in chunks:
         stats.merge(traverse(tree, visitor, chunk, lists))
     counts = stats.as_dict()
-    return (visitor, {k: counts[k] for k in INTERACTION_KEYS},
-            (lists.visited, lists.node_lists, lists.leaf_lists))
+    return visitor, {k: counts[k] for k in INTERACTION_KEYS}, list_bytes(lists)
 
 
 class TestRoundsChangeNoBits:
