@@ -9,6 +9,9 @@ The standard symmetrised momentum equation is used:
 ``a_i = − Σ_j m_j (P_i/ρ_i² + P_j/ρ_j²) ∇W(r_ij, h̄_ij)``
 
 with ``h̄`` the arithmetic mean of the pair's smoothing lengths.
+
+Pair terms are evaluated over the whole ``(N, k)`` neighbour block, row
+major, and each particle's are summed by row (:func:`sum_rows`).
 """
 
 from __future__ import annotations
@@ -20,6 +23,35 @@ from ..knn import KNNResult
 from .kernels import cubic_spline_gradW_over_r
 
 __all__ = ["equation_of_state", "compute_pressure_forces"]
+
+
+def neighbour_pairs(tree: Tree, neighbors: KNNResult, h: np.ndarray):
+    """``(i, j, dvec, r, h_pair, gw)`` of every slot of the neighbour block,
+    row major: the particle and its neighbour (a ``-1`` slot gathers the
+    last particle; :func:`sum_rows` drops it), ``pos[i] - pos[j]``, its
+    length, the pair-mean smoothing length and ``(dW/dr)/r``."""
+    pos = tree.particles.position
+    n, k = neighbors.index.shape
+    i = np.repeat(np.arange(n), k)
+    j = neighbors.index.ravel()
+    dvec = pos[i] - pos[j]
+    r = np.linalg.norm(dvec, axis=1)
+    h_pair = 0.5 * (h[i] + h[j])
+    return i, j, dvec, r, h_pair, cubic_spline_gradW_over_r(r, h_pair)
+
+
+def sum_rows(terms: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Each particle's sum of its pair ``terms`` (one per slot of the
+    ``(n, k)`` neighbour ``index`` block, row major), slot 0 first, added
+    into ``+0.0``: the order of ``np.add.at`` over the valid pairs of
+    ``repeat(arange(n), k)``, so the same bits.  A ``-1`` slot adds an
+    exact ``+0.0`` whatever its gathered terms hold."""
+    valid = (index >= 0).reshape(-1, *[1] * (terms.ndim - 1))
+    block = np.where(valid, terms, 0.0).reshape(*index.shape, *terms.shape[1:])
+    out = np.zeros((len(index), *terms.shape[1:]))
+    for slot in range(index.shape[1]):
+        out += block[:, slot]
+    return out
 
 
 def equation_of_state(
@@ -55,23 +87,11 @@ def compute_pressure_forces(
     interaction antisymmetric up to list asymmetry, which is the standard
     treatment when neighbour lists are truncated at fixed k).
     """
-    pos = tree.particles.position
     mass = tree.particles.mass
-    n, k = neighbors.index.shape
-    i = np.repeat(np.arange(n), k)
-    j = neighbors.index.ravel()
-    valid = j >= 0
-    i, j = i[valid], j[valid]
-
-    dvec = pos[i] - pos[j]
-    r = np.linalg.norm(dvec, axis=1)
-    h_pair = 0.5 * (h[i] + h[j])
-    gw = cubic_spline_gradW_over_r(r, h_pair)  # (dW/dr)/r
+    i, j, dvec, _, _, gw = neighbour_pairs(tree, neighbors, h)
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = -mass[j] * (
             pressure[i] / np.maximum(density[i], 1e-300) ** 2
             + pressure[j] / np.maximum(density[j], 1e-300) ** 2
         ) * gw
-    acc = np.zeros((n, 3))
-    np.add.at(acc, i, coef[:, None] * dvec)
-    return acc
+    return sum_rows(coef[:, None] * dvec, neighbors.index)

@@ -19,7 +19,7 @@ import numpy as np
 
 from ...trees import Tree
 from ..knn import KNNResult
-from .kernels import cubic_spline_gradW_over_r
+from .forces import neighbour_pairs, sum_rows
 
 __all__ = ["ViscosityParams", "compute_sph_accelerations"]
 
@@ -51,20 +51,10 @@ def compute_sph_accelerations(
     ``viscosity=None`` this reduces to the inviscid momentum equation plus
     the adiabatic ``du/dt = P/ρ² dρ/dt`` work term evaluated pairwise.
     """
-    pos = tree.particles.position
     vel = tree.particles.velocity
     mass = tree.particles.mass
-    n, k = neighbors.index.shape
-    i = np.repeat(np.arange(n), k)
-    j = neighbors.index.ravel()
-    valid = j >= 0
-    i, j = i[valid], j[valid]
-
-    dvec = pos[i] - pos[j]
+    i, j, dvec, r, h_pair, gw = neighbour_pairs(tree, neighbors, h)
     dv = vel[i] - vel[j]
-    r = np.linalg.norm(dvec, axis=1)
-    h_pair = 0.5 * (h[i] + h[j])
-    gw = cubic_spline_gradW_over_r(r, h_pair)  # (dW/dr)/r
     grad = gw[:, None] * dvec                   # ∇_i W_ij
 
     rho_i = np.maximum(density[i], 1e-300)
@@ -88,12 +78,9 @@ def compute_sph_accelerations(
         visc[~approaching] = 0.0
 
     coef = -(p_term + visc) * mass[j]
-    accel = np.zeros((n, 3))
-    np.add.at(accel, i, coef[:, None] * grad)
+    accel = sum_rows(coef[:, None] * grad, neighbors.index)
 
     # Energy equation: du_i/dt = ½ Σ_j m_j (P_i/ρ_i² + Π_ij) (v_i−v_j)·∇W.
     vdotgrad = np.einsum("pj,pj->p", dv, grad)
     du_pair = mass[j] * (pressure[i] / rho_i**2 + 0.5 * visc) * vdotgrad
-    du_dt = np.zeros(n)
-    np.add.at(du_dt, i, du_pair)
-    return accel, du_dt
+    return accel, sum_rows(du_pair, neighbors.index)

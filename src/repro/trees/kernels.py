@@ -346,6 +346,14 @@ def _quadrupole_terms(d, r2, gm, G, quad):
 # brute-force references — is ``pair_dist_sq``: differences by coordinate,
 # squares summed x, y, z.  Two codes that agree on the operation order agree
 # on the bits, so "equal to brute force" can be asserted with ``atol=0``.
+#
+# The merge keeps every row in ``(dist, index)`` order but sorts on one key:
+# one pass over all pairs keeps the candidates at or below a row's k-th
+# distance (about a quarter of them), and each improved row is argsorted by
+# distance alone.  Only a row whose k + 1 nearest hold two equal finite
+# distances is re-sorted by ``(dist, index)`` — random positions almost
+# never tie, a lattice or a duplicated set does, and there the fallback is
+# what makes the answer canonical.
 # ---------------------------------------------------------------------------
 
 def _rows_of(positions, rows):
@@ -381,10 +389,21 @@ def merge_nearest(dist_sq, index, positions, tstart, tend, sstart, send,
 
     Selection and order are lexicographic in ``(dist_sq, index)``, so the
     result is the k smallest such tuples seen so far: a function of the
-    candidate *set*, not of how a caller batches pairs into calls.  Only
-    candidates below a row's current k-th tuple can enter it; they are
-    gathered into one padded matrix next to the rows they improve and each
-    row is sorted once.
+    candidate *set*, not of how a caller batches pairs into calls.
+
+    * **Enter test.**  Only a candidate at or below a row's k-th distance
+      can enter it: that is the one pass over every pair.  The tie at the
+      k-th distance (a smaller index wins) and the row's own particle are
+      checked on the few that pass.
+    * **Merge.**  The entering candidates are grouped by row (one-row
+      targets already are: a target's pairs are adjacent) and laid into one
+      padded matrix next to the rows they improve; each row is sorted once,
+      by distance alone, and keeps its first k.  Where the first ``k + 1``
+      sorted distances are all different the distance order *is* the
+      ``(dist_sq, index)`` order — and the ``k + 1``-th place is what tells
+      whether a tie straddles the cut at k.  A row with two equal finite
+      distances there is re-sorted by ``(dist_sq, index)``.  Equal
+      ``inf``s need nothing: every unused slot is ``(inf, -1)``.
 
     Returns ``(first, radius_sq)``: the position of each target bucket's
     first pair, and the largest k-th distance among that bucket's rows.
@@ -394,29 +413,34 @@ def merge_nearest(dist_sq, index, positions, tstart, tend, sstart, send,
     k = dist_sq.shape[1]
     t_rows, s_rows = expand_pair_products(tstart, tend, sstart, send)
     d2 = pair_dist_sq(positions, t_rows, s_rows, target_positions)
-    kth_d, kth_i = dist_sq[t_rows, -1], index[t_rows, -1]
-    enters = (d2 < kth_d) | ((d2 == kth_d) & (s_rows < kth_i))
+    kth_d, kth_i = dist_sq[:, -1], index[:, -1]    # 1-D views gather faster
+    near = np.flatnonzero(d2 <= kth_d[t_rows])
+    t_in, s_in = t_rows[near], s_rows[near]
+    enters = (d2[near] < kth_d[t_in]) | (s_in < kth_i[t_in])
     if target_positions is None:
-        enters &= t_rows != s_rows
-    entering = np.flatnonzero(enters)
-    if entering.size:
-        # group the entering candidates by row (a row's pairs repeat it)
+        enters &= t_in != s_in
+    entering = near[enters]
+    if (tend - tstart > 1).any():                  # a row's pairs repeat it
         entering = entering[np.argsort(t_rows[entering], kind="stable")]
-        t_in, s_in, d_in = t_rows[entering], s_rows[entering], d2[entering]
+    if entering.size:
+        t_in = t_rows[entering]
         bounds = _run_bounds(t_in)
         starts, per_row = bounds[:-1], bounds[1:] - bounds[:-1]
         rows = t_in[starts]
         local = np.repeat(np.arange(rows.size), per_row)
         column = k + np.arange(t_in.size) - np.repeat(starts, per_row)
-        width = k + int(per_row.max())
-        d_all = np.full((rows.size, width), np.inf)
-        i_all = np.full((rows.size, width), -1, dtype=np.int64)
+        d_all = np.full((rows.size, k + int(per_row.max())), np.inf)
+        i_all = np.full(d_all.shape, -1, dtype=np.int64)
         d_all[:, :k], i_all[:, :k] = dist_sq[rows], index[rows]
-        d_all[local, column], i_all[local, column] = d_in, s_in
-        keep = np.lexsort((i_all, d_all), axis=1)[:, :k]
+        d_all[local, column], i_all[local, column] = d2[entering], s_rows[entering]
         each = np.arange(rows.size)[:, None]
-        dist_sq[rows], index[rows] = d_all[each, keep], i_all[each, keep]
+        keep = np.argsort(d_all, axis=1)[:, :k + 1]
+        d_keep = d_all[each, keep]
+        tie = (d_keep[:, 1:] == d_keep[:, :-1]) & (d_keep[:, 1:] < np.inf)
+        if (tied := np.flatnonzero(tie.any(axis=1))).size:
+            keep[tied, :k] = np.lexsort((i_all[tied], d_all[tied]), axis=1)[:, :k]
+        dist_sq[rows], index[rows] = d_keep[:, :k], i_all[each, keep[:, :k]]
     first = _run_bounds(tstart)[:-1]
     start, n = tstart[first], tend[first] - tstart[first]
-    kth = dist_sq[ranges_to_indices(start, start + n), -1]
-    return first, np.maximum.reduceat(kth, np.cumsum(n) - n)
+    return first, np.maximum.reduceat(kth_d[ranges_to_indices(start, start + n)],
+                                      np.cumsum(n) - n)

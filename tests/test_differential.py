@@ -586,40 +586,103 @@ class TestBatchedKernelsGolden:
         every = np.arange(40)
         assert np.array_equal(pair_dist_sq(positions, every[:, None], every[None, :])[a, b], want)
 
+    @staticmethod
+    def _merge_matches_sorted_lists(positions, pairs, k, cuts, queries=None):
+        """Run ``merge_nearest`` over ``pairs`` (``((t0, t1), (s0, s1))``
+        ranges) in the calls ``cuts`` delimits and compare every row with a
+        Python list of the ``(dist, index)`` tuples it was offered, sorted;
+        ``first`` and ``radius_sq`` of each call are checked on the way."""
+        from repro.trees.kernels import merge_nearest, pair_dist_sq
+
+        seen = {}
+        for (t0, t1), (s0, s1) in pairs:
+            for t in range(t0, t1):
+                d2 = pair_dist_sq(positions, np.full(s1 - s0, t), np.arange(s0, s1), queries)
+                seen.setdefault(t, []).extend((d, s) for d, s in zip(d2.tolist(), range(s0, s1))
+                                              if queries is not None or s != t)
+        n_rows = len(positions if queries is None else queries)
+        dist_sq = np.full((n_rows, k), np.inf)
+        index = np.full((n_rows, k), -1, dtype=np.int64)
+        tstart, tend, sstart, send = (np.array(c, dtype=np.int64)
+                                      for c in zip(*((*t, *s) for t, s in pairs)))
+        for a, b in zip(cuts, cuts[1:]):
+            first, radius_sq = merge_nearest(dist_sq, index, positions, tstart[a:b],
+                                             tend[a:b], sstart[a:b], send[a:b], queries)
+            runs = [p for p in range(a, b) if p == a or tstart[p] != tstart[p - 1]]
+            assert first.tolist() == [p - a for p in runs]
+            assert radius_sq.tolist() == [dist_sq[tstart[p]:tend[p], -1].max() for p in runs]
+        for t in range(n_rows):
+            best = sorted(seen.get(t, []))[:k]
+            pad = k - len(best)
+            assert dist_sq[t].tolist() == [d for d, _ in best] + [np.inf] * pad, t
+            assert index[t].tolist() == [s for _, s in best] + [-1] * pad, t
+
     def test_merge_nearest_matches_sorted_lists(self):
         """The k-nearest merge against per-row Python lists of ``(dist, index)``
         tuples kept sorted — on a lattice, so most distances tie — whatever
-        way the candidate pairs are batched into calls."""
-        from repro.trees.kernels import merge_nearest, pair_dist_sq
-
+        way the candidate pairs are batched into calls; and on the ties an
+        order by distance alone gets wrong."""
         rng = np.random.default_rng(13)
-        positions = rng.integers(0, 3, size=(60, 3)).astype(float)
-        k = 5
+        lattice = rng.integers(0, 3, size=(60, 3)).astype(float)
         # three target buckets, each offered several candidate ranges
         pairs = [(t, s) for t in ((0, 7), (7, 8), (20, 31))
                  for s in ((40, 60), (0, 9), (9, 9), (25, 40), (9, 25))]
-        tstart, tend, sstart, send = (np.array(c) for c in zip(*((*t, *s) for t, s in pairs)))
-        want = {}
-        for (t0, t1), (s0, s1) in pairs:
-            for t in range(t0, t1):
-                d2 = pair_dist_sq(positions, np.full(s1 - s0, t), np.arange(s0, s1))
-                want.setdefault(t, []).extend(
-                    (d, s) for d, s in zip(d2.tolist(), range(s0, s1)) if s != t)
         for cuts in ([0, 15], [0, 5, 10, 15], [0, 10, 15]):
-            dist_sq = np.full((60, k), np.inf)
-            index = np.full((60, k), -1, dtype=np.int64)
-            for a, b in zip(cuts, cuts[1:]):
-                first, radius_sq = merge_nearest(dist_sq, index, positions, tstart[a:b],
-                                                 tend[a:b], sstart[a:b], send[a:b])
-                assert first.tolist() == list(range(0, b - a, 5))
-                assert radius_sq.tolist() == [dist_sq[t0:t1, -1].max()
-                                              for t0, t1 in zip(tstart[a:b:5], tend[a:b:5])]
-            for t, seen in want.items():
-                best = sorted(seen)[:k]
-                assert dist_sq[t].tolist() == [d for d, _ in best]
-                assert index[t].tolist() == [s for _, s in best]
-            untouched = np.setdiff1d(np.arange(60), list(want))
-            assert np.isinf(dist_sq[untouched]).all() and (index[untouched] == -1).all()
+            self._merge_matches_sorted_lists(lattice, pairs, 5, cuts)
+
+        # row 0 at the origin; squared distances 1, 2, 2, 3 by design
+        far = np.full((12, 3), 10.0)
+        far[0] = 0.0
+        far[[5, 9, 3, 1, 6, 7]] = [(1, 0, 0), (1, 1, 0), (0, 1, 1), (1, 1, 0), (0, 1, 1),
+                                   (1, 1, 1)]
+        # a row's k-th entry (2, 6) and a later candidate (2, 1): the
+        # smaller index takes the k-th place
+        self._merge_matches_sorted_lists(far, [((0, 1), (5, 7)), ((0, 1), (1, 2))], 2, [0, 1, 2])
+        # a tie at places k-1 / k inside one call, the larger index offered first
+        tie_inside = [((0, 1), (9, 10)), ((0, 1), (3, 4)), ((0, 1), (5, 6)), ((0, 1), (7, 8))]
+        for cuts in ([0, 4], [0, 2, 4]):
+            self._merge_matches_sorted_lists(far, tie_inside, 3, cuts)
+        # every candidate coincident: the k smallest other indices, in order
+        same = np.full((12, 3), 0.5)
+        pairs = [(t, s) for t in ((0, 4), (4, 8), (8, 9), (9, 12))
+                 for s in ((8, 12), (4, 8), (0, 4))]
+        for cuts in ([0, 12], [0, 3, 6, 9, 12], list(range(13))):
+            self._merge_matches_sorted_lists(same, pairs, 3, cuts)
+            self._merge_matches_sorted_lists(same, pairs, 11, cuts)
+
+    @given(st.data())
+    @settings(max_examples=60, **HYPOTHESIS_COMMON)
+    def test_merge_nearest_property_on_lattices(self, data):
+        """Random lattice points, random buckets (one-row ones included),
+        each target offered a random subset of the source leaves in a random
+        order, random call cuts, own rows or query points: the merge equals
+        the sorted-tuple reference."""
+        n = data.draw(st.integers(2, 40), label="n")
+        side = data.draw(st.integers(1, 3), label="side")
+        k = data.draw(st.integers(1, 8), label="k")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+        def ranges(size):
+            cuts = np.unique(rng.integers(1, size, size=rng.integers(0, size))) if size > 1 else []
+            edges = [0, *cuts.tolist(), size] if len(cuts) else [0, size]
+            return list(zip(edges, edges[1:]))
+
+        positions = rng.integers(0, side, size=(n, 3)).astype(float)
+        queries = None
+        if data.draw(st.booleans(), label="query points"):
+            queries = rng.integers(0, side, size=(int(rng.integers(1, 12)), 3)).astype(float)
+            targets = [(q, q + 1) for q in range(len(queries))]
+        else:
+            targets = ranges(n)
+        leaves = ranges(n)
+        pairs = [(t, leaves[i]) for t in targets for i in rng.permutation(len(leaves))
+                 if rng.random() < 0.8]
+        if not pairs:
+            return
+        inner = np.unique(rng.integers(1, len(pairs), size=rng.integers(0, len(pairs)))) \
+            if len(pairs) > 1 else np.array([], dtype=int)
+        self._merge_matches_sorted_lists(positions, pairs, k, [0, *inner.tolist(), len(pairs)],
+                                         queries)
 
     def test_expand_pair_products_matches_nested_loops(self):
         from repro.trees.kernels import expand_pair_products

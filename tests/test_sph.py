@@ -159,6 +159,59 @@ class TestForcesAndEoS:
         assert np.mean(radial[in_clump] > 0) > 0.55
 
 
+def _sph_inputs(points, every_other_bucket=False):
+    """A tree over ``points`` with random velocities and its kNN density
+    state; ``every_other_bucket`` searches half the buckets, leaving the
+    other rows' neighbour slots ``-1``."""
+    from repro.particles import ParticleSet
+
+    ps = ParticleSet(points)
+    ps.velocity[:] = np.random.default_rng(8).normal(size=points.shape)
+    t = build_tree(ps, tree_type="oct", bucket_size=8)
+    with np.errstate(invalid="ignore"):        # unsearched rows: inf / inf
+        st = compute_density_knn(t, k=12,
+                                 targets=t.leaf_indices[::2] if every_other_bucket else None)
+    return t, st, equation_of_state(st.density, internal_energy=1.0)
+
+
+class TestForceSumsEqualScatterOracle:
+    """Per-row force sums are ``np.add.at``'s pair scatter in bytes
+    (tests/harness/sph_reference.py): same pair maths, same addition order
+    per row, ``-1`` slots adding nothing."""
+
+    @pytest.fixture(params=["uniform", "duplicated", "coincident", "half searched"])
+    def inputs(self, request):
+        base = np.random.default_rng(4).uniform(-0.5, 0.5, size=(300, 3))
+        return {
+            "uniform": lambda: _sph_inputs(base),
+            "duplicated": lambda: _sph_inputs(np.concatenate([base[:150], base[:150]])),
+            "coincident": lambda: _sph_inputs(np.full((40, 3), 0.25)),
+            "half searched": lambda: _sph_inputs(base, every_other_bucket=True),
+        }[request.param]()
+
+    def test_pressure_forces(self, inputs):
+        from tests.harness.sph_reference import pressure_forces
+
+        t, st, P = inputs
+        with np.errstate(all="ignore"):
+            got = compute_pressure_forces(t, st.neighbors, st.density, P, st.h)
+            want = pressure_forces(t, st.neighbors, st.density, P, st.h)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("viscous", [False, True])
+    def test_accelerations_and_energy_rate(self, inputs, viscous):
+        from repro.apps.sph import ViscosityParams, compute_sph_accelerations
+        from tests.harness.sph_reference import sph_accelerations
+
+        t, st, P = inputs
+        visc = ViscosityParams() if viscous else None
+        with np.errstate(all="ignore"):
+            got = compute_sph_accelerations(t, st.neighbors, st.density, P, st.h, viscosity=visc)
+            want = sph_accelerations(t, st.neighbors, st.density, P, st.h, viscosity=visc)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
 class TestSPHDriver:
     def test_driver_runs_and_updates(self):
         class Main(SPHDriver):
