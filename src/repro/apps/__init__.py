@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-__all__ = ["App", "APPS", "make_driver", "description", "declare",
+__all__ = ["APPS", "make_driver", "description", "declare",
            "dataset_options", "TREE_OPTIONS", "TRAVERSER"]
 
 

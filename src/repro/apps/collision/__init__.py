@@ -8,7 +8,6 @@ pumping makes orbits cross, producing the collision profile of Fig 12.
 """
 
 from .orbits import (
-    collision_radial_profile,
     resonance_excess,
     orbital_elements,
     orbital_period,
@@ -20,7 +19,6 @@ from .driver import PlanetesimalDriver, CollisionLog
 
 __all__ = [
     "orbital_elements",
-    "collision_radial_profile",
     "resonance_excess",
     "orbital_period",
     "resonance_semi_major_axis",

@@ -78,30 +78,6 @@ def resonance_semi_major_axis(planet_a: float, p: int, q: int) -> float:
     return planet_a * (q / p) ** (2.0 / 3.0)
 
 
-def collision_radial_profile(
-    distances: np.ndarray,
-    edges: np.ndarray,
-    per_area: bool = True,
-) -> np.ndarray:
-    """Fig 12's solid curve: the radial profile of collisions.
-
-    Counts collisions per radial bin; with ``per_area`` the counts are
-    divided by each annulus's area, giving the surface-brightness-like
-    profile the paper links to sub-millimeter dust observations ("dust
-    generated by these collisions will follow a profile similar to the
-    solid curve").
-    """
-    distances = np.asarray(distances, dtype=np.float64)
-    edges = np.asarray(edges, dtype=np.float64)
-    if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("edges must be strictly increasing with >= 2 entries")
-    counts, _ = np.histogram(distances, bins=edges)
-    if not per_area:
-        return counts.astype(np.float64)
-    areas = np.pi * (edges[1:] ** 2 - edges[:-1] ** 2)
-    return counts / areas
-
-
 def resonance_excess(
     semi_major_axes: np.ndarray,
     planet_a: float,

@@ -10,7 +10,7 @@ import numpy as np
 
 from ...particles import ParticleSet
 
-__all__ = ["kick", "drift", "kick_drift_kick_half", "LeapfrogIntegrator"]
+__all__ = ["kick", "drift", "kick_drift_kick_half"]
 
 
 def kick(particles: ParticleSet, accel: np.ndarray, dt: float) -> None:
@@ -27,48 +27,10 @@ def kick_drift_kick_half(particles: ParticleSet, accel: np.ndarray, dt: float) -
     """One KDK step given accelerations at the step start.
 
     Standard leapfrog splitting: half-kick, full drift; the closing
-    half-kick belongs to the *next* force evaluation, so callers doing
-    multi-step evolution should use :class:`LeapfrogIntegrator`, which keeps
-    the intermediate state.
+    half-kick, strictly, belongs to the *next* force evaluation (a caller
+    that recomputes forces between the two half-kicks composes
+    :func:`kick` and :func:`drift` itself).
     """
     kick(particles, accel, 0.5 * dt)
     drift(particles, dt)
     kick(particles, accel, 0.5 * dt)
-
-
-class LeapfrogIntegrator:
-    """Stateful KDK leapfrog: symplectic second order.
-
-    Usage per step::
-
-        integ.begin_step(accel)   # half-kick + drift
-        ... recompute accel on new positions ...
-        integ.finish_step(accel)  # closing half-kick
-    """
-
-    def __init__(self, particles: ParticleSet, dt: float) -> None:
-        if dt <= 0:
-            raise ValueError(f"dt must be > 0, got {dt}")
-        self.particles = particles
-        self.dt = dt
-        self._open = False
-
-    def begin_step(self, accel: np.ndarray) -> None:
-        if self._open:
-            raise RuntimeError("begin_step called twice without finish_step")
-        kick(self.particles, accel, 0.5 * self.dt)
-        drift(self.particles, self.dt)
-        self._open = True
-
-    def finish_step(self, accel: np.ndarray) -> None:
-        if not self._open:
-            raise RuntimeError("finish_step without begin_step")
-        kick(self.particles, accel, 0.5 * self.dt)
-        self._open = False
-
-
-def total_energy(particles: ParticleSet, potential: np.ndarray) -> float:
-    """Kinetic + potential energy (potential counted once per pair)."""
-    ke = 0.5 * float(np.sum(particles.mass * np.einsum("ij,ij->i", particles.velocity, particles.velocity)))
-    pe = 0.5 * float(np.sum(particles.mass * potential))
-    return ke + pe

@@ -105,12 +105,6 @@ class GravityVisitor(Visitor):
     # list length, and one kernel call adds every row's list into accel /
     # potential.
 
-    def _pair_frame(self) -> tuple[np.ndarray, np.ndarray]:
-        """Target particle positions and MAC sphere centres as the hooks
-        see them — the two places a translated source frame enters
-        (the periodic-image visitor overrides this)."""
-        return self.tree.particles.position, self.arrays.centroid
-
     @functools.cached_property
     def _pair_tables(self) -> dict:
         """Structure-of-arrays copies the pair hooks gather from, made once
@@ -118,16 +112,11 @@ class GravityVisitor(Visitor):
         from ...trees.kernels import components, symmetric_components
 
         tree, quad = self.tree, self.arrays.quad
-        position, centroid = tree.particles.position, self.arrays.centroid
-        target, mac_center = self._pair_frame()
-        source, center = components(position), components(centroid)
         return {
-            "source": source,
+            "source": components(tree.particles.position),
             "source_gm": self.G * tree.particles.mass,
-            "target": source if target is position else components(target),
-            "centroid": center,
+            "centroid": components(self.arrays.centroid),
             "centroid_gm": self.G * self.arrays.mass,
-            "mac_center": center if mac_center is centroid else components(mac_center),
             "box_lo": components(tree.box_lo), "box_hi": components(tree.box_hi),
             "quad": None if quad is None else symmetric_components(quad),
         }
@@ -139,7 +128,7 @@ class GravityVisitor(Visitor):
         return mac_open_pairs(
             [c[targets] for c in tables["box_lo"]],
             [c[targets] for c in tables["box_hi"]],
-            [c[sources] for c in tables["mac_center"]],
+            [c[sources] for c in tables["centroid"]],
             self.arrays.open_radius_sq[sources],
         )
 
@@ -173,5 +162,5 @@ class GravityVisitor(Visitor):
 
         for out in (self.accel, self.potential):
             if out is not None:
-                accumulate_point_masses(out, layout, self._pair_tables["target"], source, gm,
+                accumulate_point_masses(out, layout, self._pair_tables["source"], source, gm,
                                         self.softening, quad, self.G)

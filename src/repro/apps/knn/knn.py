@@ -180,17 +180,6 @@ class KNNVisitor(Visitor):
         self.index[rows] = outputs["index"]
         self.radius_sq[targets] = outputs["radius_sq"]
 
-    # -- best-first support (priority traversal) ---------------------------
-    def priority(self, tree: Tree, source: int, target: int) -> float:
-        """Expansion key for the priority traverser: nearer nodes first, so
-        the k-th distance tightens before distant subtrees are considered."""
-        return float(
-            boxes_box_distance_sq(
-                tree.box_lo[source], tree.box_hi[source],
-                tree.box_lo[target], tree.box_hi[target],
-            )
-        )
-
 
 def knn_search(
     tree: Tree,

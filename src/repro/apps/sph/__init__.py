@@ -8,28 +8,14 @@ by repeated fixed-ball searches instead — "more parallelizable but less
 efficient" — and its extra traversal work is what Fig 11's gap comes from.
 """
 
-from .kernels import (
-    KERNELS,
-    cubic_spline_W,
-    cubic_spline_gradW_over_r,
-    wendland_c2_W,
-    wendland_c2_gradW_over_r,
-    wendland_c4_W,
-    wendland_c4_gradW_over_r,
-)
+from .kernels import cubic_spline_W, cubic_spline_gradW_over_r
 from .density import SPHState, compute_density_knn
 from .gadget_baseline import GadgetSmoothingResult, gadget_style_density
 from .forces import compute_pressure_forces, equation_of_state
-from .viscosity import ViscosityParams, compute_sph_accelerations
 from .driver import SPHDriver
 
 __all__ = [
-    "KERNELS",
     "cubic_spline_W",
-    "wendland_c2_W",
-    "wendland_c2_gradW_over_r",
-    "wendland_c4_W",
-    "wendland_c4_gradW_over_r",
     "cubic_spline_gradW_over_r",
     "SPHState",
     "compute_density_knn",
@@ -38,6 +24,4 @@ __all__ = [
     "compute_pressure_forces",
     "equation_of_state",
     "SPHDriver",
-    "ViscosityParams",
-    "compute_sph_accelerations",
 ]

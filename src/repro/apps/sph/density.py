@@ -17,7 +17,7 @@ import numpy as np
 from ...core import TraversalStats
 from ...trees import Tree
 from ..knn import KNNResult, knn_search
-from .kernels import KERNELS
+from .kernels import cubic_spline_W
 
 __all__ = ["SPHState", "compute_density_knn", "density_from_neighbors"]
 
@@ -37,19 +37,14 @@ def density_from_neighbors(
     nbr_index: np.ndarray,
     nbr_dist_sq: np.ndarray,
     h: np.ndarray,
-    kernel: str = "cubic",
 ) -> np.ndarray:
-    """Kernel-weighted mass sum over given neighbour lists (+ self term).
-
-    ``kernel`` selects from :data:`repro.apps.sph.kernels.KERNELS`
-    ("cubic", "wendland_c2", "wendland_c4").
-    """
-    W, _ = KERNELS[kernel]
+    """Cubic-spline-weighted mass sum over given neighbour lists (+ self
+    term)."""
     mass = tree.particles.mass
     r = np.sqrt(nbr_dist_sq)
-    w = W(r, h[:, None])
+    w = cubic_spline_W(r, h[:, None])
     rho = np.einsum("nk,nk->n", mass[nbr_index], w)
-    rho += mass * W(np.zeros(len(h)), h)  # self contribution
+    rho += mass * cubic_spline_W(np.zeros(len(h)), h)  # self contribution
     return rho
 
 
@@ -58,7 +53,6 @@ def compute_density_knn(
     k: int = 32,
     eta: float = 1.001,
     targets: np.ndarray | None = None,
-    kernel: str = "cubic",
     backend=None,
 ) -> SPHState:
     """One kNN traversal → smoothing lengths and densities.
@@ -73,5 +67,5 @@ def compute_density_knn(
     # Degenerate protection: coincident particle piles can give d_k == 0.
     floor = 1e-12 * max(float(np.max(tree.box_hi[0] - tree.box_lo[0])), 1.0)
     h = np.maximum(h, floor)
-    rho = density_from_neighbors(tree, result.index, result.dist_sq, h, kernel=kernel)
+    rho = density_from_neighbors(tree, result.index, result.dist_sq, h)
     return SPHState(h=h, density=rho, neighbors=result, stats=result.stats)

@@ -25,21 +25,6 @@ from .kernels import cubic_spline_gradW_over_r
 __all__ = ["equation_of_state", "compute_pressure_forces"]
 
 
-def neighbour_pairs(tree: Tree, neighbors: KNNResult, h: np.ndarray):
-    """``(i, j, dvec, r, h_pair, gw)`` of every slot of the neighbour block,
-    row major: the particle and its neighbour (a ``-1`` slot gathers the
-    last particle; :func:`sum_rows` drops it), ``pos[i] - pos[j]``, its
-    length, the pair-mean smoothing length and ``(dW/dr)/r``."""
-    pos = tree.particles.position
-    n, k = neighbors.index.shape
-    i = np.repeat(np.arange(n), k)
-    j = neighbors.index.ravel()
-    dvec = pos[i] - pos[j]
-    r = np.linalg.norm(dvec, axis=1)
-    h_pair = 0.5 * (h[i] + h[j])
-    return i, j, dvec, r, h_pair, cubic_spline_gradW_over_r(r, h_pair)
-
-
 def sum_rows(terms: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Each particle's sum of its pair ``terms`` (one per slot of the
     ``(n, k)`` neighbour ``index`` block, row major), slot 0 first, added
@@ -87,8 +72,14 @@ def compute_pressure_forces(
     interaction antisymmetric up to list asymmetry, which is the standard
     treatment when neighbour lists are truncated at fixed k).
     """
-    mass = tree.particles.mass
-    i, j, dvec, _, _, gw = neighbour_pairs(tree, neighbors, h)
+    pos, mass = tree.particles.position, tree.particles.mass
+    # every slot of the neighbour block, row major; a -1 slot gathers the
+    # last particle and sum_rows drops it
+    n, k = neighbors.index.shape
+    i = np.repeat(np.arange(n), k)
+    j = neighbors.index.ravel()
+    dvec = pos[i] - pos[j]
+    gw = cubic_spline_gradW_over_r(np.linalg.norm(dvec, axis=1), 0.5 * (h[i] + h[j]))
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = -mass[j] * (
             pressure[i] / np.maximum(density[i], 1e-300) ** 2

@@ -1,29 +1,15 @@
 """SPH smoothing kernels.
 
-``h`` here is the kernel *support radius*: W(r >= h) = 0.  Normalisations
-are the standard 3-D ones, ∫ W dV = 1.  Three families are provided:
-
-* cubic spline (Monaghan & Lattanzio 1985) — the classic default;
-* Wendland C2 and C4 (Wendland 1995; Dehnen & Aly 2012) — positive-definite
-  kernels immune to the pairing instability at large neighbour counts.
-
-``KERNELS`` maps names to (W, gradW_over_r) pairs for the density and force
-modules.
+The cubic spline (Monaghan & Lattanzio 1985).  ``h`` here is the kernel
+*support radius*: W(r >= h) = 0.  The normalisation is the standard 3-D
+one, ∫ W dV = 1.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "cubic_spline_W",
-    "cubic_spline_gradW_over_r",
-    "wendland_c2_W",
-    "wendland_c2_gradW_over_r",
-    "wendland_c4_W",
-    "wendland_c4_gradW_over_r",
-    "KERNELS",
-]
+__all__ = ["cubic_spline_W", "cubic_spline_gradW_over_r"]
 
 _SIGMA3 = 8.0 / np.pi  # 3-D normalisation for support-radius convention
 
@@ -69,60 +55,3 @@ def cubic_spline_gradW_over_r(r: np.ndarray, h: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(outer, -6.0 * (1.0 - qb) ** 2 / (np.where(qb > 0, qb, 1.0) * hb**2), out)
     return _SIGMA3 / hb**3 * out
-
-
-def _q_and_shape(r, h):
-    r = np.asarray(r, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if np.any(h <= 0):
-        raise ValueError("smoothing length must be > 0")
-    shape = np.broadcast(r, h).shape
-    return np.broadcast_to(r / h, shape), np.broadcast_to(h, shape), shape
-
-
-_WC2_SIGMA = 21.0 / (2.0 * np.pi)
-
-
-def wendland_c2_W(r: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Wendland C2: W ∝ (1-q)⁴ (1+4q) within the support."""
-    q, hb, shape = _q_and_shape(r, h)
-    inside = q < 1.0
-    w = np.where(inside, (1.0 - q) ** 4 * (1.0 + 4.0 * q), 0.0)
-    return _WC2_SIGMA / hb**3 * w
-
-
-def wendland_c2_gradW_over_r(r: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """(dW/dr)/r for Wendland C2: dW/dq = -20 q (1-q)³."""
-    q, hb, shape = _q_and_shape(r, h)
-    inside = q < 1.0
-    # dW/dr / r = sigma/h^3 * dW/dq / (h * q h) = sigma/h^5 * (dW/dq)/q
-    # (dW/dq)/q = -20 (1-q)^3, finite at q = 0.
-    val = np.where(inside, -20.0 * (1.0 - q) ** 3, 0.0)
-    return _WC2_SIGMA / hb**5 * val
-
-
-_WC4_SIGMA = 495.0 / (32.0 * np.pi)
-
-
-def wendland_c4_W(r: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Wendland C4: W ∝ (1-q)⁶ (1 + 6q + 35q²/3)."""
-    q, hb, shape = _q_and_shape(r, h)
-    inside = q < 1.0
-    w = np.where(inside, (1.0 - q) ** 6 * (1.0 + 6.0 * q + (35.0 / 3.0) * q**2), 0.0)
-    return _WC4_SIGMA / hb**3 * w
-
-
-def wendland_c4_gradW_over_r(r: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """(dW/dr)/r for Wendland C4: (dW/dq)/q = -(56/3)(1-q)⁵(1+5q)."""
-    q, hb, shape = _q_and_shape(r, h)
-    inside = q < 1.0
-    val = np.where(inside, -(56.0 / 3.0) * (1.0 - q) ** 5 * (1.0 + 5.0 * q), 0.0)
-    return _WC4_SIGMA / hb**5 * val
-
-
-#: name -> (W, gradW_over_r)
-KERNELS = {
-    "cubic": (cubic_spline_W, cubic_spline_gradW_over_r),
-    "wendland_c2": (wendland_c2_W, wendland_c2_gradW_over_r),
-    "wendland_c4": (wendland_c4_W, wendland_c4_gradW_over_r),
-}

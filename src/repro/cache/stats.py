@@ -125,11 +125,6 @@ class FetchStats:
         return float(np.maximum(self.touches - self.unique_fetches, 0.0).sum())
 
     @property
-    def hit_rate(self) -> float:
-        t = self.touches.sum()
-        return float(self.total_hits / t) if t else 0.0
-
-    @property
     def duplication_factor(self) -> float:
         u = self.unique_fetches.sum()
         return float(self.requests.sum() / u) if u else 1.0

@@ -8,7 +8,7 @@ Driver subclass that configures the run and starts traversals — see
 """
 
 from .config import Configuration
-from .data import AdditiveArrayData, Data, accumulate_data, extract_additive
+from .data import Data, accumulate_data
 from .driver import Driver, IterationObserver, IterationReport, Partitions
 from .traverser import (
     BucketLoadRecorder,
@@ -27,15 +27,12 @@ from .batched import BatchedTraverser
 from .topdown import PerBucketTraverser, TransposedTraverser
 from .upanddown import UpAndDownTraverser
 from .dualtree import DualTreeTraverser
-from .priority import PriorityTraverser
 from .util import ranges_to_indices, segment_sums
 
 __all__ = [
     "Configuration",
     "Data",
-    "AdditiveArrayData",
     "accumulate_data",
-    "extract_additive",
     "Driver",
     "IterationReport",
     "IterationObserver",
@@ -54,7 +51,6 @@ __all__ = [
     "BatchedTraverser",
     "UpAndDownTraverser",
     "DualTreeTraverser",
-    "PriorityTraverser",
     "ranges_to_indices",
     "segment_sums",
 ]

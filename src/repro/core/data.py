@@ -9,26 +9,15 @@ implementing the :class:`Data` protocol.
 Because the builders append children after their parents, node index order
 is a valid topological order, and a single reverse sweep performs the full
 leaves-to-root accumulation.
-
-For hot paths there is also :class:`AdditiveArrayData`: a declarative
-variant where the state is a set of per-particle reductions (sums of
-functions of particle fields).  Since particles are stored in tree order and
-every node owns a contiguous slice, such data can be extracted with two
-prefix-sum passes and *no* per-node Python work — this is the fast path the
-gravity application uses, and it is tested to agree exactly with the generic
-engine.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Protocol, Sequence, TypeVar, runtime_checkable
-
-import numpy as np
+from typing import Any, Protocol, TypeVar, runtime_checkable
 
 from ..trees import SpatialNode, Tree
-from .util import segment_sums
 
-__all__ = ["Data", "accumulate_data", "AdditiveArrayData", "extract_additive"]
+__all__ = ["Data", "accumulate_data"]
 
 
 @runtime_checkable
@@ -79,49 +68,3 @@ def accumulate_data(tree: Tree, data_cls: type[D]) -> list[D]:
         data[parent[i]] = d
     tree.data = data
     return data
-
-
-class AdditiveArrayData:
-    """Declarative, vectorised Data for purely additive node state.
-
-    Subclasses declare ``moments()``: a mapping from moment name to a
-    function of the (tree-ordered) particle set returning an (N,) or (N, k)
-    array.  The per-node value of each moment is the *sum* of the function
-    over the node's particles.  Derived quantities (centroids, radii) are
-    computed afterwards in :meth:`finalize`.
-
-    This is semantically identical to a Data class whose ``from_leaf`` sums
-    the same functions over the bucket and whose ``+=`` adds them — the test
-    suite checks that equivalence — but runs as two prefix sums.
-    """
-
-    #: dict of {name: callable(particles) -> array}; set by subclasses.
-    @classmethod
-    def moments(cls) -> dict[str, Callable]:
-        raise NotImplementedError
-
-    @classmethod
-    def finalize(cls, tree: Tree, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Derive non-additive quantities from the summed moments."""
-        return arrays
-
-
-def extract_additive(tree: Tree, data_cls: type[AdditiveArrayData]) -> dict[str, np.ndarray]:
-    """Compute per-node arrays for an :class:`AdditiveArrayData` subclass."""
-    arrays: dict[str, np.ndarray] = {}
-    for name, fn in data_cls.moments().items():
-        values = np.asarray(fn(tree.particles), dtype=np.float64)
-        arrays[name] = segment_sums(values, tree.pstart, tree.pend)
-    return data_cls.finalize(tree, arrays)
-
-
-def combine_sequence(data_cls: type[D], items: Sequence[D]) -> D:
-    """Fold ``+=`` over a sequence starting from the empty state.
-
-    Utility used by the Partitions-Subtrees merge step and by tests probing
-    associativity of user Data classes.
-    """
-    acc = data_cls.empty()
-    for item in items:
-        acc += item
-    return acc

@@ -29,8 +29,6 @@ explicitly; everything else takes ``Configuration.traverser``.  The others:
   finished targets between rounds.
 * :class:`~repro.core.dualtree.DualTreeTraverser` — node-node interactions
   controlled by ``cell()``.
-* :class:`~repro.core.priority.PriorityTraverser` — best-first, one pair at
-  a time.
 
 All engines produce identical Visitor callback *sets* (same interactions,
 possibly different order/batching) — the equivalence tests rely on that.
@@ -110,8 +108,8 @@ class Recorder:
     into calls is the schedule's: the frontier walk hands over one
     target-major level of a segment per call, ``transposed`` one source node
     (broadcast) against the targets still interested in it, ``dual-tree``
-    and ``priority`` one pair.  The arrays belong to the engine: a recorder
-    may keep them but must not write to them.
+    one pair.  The arrays belong to the engine: a recorder may keep them but
+    must not write to them.
     """
 
     def on_open_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
@@ -303,8 +301,8 @@ _TOP_DOWN: list[str] = []
 
 
 def register_traverser(name: str, cls: type[Traverser], top_down: bool = False) -> None:
-    """Register a traversal strategy (users may add e.g. priority-driven
-    traversals for ray tracing, as the paper suggests).  ``top_down`` lists
+    """Register a traversal strategy (users may add their own, as the paper
+    suggests).  ``top_down`` lists
     it among the engines ``Configuration.traverser`` / ``--traverser`` may
     name: interchangeable walks of one (source, target-bucket) pair set."""
     _TRAVERSERS[name] = cls

@@ -74,9 +74,9 @@ class Visitor:
         return True
 
     def done(self, target: SpatialNode) -> bool:
-        """Early exit: True stops ``target``'s walk (consulted between
-        expansions by the priority engine and, through ``done_targets``,
-        between rounds by up-and-down).  Default: never stop early."""
+        """Early exit: True stops ``target``'s walk (consulted through
+        ``done_targets`` between rounds by up-and-down).  Default: never
+        stop early."""
         return False
 
     # -- pair form (what the engines call); default: the scalar form, pair by

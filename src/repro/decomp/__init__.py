@@ -30,7 +30,6 @@ from .loadbalance import (
     imbalance,
     sfc_rebalance,
     spatial_bisection_rebalance,
-    apply_rebalance,
 )
 
 __all__ = [
@@ -51,5 +50,4 @@ __all__ = [
     "imbalance",
     "sfc_rebalance",
     "spatial_bisection_rebalance",
-    "apply_rebalance",
 ]

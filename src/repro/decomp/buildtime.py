@@ -51,11 +51,6 @@ class BuildTimes:
     sync_time: float      # merge reduction (traditional) / leaf share (P-S)
     sync_bytes: float
 
-    @property
-    def total(self) -> float:
-        return self.local_build + self.sync_time
-
-
 def estimate_build_times(
     tree: Tree,
     particle_partition: np.ndarray,

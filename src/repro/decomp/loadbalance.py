@@ -9,8 +9,8 @@ Two built-in strategies, both adopted from the ChaNGa/Charm++ lineage:
   recursively in 3D space": orthogonal recursive bisection with measured
   weights.
 
-Both return a fresh per-particle partition assignment;
-:func:`apply_rebalance` rewires an existing :class:`Decomposition`.
+Both return a fresh per-particle partition assignment; ``decompose`` with
+it and the same tree rewires the Partitions and leaves the Subtrees alone.
 The paper reports these reduce the 1536-core gravity runtime by ~26 %
 (with the evaluation otherwise run LB-off); the ablation bench
 reproduces that contrast through the DES.
@@ -22,11 +22,9 @@ import numpy as np
 
 from ..geometry import morton_keys
 from ..particles import ParticleSet
-from .partitions import Decomposition, decompose
 from .splitters import LongestDimDecomposer, _weighted_contiguous_slices
 
-__all__ = ["imbalance", "sfc_rebalance", "spatial_bisection_rebalance",
-           "LB_STRATEGIES", "apply_rebalance"]
+__all__ = ["imbalance", "sfc_rebalance", "spatial_bisection_rebalance", "LB_STRATEGIES"]
 
 
 def imbalance(loads: np.ndarray) -> float:
@@ -65,17 +63,3 @@ def spatial_bisection_rebalance(
 
 #: ``Configuration.lb_strategy`` -> strategy
 LB_STRATEGIES = {"sfc": sfc_rebalance, "spatial": spatial_bisection_rebalance}
-
-
-def apply_rebalance(
-    decomp: Decomposition, new_particle_partition: np.ndarray
-) -> Decomposition:
-    """Rebuild the Partitions view of an existing decomposition with a new
-    assignment (the Subtrees — and hence the tree — are untouched: in the
-    Partitions-Subtrees model load moves without moving memory)."""
-    return decompose(
-        decomp.tree,
-        new_particle_partition,
-        n_subtrees=len(decomp.subtrees),
-        n_processes=decomp.n_processes,
-    )

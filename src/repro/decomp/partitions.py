@@ -85,14 +85,6 @@ class Partition:
                                          self.bucket_end, self.bucket_split)
         ]
 
-    @property
-    def n_particles(self) -> int:
-        return int((self.bucket_end - self.bucket_start).sum())
-
-    @property
-    def leaf_ids(self) -> np.ndarray:
-        return np.unique(self.bucket_leaf)
-
     def particle_indices(self) -> np.ndarray:
         """Tree-order indices of every local bucket's particles, bucket by bucket."""
         from ..core.util import ranges_to_indices  # repro.core imports repro.decomp
@@ -115,11 +107,6 @@ class Subtree:
     pstart: int
     pend: int
     process: int = 0
-
-    @property
-    def n_particles(self) -> int:
-        return self.pend - self.pstart
-
 
 @dataclass
 class Decomposition:

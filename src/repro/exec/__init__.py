@@ -27,7 +27,6 @@ every (engine × backend × worker-count) combination.
 """
 
 from .backend import (
-    BACKEND_NAMES,
     ExecutionBackend,
     SerialBackend,
     get_backend,
@@ -40,7 +39,6 @@ from .threads import ThreadBackend
 from .processes import ProcessBackend
 
 __all__ = [
-    "BACKEND_NAMES",
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",

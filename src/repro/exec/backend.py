@@ -33,7 +33,6 @@ __all__ = [
     "SerialBackend",
     "get_backend",
     "register_backend",
-    "BACKEND_NAMES",
 ]
 
 
@@ -265,10 +264,6 @@ class ExecutionBackend:
             tel.metrics.latency("exec.task.latency", backend=self.name).merge(merged)
         self.last_latency = merged if merged.count else None
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(workers={self.workers})"
-
-
 class SerialBackend(ExecutionBackend):
     """The seed path: one chunk, calling thread, no pools.
 
@@ -306,11 +301,6 @@ def get_backend(name: str, workers: int | None = None, **opts: Any) -> Execution
             f"unknown execution backend {name!r}; available: {sorted(_BACKENDS)}"
         ) from None
     return cls(workers=workers, **opts)
-
-
-def BACKEND_NAMES() -> list[str]:
-    """Registered backend names, sorted."""
-    return sorted(_BACKENDS)
 
 
 register_backend(SerialBackend.name, SerialBackend)

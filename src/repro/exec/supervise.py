@@ -83,10 +83,6 @@ class SupervisorConfig:
         if self.deadline_factor <= 0 or self.min_deadline <= 0:
             raise ValueError("deadline_factor and min_deadline must be > 0")
 
-    def with_(self, **changes) -> "SupervisorConfig":
-        return replace(self, **changes)
-
-
 @dataclass
 class SupervisionStats:
     """What the supervisor had to do during one (or more) runs."""

@@ -33,7 +33,7 @@ from __future__ import annotations
 import os
 import signal
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,9 +89,6 @@ class ExecFaultPlan:
     def any_faults(self) -> bool:
         return any(p > 0 for p in (self.chunk_error, self.worker_hang, self.worker_kill))
 
-    def with_(self, **changes) -> "ExecFaultPlan":
-        return replace(self, **changes)
-
     def _fires(self, class_tag: int, prob: float, chunk: int, attempt: int) -> bool:
         if prob <= 0.0:
             return False
@@ -134,15 +131,6 @@ class ExecFaultPlan:
         raise ExecFaultError(
             f"injected chunk error (chunk {chunk}, attempt {attempt})"
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "chunk_error": self.chunk_error,
-            "worker_hang": self.worker_hang,
-            "hang_time": self.hang_time,
-            "worker_kill": self.worker_kill,
-        }
 
     def describe(self) -> str:
         """The plan back in spec-grammar form (round-trips through

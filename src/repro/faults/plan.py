@@ -42,7 +42,7 @@ Grammar (comma-separated ``key=value`` pairs, all optional):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..cache.models import RetryPolicy
 
@@ -92,37 +92,6 @@ class FaultPlan:
             )
         if self.crash_restart < 0:
             raise ValueError(f"crash_restart must be >= 0, got {self.crash_restart}")
-
-    @property
-    def any_faults(self) -> bool:
-        """True when at least one fault class can actually fire."""
-        return any(
-            p > 0
-            for p in (
-                self.drop, self.duplicate, self.jitter, self.fill_failure,
-                self.straggler_fraction, self.crash,
-            )
-        )
-
-    def with_(self, **changes) -> "FaultPlan":
-        """A copy with some fields replaced (plans are frozen)."""
-        return replace(self, **changes)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "drop": self.drop,
-            "duplicate": self.duplicate,
-            "jitter": self.jitter,
-            "fill_failure": self.fill_failure,
-            "straggler_fraction": self.straggler_fraction,
-            "straggler_slowdown": self.straggler_slowdown,
-            "crash": self.crash,
-            "crash_restart": self.crash_restart,
-            "max_attempts": self.retry.max_attempts,
-            "timeout_factor": self.retry.timeout_factor,
-            "backoff": self.retry.backoff,
-        }
 
     def describe(self) -> str:
         """The plan back in spec-grammar form (round-trips through

@@ -9,9 +9,9 @@ drop-in alternative (``decomp_type="hilbert"``).
 
 Implementation: John Skilling, "Programming the Hilbert curve", AIP Conf.
 Proc. 707 (2004).  Coordinates are mutated in place to the "transposed"
-Hilbert representation and then bit-interleaved; the inverse applies the
-steps backwards.  All operations are vectorised over the particle arrays
-with uint64 bit arithmetic; the per-bit loop runs ``HILBERT_BITS`` times.
+Hilbert representation and then bit-interleaved.  All operations are
+vectorised over the particle arrays with uint64 bit arithmetic; the per-bit
+loop runs ``HILBERT_BITS`` times.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .box import Box3
 from .morton import MORTON_BITS, MORTON_MAX_COORD, morton_encode, normalize_to_grid
 
-__all__ = ["HILBERT_BITS", "hilbert_encode", "hilbert_decode", "hilbert_keys"]
+__all__ = ["HILBERT_BITS", "hilbert_encode", "hilbert_keys"]
 
 #: Bits of resolution per dimension (same grid as the Morton keys).
 HILBERT_BITS = MORTON_BITS
@@ -61,33 +61,6 @@ def _axes_to_transpose(x: np.ndarray, y: np.ndarray, z: np.ndarray):
     return X
 
 
-def _transpose_to_axes(X: list[np.ndarray]):
-    """Inverse Skilling transform: transposed Hilbert -> grid coords."""
-    X = [x.astype(np.uint64).copy() for x in X]
-    one = np.uint64(1)
-    N = np.uint64(2) << np.uint64(HILBERT_BITS - 1)
-
-    # Gray decode by H ^ (H/2).
-    t = X[2] >> one
-    for i in range(2, 0, -1):
-        X[i] ^= X[i - 1]
-    X[0] ^= t
-
-    # Undo excess work.
-    Q = np.uint64(2)
-    while Q != N:
-        P = Q - one
-        for i in range(2, -1, -1):
-            swap = (X[i] & Q) != 0
-            X[0] = np.where(swap, X[0] ^ P, X[0])
-            t = (X[0] ^ X[i]) & P
-            t = np.where(swap, np.uint64(0), t)
-            X[0] ^= t
-            X[i] ^= t
-        Q <<= one
-    return X
-
-
 def hilbert_encode(ix: np.ndarray, iy: np.ndarray, iz: np.ndarray) -> np.ndarray:
     """Hilbert keys for integer grid coordinates -> (N,) uint64.
 
@@ -107,15 +80,6 @@ def hilbert_encode(ix: np.ndarray, iy: np.ndarray, iz: np.ndarray) -> np.ndarray
     # In the transposed form, bit b of X[0] X[1] X[2] (in that order) makes
     # up the b-th most significant key triple.
     return morton_encode(X[2], X[1], X[0])
-
-
-def hilbert_decode(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of :func:`hilbert_encode`."""
-    from .morton import morton_decode
-
-    k2, k1, k0 = morton_decode(np.asarray(keys, dtype=np.uint64))
-    X = _transpose_to_axes([k0, k1, k2])
-    return X[0], X[1], X[2]
 
 
 def hilbert_keys(points: np.ndarray, box: Box3) -> np.ndarray:

@@ -7,8 +7,8 @@ that fit in ``uint64`` with the top bit spare (the classic "hashed oct-tree"
 layout: the key of an octree node is a prefix of the keys of the particles it
 contains).
 
-Both encode and decode are fully vectorised with the magic-bits bit-spreading
-trick; no Python-level loops over particles.
+Encoding is fully vectorised with the magic-bits bit-spreading trick; no
+Python-level loops over particles.
 """
 
 from __future__ import annotations
@@ -21,11 +21,8 @@ __all__ = [
     "MORTON_BITS",
     "MORTON_MAX_COORD",
     "morton_encode",
-    "morton_decode",
     "morton_keys",
     "normalize_to_grid",
-    "morton_ancestor_key",
-    "keys_in_node",
 ]
 
 #: Bits of resolution per dimension.
@@ -54,14 +51,6 @@ def _part1by2(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _compact1by2(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_part1by2`."""
-    x = x.astype(np.uint64) & _MASKS[-1]
-    for shift, mask in zip(reversed(_SHIFTS), reversed(_MASKS[:-1])):
-        x = (x | (x >> np.uint64(shift))) & mask
-    return x
-
-
 def morton_encode(ix: np.ndarray, iy: np.ndarray, iz: np.ndarray) -> np.ndarray:
     """Interleave three integer grid coordinates into Morton keys.
 
@@ -75,16 +64,6 @@ def morton_encode(ix: np.ndarray, iy: np.ndarray, iz: np.ndarray) -> np.ndarray:
     ):
         raise ValueError(f"grid coordinates exceed {MORTON_BITS}-bit range")
     return _part1by2(ix) | (_part1by2(iy) << np.uint64(1)) | (_part1by2(iz) << np.uint64(2))
-
-
-def morton_decode(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Recover the (ix, iy, iz) grid coordinates from Morton keys."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    return (
-        _compact1by2(keys),
-        _compact1by2(keys >> np.uint64(1)),
-        _compact1by2(keys >> np.uint64(2)),
-    )
 
 
 def normalize_to_grid(points: np.ndarray, box: Box3) -> np.ndarray:
@@ -105,21 +84,3 @@ def morton_keys(points: np.ndarray, box: Box3) -> np.ndarray:
     """Morton key of each point in the universe ``box`` -> (N,) uint64."""
     grid = normalize_to_grid(points, box)
     return morton_encode(grid[:, 0], grid[:, 1], grid[:, 2])
-
-
-def morton_ancestor_key(keys: np.ndarray, level: int) -> np.ndarray:
-    """Key prefix identifying the octree node at ``level`` containing each key.
-
-    Level 0 is the root (all particles share prefix 0); each level consumes
-    3 bits from the top of the 63-bit key.
-    """
-    if not 0 <= level <= MORTON_BITS:
-        raise ValueError(f"level must be in [0, {MORTON_BITS}], got {level}")
-    shift = np.uint64(3 * (MORTON_BITS - level))
-    return np.asarray(keys, dtype=np.uint64) >> shift
-
-
-def keys_in_node(keys: np.ndarray, node_key: int, level: int) -> np.ndarray:
-    """Boolean mask of which (sorted or unsorted) keys fall under the octree
-    node identified by ``(node_key, level)``."""
-    return morton_ancestor_key(keys, level) == np.uint64(node_key)

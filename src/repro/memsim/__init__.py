@@ -12,8 +12,8 @@ have no PMU, so we rebuild the mechanism:
    accumulators) to cache-line addresses via an explicit data layout
    (:class:`~repro.memsim.trace.DataLayout`);
 3. replay the line stream through set-associative LRU L1D/L2/L3 models with
-   the Skylake-SKX geometry of the paper's Stampede2 node
-   (:func:`~repro.memsim.hierarchy.skx_hierarchy`).
+   the Skylake-SKX geometry of the paper's Stampede2 node (the
+   :class:`~repro.memsim.hierarchy.CacheHierarchy` defaults).
 
 Absolute access counts are line-granular (the paper's PMU counts are
 instruction-granular and ~10³× larger); the reproduced quantities are the
@@ -21,7 +21,7 @@ instruction-granular and ~10³× larger); the reproduced quantities are the
 """
 
 from .cache import CacheLevel, CacheStats
-from .hierarchy import CacheHierarchy, HierarchyStats, skx_hierarchy
+from .hierarchy import CacheHierarchy, HierarchyStats
 from .trace import DataLayout, MemoryTraceRecorder, replay_trace
 from .profile import CacheProfile, profile_traversal_style
 
@@ -30,7 +30,6 @@ __all__ = [
     "CacheStats",
     "CacheHierarchy",
     "HierarchyStats",
-    "skx_hierarchy",
     "DataLayout",
     "MemoryTraceRecorder",
     "replay_trace",

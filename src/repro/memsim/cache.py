@@ -38,16 +38,6 @@ class CacheStats:
             self.store_misses + other.store_misses,
         )
 
-    def as_dict(self) -> dict[str, int]:
-        """Plain counters, ready for the telemetry metrics registry."""
-        return {
-            "load_accesses": self.load_accesses,
-            "load_misses": self.load_misses,
-            "store_accesses": self.store_accesses,
-            "store_misses": self.store_misses,
-        }
-
-
 class CacheLevel:
     """One cache level: ``size_bytes`` / ``ways`` / ``line_size`` geometry,
     true LRU replacement, write-allocate (stores behave like loads for
@@ -93,10 +83,6 @@ class CacheLevel:
         if len(s) > self.ways:
             s.pop(0)
         return False
-
-    def reset(self) -> None:
-        self._sets = [[] for _ in range(self.n_sets)]
-        self.stats = CacheStats()
 
     def contents(self) -> set[int]:
         """All resident line addresses (for inclusion/sanity tests)."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .cache import CacheLevel, CacheStats
 
-__all__ = ["CacheHierarchy", "HierarchyStats", "skx_hierarchy"]
+__all__ = ["CacheHierarchy", "HierarchyStats"]
 
 
 @dataclass
@@ -77,9 +77,3 @@ class CacheHierarchy:
             l1 = l1.merged(a.stats)
             l2 = l2.merged(b.stats)
         return HierarchyStats(l1=l1, l2=l2, l3=self.l3.stats)
-
-
-def skx_hierarchy(n_cpus: int) -> CacheHierarchy:
-    """The paper's SKX node: 32 KB/8-way L1D, 1 MB/16-way L2, 33 MB/11-way
-    shared L3 (size rounded down to a valid 11-way geometry)."""
-    return CacheHierarchy(n_cpus=n_cpus)

@@ -43,10 +43,6 @@ class CacheProfile:
     l3_store_miss_rate: float
     runtime_estimate_s: float
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.__dict__)
-
-
 @traced("memsim.profile", cat="memsim")
 def profile_traversal_style(
     tree: Tree,

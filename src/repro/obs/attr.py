@@ -162,12 +162,6 @@ class AttributionRecorder:
             setattr(self, name, state[name])
         self._counts = None
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"AttributionRecorder(n_nodes={self.n_nodes}, "
-                f"visits={int(self.visits.sum())}, "
-                f"pp={int(self.pp_pairs.sum())})")
-
-
 @dataclass
 class AttributionProfile:
     """One iteration's attribution: raw arrays plus reporting context.

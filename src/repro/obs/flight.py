@@ -51,10 +51,6 @@ class FlightRecorder:
         self._armed_path: Path | None = None
         self._crash_dumped = False
 
-    @property
-    def enabled(self) -> bool:
-        return True
-
     def record(self, kind: str, **detail: Any) -> None:
         """Append one event; O(1), never raises on a full buffer."""
         self.recorded += 1
@@ -70,9 +66,6 @@ class FlightRecorder:
     def snapshot(self) -> list[tuple[float, str, dict[str, Any]]]:
         """Oldest-first copy of the current buffer contents."""
         return list(self._ring)
-
-    def clear(self) -> None:
-        self._ring.clear()
 
     # -- dumping -------------------------------------------------------------
     def to_dict(self, reason: str = "manual") -> dict[str, Any]:
@@ -116,10 +109,6 @@ class NullFlightRecorder:
 
     __slots__ = ()
 
-    @property
-    def enabled(self) -> bool:
-        return False
-
     def record(self, kind: str, **detail: Any) -> None:
         pass
 
@@ -136,9 +125,6 @@ class NullFlightRecorder:
 
     def snapshot(self) -> list:
         return []
-
-    def clear(self) -> None:
-        pass
 
     def arm(self, path) -> None:
         pass

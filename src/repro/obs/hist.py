@@ -196,7 +196,3 @@ class Log2Histogram:
         out.max = float(doc["max"]) if doc.get("max") is not None else -math.inf
         return out
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"Log2Histogram(count={self.count}, mean={self.mean:.3g}, "
-                f"p99={self.quantile(0.99):.3g})" if self.count
-                else "Log2Histogram(empty)")

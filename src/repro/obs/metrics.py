@@ -71,9 +71,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
     def snapshot(self) -> dict[str, Any]:
         return {"name": self.name, "type": self.kind,
                 "labels": dict(self.labels), "value": self.value}
@@ -127,8 +124,8 @@ class Latency:
     """Mergeable log₂-bucketed latency distribution with quantiles.
 
     A thin instrument wrapper around :class:`~repro.obs.hist.Log2Histogram`;
-    worker-side forks (from :meth:`fork`) merge back deterministically via
-    :meth:`merge`, which is how the parallel exec backends reduce
+    worker-side histograms (from :meth:`Log2Histogram.fork`) merge back
+    deterministically via :meth:`merge`, which is how the parallel exec backends reduce
     per-worker timings recorded on worker clocks."""
 
     kind = "latency"
@@ -145,29 +142,15 @@ class Latency:
     def observe_many(self, values) -> None:
         self.hist.observe_many(values)
 
-    def fork(self) -> Log2Histogram:
-        return self.hist.fork()
-
     def merge(self, other: Log2Histogram) -> None:
         self.hist.merge(other.hist if isinstance(other, Latency) else other)
 
     def quantile(self, q: float) -> float:
         return self.hist.quantile(q)
 
-    def quantiles(self) -> dict[str, float]:
-        return self.hist.quantiles()
-
     @property
     def count(self) -> int:
         return self.hist.count
-
-    @property
-    def sum(self) -> float:
-        return self.hist.sum
-
-    @property
-    def mean(self) -> float:
-        return self.hist.mean
 
     def snapshot(self) -> dict[str, Any]:
         return {"name": self.name, "type": self.kind,
@@ -306,17 +289,11 @@ class _NullInstrument:
     def observe_many(self, values) -> None:
         pass
 
-    def fork(self) -> None:
-        return None
-
     def merge(self, other) -> None:
         pass
 
     def quantile(self, q: float) -> float:
         return 0.0
-
-    def quantiles(self) -> dict:
-        return {}
 
 
 _NULL_INSTRUMENT = _NullInstrument()
@@ -352,9 +329,6 @@ class NullMetricsRegistry:
         pass
 
     def absorb_fetch_stats(self, fs, **labels: Any) -> None:
-        pass
-
-    def absorb_cache_stats(self, stats, level: str, **labels: Any) -> None:
         pass
 
     def absorb_fault_counters(self, counters, **labels: Any) -> None:

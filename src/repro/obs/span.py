@@ -51,11 +51,6 @@ class Span:
         self.depth = 0
         self.span_id = 0
 
-    @property
-    def duration(self) -> float:
-        """Seconds between enter and exit (valid once closed)."""
-        return self.end - self.start
-
     def __enter__(self) -> "Span":
         tracer = self.tracer
         self.depth = len(tracer._stack)
@@ -216,11 +211,6 @@ class Tracer:
         """All closed events with the given name (for tests/reports)."""
         return [e for e in self.events if e["name"] == name]
 
-    def clear(self) -> None:
-        self.events.clear()
-        self._stack.clear()
-
-
 class _NullSpan:
     """Shared do-nothing context manager."""
 
@@ -268,9 +258,5 @@ class NullTracer:
 
     def find(self, name: str) -> list:
         return []
-
-    def clear(self) -> None:
-        pass
-
 
 NULL_TRACER = NullTracer()

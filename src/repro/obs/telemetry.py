@@ -57,13 +57,6 @@ class Telemetry:
         """Shortcut for ``self.tracer.span(...)``."""
         return self.tracer.span(name, cat=cat, **args)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Telemetry(enabled={self.enabled}, "
-            f"events={len(self.tracer.events)}, metrics={len(self.metrics)})"
-        )
-
-
 NULL_TELEMETRY = Telemetry(enabled=False)
 
 _current: Telemetry = NULL_TELEMETRY

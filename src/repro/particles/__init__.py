@@ -11,7 +11,6 @@ from .generators import (
     generate,
 )
 from .io import SnapshotError, save_particles, load_particles
-from .tipsy import save_tipsy, load_tipsy
 
 __all__ = [
     "ParticleSet",
@@ -25,6 +24,4 @@ __all__ = [
     "SnapshotError",
     "save_particles",
     "load_particles",
-    "save_tipsy",
-    "load_tipsy",
 ]

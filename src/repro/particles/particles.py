@@ -10,8 +10,6 @@ can be scattered back to input order.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from ..geometry import Box3, bounding_box
@@ -119,14 +117,6 @@ class ParticleSet:
     def __len__(self) -> int:
         return len(self._fields["position"])
 
-    def __iter__(self) -> Iterator[dict]:  # pragma: no cover - convenience
-        for i in range(len(self)):
-            yield {k: v[i] for k, v in self._fields.items()}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        extra = [k for k in self._fields if k not in _CORE_FIELDS + ("orig_index",)]
-        return f"ParticleSet(n={len(self)}, extra_fields={extra})"
-
     # -- geometry ------------------------------------------------------------
     def bounding_box(self, pad_rel: float = 1e-6) -> Box3:
         """Universe box: tight bounds padded by a relative margin so every
@@ -140,10 +130,6 @@ class ParticleSet:
     @property
     def total_mass(self) -> float:
         return float(self._fields["mass"].sum())
-
-    def center_of_mass(self) -> np.ndarray:
-        m = self._fields["mass"]
-        return (m[:, None] * self._fields["position"]).sum(axis=0) / m.sum()
 
     # -- reordering / selection ----------------------------------------------
     def permuted(self, order: np.ndarray) -> "ParticleSet":

@@ -91,24 +91,6 @@ class ComparisonResult:
     def exit_code(self) -> int:
         return 0 if self.passed else 1
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "passed": self.passed,
-            "rel_floor": self.rel_floor,
-            "k_iqr": self.k_iqr,
-            "regressions": [d.id for d in self.regressions],
-            "improvements": [d.id for d in self.improvements],
-            "missing": list(self.missing),
-            "added": list(self.added),
-            "errored": list(self.errored),
-            "warnings": list(self.warnings),
-            "deltas": [
-                {"id": d.id, "base_median": d.base_median, "new_median": d.new_median,
-                 "ratio": d.ratio, "threshold": d.threshold, "verdict": d.verdict}
-                for d in self.deltas
-            ],
-        }
-
     def format(self) -> str:
         """Console rendering."""
         lines = [f"{'benchmark':<28} {'base ms':>10} {'new ms':>10} "

@@ -71,11 +71,6 @@ class CPNode:
         self.resource = resource
         self.preds = preds
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"CPNode({self.id}, {self.label!r}, {self.kind}, "
-                f"[{self.start:.3g}, {self.end:.3g}], {self.resource!r})")
-
-
 class CPRecorder:
     """Append-only event graph; the DES adds a node per resolved activity.
 

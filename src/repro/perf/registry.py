@@ -103,10 +103,6 @@ class BenchmarkRegistry:
     def __len__(self) -> int:
         return len(self._defs)
 
-    def __contains__(self, bench_id: str) -> bool:
-        return bench_id in self._defs
-
-
 _REGISTRY = BenchmarkRegistry()
 
 

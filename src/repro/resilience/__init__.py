@@ -43,12 +43,8 @@ from .buddy import BuddyStore
 from .interrupt import RunInterrupted, graceful_interrupts
 from .recovery import CrashRecovery, RecoveryReport
 from .audit import (
-    ConsistencyError,
-    assert_consistent,
-    audit_checkpoints,
     audit_restore,
     audit_state_files,
-    compare_checkpoints,
 )
 
 __all__ = [
@@ -69,10 +65,6 @@ __all__ = [
     "graceful_interrupts",
     "CrashRecovery",
     "RecoveryReport",
-    "ConsistencyError",
-    "assert_consistent",
-    "audit_checkpoints",
     "audit_restore",
     "audit_state_files",
-    "compare_checkpoints",
 ]

@@ -6,12 +6,12 @@ Two layers:
   particle arrays well-formed (finite positions, consistent leading
   dimension, unique original labels) and, once a tree exists,
   :func:`~repro.trees.validate.check_tree_invariants`.
-* :func:`audit_checkpoints` / :func:`audit_state_files` — the
-  cross-checkpoint audit: two archives (checkpoints or particle
-  snapshots) compared entry-for-entry at the byte level.  This is the
-  property every other resilience layer rests on — a run checkpointed at
-  iteration *k* and resumed must be *bit-identical* to the uninterrupted
-  baseline, and "close enough" is indistinguishable from a restart bug.
+* :func:`audit_state_files` — the cross-checkpoint audit: two archives
+  (checkpoints or particle snapshots) compared entry-for-entry at the byte
+  level.  This is the property every other resilience layer rests on — a
+  run checkpointed at iteration *k* and resumed must be *bit-identical* to
+  the uninterrupted baseline, and "close enough" is indistinguishable from
+  a restart bug.
 """
 
 from __future__ import annotations
@@ -21,20 +21,11 @@ import os
 import numpy as np
 
 from ..trees.validate import check_tree_invariants
-from .checkpoint import Checkpoint, load_checkpoint
 
 __all__ = [
-    "ConsistencyError",
     "audit_restore",
-    "assert_consistent",
-    "compare_checkpoints",
-    "audit_checkpoints",
     "audit_state_files",
 ]
-
-
-class ConsistencyError(AssertionError):
-    """A restored or recovered run failed its consistency audit."""
 
 
 def audit_restore(driver, check_boxes: bool = True) -> list[str]:
@@ -83,14 +74,6 @@ def audit_restore(driver, check_boxes: bool = True) -> list[str]:
     return problems
 
 
-def assert_consistent(driver, check_boxes: bool = True) -> None:
-    """Raise :class:`ConsistencyError` when :func:`audit_restore` finds
-    anything."""
-    problems = audit_restore(driver, check_boxes=check_boxes)
-    if problems:
-        raise ConsistencyError("; ".join(problems))
-
-
 def _compare_arrays(name: str, a: np.ndarray, b: np.ndarray) -> list[str]:
     if a.dtype != b.dtype:
         return [f"{name}: dtype {a.dtype} != {b.dtype}"]
@@ -102,43 +85,6 @@ def _compare_arrays(name: str, a: np.ndarray, b: np.ndarray) -> list[str]:
         ))
         return [f"{name}: {mismatch} of {a.size} elements differ"]
     return []
-
-
-def compare_checkpoints(a: Checkpoint, b: Checkpoint) -> list[str]:
-    """Differences between two in-memory checkpoints (empty = identical)."""
-    problems: list[str] = []
-    if a.iteration != b.iteration:
-        problems.append(f"iteration {a.iteration} != {b.iteration}")
-    for kind, fa, fb in (
-        ("particle field", a.particle_fields, b.particle_fields),
-        ("user state", a.user_state, b.user_state),
-    ):
-        only_a = sorted(set(fa) - set(fb))
-        only_b = sorted(set(fb) - set(fa))
-        if only_a:
-            problems.append(f"{kind}s only in first: {only_a}")
-        if only_b:
-            problems.append(f"{kind}s only in second: {only_b}")
-        for name in sorted(set(fa) & set(fb)):
-            problems.extend(_compare_arrays(f"{kind} {name!r}", fa[name], fb[name]))
-    if (a.pending_assignment is None) != (b.pending_assignment is None):
-        problems.append("pending assignment present in only one checkpoint")
-    elif a.pending_assignment is not None:
-        problems.extend(_compare_arrays(
-            "pending assignment", a.pending_assignment, b.pending_assignment
-        ))
-    if a.rng_states != b.rng_states:
-        diverged = sorted(
-            set(a.rng_states) ^ set(b.rng_states)
-        ) or [k for k in a.rng_states if a.rng_states[k] != b.rng_states.get(k)]
-        problems.append(f"PRNG stream states differ: {diverged}")
-    return problems
-
-
-def audit_checkpoints(path_a: str | os.PathLike, path_b: str | os.PathLike) -> list[str]:
-    """Load (and checksum-verify) two checkpoint files, compare them
-    bit-for-bit."""
-    return compare_checkpoints(load_checkpoint(path_a), load_checkpoint(path_b))
 
 
 def audit_state_files(path_a: str | os.PathLike, path_b: str | os.PathLike) -> list[str]:

@@ -71,14 +71,6 @@ class BuddyStore:
         self._check(rank)
         return rank in self._own or (rank + 1) % self.n_ranks in self._replica
 
-    def blob_bytes(self, rank: int) -> int:
-        """Size of the recoverable blob for ``rank`` (0 when none)."""
-        try:
-            blob, _ = self.recover(rank)
-        except CheckpointError:
-            return 0
-        return len(blob)
-
     def _check(self, rank: int) -> None:
         if not 0 <= rank < self.n_ranks:
             raise ValueError(f"rank {rank} out of range [0, {self.n_ranks})")

@@ -97,10 +97,6 @@ class Checkpoint:
     last_imbalance: float | None = None
     version: int = CHECKPOINT_VERSION
 
-    @property
-    def n_particles(self) -> int:
-        return len(next(iter(self.particle_fields.values())))
-
     def particles(self) -> ParticleSet:
         """Reconstruct the ParticleSet dtype-for-dtype."""
         return ParticleSet.from_arrays(self.particle_fields)

@@ -313,5 +313,3 @@ class WorkerPool:
     def queued(self) -> int:
         return len(self._shared) + sum(len(q) for q in self._bound)
 
-    def idle_workers(self) -> int:
-        return sum(self._idle)

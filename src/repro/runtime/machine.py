@@ -11,7 +11,7 @@ values; EXPERIMENTS.md discusses sensitivity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["MachineSpec", "SUMMIT", "STAMPEDE2", "BRIDGES2", "MACHINES"]
 
@@ -52,10 +52,6 @@ class MachineSpec:
     @property
     def workers_per_node(self) -> int:
         return self.cores_per_node * self.smt
-
-    def with_(self, **kwargs) -> "MachineSpec":
-        return replace(self, **kwargs)
-
 
 #: ORNL Summit: POWER9, NVLink/EDR IB via UCX; Fig 10 uses 2-way SMT
 #: (42 cores -> 84 workers per node).

@@ -73,16 +73,6 @@ class SimResult:
     #: speedups (``repro explain``)
     cp_graph: CPRecorder | None = None
 
-    @property
-    def total_cores(self) -> int:
-        return self.n_processes * self.workers_per_process
-
-    @property
-    def efficiency_denominator(self) -> float:
-        busy = sum(self.activity.values())
-        span = self.time * self.total_cores
-        return busy / span if span > 0 else 0.0
-
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable summary (trace omitted)."""
         out = {

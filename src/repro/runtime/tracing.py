@@ -27,13 +27,6 @@ class ActivityTrace:
             raise ValueError("interval ends before it starts")
         self.intervals.append((process, worker, start, end, label))
 
-    @property
-    def labels(self) -> list[str]:
-        return sorted({iv[4] for iv in self.intervals})
-
-    def total_busy(self) -> float:
-        return sum(iv[3] - iv[2] for iv in self.intervals)
-
     def span(self) -> tuple[float, float]:
         if not self.intervals:
             return (0.0, 0.0)

@@ -25,7 +25,6 @@ from .kernels import execute_queries
 from .protocol import (
     OPS,
     SERVE_SCHEMA,
-    SHED_REASONS,
     STATUS_ERROR,
     STATUS_EXPIRED,
     STATUS_OK,
@@ -60,7 +59,6 @@ __all__ = [
     "Response",
     "ResidentState",
     "SERVE_SCHEMA",
-    "SHED_REASONS",
     "STATUS_ERROR",
     "STATUS_EXPIRED",
     "STATUS_OK",

@@ -46,10 +46,6 @@ class BenchResult:
     def served(self) -> int:
         return self.statuses.get(STATUS_OK, 0)
 
-    @property
-    def shed(self) -> int:
-        return self.statuses.get(STATUS_SHED, 0)
-
     def quantile(self, q: float) -> float:
         if not self.latencies:
             return 0.0

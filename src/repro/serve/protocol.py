@@ -42,7 +42,6 @@ SHED_DRAINING = "draining"
 SHED_QUEUE = "queue-full"
 SHED_SLO = "slo-burn"
 SHED_RATE = "rate-limit"
-SHED_REASONS = (SHED_DRAINING, SHED_QUEUE, SHED_SLO, SHED_RATE)
 
 
 class ProtocolError(ValueError):
@@ -140,10 +139,6 @@ class Response:
     queue_s: float | None = None
     service_s: float | None = None
     meta: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return self.status == STATUS_OK
 
     def to_wire(self) -> dict[str, Any]:
         doc: dict[str, Any] = {"schema": SERVE_SCHEMA, "id": self.id,

@@ -250,11 +250,9 @@ def accumulate_point_masses(out, layout, target, source, gm, softening=0.0, quad
     tensor about it (see :func:`symmetric_components`; the potential stays
     the monopole's).
 
-    ``target`` holds the positions of ``out``'s rows (a caller whose
-    targets sit in a translated frame — periodic images — passes the
-    translated positions); ``source``, ``gm`` (G times the mass) and
-    ``quad`` are the item tables, one entry per list item.  Positions are
-    ``(n, 3)`` arrays or coordinate columns."""
+    ``target`` holds the positions of ``out``'s rows; ``source``, ``gm`` (G
+    times the mass) and ``quad`` are the item tables, one entry per list
+    item.  Positions are ``(n, 3)`` arrays or coordinate columns."""
     eps2 = float(softening * softening)
     d, r2 = _separation([c[layout.item_of] for c in components(source)],
                         [c[layout.row_of] for c in components(target)])

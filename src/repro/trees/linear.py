@@ -214,8 +214,6 @@ def tree_from_levels(particles: ParticleSet, levels: list, tree_type: str,
         tree_type=tree_type,
         bucket_size=config.bucket_size,
     )
-    if config.tight_boxes:
-        tree.box_lo, tree.box_hi = tight_bounds(tree)
     return tree
 
 

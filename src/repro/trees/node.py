@@ -14,7 +14,7 @@ slice, and accumulated ``Data``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -116,48 +116,11 @@ class Tree:
     def node_box(self, i: int) -> Box3:
         return Box3(self.box_lo[i].copy(), self.box_hi[i].copy())
 
-    def node_particle_count(self, i) -> np.ndarray | int:
-        out = self.pend[i] - self.pstart[i]
-        return int(out) if np.isscalar(i) else out
-
-    def ancestors(self, i: int) -> list[int]:
-        """Path from ``i``'s parent up to (and including) the root."""
-        out: list[int] = []
-        p = self.parent[i]
-        while p != NO_NODE:
-            out.append(int(p))
-            p = self.parent[p]
-        return out
-
-    def subtree_nodes(self, i: int) -> np.ndarray:
-        """All node indices in the subtree rooted at ``i`` (preorder, the
-        last child first — the order a LIFO stack walk visits them).
-
-        Node ranges nest, so the subtree is every node whose particle range
-        lies inside ``i``'s and that is no shallower (an equal range one
-        level up is an ancestor on a single-child chain); descending ``pend``,
-        then ascending level, is that preorder.
-        """
-        inside = np.flatnonzero(
-            (self.pstart >= self.pstart[i]) & (self.pend <= self.pend[i])
-            & (self.level >= self.level[i])
-        )
-        return inside[np.lexsort((self.level[inside], -self.pend[inside]))]
-
     def leaf_of_particle(self) -> np.ndarray:
         """(N,) array mapping each particle (tree order) to its leaf index."""
         leaves = self.leaf_indices
         leaves = leaves[np.argsort(self.pstart[leaves])]
         return np.repeat(leaves, self.pend[leaves] - self.pstart[leaves])
-
-    def iter_preorder(self) -> Iterator[int]:
-        stack = [0] if self.n_nodes else []
-        while stack:
-            n = stack.pop()
-            yield n
-            fc = self.first_child[n]
-            if fc != NO_NODE:
-                stack.extend(reversed(range(fc, fc + self.n_children[n])))
 
     def node(self, i: int) -> "SpatialNode":
         """The user-facing view of node ``i`` (paper's ``SpatialNode``)."""

@@ -142,10 +142,4 @@ def _build_binary(
         tree_type=tree_type,
         bucket_size=config.bucket_size,
     )
-    if config.tight_boxes:
-        p = tree.particles.position
-        for j in range(tree.n_nodes):
-            s, e = tree.pstart[j], tree.pend[j]
-            tree.box_lo[j] = p[s:e].min(axis=0)
-            tree.box_hi[j] = p[s:e].max(axis=0)
     return tree

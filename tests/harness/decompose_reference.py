@@ -24,7 +24,8 @@ __all__ = [
 
 
 def reference_subtree_nodes(tree: Tree, i: int) -> np.ndarray:
-    """``Tree.subtree_nodes`` as a stack walk (preorder, last child first)."""
+    """The nodes of the subtree rooted at ``i`` by a stack walk (preorder,
+    last child first)."""
     out: list[int] = []
     stack = [int(i)]
     while stack:

@@ -125,16 +125,4 @@ def build_octree(particles: ParticleSet, config: TreeBuildConfig) -> Tree:
         tree_type="oct",
         bucket_size=config.bucket_size,
     )
-    if config.tight_boxes:
-        _tighten_boxes(tree)
     return tree
-
-
-def _tighten_boxes(tree: Tree) -> None:
-    """Shrink every node box to the tight bounds of its particle slice."""
-    pos = tree.particles.position
-    for i in range(tree.n_nodes):
-        s, e = tree.pstart[i], tree.pend[i]
-        if e > s:
-            tree.box_lo[i] = pos[s:e].min(axis=0)
-            tree.box_hi[i] = pos[s:e].max(axis=0)

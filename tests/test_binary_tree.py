@@ -107,13 +107,12 @@ def property_suite(max_n: int, examples: int):
     """The hypothesis properties, at tier-1 width or at the slow job's."""
 
     class Suite:
-        @given(inputs, st.integers(1, max_n), st.integers(1, 64), st.sampled_from(BINARY),
-               st.booleans())
+        @given(inputs, st.integers(1, max_n), st.integers(1, 64), st.sampled_from(BINARY))
         @settings(max_examples=examples, **COMMON)
-        def test_equals_oracle(self, spec, n, bucket, tree_type, tight):
+        def test_equals_oracle(self, spec, n, bucket, tree_type):
             kind, seed, scale = spec
             check_against_oracle(make_positions(kind, n, seed, scale), tree_type,
-                                 kind in TIE_FREE, bucket_size=bucket, tight_boxes=tight)
+                                 kind in TIE_FREE, bucket_size=bucket)
 
         @given(inputs, st.integers(2, max_n), st.integers(1, 6), st.sampled_from(BINARY))
         @settings(max_examples=examples // 2, **COMMON)

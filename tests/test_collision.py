@@ -224,23 +224,6 @@ class TestPlanetesimalDriver:
 
 
 class TestProfileHelpers:
-    def test_radial_profile_counts(self):
-        from repro.apps.collision import collision_radial_profile
-
-        d = np.array([2.1, 2.1, 3.0, 3.0, 3.0])
-        edges = np.array([2.0, 2.5, 3.5])
-        counts = collision_radial_profile(d, edges, per_area=False)
-        assert counts.tolist() == [2.0, 3.0]
-        per_area = collision_radial_profile(d, edges, per_area=True)
-        # outer annulus is larger, so its per-area value drops more
-        assert per_area[0] / counts[0] > per_area[1] / counts[1]
-
-    def test_radial_profile_validation(self):
-        from repro.apps.collision import collision_radial_profile
-
-        with pytest.raises(ValueError):
-            collision_radial_profile(np.array([2.0]), np.array([3.0, 2.0]))
-
     def test_resonance_excess_detects_pileup(self):
         from repro.apps.collision import resonance_excess
 

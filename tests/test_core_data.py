@@ -5,7 +5,6 @@ import pytest
 
 from repro.apps.gravity import CentroidData, compute_centroid_arrays
 from repro.core import accumulate_data, segment_sums
-from repro.core.data import AdditiveArrayData, combine_sequence, extract_additive
 from repro.particles import plummer_sphere
 from repro.trees import build_tree
 
@@ -43,7 +42,9 @@ class TestGenericAccumulation:
             kids = tree.children(i)
             if len(kids) == 0:
                 continue
-            total = combine_sequence(CentroidData, [data[int(c)] for c in kids])
+            total = CentroidData.empty()
+            for c in kids:
+                total += data[int(c)]
             assert total.sum_mass == pytest.approx(data[i].sum_mass)
             assert np.allclose(total.moment, data[i].moment)
 
@@ -72,41 +73,6 @@ class TestVectorisedFastPath:
     def test_invalid_theta(self, tree):
         with pytest.raises(ValueError):
             compute_centroid_arrays(tree, theta=0.0)
-
-
-class TestAdditiveArrayData:
-    def test_declarative_moments(self, tree):
-        class MassAndCount(AdditiveArrayData):
-            @classmethod
-            def moments(cls):
-                return {
-                    "mass": lambda p: p.mass,
-                    "count": lambda p: np.ones(len(p)),
-                }
-
-        arrays = extract_additive(tree, MassAndCount)
-        assert arrays["mass"][0] == pytest.approx(tree.particles.mass.sum())
-        assert arrays["count"][0] == tree.n_particles
-        counts = tree.pend - tree.pstart
-        assert np.allclose(arrays["count"], counts)
-
-    def test_finalize_hook(self, tree):
-        class Normalised(AdditiveArrayData):
-            @classmethod
-            def moments(cls):
-                return {"mass": lambda p: p.mass}
-
-            @classmethod
-            def finalize(cls, tree, arrays):
-                arrays["frac"] = arrays["mass"] / arrays["mass"][0]
-                return arrays
-
-        arrays = extract_additive(tree, Normalised)
-        assert arrays["frac"][0] == pytest.approx(1.0)
-
-    def test_base_class_abstract(self):
-        with pytest.raises(NotImplementedError):
-            AdditiveArrayData.moments()
 
 
 class TestSegmentSums:

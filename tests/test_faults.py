@@ -46,11 +46,6 @@ def workload():
 
 
 class TestFaultPlan:
-    def test_default_plan_is_no_faults(self):
-        assert not FaultPlan().any_faults
-        assert not NO_FAULTS.any_faults
-        assert FaultPlan(drop=0.1).any_faults
-
     def test_validation(self):
         with pytest.raises(ValueError):
             FaultPlan(drop=1.5)

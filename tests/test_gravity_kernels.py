@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.apps.gravity import (
-    LeapfrogIntegrator,
     direct_accelerations,
     direct_potential,
     drift,
@@ -166,27 +165,15 @@ class TestIntegrator:
             r = p.position[0]
             return (-mu * r / np.linalg.norm(r) ** 3)[None, :]
 
-        integ = LeapfrogIntegrator(p, dt=0.02)
+        dt = 0.02
         radii = []
         for _ in range(2000):  # ~6 orbits
-            integ.begin_step(accel())
-            integ.finish_step(accel())
+            kick(p, accel(), 0.5 * dt)
+            drift(p, dt)
+            kick(p, accel(), 0.5 * dt)
             radii.append(np.linalg.norm(p.position[0]))
         radii = np.array(radii)
         assert np.abs(radii - r0).max() < 0.01
-
-    def test_leapfrog_protocol_enforced(self):
-        p = ParticleSet(np.zeros((1, 3)))
-        integ = LeapfrogIntegrator(p, dt=0.1)
-        with pytest.raises(RuntimeError):
-            integ.finish_step(np.zeros((1, 3)))
-        integ.begin_step(np.zeros((1, 3)))
-        with pytest.raises(RuntimeError):
-            integ.begin_step(np.zeros((1, 3)))
-
-    def test_invalid_dt(self):
-        with pytest.raises(ValueError):
-            LeapfrogIntegrator(ParticleSet(np.zeros((1, 3))), dt=0.0)
 
 
 class TestErrorMetric:

@@ -1,23 +1,12 @@
-"""Hilbert SFC keys, tipsy I/O, and SPH viscosity extensions."""
+"""Hilbert SFC keys and the Hilbert decomposer."""
 
 import numpy as np
 import pytest
 
-from repro.geometry import (
-    Box3,
-    hilbert_decode,
-    hilbert_encode,
-    hilbert_keys,
-    morton_keys,
-)
-from repro.particles import (
-    ParticleSet,
-    clustered_clumps,
-    keplerian_disk,
-    load_tipsy,
-    save_tipsy,
-    uniform_cube,
-)
+from repro.geometry import Box3, hilbert_encode, hilbert_keys, morton_keys
+from repro.particles import clustered_clumps, uniform_cube
+
+from tests.harness.sfc_decode import hilbert_decode, morton_decode
 
 
 class TestHilbert:
@@ -46,8 +35,6 @@ class TestHilbert:
 
     def test_morton_is_not_continuous(self):
         """Contrast: the Morton curve jumps at octant boundaries."""
-        from repro.geometry import morton_decode
-
         ks = np.arange(2000, dtype=np.uint64)
         x, y, z = morton_decode(ks)
         step = (
@@ -93,119 +80,3 @@ class TestHilbert:
         # near-perfect count balance (ties at splitter keys can shift one
         # or two particles between neighbouring slices)
         assert counts.max() - counts.min() <= 2
-
-
-class TestTipsy:
-    def test_roundtrip_mixed_species(self, tmp_path):
-        d = keplerian_disk(60, seed=1)  # ptype 0/1/2 present
-        d.add_field("potential", np.linspace(-1, 0, len(d)))
-        path = tmp_path / "snap.tipsy"
-        save_tipsy(path, d, time=2.25)
-        q, t = load_tipsy(path)
-        assert t == 2.25
-        assert len(q) == len(d)
-        assert np.bincount(q.ptype.astype(int)).tolist() == [60, 1, 1]
-        # per-species totals preserved (order is species-sorted)
-        assert q.mass.sum() == pytest.approx(d.mass.sum(), rel=1e-6)
-        assert np.allclose(
-            np.sort(q.position.ravel()), np.sort(d.position.ravel()), atol=1e-5
-        )
-        assert np.allclose(np.sort(q.potential), np.sort(d.potential), atol=1e-6)
-
-    def test_dark_only_default(self, tmp_path):
-        p = uniform_cube(40, seed=2)
-        path = tmp_path / "dm.tipsy"
-        save_tipsy(path, p)
-        q, t = load_tipsy(path)
-        assert np.all(q.ptype == 1)
-        assert t == 0.0
-
-    def test_invalid_ptype_rejected(self, tmp_path):
-        p = ParticleSet(np.zeros((3, 3)), ptype=np.array([0, 1, 7], dtype=np.int8))
-        with pytest.raises(ValueError):
-            save_tipsy(tmp_path / "bad.tipsy", p)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "trunc.tipsy"
-        save_tipsy(path, uniform_cube(10, seed=3))
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(ValueError):
-            load_tipsy(path)
-
-
-class TestViscosity:
-    @pytest.fixture(scope="class")
-    def gas(self):
-        from repro.apps.sph import compute_density_knn, equation_of_state
-        from repro.trees import build_tree
-
-        rng = np.random.default_rng(4)
-        pos = rng.uniform(-0.5, 0.5, (1500, 3))
-        p = ParticleSet(pos, -2.0 * pos, np.full(1500, 1 / 1500))  # converging
-        tree = build_tree(p, tree_type="oct", bucket_size=16)
-        st = compute_density_knn(tree, k=24)
-        P = equation_of_state(st.density, internal_energy=0.1)
-        return tree, st, P
-
-    def test_viscosity_heats_converging_flow(self, gas):
-        from repro.apps.sph import ViscosityParams, compute_sph_accelerations
-
-        tree, st, P = gas
-        _, du_inviscid = compute_sph_accelerations(
-            tree, st.neighbors, st.density, P, st.h, viscosity=None
-        )
-        _, du_viscous = compute_sph_accelerations(
-            tree, st.neighbors, st.density, P, st.h, viscosity=ViscosityParams()
-        )
-        assert du_viscous.mean() > du_inviscid.mean()
-        # compression does positive PdV work even without viscosity
-        assert du_inviscid.mean() > 0
-
-    def test_viscosity_inactive_for_expanding_flow(self, gas):
-        from repro.apps.sph import ViscosityParams, compute_sph_accelerations
-        from repro.apps.sph import compute_density_knn, equation_of_state
-        from repro.trees import build_tree
-
-        tree, st, P = gas
-        expanding = ParticleSet(
-            tree.particles.position.copy(),
-            +2.0 * tree.particles.position,
-            tree.particles.mass.copy(),
-        )
-        t2 = build_tree(expanding, tree_type="oct", bucket_size=16)
-        st2 = compute_density_knn(t2, k=24)
-        P2 = equation_of_state(st2.density, internal_energy=0.1)
-        a_nv, _ = compute_sph_accelerations(
-            t2, st2.neighbors, st2.density, P2, st2.h, viscosity=None
-        )
-        a_v, _ = compute_sph_accelerations(
-            t2, st2.neighbors, st2.density, P2, st2.h, viscosity=ViscosityParams()
-        )
-        # receding pairs see no viscous force at all
-        assert np.allclose(a_nv, a_v)
-
-    def test_viscous_force_damps_relative_motion(self):
-        """Two approaching particles: viscosity pushes them apart harder
-        than pressure alone."""
-        from repro.apps.sph import ViscosityParams, compute_sph_accelerations
-        from repro.apps.knn import knn_search
-        from repro.trees import build_tree
-
-        pos = np.array([[0.0, 0, 0], [0.1, 0, 0], [0.0, 0.1, 0], [0.1, 0.1, 0]])
-        vel = np.array([[1.0, 0, 0], [-1.0, 0, 0], [1.0, 0, 0], [-1.0, 0, 0]])
-        p = ParticleSet(pos, vel, np.ones(4))
-        tree = build_tree(p, tree_type="kd", bucket_size=2)
-        nbr = knn_search(tree, k=3)
-        rho = np.ones(4)
-        P = np.ones(4)
-        h = np.full(4, 0.3)
-        a_nv, _ = compute_sph_accelerations(tree, nbr, rho, P, h, viscosity=None)
-        a_v, _ = compute_sph_accelerations(
-            tree, nbr, rho, P, h,
-            sound_speed=np.ones(4), viscosity=ViscosityParams(alpha=1.0),
-        )
-        # x-component of the repulsion grows for the approaching pair
-        order = np.argsort(tree.particles.position[:, 0])
-        left = order[:2]
-        assert np.all(a_v[left, 0] <= a_nv[left, 0])

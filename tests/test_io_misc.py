@@ -71,12 +71,6 @@ class TestExamplesImportable:
 
 
 class TestParticleSetMisc:
-    def test_iteration_yields_dicts(self):
-        p = ParticleSet(np.zeros((3, 3)))
-        rows = list(p)
-        assert len(rows) == 3
-        assert set(rows[0]) >= {"position", "velocity", "mass", "orig_index"}
-
     def test_total_mass(self):
         p = ParticleSet(np.zeros((4, 3)), mass=np.array([1.0, 2, 3, 4]))
         assert p.total_mass == 10.0

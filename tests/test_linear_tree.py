@@ -125,12 +125,6 @@ class TestLinearEqualsRecursiveProperty:
         rec, lin = build_both(particles_from(pos), bucket_size=1, max_depth=depth)
         assert_trees_identical(rec, lin)
 
-    @given(pos=point_clouds(min_n=2, max_n=150))
-    @settings(max_examples=20, **COMMON)
-    def test_tight_boxes(self, pos):
-        rec, lin = build_both(particles_from(pos), bucket_size=4, tight_boxes=True)
-        assert_trees_identical(rec, lin)
-
 
 # -- deterministic degenerate geometry ---------------------------------------
 

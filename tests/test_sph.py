@@ -160,14 +160,12 @@ class TestForcesAndEoS:
 
 
 def _sph_inputs(points, every_other_bucket=False):
-    """A tree over ``points`` with random velocities and its kNN density
-    state; ``every_other_bucket`` searches half the buckets, leaving the
-    other rows' neighbour slots ``-1``."""
+    """A tree over ``points`` and its kNN density state;
+    ``every_other_bucket`` searches half the buckets, leaving the other
+    rows' neighbour slots ``-1``."""
     from repro.particles import ParticleSet
 
-    ps = ParticleSet(points)
-    ps.velocity[:] = np.random.default_rng(8).normal(size=points.shape)
-    t = build_tree(ps, tree_type="oct", bucket_size=8)
+    t = build_tree(ParticleSet(points), tree_type="oct", bucket_size=8)
     with np.errstate(invalid="ignore"):        # unsearched rows: inf / inf
         st = compute_density_knn(t, k=12,
                                  targets=t.leaf_indices[::2] if every_other_bucket else None)
@@ -197,19 +195,6 @@ class TestForceSumsEqualScatterOracle:
             got = compute_pressure_forces(t, st.neighbors, st.density, P, st.h)
             want = pressure_forces(t, st.neighbors, st.density, P, st.h)
         assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("viscous", [False, True])
-    def test_accelerations_and_energy_rate(self, inputs, viscous):
-        from repro.apps.sph import ViscosityParams, compute_sph_accelerations
-        from tests.harness.sph_reference import sph_accelerations
-
-        t, st, P = inputs
-        visc = ViscosityParams() if viscous else None
-        with np.errstate(all="ignore"):
-            got = compute_sph_accelerations(t, st.neighbors, st.density, P, st.h, viscosity=visc)
-            want = sph_accelerations(t, st.neighbors, st.density, P, st.h, viscosity=visc)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestSPHDriver:

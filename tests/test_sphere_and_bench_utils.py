@@ -1,41 +1,9 @@
-"""Sphere primitives and the benchmark-harness utilities."""
+"""The benchmark-harness utilities."""
 
-import numpy as np
 import pytest
 
 from repro.bench import format_series, format_table
 from repro.bench.workloads import build_gravity_workload, build_sph_workloads
-from repro.geometry import Sphere
-
-
-class TestSphere:
-    def test_contains(self):
-        s = Sphere([0, 0, 0], 1.0)
-        assert s.contains([0.5, 0.5, 0.5])
-        assert s.contains([1.0, 0, 0])  # boundary closed
-        assert not s.contains([1.01, 0, 0])
-
-    def test_contains_points_vectorised(self):
-        s = Sphere([1, 0, 0], 0.5)
-        pts = np.array([[1.0, 0, 0], [1.4, 0, 0], [2.0, 0, 0]])
-        assert s.contains_points(pts).tolist() == [True, True, False]
-
-    def test_intersects_box(self):
-        s = Sphere([2.0, 0.5, 0.5], 1.0)
-        assert s.intersects_box([0, 0, 0], [1, 1, 1])
-        assert not Sphere([3.0, 0.5, 0.5], 1.0).intersects_box([0, 0, 0], [1, 1, 1])
-
-    def test_intersects_sphere(self):
-        a = Sphere([0, 0, 0], 1.0)
-        assert a.intersects_sphere(Sphere([1.9, 0, 0], 1.0))
-        assert not a.intersects_sphere(Sphere([2.1, 0, 0], 1.0))
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            Sphere([0, 0, 0], -1.0)
-
-    def test_radius_sq(self):
-        assert Sphere([0, 0, 0], 3.0).radius_sq == 9.0
 
 
 class TestTableFormatting:

@@ -139,22 +139,7 @@ class TestTargetSubsets:
         assert stats.opens == 0
 
 
-ALL_ENGINES = ("batched", "transposed", "per-bucket", "up-and-down", "priority", "dual-tree")
-
-
-class ByLevel:
-    """What the priority engine needs on top of the three hooks."""
-
-    def priority(self, tree, source, target):
-        return float(tree.level[source])
-
-
-class ScalarForm(ByLevel, ScalarCountInRadiusVisitor):
-    pass
-
-
-class PairForm(ByLevel, CountInRadiusVisitor):
-    pass
+ALL_ENGINES = ("batched", "transposed", "per-bucket", "up-and-down", "dual-tree")
 
 
 class TestHookDerivation:
@@ -165,7 +150,7 @@ class TestHookDerivation:
     def test_scalar_only_equals_pair_only(self, engine):
         tree = build_tree(clustered_clumps(250, seed=7), tree_type="oct", bucket_size=8)
         runs = []
-        for form in (ScalarForm, PairForm):
+        for form in (ScalarCountInRadiusVisitor, CountInRadiusVisitor):
             visitor = form(tree, 0.08)
             stats = get_traverser(engine).traverse(tree, visitor).as_dict()
             runs.append((visitor.counts.tobytes(), {k: stats[k] for k in INTERACTION_KEYS}))

@@ -10,7 +10,6 @@ from repro.trees import (
     build_tree,
     check_tree_invariants,
 )
-from repro.trees.build import register_tree_type
 
 ALL_TYPES = ["oct", "kd", "longest"]
 GENERATORS = {
@@ -95,7 +94,7 @@ class TestOctreeSpecifics:
         assert tree.n_leaves == 1
         assert tree.depth == 21
         leaf = int(tree.leaf_indices[0])
-        assert tree.node_particle_count(leaf) == 40
+        assert tree.pend[leaf] - tree.pstart[leaf] == 40
 
 
 class TestBinarySpecifics:
@@ -153,35 +152,6 @@ class TestConfigAndRegistry:
     def test_zero_particles_rejected(self):
         with pytest.raises(ValueError):
             build_tree(ParticleSet(np.empty((0, 3))))
-
-    def test_custom_tree_type(self):
-        """Users can register their own builders (paper §IV-B)."""
-        calls = []
-
-        def builder(particles, config):
-            calls.append(config.bucket_size)
-            from repro.trees.build_binary import build_kd_tree
-
-            return build_kd_tree(particles, config)
-
-        register_tree_type("kd", builder)  # shadow the built-in
-        try:
-            tree = build_tree(uniform_cube(100, seed=0), tree_type="kd", bucket_size=7)
-            assert calls == [7]
-            check_tree_invariants(tree)
-        finally:
-            from repro.trees.build import _BUILDERS
-
-            _BUILDERS.pop("kd", None)
-
-    def test_tight_boxes(self):
-        tree = build_tree(
-            uniform_cube(400, seed=9),
-            TreeBuildConfig(tree_type="oct", bucket_size=8, tight_boxes=True),
-        )
-        check_tree_invariants(tree)
-        # tight root equals the particles' tight bounds
-        assert np.allclose(tree.box_lo[0], tree.particles.position.min(axis=0))
 
 
 class TestInvariantCheckerHasTeeth:
