@@ -116,15 +116,20 @@ def _add_checkpoint(p: argparse.ArgumentParser) -> None:
 
 # -- running a Driver from the command line ------------------------------------
 
-def _evaluate_slo_from_args(args, samples) -> int:
-    """Evaluate ``--slo`` over latency ``samples``; returns the exit code."""
-    from .obs import evaluate_slo, parse_slo_spec
+def _slo_spec(args):
+    """The parsed ``--slo`` spec or None; ValueError on a bad spec, raised
+    before any work so the run never starts."""
+    if not getattr(args, "slo", None):
+        return None
+    from .obs import parse_slo_spec
 
-    try:
-        spec = parse_slo_spec(args.slo)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return parse_slo_spec(args.slo)
+
+
+def _evaluate_slo(spec, samples, args) -> int:
+    """Evaluate ``spec`` over latency ``samples``; returns the exit code."""
+    from .obs import evaluate_slo
+
     report = evaluate_slo(spec, samples)
     print(report.summary())
     if args.slo_report:
@@ -312,6 +317,7 @@ def run_app(args) -> int:
         # A resumed run replays the checkpointed fault plan unless told
         # otherwise: its PRNG stream positions are part of the restored state.
         faults = args.faults or (ckpt.fault_spec if ckpt else None)
+        slo = _slo_spec(args)
         critical_path = getattr(args, "critical_path", False)
         if faults or critical_path:
             replay = driver.observe(CommReplay(faults, critical_path))
@@ -369,10 +375,10 @@ def run_app(args) -> int:
             print("consistency audit passed")
     if rc == 0 and args.save_state:
         _save_state(driver, args.save_state)
-    if rc == 0 and getattr(args, "slo", None):
+    if rc == 0 and slo is not None:
         from .obs import samples_from_reports
 
-        rc = _evaluate_slo_from_args(args, samples_from_reports(driver.reports))
+        rc = _evaluate_slo(slo, samples_from_reports(driver.reports), args)
     _finish_telemetry(telemetry, args)
     return rc
 
@@ -419,8 +425,15 @@ def cmd_audit(args) -> int:
 def cmd_scale(args) -> int:
     from .bench import build_gravity_workload
     from .cache import CACHE_MODELS
+    from .faults import IterationFailure, parse_fault_spec
     from .runtime import MACHINES, simulate_traversal
 
+    try:
+        fault_plan = parse_fault_spec(args.faults) if args.faults else None
+        slo = _slo_spec(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     telemetry = _telemetry_from_args(args)
     machine = MACHINES[args.machine]
     gw = build_gravity_workload(distribution="clustered", n=args.n,
@@ -428,9 +441,6 @@ def cmd_scale(args) -> int:
                                 n_subtrees=args.partitions, seed=args.seed)
     model = CACHE_MODELS[args.cache]
     workers = args.workers or machine.workers_per_node
-    from .faults import IterationFailure, parse_fault_spec
-
-    fault_plan = parse_fault_spec(args.faults) if args.faults else None
     print(f"{args.machine}, {workers} workers/process, cache={args.cache}"
           + (f", faults='{fault_plan.describe()}'" if fault_plan else ""))
 
@@ -443,7 +453,7 @@ def cmd_scale(args) -> int:
                                    faults=fault_plan,
                                    critical_path=args.critical_path,
                                    collect_trace=args.critical_path
-                                   or bool(args.slo))
+                                   or slo is not None)
         except IterationFailure as exc:
             print(f"  {cores:>7} cores: FAILED ({exc}) counters={exc.counters.to_dict()}")
             continue
@@ -455,15 +465,15 @@ def cmd_scale(args) -> int:
         if r.critical_path is not None:
             for line in r.critical_path.format().splitlines():
                 print(f"    {line}")
-        if args.slo:
+        if slo is not None:
             from .obs import samples_from_sim
 
             slo_samples.extend(samples_from_sim(r))
     rc = 0
-    if args.slo:
+    if slo is not None:
         # One objective over the whole sweep: every simulated task interval
         # from every core count counts as a latency sample.
-        rc = _evaluate_slo_from_args(args, slo_samples)
+        rc = _evaluate_slo(slo, slo_samples, args)
     _finish_telemetry(telemetry, args)
     return rc
 
@@ -543,45 +553,20 @@ def cmd_bench(args) -> int:
 
 
 def cmd_obs(args) -> int:
-    from .obs import (
-        format_flight_dump,
-        load_flight_dump,
-        validate_attribution,
-        validate_chrome_trace,
-        validate_flight_dump,
-        validate_slo_report,
-    )
+    from .obs import format_flight_dump, load_flight_dump, validate_document
     from .obs.validate import load_json
 
-    if args.obs_cmd == "dump":
-        try:
-            doc = load_flight_dump(args.path)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(format_flight_dump(doc, last=args.last))
-        problems = validate_flight_dump(doc)
-        if problems:
-            for prob in problems:
-                print(f"problem: {prob}", file=sys.stderr)
-            return 1
-        return 0
-
+    dump = args.obs_cmd == "dump"
     try:
-        doc = load_json(args.path)
+        doc = (load_flight_dump if dump else load_json)(args.path)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.obs_cmd == "validate-trace":
-        problems = validate_chrome_trace(
-            doc, require_exec_tasks=args.require_exec_tasks)
-        kind = f"trace ({len(doc.get('traceEvents', []))} events)"
-    elif args.obs_cmd == "validate-attr":
-        problems = validate_attribution(doc)
-        kind = f"attribution profile ({doc.get('n_nodes', '?')} nodes)"
-    else:  # validate-slo
-        problems = validate_slo_report(doc)
-        kind = "SLO report"
+    kind, problems = validate_document(
+        doc, require_exec_tasks=getattr(args, "require_exec_tasks", False))
+    if dump and not problems:
+        print(format_flight_dump(doc, last=args.last))
+        return 0
     if problems:
         print(f"{len(problems)} problem(s) in {args.path}:")
         for prob in problems:
@@ -1033,19 +1018,14 @@ def main(argv=None) -> int:
     od.add_argument("path", help="a dump written by --flight or on crash")
     od.add_argument("--last", type=int, default=None, metavar="N",
                     help="show only the last N events")
-    ot = osub.add_parser("validate-trace",
-                         help="structural checks on a Chrome trace JSON")
-    ot.add_argument("path")
-    ot.add_argument("--require-exec-tasks", action="store_true",
-                    help="also require exec.task spans, each nested inside "
-                         "its owning phase span")
-    ov = osub.add_parser("validate-slo",
-                         help="schema checks on an SLO report JSON")
+    ov = osub.add_parser("validate",
+                         help="check a Chrome trace, SLO report, flight dump "
+                              "or attribution profile (picked by the "
+                              "document's traceEvents / schema)")
     ov.add_argument("path")
-    oa = osub.add_parser("validate-attr",
-                         help="schema + invariant checks on a repro.attr/1 "
-                              "attribution profile (repro explain --json)")
-    oa.add_argument("path")
+    ov.add_argument("--require-exec-tasks", action="store_true",
+                    help="traces: also require exec.task spans, each nested "
+                         "inside its owning phase span")
 
     e = sub.add_parser(
         "explain",
@@ -1064,7 +1044,7 @@ def main(argv=None) -> int:
                         "(repeatable)")
     e.add_argument("--json", metavar="PATH", default=None,
                    help="write the full repro.attr/1 profile (validate with "
-                        "`repro obs validate-attr`)")
+                        "`repro obs validate`)")
     e.add_argument("--trace", metavar="PATH", default=None,
                    help="write a Perfetto trace with attribution counter "
                         "tracks alongside the spans")

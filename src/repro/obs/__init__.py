@@ -7,9 +7,17 @@ equivalent, one layer for the whole pipeline:
 
 * :mod:`repro.obs.span` — nested :class:`Span`/:class:`Tracer` timing with
   real or simulated (DES) clocks;
-* :mod:`repro.obs.metrics` — a labelled counter/gauge/histogram registry
-  that absorbs the scattered stats objects (``TraversalStats``,
-  ``FetchStats``, memsim ``CacheStats``, ``IterationReport``);
+* :mod:`repro.obs.metrics` — a labelled counter/gauge/latency registry
+  (one histogram type, :class:`Log2Histogram`) that absorbs the scattered
+  stats objects (``TraversalStats``, ``FetchStats``, memsim
+  ``CacheStats``, ``IterationReport``);
+* :mod:`repro.obs.flight` — the bounded flight recorder, and
+  :func:`~repro.obs.flight.null_twin`, which generates every disabled
+  telemetry object (``NULL_TRACER``, ``NULL_METRICS``, ``NULL_FLIGHT``)
+  from its live class at import, so telemetry off is derived, not mirrored;
+* :mod:`repro.obs.validate` — :func:`validate_document`, the one checker
+  for every trace, SLO report, flight dump and attribution profile
+  (``repro obs validate PATH``);
 * :mod:`repro.obs.export` — Chrome trace-event JSON (open in
   https://ui.perfetto.dev), CSV, and console reports;
 * :mod:`repro.obs.telemetry` — the :class:`Telemetry` facade and the
@@ -29,7 +37,7 @@ or end-to-end from the CLI::
     python -m repro gravity --n 5000 --trace t.json --metrics m.json
 """
 
-from .span import NULL_TRACER, NullTracer, Span, Tracer
+from .span import NULL_TRACER, Span, Tracer
 from .attr import (
     ATTR_SCHEMA,
     AttributionProfile,
@@ -37,23 +45,8 @@ from .attr import (
     format_chunk_heatmap,
 )
 from .hist import Log2Histogram, QUANTILES, quantile_label
-from .flight import (
-    FLIGHT_SCHEMA,
-    FlightRecorder,
-    NULL_FLIGHT,
-    NullFlightRecorder,
-    format_flight_dump,
-    load_flight_dump,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    Latency,
-    MetricsRegistry,
-    NullMetricsRegistry,
-    NULL_METRICS,
-)
+from .flight import FLIGHT_SCHEMA, FlightRecorder, NULL_FLIGHT, format_flight_dump
+from .metrics import Counter, Gauge, Latency, MetricsRegistry, NULL_METRICS
 from .slo import (
     SLO_SCHEMA,
     SLOReport,
@@ -71,8 +64,10 @@ from .top import (
     read_status_file,
 )
 from .validate import (
+    load_flight_dump,
     validate_attribution,
     validate_chrome_trace,
+    validate_document,
     validate_flight_dump,
     validate_slo_report,
 )
@@ -96,7 +91,6 @@ from .export import (
 __all__ = [
     "Span",
     "Tracer",
-    "NullTracer",
     "NULL_TRACER",
     "ATTR_SCHEMA",
     "AttributionProfile",
@@ -106,17 +100,14 @@ __all__ = [
     "QUANTILES",
     "quantile_label",
     "FlightRecorder",
-    "NullFlightRecorder",
     "NULL_FLIGHT",
     "FLIGHT_SCHEMA",
     "load_flight_dump",
     "format_flight_dump",
     "Counter",
     "Gauge",
-    "Histogram",
     "Latency",
     "MetricsRegistry",
-    "NullMetricsRegistry",
     "NULL_METRICS",
     "SLOSpec",
     "SLOReport",
@@ -130,6 +121,7 @@ __all__ = [
     "STATUS_SCHEMA",
     "read_status_file",
     "follow_status_file",
+    "validate_document",
     "validate_chrome_trace",
     "validate_slo_report",
     "validate_flight_dump",

@@ -77,9 +77,7 @@ def _metric_rows(registry) -> list[dict[str, Any]]:
     rows = []
     for snap in registry.collect():
         labels = ";".join(f"{k}={v}" for k, v in sorted(snap["labels"].items()))
-        if snap["type"] == "histogram":
-            value, extra = snap["mean"], f"count={snap['count']}"
-        elif snap["type"] == "latency":
+        if snap["type"] == "latency":
             q = snap.get("quantiles", {})
             value = snap["mean"]
             extra = (f"count={snap['count']}"
@@ -129,10 +127,7 @@ def console_report(telemetry, max_rows: int = 60) -> str:
         for snap in metrics[:max_rows]:
             labels = ",".join(f"{k}={v}" for k, v in sorted(snap["labels"].items()))
             name = snap["name"] + (f"{{{labels}}}" if labels else "")
-            if snap["type"] == "histogram":
-                value = f"n={snap['count']} mean={snap['mean']:.4g}"
-                print(f"{name:<40} {value:>14}", file=out)
-            elif snap["type"] == "latency":
+            if snap["type"] == "latency":
                 q = snap.get("quantiles", {})
                 value = (f"n={snap['count']}"
                          f" p50={q.get('p50', 0.0):.4g}"

@@ -1,4 +1,5 @@
-"""Flight recorder: a bounded ring buffer of structured runtime events.
+"""Flight recorder: a bounded ring buffer of structured runtime events,
+and :func:`null_twin`, which derives every disabled telemetry object.
 
 The recorder is the black box of a run.  Producers all over the codebase
 (span open/close, exec chunk completions, cache fill/park/resume, fault
@@ -10,34 +11,81 @@ writes the buffer to disk so the failure leaves a record of what the
 system was doing in its final moments; ``repro obs dump`` pretty-prints
 that file.
 
-When telemetry is off, every call site holds :data:`NULL_FLIGHT`, whose
-``record`` is a bare ``pass`` — the disabled cost is one attribute load
-and an empty call, which the overhead tests pin down.
+When telemetry is off, every call site holds :data:`NULL_FLIGHT`, the
+:func:`null_twin` of :class:`FlightRecorder`, whose ``record`` does nothing
+— the disabled cost is one attribute load and an empty call, which the
+overhead tests pin down.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
 from collections import deque
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Any, Callable
 
 __all__ = [
     "FlightRecorder",
-    "NullFlightRecorder",
     "NULL_FLIGHT",
+    "NULL_RETURNS",
     "FLIGHT_SCHEMA",
-    "load_flight_dump",
     "format_flight_dump",
+    "null_twin",
 ]
 
 #: schema tag written into every dump, bumped on breaking layout changes
 FLIGHT_SCHEMA = "repro.flight/1"
 
+#: What a :func:`null_twin` member returns (a method) or holds (a property,
+#: slot or class attribute), by name.  ``record_*`` methods return 0 and
+#: every other member None.
+NULL_RETURNS: dict[str, Any] = {
+    "enabled": False,
+    "span": nullcontext(),
+    "collect": [], "find": [], "snapshot": [],
+    "__len__": 0, "recorded": 0, "dropped": 0, "open_spans": 0,
+    "events": (),
+    "total": 0.0, "quantile": 0.0,
+}
+
+
+def _returning(value: Any) -> Callable[..., Any]:
+    if isinstance(value, list):  # a fresh list per call: callers may extend it
+        return lambda *args, **kwargs: []
+    return lambda *args, **kwargs: value
+
+
+def null_twin(*live: type, **returns: Any) -> Any:
+    """A shared do-nothing stand-in for instances of the ``live`` classes.
+
+    Generated from their public members (and ``__len__``), so a member
+    added to a live class works with telemetry off without a hand-written
+    twin: each method becomes a no-op returning its :data:`NULL_RETURNS`
+    value, or its ``returns`` override, and each property, slot or class
+    attribute holds that value.
+    """
+    returns = {**NULL_RETURNS, **returns}
+    members: dict[str, Any] = {}
+    for cls in live:
+        for name in dir(cls):
+            if name.startswith("_") and name != "__len__":
+                continue
+            value = returns.get(name, 0 if name.startswith("record_") else None)
+            if inspect.isfunction(inspect.getattr_static(cls, name)):
+                value = _returning(value)
+            members[name] = value
+    return type("Null" + "".join(cls.__name__ for cls in live), (),
+                {"__slots__": (), "__module__": live[0].__module__, **members})()
+
 
 class FlightRecorder:
     """Bounded ring buffer of ``(t, kind, detail)`` events."""
+
+    __slots__ = ("capacity", "clock", "recorded", "_ring", "_armed_path",
+                 "_crash_dumped")
 
     def __init__(self, capacity: int = 4096,
                  clock: Callable[[], float] = time.perf_counter) -> None:
@@ -104,49 +152,7 @@ class FlightRecorder:
         return self.dump(self._armed_path, reason=reason)
 
 
-class NullFlightRecorder:
-    """No-op recorder installed when telemetry is disabled."""
-
-    __slots__ = ()
-
-    def record(self, kind: str, **detail: Any) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-    @property
-    def recorded(self) -> int:
-        return 0
-
-    @property
-    def dropped(self) -> int:
-        return 0
-
-    def snapshot(self) -> list:
-        return []
-
-    def arm(self, path) -> None:
-        pass
-
-    def maybe_crash_dump(self, exc=None) -> None:
-        return None
-
-
-NULL_FLIGHT = NullFlightRecorder()
-
-
-# -- reading dumps back ------------------------------------------------------
-
-def load_flight_dump(path: str | Path) -> dict[str, Any]:
-    """Load and schema-check a flight dump file."""
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != FLIGHT_SCHEMA:
-        raise ValueError(
-            f"not a flight dump (schema={doc.get('schema')!r}, "
-            f"expected {FLIGHT_SCHEMA!r})"
-        )
-    return doc
+NULL_FLIGHT = null_twin(FlightRecorder)
 
 
 def format_flight_dump(doc: dict[str, Any], last: int | None = None) -> str:

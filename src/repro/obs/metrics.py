@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, and histograms with labels.
+"""Metrics registry: counters, gauges, and log₂ latency histograms with labels.
 
 One :class:`MetricsRegistry` per telemetry session.  Instruments are
 identified by ``(name, labels)`` — asking for the same pair twice returns
@@ -15,17 +15,16 @@ hit/request counts, per-iteration imbalance).
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
+from .flight import null_twin
 from .hist import Log2Histogram
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "Latency",
     "MetricsRegistry",
-    "NullMetricsRegistry",
     "NULL_METRICS",
 ]
 
@@ -76,50 +75,6 @@ class Gauge:
                 "labels": dict(self.labels), "value": self.value}
 
 
-class Histogram:
-    """Fixed-bucket histogram plus running count/sum/min/max."""
-
-    kind = "histogram"
-    __slots__ = ("name", "labels", "bounds", "bucket_counts", "count", "sum", "min", "max")
-
-    def __init__(self, name: str, labels: LabelKey,
-                 bounds: Iterable[float] = ()) -> None:
-        self.name = name
-        self.labels = labels
-        self.bounds = tuple(sorted(float(b) for b in bounds))
-        self.bucket_counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.sum = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.sum += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-        i = 0
-        for i, b in enumerate(self.bounds):
-            if value <= b:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[len(self.bounds)] += 1
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "name": self.name, "type": self.kind, "labels": dict(self.labels),
-            "count": self.count, "sum": self.sum, "mean": self.mean,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-            "bounds": list(self.bounds), "bucket_counts": list(self.bucket_counts),
-        }
-
-
 class Latency:
     """Mergeable log₂-bucketed latency distribution with quantiles.
 
@@ -163,17 +118,17 @@ class MetricsRegistry:
     enabled = True
 
     def __init__(self) -> None:
-        self._metrics: dict[tuple[str, LabelKey], Counter | Gauge | Histogram] = {}
+        self._metrics: dict[tuple[str, LabelKey], Counter | Gauge | Latency] = {}
         self._kinds: dict[str, str] = {}
 
-    def _get(self, cls, name: str, labels: dict[str, Any], **kwargs):
+    def _get(self, cls, name: str, labels: dict[str, Any]):
         kind = self._kinds.setdefault(name, cls.kind)
         if kind != cls.kind:
             raise TypeError(f"metric {name!r} already registered as a {kind}")
         key = (name, _label_key(labels))
         metric = self._metrics.get(key)
         if metric is None:
-            metric = self._metrics[key] = cls(name, key[1], **kwargs)
+            metric = self._metrics[key] = cls(name, key[1])
         return metric
 
     def counter(self, name: str, **labels: Any) -> Counter:
@@ -181,9 +136,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
         return self._get(Gauge, name, labels)
-
-    def histogram(self, name: str, bounds: Iterable[float] = (), **labels: Any) -> Histogram:
-        return self._get(Histogram, name, labels, bounds=bounds)
 
     def latency(self, name: str, **labels: Any) -> Latency:
         return self._get(Latency, name, labels)
@@ -202,7 +154,7 @@ class MetricsRegistry:
         """Sum of a counter/gauge across all label sets."""
         return sum(
             m.value for (n, _), m in self._metrics.items()
-            if n == name and not isinstance(m, (Histogram, Latency))
+            if n == name and not isinstance(m, Latency)
         )
 
     def __len__(self) -> int:
@@ -264,81 +216,11 @@ class MetricsRegistry:
         self.counter("driver.shared_particles").inc(report.n_shared_particles)
         if report.rebalanced:
             self.counter("driver.rebalances").inc()
-        hist = self.histogram("driver.partition_load")
-        for load in report.partition_loads:
-            hist.observe(float(load))
+        self.latency("driver.partition_load").observe_many(report.partition_loads)
         self.absorb_traversal_stats(report.stats, iteration=it)
 
 
-class _NullInstrument:
-    __slots__ = ()
-    value = 0.0
-    count = 0
-    sum = 0.0
-    mean = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def observe_many(self, values) -> None:
-        pass
-
-    def merge(self, other) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetricsRegistry:
-    """No-op registry used when telemetry is disabled."""
-
-    enabled = False
-
-    def counter(self, name: str, **labels: Any) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, **labels: Any) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, bounds: Iterable[float] = (), **labels: Any) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def latency(self, name: str, **labels: Any) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def collect(self) -> list:
-        return []
-
-    def total(self, name: str) -> float:
-        return 0.0
-
-    def __len__(self) -> int:
-        return 0
-
-    def absorb_traversal_stats(self, stats, **labels: Any) -> None:
-        pass
-
-    def absorb_fetch_stats(self, fs, **labels: Any) -> None:
-        pass
-
-    def absorb_fault_counters(self, counters, **labels: Any) -> None:
-        pass
-
-    def absorb_recovery_report(self, report, **labels: Any) -> None:
-        pass
-
-    def absorb_iteration_report(self, report) -> None:
-        pass
-
-
-NULL_METRICS = NullMetricsRegistry()
+#: the one instrument every factory of :data:`NULL_METRICS` returns
+_NULL_INSTRUMENT = null_twin(Counter, Gauge, Latency)
+NULL_METRICS = null_twin(MetricsRegistry, counter=_NULL_INSTRUMENT,
+                         gauge=_NULL_INSTRUMENT, latency=_NULL_INSTRUMENT)

@@ -14,9 +14,10 @@ Two clock domains are supported:
   ``Simulator``'s ``now``), or feed externally timed intervals through
   :meth:`Tracer.complete` / :meth:`Tracer.record_activity_trace`.
 
-:data:`NULL_TRACER` is a shared no-op used when telemetry is disabled; its
-``span()`` returns a singleton context manager so the disabled path costs
-one attribute lookup and an empty ``with`` block.
+:data:`NULL_TRACER`, the :func:`~repro.obs.flight.null_twin` of
+:class:`Tracer`, is the shared no-op used when telemetry is disabled; its
+``span()`` returns one shared ``contextlib.nullcontext()``, so the disabled
+path costs one attribute lookup and an empty ``with`` block.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from __future__ import annotations
 import time
 from typing import Any, Callable
 
-from .flight import NULL_FLIGHT
+from .flight import NULL_FLIGHT, null_twin
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
+__all__ = ["Span", "Tracer", "NULL_TRACER"]
 
 #: seconds -> trace-event microseconds
 _US = 1e6
@@ -83,6 +84,7 @@ class Span:
 class Tracer:
     """Collects spans as Chrome trace-event dicts (in event-close order)."""
 
+    __slots__ = ("clock", "pid", "tid", "events", "flight", "_stack", "_span_seq")
     enabled = True
 
     def __init__(self, clock: Callable[[], float] | None = None,
@@ -211,52 +213,5 @@ class Tracer:
         """All closed events with the given name (for tests/reports)."""
         return [e for e in self.events if e["name"] == name]
 
-class _NullSpan:
-    """Shared do-nothing context manager."""
 
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """No-op tracer: every call returns immediately, nothing is stored."""
-
-    enabled = False
-    events: tuple = ()
-    open_spans = 0
-    flight = NULL_FLIGHT
-
-    def span(self, name: str, cat: str = "phase", pid: int | None = None,
-             tid: int | None = None, **args: Any) -> _NullSpan:
-        return _NULL_SPAN
-
-    def current_span_id(self) -> None:
-        return None
-
-    def complete(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def record_activity_trace(self, trace, cat: str = "des",
-                              pid_offset: int = 0) -> int:
-        return 0
-
-    def record_critical_path(self, report, pid: int = -1,
-                             cat: str = "critical-path") -> int:
-        return 0
-
-    def record_recovery(self, report, pid: int = -2,
-                        cat: str = "recovery") -> int:
-        return 0
-
-    def find(self, name: str) -> list:
-        return []
-
-NULL_TRACER = NullTracer()
+NULL_TRACER = null_twin(Tracer)

@@ -3,11 +3,16 @@ process-wide "current telemetry" used by instrumentation points that have no
 object to hang a reference on (traversal engines, ``build_tree``,
 ``decompose``, the DES).
 
-The default current telemetry is :data:`NULL_TELEMETRY`, whose tracer and
-registry are shared no-ops — instrumented code runs the seed path with one
-extra attribute lookup per instrumentation point.  Enable collection either
-through :meth:`~repro.core.driver.Driver.enable_telemetry`, by calling
-:func:`set_telemetry`, or scoped with :func:`use_telemetry`.
+The default current telemetry is :data:`NULL_TELEMETRY`, whose tracer,
+registry and flight recorder are the shared no-op twins
+:data:`~repro.obs.span.NULL_TRACER`, :data:`~repro.obs.metrics.NULL_METRICS`
+and :data:`~repro.obs.flight.NULL_FLIGHT`.  None is written by hand: each
+is generated at import by :func:`~repro.obs.flight.null_twin` from the
+public members of the live class, so instrumented code runs the seed path
+with one extra attribute lookup per instrumentation point, and a member
+added to a live class needs no disabled counterpart.  Enable collection
+either through :meth:`~repro.core.driver.Driver.enable_telemetry`, by
+calling :func:`set_telemetry`, or scoped with :func:`use_telemetry`.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ import functools
 from contextlib import contextmanager
 from typing import Any, Callable
 
-from .flight import FlightRecorder, NULL_FLIGHT, NullFlightRecorder
-from .metrics import MetricsRegistry, NULL_METRICS, NullMetricsRegistry
-from .span import NULL_TRACER, NullTracer, Tracer
+from .flight import FlightRecorder, NULL_FLIGHT
+from .metrics import MetricsRegistry, NULL_METRICS
+from .span import NULL_TRACER, Tracer
 
 __all__ = [
     "Telemetry",
@@ -35,10 +40,10 @@ class Telemetry:
 
     def __init__(
         self,
-        tracer: Tracer | NullTracer | None = None,
-        metrics: MetricsRegistry | NullMetricsRegistry | None = None,
+        tracer: Tracer | None = None,
+        metrics: MetricsRegistry | None = None,
         enabled: bool = True,
-        flight: FlightRecorder | NullFlightRecorder | None = None,
+        flight: FlightRecorder | None = None,
     ) -> None:
         self.enabled = enabled
         if enabled:

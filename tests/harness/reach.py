@@ -198,10 +198,11 @@ def _cli_runs() -> list[Run]:
         _fails("audit", "gravity_base.npz", "sph_base.npz"),
         _repro("audit", "--shm", "--dry-run"),
         _repro("audit", "--shm"),
-        _repro("obs", "validate-trace", "t_threads.json", "--require-exec-tasks"),
-        _repro("obs", "validate-trace", "t_procs.json", "--require-exec-tasks"),
+        _repro("obs", "validate", "t_threads.json", "--require-exec-tasks"),
+        _repro("obs", "validate", "t_procs.json", "--require-exec-tasks"),
         _repro("obs", "dump", "flight.json", "--last", "10"),
-        _repro("obs", "validate-slo", "slo.json"),
+        _repro("obs", "validate", "flight.json"),
+        _repro("obs", "validate", "slo.json"),
         _repro("top", "status.jsonl"),
         _repro("top", "gravity", "--n", "1000", "--iterations", "2"),
     ]))
@@ -229,8 +230,8 @@ def _cli_runs() -> list[Run]:
                "--json", "attr.json", "--trace", "attr_trace.json"),
         _repro("explain", "--n", "2000", "--tree", "kd", "--backend", "processes",
                "--workers", "2", "--depth", "2", "--top", "4"),
-        _repro("obs", "validate-attr", "attr.json"),
-        _repro("obs", "validate-trace", "attr_trace.json"),
+        _repro("obs", "validate", "attr.json"),
+        _repro("obs", "validate", "attr_trace.json"),
         _repro("bench", "list"),
         _repro("bench", "run", "--quick", "--repeats", "1", "meta.*", "-o", "b1.json",
                "--artifacts", "artifacts", "--no-progress"),

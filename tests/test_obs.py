@@ -11,6 +11,7 @@ Covers the observability invariants the layer promises:
   their original loop implementations (kept here as references).
 """
 
+import inspect
 import json
 
 import numpy as np
@@ -21,8 +22,14 @@ from repro.cache import WAITFREE
 from repro.core import Configuration
 from repro.decomp import SfcDecomposer, decompose
 from repro.obs import (
+    NULL_FLIGHT,
+    NULL_METRICS,
     NULL_TELEMETRY,
     NULL_TRACER,
+    Counter,
+    FlightRecorder,
+    Gauge,
+    Latency,
     MetricsRegistry,
     Telemetry,
     Tracer,
@@ -110,6 +117,70 @@ class TestSpans:
         assert not NULL_TRACER.enabled
 
 
+def _public(cls):
+    return [name for name in dir(cls) if not name.startswith("_") or name == "__len__"]
+
+
+class TestDisabledTwins:
+    """Telemetry off is derived from the live classes: every public name of
+    a live class exists on its disabled twin, and calling it does not raise."""
+
+    @pytest.mark.parametrize("twin, live", [
+        (NULL_TRACER, (Tracer,)),
+        (NULL_METRICS, (MetricsRegistry,)),
+        (NULL_FLIGHT, (FlightRecorder,)),
+        (NULL_METRICS.counter("c"), (Counter, Gauge, Latency)),
+    ], ids=["tracer", "metrics", "flight", "instrument"])
+    def test_twin_has_every_live_name(self, twin, live):
+        for cls in live:
+            for name in _public(cls):
+                assert hasattr(twin, name), f"{cls.__name__}.{name}"
+                member = inspect.getattr_static(cls, name)
+                if inspect.isfunction(member):
+                    params = list(inspect.signature(member).parameters.values())[1:]
+                    args = [None for p in params if p.default is p.empty
+                            and p.kind is p.POSITIONAL_OR_KEYWORD]
+                    getattr(twin, name)(*args)
+
+    def test_documented_returns(self):
+        assert NULL_METRICS.counter("a") is NULL_METRICS.gauge("b") \
+            is NULL_METRICS.latency("c")
+        assert NULL_TRACER.span("a") is NULL_TRACER.span("b", cat="x")
+        assert NULL_METRICS.collect() == [] and NULL_TRACER.find("x") == []
+        assert NULL_TRACER.find("x") is not NULL_TRACER.find("x")
+        assert NULL_METRICS.total("x") == 0.0 and len(NULL_METRICS) == 0
+        assert NULL_METRICS.counter("a").quantile(0.5) == 0.0
+        assert NULL_FLIGHT.dropped == 0 and NULL_TRACER.open_spans == 0
+        assert NULL_METRICS.value("x") is None
+
+    def test_new_live_member_needs_no_twin(self):
+        from repro.obs.flight import null_twin
+
+        class Live:
+            __slots__ = ("events", "clock")
+            enabled = True
+
+            def record_thing(self, x):
+                return 1
+
+            def snapshot(self):
+                return [1]
+
+            def other(self):
+                return 2
+
+            @property
+            def dropped(self):
+                return 3
+
+        twin = null_twin(Live)
+        assert (twin.enabled, twin.events, twin.clock, twin.record_thing(1),
+                twin.snapshot(), twin.other(), twin.dropped) == \
+            (False, (), None, 0, [], None, 0)
+        with pytest.raises(AttributeError):
+            twin.extra = 1  # shared and stateless
+
+
 class TestMetrics:
     def test_same_name_and_labels_share_instrument(self):
         reg = MetricsRegistry()
@@ -131,17 +202,6 @@ class TestMetrics:
         reg = MetricsRegistry()
         with pytest.raises(ValueError):
             reg.counter("c").inc(-1)
-
-    def test_histogram_buckets_and_stats(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("load", bounds=[1.0, 2.0])
-        for v in (0.5, 1.5, 1.5, 5.0):
-            h.observe(v)
-        snap = h.snapshot()
-        assert snap["bucket_counts"] == [1, 2, 1]
-        assert snap["count"] == 4
-        assert snap["min"] == 0.5 and snap["max"] == 5.0
-        assert h.mean == pytest.approx(8.5 / 4)
 
     def test_collect_is_stable_sorted(self):
         reg = MetricsRegistry()

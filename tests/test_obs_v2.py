@@ -30,6 +30,7 @@ from repro.apps.gravity import GravityDriver
 from repro.core import Configuration
 from repro.core.observers import StatusFeed
 from repro.obs import (
+    FLIGHT_SCHEMA,
     NULL_FLIGHT,
     STATUS_SCHEMA,
     Dashboard,
@@ -52,6 +53,7 @@ from repro.obs import (
     validate_flight_dump,
     validate_slo_report,
 )
+from repro.obs.attr import ARRAY_FIELDS
 from repro.particles import clustered_clumps
 
 # Stay inside the histogram's bucketed range [2^-20, 2^12] so the
@@ -647,9 +649,9 @@ class TestCLIObs:
 
         assert main(["obs", "dump", str(flight), "--last", "5"]) == 0
         assert "5 shown" in capsys.readouterr().out
-        assert main(["obs", "validate-trace", str(trace),
+        assert main(["obs", "validate", str(trace),
                      "--require-exec-tasks"]) == 0
-        assert main(["obs", "validate-slo", str(slo)]) == 0
+        assert main(["obs", "validate", str(slo)]) == 0
         assert main(["top", str(status)]) == 0
         assert "repro top — GravityDriver iter 1" in capsys.readouterr().out
 
@@ -657,12 +659,41 @@ class TestCLIObs:
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": "nope"}')
         assert main(["obs", "dump", str(bad)]) == 2
-        assert main(["obs", "validate-slo", str(bad)]) == 1
-        assert main(["obs", "validate-trace", str(bad)]) == 1
+        assert main(["obs", "validate", str(bad)]) == 1
         missing = tmp_path / "missing.json"
         assert main(["obs", "dump", str(missing)]) == 2
         assert main(["top", str(missing)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"traceEvents": [1]},
+        {"schema": "repro.flight/1", "events": [1]},
+        {"schema": "repro.slo/1", "n_samples": 1, "violated": False,
+         "spec": {"threshold": 1.0, "target": 0.9, "burn_limit": 1.0, "window": 1.0},
+         "windows": [1]},
+        {"schema": "repro.attr/1", "n_nodes": 1,
+         "arrays": {name: [0] for name in (*ARRAY_FIELDS, "mac_rejects", "cost_ns")}
+         | {"visits": ["x"]},
+         "totals": {"visits": 0}},
+    ], ids=["not-an-object", "trace", "flight", "slo", "attr"])
+    def test_malformed_document_is_one_problem(self, doc, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["obs", "validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("1 problem(s)"), out
+        if isinstance(doc, dict) and doc.get("schema") == FLIGHT_SCHEMA:
+            assert main(["obs", "dump", str(path)]) == 1
+            assert capsys.readouterr().out.startswith("1 problem(s)")
+
+    def test_scale_rejects_bad_spec_before_simulating(self, capsys):
+        for bad in (["--faults", "foo=1"], ["--faults", "fail=1.0,retries=0"],
+                    ["--slo", "garbage"]):
+            assert main(["scale", "--n", "2000", "--cores", "96", *bad]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
 
     def test_top_live_pipeline(self, capsys):
         assert main(["top", "gravity", "--n", "400", "--iterations", "2"]) == 0

@@ -233,7 +233,7 @@ def test_every_row_writes_every_artefact(app, flag, tmp_path, capsys):
         assert all(f["schema"] == STATUS_SCHEMA for f in frames)
         assert main(["top", str(path)]) == 0
     elif flag == "--trace":
-        assert main(["obs", "validate-trace", str(path)]) == 0
+        assert main(["obs", "validate", str(path)]) == 0
         events = json.loads(path.read_text())["traceEvents"]
         phases = [e["name"] for e in events if e.get("cat") == "driver.phase"]
         assert set(phases) == PHASES
