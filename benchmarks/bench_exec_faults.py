@@ -1,17 +1,10 @@
-"""Supervision overhead and fault-recovery cost for the exec backends.
+"""Fault-recovery cost for the exec backends.
 
-Two honest questions, answered with the perf harness's robust statistics:
-
-1. **What does supervision cost when nothing goes wrong?**  The same
-   gravity traversal through the process backend, unsupervised vs
-   supervised with no fault plan — both bit-identical to serial, so the
-   delta is pure dispatch-loop overhead (event-driven ``cf.wait`` vs
-   block-in-order).  It should be within bench noise ("free").
-
-2. **What does recovery cost as the kill rate rises?**  The supervised
-   process backend under seeded ``ExecFaultPlan`` worker-kill plans — real
-   ``SIGKILL`` on live workers, pool rebuilds, quarantines — recording the
-   slowdown vs fault-free and the recovery-action counts as extras.
+What does recovery cost as the kill rate rises?  The process backend
+under seeded ``ExecFaultPlan`` worker-kill plans — real ``SIGKILL`` on
+live workers, pool rebuilds, quarantines — recording the slowdown vs a
+fault-free run and the recovery-action counts as extras, with the perf
+harness's robust statistics.
 
 Run ``python -m repro bench run --quick 'exec.faults.*' -o BENCH_pr7.json``
 to regenerate the PR 7 record.
@@ -37,34 +30,6 @@ def _gravity_workload(quick=False):
         return GravityVisitor(tree, arrays, softening=1e-3)
 
     return tree, make_visitor
-
-
-@perf_benchmark("exec.faults.supervision_overhead", group="exec",
-                repeats=5, quick_repeats=3,
-                description="supervised vs unsupervised dispatch, fault-free "
-                            "process backend (overhead should be ~ free)")
-def perf_supervision_overhead(quick=False):
-    tree, make_visitor = _gravity_workload(quick)
-    plain = get_backend("processes", workers=4, supervise=False)
-    supervised = get_backend("processes", workers=4, supervise=True)
-    plain.run(tree, "transposed", make_visitor())       # warm pools
-    supervised.run(tree, "transposed", make_visitor())
-
-    def run():
-        t0 = time.perf_counter()
-        plain.run(tree, "transposed", make_visitor())
-        plain_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        supervised.run(tree, "transposed", make_visitor())
-        sup_s = time.perf_counter() - t0
-        assert supervised.last_mode == "parallel"  # fault-free: not degraded
-        return {
-            "unsupervised_ms": plain_s * 1e3,
-            "supervised_ms": sup_s * 1e3,
-            "overhead_pct": (sup_s / plain_s - 1.0) * 100 if plain_s else 0.0,
-        }
-
-    return run
 
 
 def _recovery_bench(kill_rate):

@@ -98,9 +98,6 @@ def _add_parallel(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-chunk-retries", type=int, default=None, metavar="K",
                    help="re-dispatch budget per chunk before it is "
                         "quarantined and run serially in-parent (default 3)")
-    p.add_argument("--no-supervise", action="store_true",
-                   help="disable supervised dispatch (deadlines, retry, "
-                        "pool rebuild); a worker death then kills the run")
 
 
 def _add_checkpoint(p: argparse.ArgumentParser) -> None:
@@ -143,22 +140,25 @@ def _evaluate_slo(spec, samples, args) -> int:
 
 
 def _enable_parallel_from_args(driver, args) -> None:
-    """Attach the requested execution backend to a Driver run."""
-    if args.backend == "serial":
-        return
-    supervise = False if args.no_supervise else None  # None: driver default, on
+    """Attach the requested execution backend to a Driver run.  The exec
+    flags are parsed on every backend, so a bad spec fails the same way
+    whether or not a pool would use it."""
     overrides = {key: getattr(args, key)
                  for key in ("chunk_deadline", "max_chunk_retries")
                  if getattr(args, key) is not None}
     try:
-        if overrides and supervise is None:
+        supervise, faults = True, args.exec_faults
+        if overrides:
             from .exec import SupervisorConfig
 
             supervise = SupervisorConfig(**overrides)
-        driver.enable_parallel(
-            args.backend, workers=args.workers or None,
-            supervise=supervise, exec_faults=args.exec_faults,
-        )
+        if faults:
+            from .faults import parse_exec_fault_spec
+
+            faults = parse_exec_fault_spec(faults)
+        if args.backend != "serial":
+            driver.enable_parallel(args.backend, workers=args.workers or None,
+                                   supervise=supervise, exec_faults=faults)
     except ValueError as exc:  # bad --exec-faults/--chunk-deadline spec
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None

@@ -53,10 +53,7 @@ class GravityVisitor(Visitor):
 
     # -- parallel-execution protocol (repro.exec) ----------------------------
     # All writes hit self.accel/self.potential rows of the targets being
-    # traversed, so thread workers can share one instance over disjoint
-    # target chunks, and process workers ship back per-chunk rows.
-    exec_shareable = True
-
+    # traversed, so every chunk attempt ships back its per-chunk rows.
     def exec_config(self) -> dict:
         return {
             "G": self.G,

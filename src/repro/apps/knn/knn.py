@@ -160,8 +160,6 @@ class KNNVisitor(Visitor):
     # Every write lands on rows [pstart, pend) of a target bucket being
     # traversed (dist_sq/index) or on that leaf's radius_sq entry — so
     # disjoint target chunks touch disjoint state.
-    exec_shareable = True
-
     def exec_config(self) -> dict:
         return {"k": self.k}
 

@@ -362,7 +362,7 @@ class Driver:
         return next((o.faults for o in self.observers if isinstance(o, CommReplay)), None)
 
     def enable_parallel(self, backend: str = "threads", workers: int | None = None,
-                        supervise: Any = None, exec_faults: Any = None,
+                        supervise: Any = True, exec_faults: Any = None,
                         **opts: Any):
         """Run every partition traversal through a ``repro.exec`` backend.
 
@@ -373,11 +373,10 @@ class Driver:
         exercises the :class:`~repro.cache.concurrent.SharedTreeCache`
         wait-free fill path from its workers.  Returns the backend.
 
-        At the driver level supervision **defaults on** (unlike raw
-        :func:`~repro.exec.get_backend`, which preserves the original
-        block-on-result dispatch): a long-running pipeline should degrade,
-        not die, when a worker is OOM-killed.  Pass ``supervise=False`` to
-        opt out, or a :class:`~repro.exec.SupervisorConfig` to tune
+        Every pool run is supervised, as with any
+        :func:`~repro.exec.get_backend` backend: a long-running pipeline
+        degrades, not dies, when a worker is OOM-killed or hangs.  Pass a
+        :class:`~repro.exec.SupervisorConfig` as ``supervise`` to tune
         deadlines/retries.  ``exec_faults`` (an
         :class:`~repro.faults.ExecFaultPlan` or an ``--exec-faults`` spec
         string) injects real worker faults for chaos testing.
@@ -388,8 +387,6 @@ class Driver:
             from ..faults import parse_exec_fault_spec
 
             exec_faults = parse_exec_fault_spec(exec_faults)
-        if supervise is None:
-            supervise = True
         self.disable_parallel()
         self._exec_backend = get_backend(
             backend, workers=workers, supervise=supervise,

@@ -44,12 +44,6 @@ class Visitor:
     in its scalar or its ``*_pairs`` form (targets are *leaf indices* of the
     target tree there).  The base class derives the other form."""
 
-    #: Parallel execution (``repro.exec``): True means the thread backend
-    #: may run one shared instance from many workers because every write
-    #: targets per-particle rows of the chunk being traversed — chunks are
-    #: disjoint, so under the GIL no synchronisation is needed.
-    exec_shareable = False
-
     def check_hooks(self) -> None:
         """Raise unless ``open``, ``node`` and ``leaf`` each have one form."""
         cls = type(self)
@@ -112,7 +106,7 @@ class Visitor:
     def exec_config(self) -> dict | None:
         """Small picklable kwargs for :meth:`exec_rebuild`; None means this
         visitor does not support worker-side reconstruction (the backend
-        falls back to serial, or to instance sharing for threads)."""
+        falls back to serial)."""
         return None
 
     def exec_arrays(self) -> dict[str, np.ndarray]:

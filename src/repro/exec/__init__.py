@@ -9,7 +9,7 @@ simulated, time improves:
 * :class:`SerialBackend` — the seed behaviour, kept as the oracle every
   other backend must match bit-for-bit;
 * :class:`ThreadBackend` — a shared-address-space pool.  Worker threads
-  traverse disjoint target-bucket chunks against one shared visitor (NumPy
+  traverse disjoint target-bucket chunks of one shared tree (NumPy
   releases the GIL inside the large kernels) and contend on one
   :class:`~repro.cache.concurrent.SharedTreeCache`, exercising its
   wait-free fill/park/complete protocol under real concurrency;
@@ -17,6 +17,11 @@ simulated, time improves:
   structure-of-arrays via ``multiprocessing.shared_memory`` (zero-copy
   views) and return per-chunk accumulators that the parent reduces in
   deterministic partition order.
+
+Both pools run every chunk under the same supervised dispatch loop
+(:mod:`~repro.exec.supervise`: deadlines, retry, pool rebuild,
+quarantine-to-serial), on one pool lifecycle that the serve executor
+shares.
 
 Every backend produces results **bit-identical** to serial regardless of
 worker count: target buckets are partitioned exactly (reusing the

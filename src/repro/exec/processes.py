@@ -12,24 +12,25 @@ The parent then reduces **in chunk order** (``exec_apply`` + stats merge +
 recorder absorb), never completion order — with disjoint per-chunk target
 rows and serial per-target evaluation order inside each chunk, that makes
 the result bit-identical to a serial run for any worker count.
+
+Each worker keeps the trees it attached in a small per-segment LRU
+(:func:`_attach_tree`), so a run over the same arena attaches once; the
+serve executor's process workers reach the resident tree the same way.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import signal
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any
 
 import numpy as np
 
-from ..core.traverser import Recorder, TraversalStats, Traverser, get_traverser
-from ..obs import Log2Histogram, get_telemetry
+from ..core.traverser import Recorder
 from ..trees import Tree
-from .backend import ExecutionBackend, register_backend
+from .backend import ChunkJob, ChunkResult, ExecutionBackend, register_backend
 from .shm import ShmArena, attach_arena
 
 __all__ = ["ProcessBackend"]
@@ -84,19 +85,8 @@ def _attach_tree(handle, meta) -> tuple[Tree, dict[str, np.ndarray], bool]:
     return tree, vis_arrays, False
 
 
-def _worker_run(
-    handle,
-    meta,
-    engine_name: str,
-    visitor_cls: type,
-    config: dict[str, Any],
-    chunk: np.ndarray,
-    fork: Recorder | None,
-    record_latency: bool = False,
-    exec_faults=None,
-    chunk_index: int = 0,
-    attempt: int = 0,
-):
+def _worker_run(handle, meta, job: ChunkJob, exec_faults, chunk_index: int,
+                chunk: np.ndarray, fork: Recorder | None, attempt: int) -> ChunkResult:
     """Module-level worker entry point (must be picklable by reference).
 
     Ships the worker-clock ``t0``/``t1`` back (not just the duration): the
@@ -110,15 +100,7 @@ def _worker_run(
         # injected after attach so a kill leaves a real mid-chunk corpse:
         # arena mapped, pool worker gone, parent left holding the future
         exec_faults.apply_in_worker(chunk_index, attempt, in_process=True)
-    visitor = visitor_cls.exec_rebuild(tree, vis_arrays, config)
-    stats = get_traverser(engine_name)._traverse(tree, visitor, chunk, fork)
-    outputs = visitor.exec_collect(tree, chunk)
-    t1 = time.perf_counter()
-    lat = None
-    if record_latency:
-        lat = Log2Histogram()
-        lat.observe(t1 - t0)
-    return stats, outputs, fork, t0, t1, os.getpid(), cache_hit, lat
+    return job.run(tree, vis_arrays, chunk, fork, t0, os.getpid(), cache_hit)
 
 
 class ProcessBackend(ExecutionBackend):
@@ -126,42 +108,28 @@ class ProcessBackend(ExecutionBackend):
 
     name = "processes"
     supervisor_cancels = False
+    worker_label = "pid-{worker}"
 
     def __init__(self, workers: int | None = None, start_method: str | None = None,
-                 supervise=None, exec_faults=None) -> None:
+                 supervise: Any = True, exec_faults=None) -> None:
         super().__init__(workers, supervise=supervise, exec_faults=exec_faults)
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
         self.start_method = start_method
-        self._pool: ProcessPoolExecutor | None = None
-        #: bumped on every pool rebuild; tagged into arena segment names so
-        #: the orphan sweeper can tell live generations from dead ones
-        self._generation = 0
-        #: a deadline fired: a worker may be wedged mid-chunk, so shutdown
-        #: must SIGKILL instead of joining
-        self._hang_suspected = False
 
-    def _supports(self, visitor: Any) -> bool:
-        # Processes need the full exec protocol: shared arrays out, config
-        # over the wire, per-chunk outputs back.
-        return getattr(visitor, "exec_config", lambda: None)() is not None
+    def _parent_worker(self) -> int:
+        return os.getpid()
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=multiprocessing.get_context(self.start_method),
-            )
-        return self._pool
-
-    def _pack_arena(self, tree: Tree, visitor: Any) -> tuple[ShmArena, dict]:
+    def _pack_arena(self, tree: Tree, vis_arrays: dict[str, np.ndarray]) -> tuple[ShmArena, dict]:
+        """Pack ``tree`` (topology + particle fields) and ``vis_arrays``
+        into one segment named for this process and pool generation."""
         shared: dict[str, np.ndarray] = {}
         for f in _TREE_FIELDS:
             shared[f"tree.{f}"] = getattr(tree, f)
         for f in tree.particles.field_names:
             shared[f"part.{f}"] = tree.particles[f]
-        for k, v in visitor.exec_arrays().items():
+        for k, v in vis_arrays.items():
             shared[f"vis.{k}"] = v
         meta = {"tree_type": tree.tree_type, "bucket_size": tree.bucket_size}
         arena = ShmArena(
@@ -169,206 +137,17 @@ class ProcessBackend(ExecutionBackend):
         )
         return arena, meta
 
-    def _run_chunks(
-        self,
-        engine: Traverser,
-        tree: Tree,
-        visitor: Any,
-        chunks: list[np.ndarray],
-        forks: list[Recorder] | None,
-        shared_cache=None,
-    ) -> TraversalStats:
-        supervisor = self._make_supervisor()
-        if supervisor is not None:
-            return self._run_supervised(
-                supervisor, engine, tree, visitor, chunks, forks
-            )
-        pool = self._ensure_pool()
-        arena, meta = self._pack_arena(tree, visitor)
-        config = visitor.exec_config()
-        record_latency = get_telemetry().enabled
-        submit = time.perf_counter()
-        try:
-            futures = [
-                pool.submit(
-                    _worker_run, arena.handle, meta, engine.name,
-                    type(visitor), config, c, forks[i] if forks else None,
-                    record_latency, self.exec_faults, i, 0,
-                )
-                for i, c in enumerate(chunks)
-            ]
-            results = [f.result() for f in futures]  # chunk order, not completion
-        finally:
-            collect = time.perf_counter()
-            arena.dispose()
-
-        total = TraversalStats()
-        tasks = []
-        lanes: dict[int, int] = {}
-        hits = misses = 0
-        for i, (stats, outputs, fork, t0, t1, pid, cache_hit, lat) in enumerate(results):
-            total.merge(stats)
-            visitor.exec_apply(tree, chunks[i], outputs)
-            if forks is not None and fork is not None:
-                # the fork round-tripped through pickle; swap the filled
-                # copy in so backend.run absorbs it in chunk order
-                forks[i] = fork
-            lane = lanes.setdefault(pid, len(lanes))
-            if cache_hit:
-                hits += 1
-            else:
-                misses += 1
-            # Workers time on their own clock.  Under the fork start method
-            # CLOCK_MONOTONIC is shared, so the worker interval normally
-            # falls inside the parent's [submit, collect] window and the
-            # offset is zero; on other start methods (or clock domains) the
-            # interval is centred into the window and the applied offset is
-            # reported with the span.
-            offset = 0.0
-            if not (submit <= t0 and t1 <= collect):
-                offset = (submit + collect) / 2.0 - (t0 + t1) / 2.0
-            tasks.append({
-                "chunk": i, "targets": len(chunks[i]),
-                "start": t0 + offset, "end": t1 + offset, "lane": lane,
-                "worker": f"pid-{pid}", "clock_offset": offset,
-                "latency": lat,
-            })
-        self._record_cache(hits, misses)
-        self._record_tasks(tasks)
-        return total
-
-    def _run_supervised(
-        self,
-        supervisor,
-        engine: Traverser,
-        tree: Tree,
-        visitor: Any,
-        chunks: list[np.ndarray],
-        forks: list[Recorder] | None,
-    ) -> TraversalStats:
-        """Supervised dispatch: wait-with-timeout collection, bounded chunk
-        retry, and automatic pool rebuild after worker death.
-
-        Retry safety comes from the exec protocol itself: every attempt
-        ships a fresh recorder fork and rebuilds its own worker-local
-        visitor over the read-only arena, so a killed/expired attempt
-        leaves no partial state in the parent; the winning attempt's
-        outputs are applied exactly once, in chunk order.
-        """
-        arena, meta = self._pack_arena(tree, visitor)
-        arrays = visitor.exec_arrays()
-        config = visitor.exec_config()
-        record_latency = get_telemetry().enabled
+    def _submitter(self, job, tree, arrays, chunks, fork, shared_cache):
+        arena, meta = self._pack_arena(tree, arrays)
         exec_faults = self.exec_faults
 
         def submit(i: int, attempt: int):
-            fork = forks[i].fork() if forks is not None else None
             return self._ensure_pool().submit(
-                _worker_run, arena.handle, meta, engine.name,
-                type(visitor), config, chunks[i], fork,
-                record_latency, exec_faults, i, attempt,
+                _worker_run, arena.handle, meta, job, exec_faults, i,
+                chunks[i], fork(i), attempt,
             )
 
-        def serial_exec(i: int):
-            # quarantine: in-parent from the parent's own arrays — no pool,
-            # no shm attach, no injection, cannot fail the way workers do
-            t0 = time.perf_counter()
-            vis = type(visitor).exec_rebuild(tree, arrays, config)
-            fork = forks[i].fork() if forks is not None else None
-            stats = get_traverser(engine.name)._traverse(tree, vis, chunks[i], fork)
-            outputs = vis.exec_collect(tree, chunks[i])
-            t1 = time.perf_counter()
-            lat = None
-            if record_latency:
-                lat = Log2Histogram()
-                lat.observe(t1 - t0)
-            return stats, outputs, fork, t0, t1, os.getpid(), None, lat
-
-        submit_mark = time.perf_counter()
-        try:
-            results, sup_stats = supervisor.run(
-                len(chunks), submit, serial_exec, rebuild=self._rebuild_pool
-            )
-        finally:
-            collect = time.perf_counter()
-            arena.dispose()
-        if sup_stats.deadline_misses:
-            self._hang_suspected = True
-
-        total = TraversalStats()
-        tasks = []
-        lanes: dict[int, int] = {}
-        hits = misses = 0
-        for i, (stats, outputs, fork, t0, t1, pid, cache_hit, lat) in enumerate(results):
-            total.merge(stats)
-            visitor.exec_apply(tree, chunks[i], outputs)
-            if forks is not None and fork is not None:
-                forks[i] = fork  # the winning attempt's fork, absorbed by run()
-            lane = lanes.setdefault(pid, len(lanes))
-            if cache_hit is not None:  # None = quarantined in-parent, no attach
-                if cache_hit:
-                    hits += 1
-                else:
-                    misses += 1
-            offset = 0.0
-            if not (submit_mark <= t0 and t1 <= collect):
-                offset = (submit_mark + collect) / 2.0 - (t0 + t1) / 2.0
-            tasks.append({
-                "chunk": i, "targets": len(chunks[i]),
-                "start": t0 + offset, "end": t1 + offset, "lane": lane,
-                "worker": f"pid-{pid}", "clock_offset": offset,
-                "latency": lat,
-            })
-        self._record_cache(hits, misses)
-        self._finish_supervised(sup_stats)
-        self._record_tasks(tasks)
-        return total
-
-    def _rebuild_pool(self) -> None:
-        """Replace a broken pool: SIGKILL any lingering workers (a hung one
-        would otherwise block executor shutdown), drop the executor without
-        waiting, and bump the arena generation so segments created after
-        the rebuild are distinguishable from the dead generation's."""
-        pool, self._pool = self._pool, None
-        self._generation += 1
-        if pool is None:
-            return
-        for pid, proc in list((getattr(pool, "_processes", None) or {}).items()):
-            if proc.is_alive():
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except (ProcessLookupError, PermissionError):
-                    pass
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    def _record_cache(self, hits: int, misses: int) -> None:
-        """Aggregate the workers' per-segment tree cache attach outcomes
-        into ``exec.cache.*`` metrics and ``last_cache_stats``."""
-        total = hits + misses
-        self.last_cache_stats = {
-            "attach_hits": hits,
-            "attach_misses": misses,
-            "hit_rate": hits / total if total else 0.0,
-        }
-        tel = get_telemetry()
-        if not tel.enabled:
-            return
-        tel.metrics.counter("exec.cache.attach_hits", backend=self.name).inc(hits)
-        tel.metrics.counter("exec.cache.attach_misses", backend=self.name).inc(misses)
-        tel.metrics.gauge("exec.cache.hit_rate", backend=self.name).set(
-            self.last_cache_stats["hit_rate"]
-        )
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            if self._hang_suspected:
-                # a worker may be wedged mid-chunk; joining would block on
-                # it, so tear the pool down the same way a rebuild does
-                self._rebuild_pool()
-            else:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-            self._hang_suspected = False
+        return submit, arena.dispose
 
 
 register_backend(ProcessBackend.name, ProcessBackend)

@@ -1,12 +1,13 @@
 """Supervised chunk dispatch: deadlines, retry, quarantine, pool rebuild.
 
-The exec backends' original dispatch loop — submit every chunk, then block
-on ``f.result()`` in chunk order — inherits none of the worker supervision
-the paper gets for free from Charm++: a worker killed by the OOM killer
-raises ``BrokenProcessPool`` out of the whole iteration, leaves the pool
-permanently broken, and a hung worker blocks forever.  The
-:class:`ChunkSupervisor` replaces that loop with an event-driven one,
-following the re-dispatch-constrained-work model of Dekate et al.:
+This is how every chunk runs on a pool — the exec backends' traversals and
+the serve executor's query batches alike.  Blocking on each future in
+chunk order would inherit none of the worker supervision the paper gets
+for free from Charm++: a worker killed by the OOM killer would raise
+``BrokenProcessPool`` out of the whole iteration and leave the pool
+permanently broken, and a hung worker would block forever.  The
+:class:`ChunkSupervisor` runs an event-driven loop instead, following the
+re-dispatch-constrained-work model of Dekate et al.:
 
 * **wait-with-timeout dispatch** — the parent waits on *all* in-flight
   futures at once with a timeout derived from the per-chunk deadline, so
@@ -20,19 +21,21 @@ following the re-dispatch-constrained-work model of Dekate et al.:
   backoff so a transiently sick pool gets air;
 * **automatic pool rebuild** — a broken executor (worker SIGKILLed, OOM)
   fails every in-flight future; the supervisor drains them, asks the
-  backend to rebuild the pool, and re-dispatches every unfinished chunk
+  owner to rebuild the pool, and re-dispatches every unfinished chunk
   (``exec.worker_deaths`` / ``exec.pool_rebuilds``);
 * **poison-chunk quarantine** — a chunk that exhausts its attempts is
   re-executed *serially in-parent*, where no injection and no pool can
   hurt it (``exec.quarantined``).  The run degrades; it does not die.
 
+The pool itself — build, SIGKILL-on-rebuild, hang-aware shutdown — belongs
+to :class:`~repro.exec.backend.ExecutionBackend`.
+
 The determinism contract survives supervision because workers never mutate
 shared state: every attempt computes the same pure per-chunk outputs from
 read-only inputs, the parent keeps exactly one result per chunk (whichever
 attempt finished first), and ``exec_apply`` still runs exactly once per
-chunk, in chunk order.  A fault-free supervised run takes the identical
-code path per chunk as an unsupervised one — same visitor rebuilds, same
-reduction order — so its results are bit-identical to PR 5 behaviour.
+chunk, in chunk order.  A fault-free run therefore equals a serial one
+bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 import concurrent.futures as cf
 import time
 from concurrent.futures import BrokenExecutor, Future
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..faults.execfaults import WorkerDeath
@@ -53,8 +56,6 @@ __all__ = ["SupervisorConfig", "SupervisionStats", "ChunkSupervisor"]
 class SupervisorConfig:
     """Knobs for the supervised dispatch loop (frozen, reusable)."""
 
-    #: master switch: False restores the PR 5 block-on-result dispatch
-    enabled: bool = True
     #: explicit per-chunk deadline in seconds (None = seed from latency)
     chunk_deadline: float | None = None
     #: deadline = deadline_factor x observed p99, once seeded

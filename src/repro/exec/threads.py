@@ -1,14 +1,10 @@
 """Thread pool backend: shared address space, shared software cache.
 
-Worker threads traverse disjoint target-bucket chunks.  Two strategies,
-picked per visitor:
-
-* ``exec_shareable`` visitors are used *as one shared instance* — their
-  chunk writes land on disjoint per-particle rows (each target bucket is in
-  exactly one chunk), so under the GIL no synchronisation is needed and the
-  accumulation order per target equals the serial order;
-* visitors that only implement the exec protocol get one rebuilt instance
-  per chunk, merged afterwards in chunk order via ``exec_apply``.
+Worker threads traverse disjoint target-bucket chunks of one shared tree.
+Every attempt rebuilds its own visitor over the parent's arrays (the exec
+protocol, no copies), and the parent folds the winning attempts back in
+chunk order via ``exec_apply`` — so a retried or abandoned attempt never
+leaves partial writes behind.
 
 When a :class:`~repro.cache.concurrent.SharedTreeCache` is passed, every
 worker additionally warms it while traversing — concurrent
@@ -21,14 +17,8 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
-import numpy as np
-
-from ..core.traverser import Recorder, TraversalStats, Traverser, get_traverser
-from ..obs import Log2Histogram, get_telemetry
-from ..trees import Tree
 from .backend import ExecutionBackend, register_backend
 
 __all__ = ["ThreadBackend", "warm_shared_cache"]
@@ -76,193 +66,27 @@ class ThreadBackend(ExecutionBackend):
     name = "threads"
 
     def __init__(self, workers: int | None = None, cache_warm_fills: int = 32,
-                 supervise=None, exec_faults=None) -> None:
+                 supervise: Any = True, exec_faults=None) -> None:
         super().__init__(workers, supervise=supervise, exec_faults=exec_faults)
         self.cache_warm_fills = cache_warm_fills
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-        #: (issued, invoked) totals from the last run's cache warming
-        self.last_cache_warm = (0, 0)
-        #: a deadline fired at least once: hung worker threads may still be
-        #: sleeping inside the pool, so shutdown must not join them
-        self._hang_suspected = False
 
-    def _supports(self, visitor: Any) -> bool:
-        if getattr(visitor, "exec_shareable", False):
-            return True
-        return getattr(visitor, "exec_config", lambda: None)() is not None
+    def _submitter(self, job, tree, arrays, chunks, fork, shared_cache):
+        exec_faults, fills = self.exec_faults, self.cache_warm_fills
 
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="repro-exec"
-                )
-            return self._pool
-
-    def _run_chunks(
-        self,
-        engine: Traverser,
-        tree: Tree,
-        visitor: Any,
-        chunks: list[np.ndarray],
-        forks: list[Recorder] | None,
-        shared_cache=None,
-    ) -> TraversalStats:
-        pool = self._ensure_pool()
-        # Supervised dispatch needs retry-safe attempts: every attempt must
-        # rebuild a fresh visitor (the shared-instance path accumulates into
-        # the parent visitor, so a retried chunk would double-apply).  That
-        # requires the full exec protocol; a shareable-only visitor runs on
-        # the unsupervised path even when supervision is configured.
-        supervisor = self._make_supervisor()
-        if (supervisor is not None
-                and getattr(visitor, "exec_config", lambda: None)() is not None):
-            return self._run_supervised(
-                supervisor, engine, tree, visitor, chunks, forks, shared_cache
-            )
-        shareable = getattr(visitor, "exec_shareable", False)
-        chunk_visitors: list[Any] | None = None
-        if not shareable:
-            arrays = visitor.exec_arrays()
-            config = visitor.exec_config()
-            chunk_visitors = [
-                type(visitor).exec_rebuild(tree, arrays, config) for _ in chunks
-            ]
-
-        record_latency = get_telemetry().enabled
-
-        def task(i: int, chunk: np.ndarray):
+        def attempt(i: int, number: int, fork_i):
             t0 = time.perf_counter()
-            if self.exec_faults is not None:
-                # unsupervised + faults is the "demonstrably fails" path:
-                # the exception propagates out of run() unhandled
-                self.exec_faults.apply_in_worker(i, 0, in_process=False)
+            if exec_faults is not None:
+                exec_faults.apply_in_worker(i, number, in_process=False)
             warm = (0, 0)
             if shared_cache is not None:
-                warm = warm_shared_cache(shared_cache, self.cache_warm_fills)
-            vis = visitor if shareable else chunk_visitors[i]
-            # _traverse, not traverse: the Tracer's span stack is not
-            # thread-safe, so workers run bare and the main thread records
-            # completed spans afterwards.
-            stats = get_traverser(engine.name)._traverse(
-                tree, vis, chunk, forks[i] if forks else None
-            )
-            t1 = time.perf_counter()
-            # worker-side latency fork, merged parent-side in chunk order
-            lat = None
-            if record_latency:
-                lat = Log2Histogram()
-                lat.observe(t1 - t0)
-            return stats, warm, t0, t1, threading.get_ident(), lat
+                warm = warm_shared_cache(shared_cache, fills)
+            return job.run(tree, arrays, chunks[i], fork_i, t0,
+                           threading.get_ident(), warm=warm)
 
-        futures = [pool.submit(task, i, c) for i, c in enumerate(chunks)]
-        results = [f.result() for f in futures]  # chunk order, not completion
+        def submit(i: int, number: int):
+            return self._ensure_pool().submit(attempt, i, number, fork(i))
 
-        total = TraversalStats()
-        warm_issued = warm_invoked = 0
-        tasks = []
-        lanes: dict[int, int] = {}
-        for i, (stats, warm, t0, t1, ident, lat) in enumerate(results):
-            total.merge(stats)
-            warm_issued += warm[0]
-            warm_invoked += warm[1]
-            if not shareable:
-                visitor.exec_apply(
-                    tree, chunks[i], chunk_visitors[i].exec_collect(tree, chunks[i])
-                )
-            lane = lanes.setdefault(ident, len(lanes))
-            tasks.append({
-                "chunk": i, "targets": len(chunks[i]),
-                "start": t0, "end": t1, "lane": lane, "worker": f"thread-{lane}",
-                "latency": lat,
-            })
-        self.last_cache_warm = (warm_issued, warm_invoked)
-        self._record_tasks(tasks)
-        return total
-
-    def _run_supervised(
-        self,
-        supervisor,
-        engine: Traverser,
-        tree: Tree,
-        visitor: Any,
-        chunks: list[np.ndarray],
-        forks: list[Recorder] | None,
-        shared_cache=None,
-    ) -> TraversalStats:
-        """Supervised dispatch: per-attempt rebuilt visitors and forks, so
-        a failed/expired attempt leaves no partial state and the winning
-        attempt's outputs are applied exactly once, in chunk order."""
-        arrays = visitor.exec_arrays()
-        config = visitor.exec_config()
-        record_latency = get_telemetry().enabled
-        exec_faults = self.exec_faults
-
-        def compute(i: int, attempt: int, inject: bool):
-            t0 = time.perf_counter()
-            if inject and exec_faults is not None:
-                exec_faults.apply_in_worker(i, attempt, in_process=False)
-            warm = (0, 0)
-            if shared_cache is not None:
-                warm = warm_shared_cache(shared_cache, self.cache_warm_fills)
-            vis = type(visitor).exec_rebuild(tree, arrays, config)
-            fork = forks[i].fork() if forks is not None else None
-            stats = get_traverser(engine.name)._traverse(
-                tree, vis, chunks[i], fork
-            )
-            outputs = vis.exec_collect(tree, chunks[i])
-            t1 = time.perf_counter()
-            lat = None
-            if record_latency:
-                lat = Log2Histogram()
-                lat.observe(t1 - t0)
-            return stats, outputs, fork, warm, t0, t1, threading.get_ident(), lat
-
-        def submit(i: int, attempt: int):
-            return self._ensure_pool().submit(compute, i, attempt, True)
-
-        def serial_exec(i: int):
-            # quarantine: in-parent, no pool, no injection
-            return compute(i, -1, False)
-
-        results, sup_stats = supervisor.run(len(chunks), submit, serial_exec)
-        if sup_stats.deadline_misses:
-            self._hang_suspected = True
-
-        total = TraversalStats()
-        warm_issued = warm_invoked = 0
-        tasks = []
-        lanes: dict[int, int] = {}
-        for i, (stats, outputs, fork, warm, t0, t1, ident, lat) in enumerate(results):
-            total.merge(stats)
-            warm_issued += warm[0]
-            warm_invoked += warm[1]
-            visitor.exec_apply(tree, chunks[i], outputs)
-            if forks is not None and fork is not None:
-                forks[i] = fork  # the winning attempt's fork, absorbed by run()
-            lane = lanes.setdefault(ident, len(lanes))
-            tasks.append({
-                "chunk": i, "targets": len(chunks[i]),
-                "start": t0, "end": t1, "lane": lane, "worker": f"thread-{lane}",
-                "latency": lat,
-            })
-        self.last_cache_warm = (warm_issued, warm_invoked)
-        self._finish_supervised(sup_stats)
-        self._record_tasks(tasks)
-        return total
-
-    def shutdown(self) -> None:
-        with self._pool_lock:
-            if self._pool is not None:
-                # A worker stuck in an injected hang cannot be joined; drop
-                # the pool without waiting so failed runs never wedge
-                # shutdown (the sleeping thread exits on its own).
-                self._pool.shutdown(
-                    wait=not self._hang_suspected, cancel_futures=True
-                )
-                self._pool = None
-                self._hang_suspected = False
+        return submit, lambda: None
 
 
 register_backend(ThreadBackend.name, ThreadBackend)

@@ -2,45 +2,39 @@
 
 Batches from the micro-batcher are split into one contiguous chunk per
 worker (a chunk is one frontier walk, and one walk of 64 queries costs about
-half of four walks of 16) and dispatched through the PR 5
-:class:`~repro.exec.supervise.ChunkSupervisor` over a thread or process
-pool — so a worker death or hang degrades the batch (retry, re-dispatch,
-quarantine-to-serial) instead of killing the server.  Around that sits a
+half of four walks of 16) and dispatched through the exec backends' own
+pool and supervised loop (:class:`~repro.exec.backend.ExecutionBackend`,
+:class:`~repro.exec.supervise.ChunkSupervisor`) — so a worker death or
+hang degrades the batch (retry, re-dispatch, quarantine-to-serial, a
+SIGKILLed hung worker) instead of killing the server.  Around that sits a
 :class:`CircuitBreaker`: repeated pool rebuilds or failed runs open the
 breaker and the executor answers serially in-parent until a cool-down
 trial succeeds.
 
-Process workers rebuild the resident tree once in their initializer
-from the picklable dataset spec; chunks then travel as plain lists of
-wire-format query dicts.
+Process workers share the resident tree: it is packed into one shm arena
+per server, and each worker attaches it once through the exec backend's
+per-segment tree cache; chunks then travel as plain lists of wire-format
+query dicts.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable
 
+from ..exec.backend import get_backend
+from ..exec.processes import _attach_tree
 from ..exec.supervise import ChunkSupervisor, SupervisorConfig
 from .kernels import execute_queries
-from .resident import ResidentState, build_resident_state
+from .resident import ResidentState
 
 MODES = ("inline", "threads", "processes")
 
-# -- process-pool worker side -------------------------------------------------
 
-_WORKER_STATE: ResidentState | None = None
-
-
-def _init_worker(spec: dict[str, Any]) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = build_resident_state(spec)
-
-
-def _exec_chunk_in_worker(chunk: list[dict[str, Any]],
+def _exec_chunk_in_worker(handle, meta, chunk: list[dict[str, Any]],
                           max_results: int) -> list[dict[str, Any]]:
-    assert _WORKER_STATE is not None, "worker initializer did not run"
-    return execute_queries(_WORKER_STATE.tree, chunk, max_results=max_results)
+    tree = _attach_tree(handle, meta)[0]
+    return execute_queries(tree, chunk, max_results=max_results)
 
 
 class CircuitBreaker:
@@ -93,9 +87,9 @@ class BatchExecutor:
 
     * ``inline`` — serial in the calling thread (deterministic baseline,
       what the drain/restart bit-identity tests use);
-    * ``threads`` — supervised dispatch over a thread pool;
-    * ``processes`` — supervised dispatch over a process pool whose
-      workers hold their own copy of the tree.
+    * ``threads`` — supervised dispatch over the thread backend's pool;
+    * ``processes`` — supervised dispatch over the process backend's pool,
+      whose workers attach the resident tree from one shm arena.
     """
 
     def __init__(self, state: ResidentState, mode: str = "inline",
@@ -107,7 +101,13 @@ class BatchExecutor:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         self.state = state
         self.mode = mode
-        self.workers = max(1, int(workers))
+        #: the pool owner; None when inline or after shutdown
+        self.backend = None
+        self._arena = self._meta = None
+        if mode != "inline":
+            self.backend = get_backend(mode, workers=workers)
+            self.backend.thread_name_prefix = "serve-exec"
+        self.workers = self.backend.workers if self.backend else 1
         #: explicit chunk length; None = one contiguous chunk per worker
         self.chunk_size = chunk_size
         self.max_results = max_results
@@ -115,9 +115,8 @@ class BatchExecutor:
         self.supervisor = ChunkSupervisor(
             supervisor_config or SupervisorConfig(),
             backend_name=f"serve-{mode}",
-            cancel_abandoned=(mode != "processes"),
+            cancel_abandoned=self.backend is None or self.backend.supervisor_cancels,
         )
-        self._pool: ThreadPoolExecutor | ProcessPoolExecutor | None = None
         #: test seam: the chunk function used by thread-pool submits and
         #: the serial path (patch it to inject failures/hangs)
         self._chunk_fn: Callable[[list[dict[str, Any]]], list[dict[str, Any]]] = (
@@ -125,31 +124,18 @@ class BatchExecutor:
                                           max_results=self.max_results))
         self.batches = 0
         self.serial_batches = 0
-        if mode != "inline":
-            self._build_pool()
-
-    # -- pool lifecycle ------------------------------------------------------
-    def _build_pool(self) -> None:
-        if self.mode == "threads":
-            self._pool = ThreadPoolExecutor(max_workers=self.workers,
-                                            thread_name_prefix="serve-exec")
-        elif self.mode == "processes":
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_worker,
-                initargs=(self.state.worker_spec(),),
-            )
-
-    def _rebuild_pool(self) -> None:
-        self.shutdown()
-        self._build_pool()
+        if mode == "processes":
+            self._arena, self._meta = self.backend._pack_arena(state.tree, {})
 
     def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        """Stop the pool and drop the arena; later batches run serially."""
+        if self.backend is not None:
+            self.backend.shutdown()
+            self.backend = None
+        if self._arena is not None:
+            self._arena.dispose()
+            self._arena = None
 
-    # -- execution -----------------------------------------------------------
     def _chunks(self, queries: list[dict[str, Any]]) -> list[list[dict[str, Any]]]:
         size = self.chunk_size or -(-len(queries) // self.workers)
         return [queries[i:i + size] for i in range(0, len(queries), size)]
@@ -160,7 +146,8 @@ class BatchExecutor:
         if not queries:
             return []
         self.batches += 1
-        if self.mode == "inline" or self._pool is None or not self.breaker.allow():
+        backend = self.backend
+        if backend is None or not self.breaker.allow():
             self.serial_batches += 1
             return self._chunk_fn(queries)
 
@@ -168,16 +155,16 @@ class BatchExecutor:
 
         def submit(chunk_index: int, attempt: int):
             chunk = chunks[chunk_index]
-            if self.mode == "processes":
-                return self._pool.submit(_exec_chunk_in_worker, chunk,
-                                         self.max_results)
-            return self._pool.submit(self._chunk_fn, chunk)
+            if self._arena is not None:
+                return backend._ensure_pool().submit(
+                    _exec_chunk_in_worker, self._arena.handle, self._meta,
+                    chunk, self.max_results)
+            return backend._ensure_pool().submit(self._chunk_fn, chunk)
 
         try:
-            results, stats = self.supervisor.run(
-                len(chunks), submit,
-                serial_exec=lambda i: self._chunk_fn(chunks[i]),
-                rebuild=self._rebuild_pool,
+            results, stats = backend._supervise(
+                self.supervisor, len(chunks), submit,
+                lambda i: self._chunk_fn(chunks[i]),
             )
         except Exception:
             # supervision itself blew up (pool unrecoverable mid-run):

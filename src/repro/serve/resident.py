@@ -2,9 +2,8 @@
 
 A :class:`ResidentState` is built either from a generator spec (kind /
 n / seed) or from a PR 4 checkpoint written by a draining server.  The
-spec is a plain picklable dict so process-pool workers can rebuild the
-same state from their initializer, and it round-trips through the
-checkpoint's ``app_config`` so ``repro serve --resume`` reconstructs a
+spec is a plain dict that round-trips through the checkpoint's
+``app_config``, so ``repro serve --resume`` reconstructs a
 bit-identical tree: the checkpoint stores the tree-ordered particle
 arrays byte-exactly (CRC-verified npz), and the deterministic builder
 over identical arrays yields an identical tree.
@@ -33,10 +32,6 @@ class ResidentState:
     def n_particles(self) -> int:
         return len(self.particles)
 
-    def worker_spec(self) -> dict[str, Any]:
-        """Picklable recipe a process-pool worker rebuilds this state from."""
-        return dict(self.spec)
-
 
 def build_resident_state(spec: dict[str, Any]) -> ResidentState:
     """Materialise the resident dataset and tree from a spec dict.
@@ -63,8 +58,8 @@ def build_resident_state(spec: dict[str, Any]) -> ResidentState:
         # adopt the checkpoint's recorded generator spec: the resumed
         # server's own drain checkpoint then byte-matches the original
         # (same metadata, same tree-ordered arrays).  Checkpoints from
-        # other apps (a gravity run, say) have no recorded dataset —
-        # keep the checkpoint path so workers reload it instead.
+        # other apps (a gravity run, say) have no recorded dataset, so
+        # the spec keeps naming the checkpoint.
         recorded = ckpt.app_config.get("dataset")
         if recorded:
             spec = dict(recorded)

@@ -90,8 +90,6 @@ class CountInRadiusVisitor(Visitor):
     ``open``/``node``/``leaf`` are the base class's.
     """
 
-    exec_shareable = True
-
     def __init__(self, tree: Tree, radius: float) -> None:
         self.tree = tree
         self.radius = float(radius)

@@ -184,8 +184,6 @@ def _cli_runs() -> list[Run]:
                "--exec-faults", "kill=0.25,seed=3", "--max-chunk-retries", "4"),
         _repro(*g, "--backend", "processes", "--workers", "2",
                "--exec-faults", "hang=0.2@30,err=0.2,seed=5", "--chunk-deadline", "1.0"),
-        _fails(*g, "--backend", "threads", "--workers", "2",
-               "--exec-faults", "kill=0.3,seed=7", "--no-supervise"),
         _repro(*g, "--backend", "threads"),
         # SIGINT once the first checkpoint exists: the final checkpoint and
         # the 128 + N exit code

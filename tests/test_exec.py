@@ -204,6 +204,33 @@ class TestFallbackModes:
         assert np.array_equal(vis.counts, serial.counts)
 
 
+class TestBareBackendIsSupervised:
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_bare_backend_is_supervised_and_bit_identical(self, backend):
+        """No opt-in: a bare ``get_backend`` pool runs the supervised loop,
+        and with workers warming a shared cache its result equals serial."""
+        ps = uniform_cube(600, seed=21)
+        tree = build_tree(ps, tree_type="oct", bucket_size=12)
+        decomp = decompose(tree, SfcDecomposer().assign(ps, 8), n_subtrees=8)
+        cache = SharedTreeCache(tree, decomp.node_process(), process=0,
+                                nodes_per_request=2, shared_branch_levels=2)
+        serial = _gravity_visitor(tree)
+        get_backend("serial").run(tree, "transposed", serial)
+        with get_backend(backend, workers=2) as b:
+            vis = _gravity_visitor(tree)
+            b.run(tree, "transposed", vis, shared_cache=cache)
+            assert b.last_mode == "parallel"
+            assert b.last_supervision is not None
+            assert not any(b.last_supervision.values())
+        assert np.array_equal(vis.accel, serial.accel)
+        cache.validate()
+
+    def test_supervise_rejects_anything_but_true_or_a_config(self):
+        for bad in (False, None, "yes"):
+            with pytest.raises(ValueError, match="supervise must be True"):
+                get_backend("threads", workers=2, supervise=bad)
+
+
 class TestExecTelemetry:
     def test_parallel_run_emits_metrics_and_spans(self, tree):
         tel = Telemetry()

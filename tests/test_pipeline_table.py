@@ -267,7 +267,7 @@ def test_faults_flag_is_honoured_with_or_without_a_distributed_phase(capsys):
 OPTIONS_AT_PR12 = {
     "_run": ["--backend", "--checkpoint-dir", "--checkpoint-every",
              "--chunk-deadline", "--exec-faults", "--faults", "--flight",
-             "--max-chunk-retries", "--metrics", "--no-supervise", "--report",
+             "--max-chunk-retries", "--metrics", "--report",
              "--save-state", "--status-file", "--trace", "--workers"],
     "_tree": ["--bucket", "--n", "--seed", "--tree"],
     "gravity": ["_run", "_tree", "--check", "--critical-path", "--dt",
@@ -281,10 +281,10 @@ OPTIONS_AT_PR12 = {
     "resume": ["_run", "--iterations"],
     "explain": ["_tree", "--backend", "--chunk-deadline", "--depth",
                 "--exec-faults", "--iterations", "--json", "--max-chunk-retries",
-                "--no-supervise", "--partitions", "--theta", "--top", "--trace",
+                "--partitions", "--theta", "--top", "--trace",
                 "--traverser", "--whatif", "--workers"],
     "top": ["--backend", "--chunk-deadline", "--exec-faults", "--follow",
-            "--iterations", "--max-chunk-retries", "--n", "--no-supervise",
+            "--iterations", "--max-chunk-retries", "--n",
             "--once", "--poll", "--seed", "--workers"],
 }
 

@@ -399,6 +399,75 @@ class TestBatchExecutor:
         assert ex.serial_batches >= 1
 
 
+    def test_negative_worker_count_is_rejected(self):
+        state = build_resident_state({"kind": "cube", "n": 300, "seed": 4})
+        for mode in ("threads", "processes"):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                BatchExecutor(state, mode=mode, workers=-3)
+
+    def test_serve_negative_workers_exits_2(self, capsys):
+        from repro.__main__ import main
+
+        rc = main(["serve", "--n", "300", "--executor", "processes",
+                   "--workers", "-3", "--validate", "--queries", "20"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: workers must be >= 1, got -3"]
+
+    def test_hung_process_worker_does_not_block_exit(self):
+        """Deadlines quarantine both chunks of a batch whose process
+        workers hang; shutdown must then kill the hung workers, or the
+        interpreter waits on them at exit."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        import textwrap
+
+        script = textwrap.dedent("""
+            import os, time
+            import repro.serve.executor as ex
+            from repro.exec.supervise import SupervisorConfig
+            from repro.serve import build_resident_state
+
+            parent = os.getpid()
+            real = ex.execute_queries
+
+            def hang_in_workers(*args, **kwargs):
+                if os.getpid() != parent:
+                    time.sleep(120)
+                return real(*args, **kwargs)
+
+            ex.execute_queries = hang_in_workers
+            state = build_resident_state({"kind": "cube", "n": 300, "seed": 4})
+            executor = ex.BatchExecutor(
+                state, mode="processes", workers=2,
+                supervisor_config=SupervisorConfig(
+                    chunk_deadline=0.3, max_chunk_retries=1, backoff_base=0.0))
+            queries = [{"id": f"q{i}", "op": "knn", "point": [0.5, 0.5, 0.5],
+                        "k": 2} for i in range(4)]
+            out = executor.execute(queries)
+            assert [d["idx"] for d in out] == [d["idx"] for d in real(
+                state.tree, queries)]
+            assert executor.supervisor.total_stats.quarantined == 2
+            executor.shutdown()
+            print("answered")
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("interpreter hung at exit behind a hung serve worker")
+        assert proc.returncode == 0, err
+        assert "answered" in out
+
+
 # ---------------------------------------------------------------------------
 # resident state + checkpoint round-trip
 

@@ -236,29 +236,6 @@ class TestThreadRecovery:
         assert other.extra["supervision"]["redispatches"] > 0
         assert_equivalent(base, other)
 
-    def test_unsupervised_kill_plan_demonstrably_fails(self, tree):
-        with pytest.raises(WorkerDeath):
-            run_combination(
-                tree, "basic", _make_visitor, _collect, "threads", 4,
-                backend_opts={
-                    "exec_faults": ExecFaultPlan(seed=7, worker_kill=0.3),
-                    "supervise": False,
-                },
-            )
-
-    def test_fault_free_supervised_matches_unsupervised(self, tree):
-        base = run_combination(
-            tree, "basic", _make_visitor, _collect, "threads", 4,
-        )
-        other = run_combination(
-            tree, "basic", _make_visitor, _collect, "threads", 4,
-            backend_opts={"supervise": True},
-        )
-        assert other.mode == "parallel"
-        assert "supervision" in other.extra
-        assert not any(other.extra["supervision"].values())
-        assert_equivalent(base, other)
-
 
 class TestProcessRecovery:
     def test_sigkill_mid_chunk_is_bit_identical_to_serial(self, tree):
@@ -292,18 +269,6 @@ class TestProcessRecovery:
         deaths = tel.metrics.counter("exec.worker_deaths", backend="processes")
         assert deaths.value > 0
 
-    def test_unsupervised_kill_plan_demonstrably_fails(self, tree):
-        from concurrent.futures.process import BrokenProcessPool
-
-        with pytest.raises(BrokenProcessPool):
-            run_combination(
-                tree, "basic", _make_visitor, _collect, "processes", 4,
-                backend_opts={
-                    "exec_faults": ExecFaultPlan(seed=3, worker_kill=0.25),
-                    "supervise": False,
-                },
-            )
-
     def test_hang_plan_recovers_via_deadline(self, tree):
         base = _serial(tree)
         t0 = time.perf_counter()
@@ -320,35 +285,12 @@ class TestProcessRecovery:
         assert other.extra["supervision"]["deadline_misses"] > 0
         assert_equivalent(base, other)
 
-    def test_fault_free_supervised_matches_unsupervised(self, tree):
-        base = run_combination(
-            tree, "basic", _make_visitor, _collect, "processes", 4,
-        )
-        other = run_combination(
-            tree, "basic", _make_visitor, _collect, "processes", 4,
-            backend_opts={"supervise": True},
-        )
-        assert other.mode == "parallel"
-        assert not any(other.extra["supervision"].values())
-        assert_equivalent(base, other)
-
 
 class TestBackendPlumbing:
     def test_supervision_auto_arms_on_fault_plan(self):
         b = get_backend("threads", workers=2,
                         exec_faults=ExecFaultPlan(chunk_error=0.1))
         assert b.supervise_config is not None
-        b.shutdown()
-
-    def test_supervision_off_by_default_without_faults(self):
-        b = get_backend("threads", workers=2)
-        assert b.supervise_config is None
-        b.shutdown()
-
-    def test_supervise_false_forces_off_even_with_faults(self):
-        b = get_backend("processes", workers=2, supervise=False,
-                        exec_faults=ExecFaultPlan(worker_kill=1.0))
-        assert b.supervise_config is None
         b.shutdown()
 
     def test_serial_backend_ignores_supervision(self):
@@ -420,16 +362,6 @@ class TestDriverIntegration:
         backend = driver.enable_parallel("threads", workers=2)
         try:
             assert backend.supervise_config is not None
-        finally:
-            driver.disable_parallel()
-
-    def test_driver_no_supervise_opt_out(self):
-        from repro.core import Driver
-
-        driver = Driver()
-        backend = driver.enable_parallel("threads", workers=2, supervise=False)
-        try:
-            assert backend.supervise_config is None
         finally:
             driver.disable_parallel()
 
