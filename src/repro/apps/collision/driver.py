@@ -121,6 +121,7 @@ class PlanetesimalDriver(Driver):
             self.log.eccentricities.append(float(el["e"][0]))
         if self.merge and events:
             self._merge_pairs(events)
+            p = self.particles  # the survivors: merging selects a new set
         p.position += p.velocity * self.dt
         self.time += self.dt
 

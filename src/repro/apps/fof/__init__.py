@@ -7,6 +7,6 @@ particles chained by pairwise separations below the linking length; the
 tree's ball searches make it O(N log N) instead of O(N²).
 """
 
-from .fof import FoFResult, friends_of_friends, brute_force_fof, UnionFind
+from .fof import FoFResult, friends_of_friends, UnionFind
 
-__all__ = ["FoFResult", "friends_of_friends", "brute_force_fof", "UnionFind"]
+__all__ = ["FoFResult", "friends_of_friends", "UnionFind"]

@@ -10,7 +10,7 @@ from ...particles import ParticleSet
 from ...trees import Tree, build_tree
 from ..knn.balls import ball_search
 
-__all__ = ["UnionFind", "FoFResult", "friends_of_friends", "brute_force_fof"]
+__all__ = ["UnionFind", "FoFResult", "friends_of_friends"]
 
 
 class UnionFind:
@@ -96,15 +96,3 @@ def friends_of_friends(
         com = np.where(mass[:, None] > 0, com / mass[:, None], 0.0)
     return FoFResult(labels=labels, group_sizes=sizes, group_com=com, group_mass=mass)
 
-
-def brute_force_fof(positions: np.ndarray, linking_length: float) -> np.ndarray:
-    """Reference O(N²) FoF labels (same dense-id convention)."""
-    positions = np.asarray(positions)
-    n = len(positions)
-    uf = UnionFind(n)
-    ll2 = linking_length**2
-    for i in range(n):
-        d2 = ((positions[i + 1 :] - positions[i]) ** 2).sum(axis=1)
-        for j in np.flatnonzero(d2 <= ll2):
-            uf.union(i, i + 1 + int(j))
-    return uf.labels()

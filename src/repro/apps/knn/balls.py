@@ -1,8 +1,8 @@
 """Fixed-radius ball searches (neighbour gathering within r).
 
 Used by the Gadget-2-style SPH baseline (repeated fixed-ball searches while
-converging each particle's smoothing length, §III-B) and by collision
-detection (§IV).
+converging each particle's smoothing length, §III-B), by friends-of-friends
+and by ``repro serve``'s range queries.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from ...trees import Tree
 from ...trees.kernels import components, expand_pair_products, pair_dist_sq
 from .knn import OPEN_SLACK, Targets
 
-__all__ = ["BallSearchVisitor", "ball_search", "range_points", "brute_force_ball"]
+__all__ = ["BallSearchVisitor", "ball_search", "range_points"]
 
 
 class BallSearchVisitor(Visitor):
@@ -128,17 +128,3 @@ def range_points(tree: Tree, points: np.ndarray, radii: np.ndarray | float,
     targets.walk(tree, visitor)
     return visitor.count, visitor.neighbor_lists()
 
-
-def brute_force_ball(
-    positions: np.ndarray, radii: np.ndarray | float, include_self: bool = False
-) -> list[np.ndarray]:
-    """Reference O(N²) ball search."""
-    positions = np.asarray(positions)
-    n = len(positions)
-    if np.isscalar(radii):
-        radii = np.full(n, float(radii))
-    every = np.arange(n)
-    hits = pair_dist_sq(positions, every[:, None], every[None, :]) <= (radii * radii)[:, None]
-    if not include_self:
-        np.fill_diagonal(hits, False)
-    return [np.flatnonzero(row) for row in hits]

@@ -217,22 +217,24 @@ def tree_from_levels(particles: ParticleSet, levels: list, tree_type: str,
     return tree
 
 
-def tight_bounds(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
-    """``(lo, hi)``, both (M, 3): the tight bounds of every node's particles.
+def tight_bounds(tree: Tree, values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)``: per node, the minimum and maximum of a per-particle
+    column (tree order) over the node's particles — by default the
+    positions, giving (M, 3) tight boxes; an (N,) column gives (M,).
 
     Leaf slices tile ``[0, N)``, so ``np.minimum.reduceat`` over the
     pstart-sorted leaves gives every leaf's bounds in one pass; internal
     nodes follow bottom-up (min/max are exact, so combining children is
     bit-identical to reducing the node's whole particle slice).
     """
-    pos = tree.particles.position
+    values = tree.particles.position if values is None else np.asarray(values)
     leaves = tree.leaf_indices
     lsort = leaves[np.argsort(tree.pstart[leaves])]
     starts = tree.pstart[lsort]
-    lo = np.full((tree.n_nodes, 3), np.inf)
-    hi = np.full((tree.n_nodes, 3), -np.inf)
-    lo[lsort] = np.minimum.reduceat(pos, starts, axis=0)
-    hi[lsort] = np.maximum.reduceat(pos, starts, axis=0)
+    lo = np.full((tree.n_nodes,) + values.shape[1:], np.inf)
+    hi = np.full((tree.n_nodes,) + values.shape[1:], -np.inf)
+    lo[lsort] = np.minimum.reduceat(values, starts, axis=0)
+    hi[lsort] = np.maximum.reduceat(values, starts, axis=0)
     for lvl in range(int(tree.level.max()), 0, -1):
         idx = np.flatnonzero(tree.level == lvl)
         np.minimum.at(lo, tree.parent[idx], lo[idx])

@@ -1,5 +1,7 @@
 """Collision detection, orbital mechanics, and the planetesimal driver."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from repro.apps.collision import (
     resonance_semi_major_axis,
 )
 from repro.core import Configuration
-from repro.particles import DiskParams, ParticleSet, keplerian_disk
+from repro.particles import DiskParams, ParticleSet, clustered_clumps, keplerian_disk
 from repro.particles.generators import G_AU_MSUN_YR
 from repro.trees import build_tree
 
@@ -109,7 +111,7 @@ class TestDetector:
         """Bodies that only touch during the drift are caught."""
         p = self._two_body_set(sep=1.0, radius=0.05, v_rel=10.0)
         tree = build_tree(p, tree_type="kd", bucket_size=2)
-        events, _ = detect_collisions(tree, dt=0.2, v_rel_max=10.0)
+        events, _ = detect_collisions(tree, dt=0.2)
         assert len(events) == 1
         assert 0 < events[0].time < 0.2
 
@@ -152,20 +154,17 @@ class TestDetector:
         assert got == expect
 
 
-    def test_events_do_not_depend_on_the_ball_search_engine(self, monkeypatch):
+    def test_events_do_not_depend_on_the_traversal_engine(self, monkeypatch):
         """Events come out in (i, j) order with values computed from the
         (i, j) pair, so the engine that gathered the candidates — and the
         order it visited them in — leaves no trace."""
-        import functools
-
         from repro.apps.collision import detector
-        from repro.apps.knn import ball_search
+        from repro.core import get_traverser
 
         disk = keplerian_disk(800, params=DiskParams(planetesimal_radius=6e-3), seed=4)
         tree = build_tree(disk, tree_type="longest", bucket_size=8)
         default, _ = detect_collisions(tree, dt=0.02, exclude_types=disk.ptype != 0)
-        monkeypatch.setattr(detector, "ball_search",
-                            functools.partial(ball_search, traverser="per-bucket"))
+        monkeypatch.setattr(detector, "get_traverser", lambda name: get_traverser("per-bucket"))
         per_bucket, _ = detect_collisions(tree, dt=0.02, exclude_types=disk.ptype != 0)
         assert len(default) > 3
         keys = [(e.i, e.j) for e in default]
@@ -174,6 +173,129 @@ class TestDetector:
         for a, b in zip(default, per_bucket):
             assert (a.time, a.distance) == (b.time, b.distance)
             assert a.position.tobytes() == b.position.tobytes()
+
+
+def _event_bytes(events):
+    return [(e.i, e.j, e.time, e.distance, e.position.tobytes()) for e in events]
+
+
+def _assert_matches_oracle(tree, dt, exclude=None):
+    """detect_collisions == the ball-search detector, event by event in
+    bytes; returns the event count."""
+    from tests.harness.collision_reference import reference_collisions
+
+    got, _ = detect_collisions(tree, dt, exclude_types=exclude)
+    want, _ = reference_collisions(tree, dt, exclude_types=exclude)
+    assert _event_bytes(got) == _event_bytes(want)
+    return len(got)
+
+
+def _oracle_set(kind):
+    """The two differential datasets: a Keplerian disk (star and planet
+    included, as the driver sees it) and clumps with random velocities."""
+    if kind == "disk":
+        return keplerian_disk(500, params=DiskParams(planetesimal_radius=6e-3), seed=9)
+    base = clustered_clumps(500, seed=3)
+    rng = np.random.default_rng(3)
+    # one body in ten twenty times faster: crossings from every direction
+    velocity = rng.normal(0, 0.3, (500, 3)) * np.where(rng.random(500) < 0.1, 20.0, 1.0)[:, None]
+    ptype = (np.arange(500) % 7 == 0).astype(np.int64)
+    return ParticleSet(base.position, velocity, base.mass,
+                       radius=rng.uniform(0.001, 0.008, 500), ptype=ptype)
+
+
+def _oracle_case(kind, tree_type, bucket, dt, exclude):
+    p = _oracle_set(kind)
+    tree = build_tree(p, tree_type=tree_type, bucket_size=bucket)
+    return _assert_matches_oracle(tree, dt, tree.particles.ptype != 0 if exclude else None)
+
+
+class TestAgainstBallSearchOracle:
+    """The pruning rule decides which pairs reach the exact test, never the
+    outcome: events equal the ball-search detector's
+    (tests/harness/collision_reference.py) in bytes."""
+
+    #: tree type -> the (bucket size, dt, exclude) case a run that selects
+    #: every test checks; ``-m slow`` sweeps them all
+    DIAGONAL = {"oct": (1, 0.2, False), "kd": (8, 0.025, True), "longest": (16, 0.01, False)}
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("kind", ["disk", "clumps"])
+    @pytest.mark.parametrize("tree_type", ["oct", "kd", "longest"])
+    def test_matches_oracle(self, request, kind, tree_type):
+        if request.config.getoption("markexpr") == "slow":
+            cases = itertools.product([1, 8, 16], [0.01, 0.025, 0.2], [False, True])
+        else:
+            cases = [self.DIAGONAL[tree_type]]
+        events = [_oracle_case(kind, tree_type, *case) for case in cases]
+        assert sum(events) > 0
+
+    @pytest.mark.parametrize("bucket", [1, 4])
+    def test_coincident_particles_with_equal_velocity(self, bucket):
+        rng = np.random.default_rng(5)
+        pos = rng.uniform(0, 1, (40, 3))
+        pos[7] = pos[23] = pos[31]
+        vel = rng.normal(0, 0.1, (40, 3))
+        vel[7] = vel[23] = vel[31]
+        p = ParticleSet(pos, vel, np.ones(40), radius=np.full(40, 1e-3))
+        tree = build_tree(p, tree_type="kd", bucket_size=bucket)
+        assert _assert_matches_oracle(tree, 0.01) >= 3
+
+    @pytest.mark.parametrize("bucket", [1, 2])
+    @pytest.mark.parametrize("tree_type", ["oct", "kd", "longest"])
+    def test_fast_body_crossing_a_slow_one_mid_step(self, tree_type, bucket):
+        """Only the velocity ranges bring these two within reach: they are
+        a unit apart at both ends of the step and touch half way.  A slow
+        companion of the fast body, receding, widens its bucket's range
+        at the low end only."""
+        rng = np.random.default_rng(6)
+        pos = np.vstack([[[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [-1.0, -0.05, 0.0]],
+                         rng.uniform(2, 4, (30, 3))])
+        vel = np.vstack([[[0.0, 0.0, 0.0], [20.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+                         rng.normal(0, 0.01, (30, 3))])
+        p = ParticleSet(pos, vel, np.ones(33), radius=np.full(33, 0.01))
+        tree = build_tree(p, tree_type=tree_type, bucket_size=bucket)
+        events, _ = detect_collisions(tree, dt=0.1)
+        assert [(sorted(tree.particles.orig_index[[e.i, e.j]]), round(e.time, 6))
+                for e in events] == [([0, 1], 0.05)]
+        _assert_matches_oracle(tree, 0.1)
+
+    @pytest.mark.parametrize("tree_type", ["oct", "kd", "longest"])
+    def test_fast_body_approaching_against_tree_order(self, tree_type):
+        """On the octree the victim (upper x octant) precedes the fast body
+        (upper y octant) in Morton order, yet the fast body closes in along
+        +x: the bound must take the source's upper velocity against the
+        target's lower one too, not only the reverse."""
+        corners = np.array(list(itertools.product([0.0, 4.0], repeat=3)))
+        pos = np.vstack([[[2.5, 1.0, 1.0], [1.5, 3.0, 1.0], [1.5, 3.05, 1.0]], corners])
+        vel = np.zeros((11, 3))
+        vel[1], vel[2] = [10.5, -21.0, 0.0], [-1.0, 1.0, 0.0]
+        p = ParticleSet(pos, vel, np.ones(11), radius=np.full(11, 0.01))
+        tree = build_tree(p, tree_type=tree_type, bucket_size=2)
+        assert _assert_matches_oracle(tree, 0.1) == 1
+
+    @pytest.mark.parametrize("tree_type", ["oct", "kd", "longest"])
+    def test_unequal_radii_at_rest(self, tree_type):
+        """A small body inside a large one's reach, the large one first in
+        tree order and then second: the bound takes each side's radius."""
+        rng = np.random.default_rng(7)
+        pos = np.vstack([[[0.0, 0, 0], [0.05, 0, 0], [1.0, 0, 0], [1.05, 0, 0]],
+                         rng.uniform(2, 4, (30, 3))])
+        radius = np.concatenate([[0.1, 0.001, 0.001, 0.1], np.full(30, 0.001)])
+        p = ParticleSet(pos, np.zeros((34, 3)), np.ones(34), radius=radius)
+        tree = build_tree(p, tree_type=tree_type, bucket_size=1)
+        assert _assert_matches_oracle(tree, 0.01) == 2
+
+    def test_one_particle_tree(self):
+        p = ParticleSet(np.zeros((1, 3)), np.ones((1, 3)), np.ones(1), radius=np.ones(1))
+        tree = build_tree(p, tree_type="oct", bucket_size=1)
+        assert _assert_matches_oracle(tree, 0.1) == 0
+
+    def test_all_particles_excluded(self):
+        p = _oracle_set("clumps")
+        tree = build_tree(p, tree_type="longest", bucket_size=8)
+        assert _assert_matches_oracle(tree, 0.2) > 0
+        assert _assert_matches_oracle(tree, 0.2, np.ones(tree.n_particles, dtype=bool)) == 0
 
 
 class TestPlanetesimalDriver:
@@ -221,6 +343,26 @@ class TestPlanetesimalDriver:
             d.run_iteration(it)
         assert len(d.particles) < n0
         assert d.particles.mass.sum() == pytest.approx(m0)
+
+    def test_merging_step_drifts_the_survivors(self):
+        """A step that merges a pair drifts the merged set: every survivor
+        moves by its velocity times dt."""
+        pos = np.array([[1.0, 0, 0], [1.01, 0, 0], [5.0, 5, 5], [-5.0, -5, -5]])
+
+        class Main(PlanetesimalDriver):
+            def create_particles(self, config):
+                return ParticleSet(pos.copy(), np.tile([1.0, 0, 0], (4, 1)),
+                                   np.full(4, 1e-12), radius=np.full(4, 0.05))
+
+        d = Main(Configuration(num_iterations=1, tree_type="kd", bucket_size=1,
+                               num_partitions=1, num_subtrees=1), dt=0.1, merge=True)
+        d.run()
+        p = d.particles
+        assert len(p) == 3 and d.time == pytest.approx(0.1)
+        start = pos[p.orig_index]
+        start[p.orig_index == 0] = [1.005, 0, 0]  # the merged pair's centre of mass
+        np.testing.assert_allclose(p.position, start + p.velocity * 0.1, atol=1e-12)
+        assert np.all(p.velocity[:, 0] == pytest.approx(1.0))
 
 
 class TestProfileHelpers:

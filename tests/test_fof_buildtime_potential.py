@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.apps.fof import UnionFind, brute_force_fof, friends_of_friends
+from repro.apps.fof import UnionFind, friends_of_friends
 from repro.apps.gravity import compute_gravity, direct_potential
 from repro.decomp import SfcDecomposer, estimate_build_times
 from repro.particles import clustered_clumps, uniform_cube
 from repro.trees import build_tree
+from tests.harness.ball_reference import brute_force_fof
 
 
 class TestUnionFind:

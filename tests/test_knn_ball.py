@@ -7,13 +7,13 @@ from repro.apps.knn import (
     BallSearchVisitor,
     KNNVisitor,
     ball_search,
-    brute_force_ball,
     brute_force_knn,
     knn_search,
 )
 from repro.core import get_traverser
 from repro.particles import ParticleSet, clustered_clumps, uniform_cube
 from repro.trees import build_tree
+from tests.harness.ball_reference import brute_force_ball
 
 
 @pytest.fixture(scope="module", params=["oct", "kd"])

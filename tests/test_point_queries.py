@@ -278,12 +278,14 @@ def _digest(*arrays):
 
 #: tree type -> (knn_search rows, its pp count, ball_search lists, its pp
 #: count, detect_collisions events, its opens), from the commit before
-#: ``Targets`` existed.  Not to be regenerated to make a change pass.
+#: ``Targets`` existed.  Not to be regenerated to make a change pass: only
+#: the opens column was restated, once, when the collision search got its
+#: own pruning rule (oct 20 439, kd 10 262, longest 9 540 before).
 DEFAULT_TABLE_PINS = {
-    "oct": ("f9be4a64174a7873", 109404, "7e7f22d7c1f82386", 71646, "3d8141041e356883", 20439),
-    "kd": ("cbfa5313486f4d9d", 235783, "6d5037b69720e591", 118766, "5bf09fb226bb2c64", 10262),
+    "oct": ("f9be4a64174a7873", 109404, "7e7f22d7c1f82386", 71646, "3d8141041e356883", 15074),
+    "kd": ("cbfa5313486f4d9d", 235783, "6d5037b69720e591", 118766, "5bf09fb226bb2c64", 6746),
     "longest": ("78efe67e73bd4e13", 209154, "7a6d0f777e817e5f", 112060, "77cf492529174795",
-                9540),
+                6516),
 }
 
 

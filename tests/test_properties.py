@@ -301,7 +301,8 @@ class TestBallSearchProperties:
     @given(pts=point_clouds(min_n=4, max_n=70), data=st.data())
     @settings(max_examples=10, **COMMON)
     def test_matches_brute_force(self, pts, data):
-        from repro.apps.knn import ball_search, brute_force_ball
+        from repro.apps.knn import ball_search
+        from tests.harness.ball_reference import brute_force_ball
 
         scale = float(np.abs(pts).max() or 1.0)
         radius = data.draw(st.floats(0.01, 1.0)) * scale
@@ -316,7 +317,8 @@ class TestFoFProperties:
     @given(pts=point_clouds(min_n=4, max_n=60), data=st.data())
     @settings(max_examples=10, **COMMON)
     def test_partition_matches_brute_force(self, pts, data):
-        from repro.apps.fof import brute_force_fof, friends_of_friends
+        from repro.apps.fof import friends_of_friends
+        from tests.harness.ball_reference import brute_force_fof
 
         scale = float(np.abs(pts).max() or 1.0)
         ll = data.draw(st.floats(0.01, 0.5)) * scale + 1e-9
