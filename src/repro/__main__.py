@@ -33,6 +33,8 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
+
 import numpy as np
 
 from .apps import (APPS, TRAVERSER, TREE_OPTIONS, dataset_options, declare,
@@ -113,9 +115,27 @@ def _add_checkpoint(p: argparse.ArgumentParser) -> None:
 
 # -- running a Driver from the command line ------------------------------------
 
+class BadInput(Exception):
+    """A spec, file or checkpoint the command line could not take in:
+    :func:`main` prints it as one ``error:`` line and exits 2.  Anything
+    else raised during a run is a bug and keeps its traceback."""
+
+
+@contextmanager
+def _ingest(what: str = ""):
+    """Where a command reads its specs and files: what they reject is
+    re-raised as :class:`BadInput`, prefixed with ``what``."""
+    try:
+        yield
+    except FileNotFoundError as exc:
+        raise BadInput(f"{what}not found: {exc.filename}") from None
+    except (OSError, ValueError, KeyError) as exc:
+        raise BadInput(f"{what}{exc}") from None
+
+
 def _slo_spec(args):
-    """The parsed ``--slo`` spec or None; ValueError on a bad spec, raised
-    before any work so the run never starts."""
+    """The parsed ``--slo`` spec or None; called inside :func:`_ingest`
+    before any work, so a bad spec never starts the run."""
     if not getattr(args, "slo", None):
         return None
     from .obs import parse_slo_spec
@@ -130,12 +150,9 @@ def _evaluate_slo(spec, samples, args) -> int:
     report = evaluate_slo(spec, samples)
     print(report.summary())
     if args.slo_report:
-        try:
+        with _ingest("could not write SLO report: "):
             report.write(args.slo_report)
-            print(f"wrote SLO report to {args.slo_report}")
-        except OSError as exc:
-            print(f"error: could not write SLO report: {exc}", file=sys.stderr)
-            return 2
+        print(f"wrote SLO report to {args.slo_report}")
     return 1 if report.violated else 0
 
 
@@ -143,25 +160,17 @@ def _enable_parallel_from_args(driver, args) -> None:
     """Attach the requested execution backend to a Driver run.  The exec
     flags are parsed on every backend, so a bad spec fails the same way
     whether or not a pool would use it."""
+    from .exec import SupervisorConfig
+    from .faults import parse_exec_fault_spec
+
     overrides = {key: getattr(args, key)
                  for key in ("chunk_deadline", "max_chunk_retries")
                  if getattr(args, key) is not None}
-    try:
-        supervise, faults = True, args.exec_faults
-        if overrides:
-            from .exec import SupervisorConfig
-
-            supervise = SupervisorConfig(**overrides)
-        if faults:
-            from .faults import parse_exec_fault_spec
-
-            faults = parse_exec_fault_spec(faults)
-        if args.backend != "serial":
-            driver.enable_parallel(args.backend, workers=args.workers or None,
-                                   supervise=supervise, exec_faults=faults)
-    except ValueError as exc:  # bad --exec-faults/--chunk-deadline spec
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+    supervise = SupervisorConfig(**overrides) if overrides else True
+    faults = parse_exec_fault_spec(args.exec_faults) if args.exec_faults else None
+    if args.backend != "serial":
+        driver.enable_parallel(args.backend, workers=args.workers or None,
+                               supervise=supervise, exec_faults=faults)
 
 
 def _print_exec_health(driver) -> None:
@@ -173,11 +182,12 @@ def _print_exec_health(driver) -> None:
         print(f"iteration {rep.iteration}: exec degraded ({acts})")
 
 
-def _print_comm_sims(driver) -> bool:
-    """One block per replayed iteration; False when nothing was replayed."""
-    replayed = [rep for rep in driver.reports if rep.comm_sim]
-    for rep in replayed:
+def _print_comm_sims(driver) -> None:
+    """One block per replayed iteration."""
+    for rep in driver.reports:
         cs = rep.comm_sim
+        if not cs:
+            continue
         if cs.get("failed"):
             print(f"iteration {rep.iteration}: comm sim FAILED "
                   f"({cs.get('reason')}, process={cs.get('process')}, "
@@ -190,7 +200,6 @@ def _print_comm_sims(driver) -> bool:
             _print_recovery_dict(cs["recovery"])
         if cs.get("critical_path"):
             _print_critical_path_dict(cs["critical_path"])
-    return bool(replayed)
 
 
 def _save_state(driver, path: str) -> None:
@@ -227,116 +236,84 @@ def _print_critical_path_dict(cp: dict, indent: str = "  ") -> None:
         print(f"{indent}  {label:<26} {secs * 1e3:10.3f} ms  {secs / makespan:6.1%}")
 
 
-def _chaos_probe(tree, plan, n_processes: int = 4) -> None:
-    """Drive the threaded software cache over ``tree`` under ``plan``:
-    every placeholder is filled despite transient failures, and the
-    wait-free validity invariant is checked at the end.  How ``--faults``
-    is honoured by the pipelines whose traversal has no distributed phase
-    to replay (kNN, SPH, correlation drive their engines directly)."""
-    from .cache import SharedTreeCache
-    from .decomp import SfcDecomposer, decompose
-    from .exec.threads import warm_shared_cache
-    from .faults import as_injector
-
-    parts = SfcDecomposer().assign(tree.particles, n_processes)
-    dec = decompose(tree, parts, n_subtrees=2 * n_processes)
-    cache = SharedTreeCache(
-        tree, dec.node_process(), process=0, nodes_per_request=2,
-        injector=as_injector(plan),
-    )
-    # fill every reachable placeholder, retrying over transient failures
-    for _ in range(10_000):
-        if not warm_shared_cache(cache, 1024)[0]:
-            break
-    cache.validate()
-    print(f"fault probe: cache valid after chaos fill "
-          f"(requests={cache.requests_sent}, fills={cache.fills_applied}, "
-          f"failed={cache.fills_failed}, plan='{plan.describe()}')")
-
-
-def _telemetry_from_args(args):
-    """Install a live telemetry session when any telemetry flag was given."""
-    if not (args.trace or args.metrics or args.report or args.flight):
-        return None
-    from .obs import Telemetry, set_telemetry
-
-    telemetry = Telemetry()
-    set_telemetry(telemetry)
-    if args.flight:
-        telemetry.flight.arm(args.flight)
-    return telemetry
-
-
 def _finish_telemetry(telemetry, args) -> None:
+    """Write what the telemetry flags asked for (``main`` calls this once,
+    after the command)."""
     if telemetry is None:
         return
-    from .obs import console_report, set_telemetry, write_chrome_trace
+    from .obs import console_report, write_chrome_trace
     from .obs import write_metrics_csv, write_metrics_json
 
-    set_telemetry(None)
+    opt = vars(args).get
     try:
-        if args.trace:
+        if opt("trace"):
             n = write_chrome_trace(telemetry, args.trace, command=args.command)
             print(f"wrote {n} trace events to {args.trace} (open in ui.perfetto.dev)")
-        if args.metrics:
+        if opt("metrics"):
             if args.metrics.endswith(".csv"):
                 n = write_metrics_csv(telemetry, args.metrics)
             else:
                 n = write_metrics_json(telemetry, args.metrics)
             print(f"wrote {n} metrics to {args.metrics}")
-        if args.flight:
+        if opt("flight"):
             telemetry.flight.dump(args.flight, reason="end-of-run")
             print(f"wrote flight recording ({len(telemetry.flight)} events, "
                   f"{telemetry.flight.dropped} dropped) to {args.flight}")
     except OSError as exc:
         print(f"error: could not write telemetry output: {exc}", file=sys.stderr)
-    if args.report:
+    if opt("report"):
         print(console_report(telemetry), end="")
 
 
-def run_app(args) -> int:
-    """Every batch subcommand, and ``resume``: description -> Driver ->
-    observers named by the flags -> run -> the row's printer."""
+def run_app(args, desc=None, *observers, show=None) -> int:
+    """Every batch subcommand, ``resume``, ``top <app>`` and ``explain``:
+    description (default: the one the row's flags spell) -> Driver ->
+    the observers the flags name, then ``observers`` -> run ->
+    ``show(driver, args, wall)`` (default: the row's printer), whose exit
+    code, if any, it returns."""
     from .core.observers import CommReplay, StatusFeed
-    from .resilience import (CheckpointError, CheckpointWriter, RunInterrupted,
-                             audit_restore, graceful_interrupts, load_checkpoint)
+    from .obs import get_telemetry
+    from .resilience import (CheckpointWriter, RunInterrupted, audit_restore,
+                             graceful_interrupts, load_checkpoint)
     from .resilience.resume import driver_from_checkpoint
 
+    opt = vars(args).get  # explain and top declare only some of the flags
     ckpt = replay = writer = None
-    try:
+    with _ingest():
         if args.command == "resume":
             ckpt = load_checkpoint(args.checkpoint)
             driver = driver_from_checkpoint(ckpt)
+            if args.faults and "faults" not in APPS[ckpt.app].groups:
+                raise BadInput(f"{ckpt.app} takes no --faults: its traversal "
+                               f"does not go through partitions(), so none is replayed")
             if args.iterations is not None:
                 driver.config.num_iterations = args.iterations
             app, app_config = ckpt.app, ckpt.app_config
         else:
-            desc = description(args.command, APPS[args.command].options, args)
+            desc = desc or description(args.command, APPS[args.command].options, args)
             driver = make_driver(**desc)
             app, app_config = desc["app"], desc["app_config"]
         # A resumed run replays the checkpointed fault plan unless told
         # otherwise: its PRNG stream positions are part of the restored state.
-        faults = args.faults or (ckpt.fault_spec if ckpt else None)
+        faults = opt("faults") or (ckpt.fault_spec if ckpt else None)
         slo = _slo_spec(args)
-        critical_path = getattr(args, "critical_path", False)
-        if faults or critical_path:
-            replay = driver.observe(CommReplay(faults, critical_path))
-    except (CheckpointError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    telemetry = _telemetry_from_args(args)
-    if telemetry is not None:
-        driver.enable_telemetry(telemetry)
-    _enable_parallel_from_args(driver, args)
-    if args.status_file:
-        from .obs import StatusWriter
+        if faults or opt("critical_path"):
+            replay = driver.observe(CommReplay(faults, opt("critical_path")))
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            driver.enable_telemetry(telemetry)
+        _enable_parallel_from_args(driver, args)
+        if opt("status_file"):
+            from .obs import StatusWriter
 
-        driver.observe(StatusFeed(StatusWriter(args.status_file)))
-    if args.checkpoint_every:
-        writer = driver.observe(CheckpointWriter(
-            args.checkpoint_dir, every=args.checkpoint_every,
-            app=app, app_config=app_config,
-        ))
+            driver.observe(StatusFeed(StatusWriter(args.status_file)))
+        if opt("checkpoint_every"):
+            writer = driver.observe(CheckpointWriter(
+                args.checkpoint_dir, every=args.checkpoint_every,
+                app=app, app_config=app_config,
+            ))
+    for observer in observers:
+        driver.observe(observer)
     t0 = time.time()
     try:
         with graceful_interrupts():
@@ -351,21 +328,20 @@ def run_app(args) -> int:
         if path:
             msg += f"; wrote checkpoint {path} (resume with `repro resume {path}`)"
         print(msg, file=sys.stderr)
-        _finish_telemetry(telemetry, args)
         return exc.exit_code
     finally:
         driver.disable_parallel()
     wall = time.time() - t0
+    rc = 0
     if ckpt is None:
-        APPS[app].show(driver, args, wall)
+        rc = (show or APPS[app].show)(driver, args, wall) or 0
     else:
         ran = max(driver.config.num_iterations - ckpt.iteration, 0)
         print(f"resumed {app or 'run'} at iteration {ckpt.iteration}: "
               f"ran {ran} more iteration(s) in {wall:.2f}s")
     _print_exec_health(driver)
-    if not _print_comm_sims(driver) and faults and driver.tree is not None:
-        _chaos_probe(driver.tree, replay.faults)
-    rc = 0
+    if replay is not None:
+        _print_comm_sims(driver)
     if ckpt is not None:
         problems = audit_restore(driver)
         for prob in problems:
@@ -373,13 +349,12 @@ def run_app(args) -> int:
         rc = 1 if problems else 0
         if not problems:
             print("consistency audit passed")
-    if rc == 0 and args.save_state:
+    if rc == 0 and opt("save_state"):
         _save_state(driver, args.save_state)
     if rc == 0 and slo is not None:
         from .obs import samples_from_reports
 
         rc = _evaluate_slo(slo, samples_from_reports(driver.reports), args)
-    _finish_telemetry(telemetry, args)
     return rc
 
 
@@ -403,16 +378,11 @@ def cmd_audit(args) -> int:
               f"({freed:,} B), {live} owned by live processes (kept)")
         return 0
     if args.a is None or args.b is None:
-        print("error: audit needs two state archives (or --shm)",
-              file=sys.stderr)
-        return 2
-    from .resilience import CheckpointError, audit_state_files
+        raise BadInput("audit needs two state archives (or --shm)")
+    from .resilience import audit_state_files
 
-    try:
+    with _ingest():
         problems = audit_state_files(args.a, args.b)
-    except (CheckpointError, OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if problems:
         print(f"{len(problems)} difference(s) between {args.a} and {args.b}:")
         for prob in problems:
@@ -428,13 +398,9 @@ def cmd_scale(args) -> int:
     from .faults import IterationFailure, parse_fault_spec
     from .runtime import MACHINES, simulate_traversal
 
-    try:
+    with _ingest():
         fault_plan = parse_fault_spec(args.faults) if args.faults else None
         slo = _slo_spec(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    telemetry = _telemetry_from_args(args)
     machine = MACHINES[args.machine]
     gw = build_gravity_workload(distribution="clustered", n=args.n,
                                 n_partitions=args.partitions,
@@ -469,13 +435,11 @@ def cmd_scale(args) -> int:
             from .obs import samples_from_sim
 
             slo_samples.extend(samples_from_sim(r))
-    rc = 0
-    if slo is not None:
-        # One objective over the whole sweep: every simulated task interval
-        # from every core count counts as a latency sample.
-        rc = _evaluate_slo(slo, slo_samples, args)
-    _finish_telemetry(telemetry, args)
-    return rc
+    if slo is None:
+        return 0
+    # One objective over the whole sweep: every simulated task interval
+    # from every core count counts as a latency sample.
+    return _evaluate_slo(slo, slo_samples, args)
 
 
 def cmd_bench(args) -> int:
@@ -511,23 +475,8 @@ def cmd_bench(args) -> int:
     if args.bench_cmd == "compare":
         loaded = {}
         for role, path in (("baseline", args.baseline), ("new", args.new)):
-            try:
+            with _ingest(f"{role} BENCH file "):
                 loaded[role] = load_report(path)
-            except FileNotFoundError:
-                print(f"error: {role} BENCH file not found: {path}",
-                      file=sys.stderr)
-                return 2
-            except OSError as exc:
-                print(f"error: cannot read {role} BENCH file {path}: {exc}",
-                      file=sys.stderr)
-                return 2
-            except ValueError as exc:
-                hint = (" — was it written by a newer build? re-run "
-                        "`repro bench run` with this build to regenerate it"
-                        if "schema_version" in str(exc) else "")
-                print(f"error: {role} BENCH file: {exc}{hint}",
-                      file=sys.stderr)
-                return 2
         base, new = loaded["baseline"], loaded["new"]
         result = compare_reports(base, new, rel_floor=args.rel_floor,
                                  k_iqr=args.k_iqr)
@@ -543,11 +492,8 @@ def cmd_bench(args) -> int:
         return 0 if args.warn_only else result.exit_code
 
     # report
-    try:
+    with _ingest():
         doc = load_report(args.path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(format_report(doc))
     return 0
 
@@ -557,11 +503,8 @@ def cmd_obs(args) -> int:
     from .obs.validate import load_json
 
     dump = args.obs_cmd == "dump"
-    try:
+    with _ingest():
         doc = (load_flight_dump if dump else load_json)(args.path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     kind, problems = validate_document(
         doc, require_exec_tasks=getattr(args, "require_exec_tasks", False))
     if dump and not problems:
@@ -585,25 +528,6 @@ _EXPLAIN_OPTIONS = (
 _TOP_OPTIONS = (*dataset_options(8_000), ("--iterations", "config.num_iterations", 4))
 
 
-def _run_instrumented(driver, args, *observers):
-    """Run ``driver`` with telemetry on, the backend ``args`` names and
-    ``observers`` plugged in; returns the telemetry session."""
-    from .obs import Telemetry, set_telemetry
-
-    telemetry = Telemetry()
-    set_telemetry(telemetry)
-    driver.enable_telemetry(telemetry)
-    _enable_parallel_from_args(driver, args)
-    for observer in observers:
-        driver.observe(observer)
-    try:
-        driver.run()
-    finally:
-        driver.disable_parallel()
-        set_telemetry(None)
-    return telemetry
-
-
 def cmd_explain(args) -> int:
     """Attributed gravity iteration + causal what-if report.
 
@@ -613,20 +537,26 @@ def cmd_explain(args) -> int:
     the exec chunks balanced, the DES critical path, and a battery of
     causal what-if predictions replayed over the recorded event graph.
     """
-    from .core.observers import Attribution, CommReplay
-    from .obs import chrome_trace, format_chunk_heatmap, validate_attribution
-    from .perf import format_whatifs, parse_whatif, standard_whatifs, what_if
-    from .perf.whatif import VirtualSpeedup
+    from functools import partial
 
+    from .core.observers import Attribution, CommReplay
+    from .perf import parse_whatif
+
+    with _ingest():
+        speedups = [parse_whatif(spec) for spec in args.whatif or ()]
     desc = description("gravity", _EXPLAIN_OPTIONS, args)
     desc["config"]["num_subtrees"] = args.partitions
-    driver = make_driver(**desc)
     attribution, replay = Attribution(), CommReplay(critical_path=True)
-    t0 = time.time()
-    telemetry = _run_instrumented(driver, args, attribution, replay)
-    wall = time.time() - t0
-    tree = driver.tree
+    return run_app(args, desc, attribution, replay,
+                   show=partial(_show_explain, attribution, replay, speedups))
 
+
+def _show_explain(attribution, replay, speedups, driver, args, wall) -> int:
+    from .obs import format_chunk_heatmap, validate_attribution
+    from .perf import format_whatifs, standard_whatifs, what_if
+    from .perf.whatif import VirtualSpeedup
+
+    tree = driver.tree
     # merge the attributed iterations into one profile
     profile = attribution.profiles[0]
     for extra in attribution.profiles[1:]:
@@ -672,12 +602,7 @@ def cmd_explain(args) -> int:
     print(f"  null speedup (×1.0) reproduces makespan exactly: {null_ok} "
           f"({null.predicted:.9g}s vs {res.time:.9g}s)")
     whatifs = standard_whatifs(res.cp_graph, res.time)
-    for spec in args.whatif or ():
-        try:
-            whatifs.append(what_if(res.cp_graph, res.time, parse_whatif(spec)))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    whatifs += [what_if(res.cp_graph, res.time, s) for s in speedups]
     whatifs.sort(key=lambda r: r.predicted)
     print()
     print(format_whatifs(whatifs, res.time))
@@ -698,14 +623,10 @@ def cmd_explain(args) -> int:
             return 1
 
     if args.trace:
-        doc = chrome_trace(telemetry, command="explain")
-        events = doc["traceEvents"]
+        # attribution counter tracks ride along in the trace main writes
+        events = driver.telemetry.tracer.events
         ts = max((e.get("ts", 0) + e.get("dur", 0) for e in events), default=0)
         events.extend(profile.counter_events(ts=ts, tree=tree, depth=args.depth))
-        with open(args.trace, "w") as fh:
-            json.dump(doc, fh)
-        print(f"wrote {len(events)} trace events (with attribution counter "
-              f"tracks) to {args.trace}")
 
     if not null_ok:
         print("error: null-speedup replay diverged from the DES makespan",
@@ -721,30 +642,22 @@ def cmd_top(args) -> int:
     if args.source in APPS:
         from .core.observers import StatusFeed
 
-        driver = make_driver(**description(args.source, _TOP_OPTIONS, args))
-        _run_instrumented(driver, args, StatusFeed(dash))
-        return 0
+        return run_app(args, description(args.source, _TOP_OPTIONS, args),
+                       StatusFeed(dash), show=lambda *_: 0)
 
     # Source is a --status-file path written by another (possibly still
     # running) process.
-    if args.follow:
-        try:
-            for snap in follow_status_file(args.source, poll=args.poll):
-                dash.update(snap)
-        except KeyboardInterrupt:
-            pass
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return 0
-    try:
+    with _ingest():
+        if args.follow:
+            try:
+                for snap in follow_status_file(args.source, poll=args.poll):
+                    dash.update(snap)
+            except KeyboardInterrupt:
+                pass
+            return 0
         snaps = read_status_file(args.source)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if not snaps:
-        print(f"error: no status snapshots in {args.source}", file=sys.stderr)
-        return 2
+        raise BadInput(f"no status snapshots in {args.source}")
     dash.update(snaps[-1])
     return 0
 
@@ -779,7 +692,6 @@ def cmd_serve(args) -> int:
     )
     from .serve.batcher import BatchPolicy
 
-    telemetry = _telemetry_from_args(args)
     if args.resume:
         dataset = {"checkpoint": args.resume}
     else:
@@ -799,13 +711,27 @@ def cmd_serve(args) -> int:
         checkpoint_dir=args.checkpoint_dir,
         status_every=args.status_every,
     )
+    with _ingest():
+        slo = _slo_spec(args)
+        # --sim is the DES alone: no tree, so million-user shapes are cheap
+        service = None if args.sim else QueryService(cfg)
+    if args.status_file and service is not None:
+        from .obs.top import StatusWriter
 
-    if args.sim:
-        # DES only: model the admission queue + shedding under the shape,
-        # no tree needed — this is how million-user shapes are explored
-        shape = _serve_traffic_shape(args, args.bench_rate or 1000.0)
-        trace = generate_traffic(shape, np.zeros(3), np.ones(3),
-                                 seed=args.traffic_seed,
+        service.add_status_consumer(StatusWriter(args.status_file).update)
+    box = service and service.state.particles.bounding_box()
+
+    async def replay_trace(trace, pace: bool, spec=None):
+        result = await run_trace(service, trace, pace=pace, slo=spec)
+        await service.stop()
+        return result
+
+    if args.sim or args.validate:
+        # the DES model of admission + shedding; --validate also replays the
+        # same trace, unpaced, through the real server
+        shape = _serve_traffic_shape(args, args.bench_rate or (1000.0 if args.sim else 400.0))
+        lo, hi = (np.zeros(3), np.ones(3)) if args.sim else (box.lo, box.hi)
+        trace = generate_traffic(shape, lo, hi, seed=args.traffic_seed,
                                  max_queries=args.queries)
         if args.queries and len(trace) >= args.queries:
             print(f"note: trace capped at {args.queries} queries", file=sys.stderr)
@@ -814,83 +740,40 @@ def cmd_serve(args) -> int:
             ServiceModel(straggler_prob=args.sim_straggler,
                          crash_prob=args.sim_crash),
             seed=args.traffic_seed)
-        print(json.dumps(sim.to_dict(), indent=2))
-        _finish_telemetry(telemetry, args)
+        if args.sim:
+            print(json.dumps(sim.to_dict(), indent=2))
+            return 0
+        real = asyncio.run(replay_trace(trace, pace=False))
+        delta = accounting_delta(real.accounting, sim.accounting)
+        print(json.dumps({"sim": sim.accounting, "real": real.accounting,
+                          "delta": delta}, indent=2))
+        if delta:
+            print("error: DES and real accounting disagree", file=sys.stderr)
+            return 1
+        print(f"accounting agrees across {len(trace)} queries "
+              f"(served={real.accounting['served']}, "
+              f"shed={real.accounting['shed_total']}, "
+              f"expired={real.accounting['expired']})")
         return 0
 
-    try:
-        service = QueryService(cfg)
-    except Exception as exc:  # noqa: BLE001 - bad checkpoint/spec
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.status_file:
-        from .obs.top import StatusWriter
-
-        service.add_status_consumer(StatusWriter(args.status_file).update)
-    box = service.state.particles.bounding_box()
-
-    if args.bench or args.validate:
-        trace_seed = args.traffic_seed
-
-        async def _offline() -> int:
-            if args.bench:
-                probe = generate_traffic(
-                    _serve_traffic_shape(args, 1000.0), box.lo, box.hi,
-                    seed=trace_seed + 1, max_queries=batch_max)
-                capacity = calibrate_capacity(service, probe)
-                base_rate = args.bench_rate or capacity
-                if service.admission.bucket is None:
-                    # shed explicitly at measured capacity rather than queueing
-                    service.admission.bucket = TokenBucket(
-                        capacity, burst=max(8.0, 0.1 * capacity))
-                shape = _serve_traffic_shape(args, base_rate)
-                trace = generate_traffic(shape, box.lo, box.hi,
-                                         seed=trace_seed,
-                                         max_queries=args.queries)
-                spec = None
-                if args.slo:
-                    from .obs import parse_slo_spec
-
-                    spec = parse_slo_spec(args.slo)
-                result = await run_trace(service, trace, pace=True, slo=spec)
-                await service.stop()
-                doc = result.to_dict()
-                doc["capacity_qps"] = round(capacity, 1)
-                doc["offered_qps"] = round(base_rate, 1)
-                print(json.dumps(doc, indent=2))
-                if result.slo is not None:
-                    print(result.slo.summary())
-                    if args.slo_report:
-                        result.slo.write(args.slo_report)
-                        print(f"wrote SLO report to {args.slo_report}")
-                    return 1 if result.slo.violated else 0
-                return 0
-            # --validate: DES model vs an unpaced real replay, same trace
-            shape = _serve_traffic_shape(args, args.bench_rate or 400.0)
-            trace = generate_traffic(shape, box.lo, box.hi, seed=trace_seed,
-                                     max_queries=args.queries)
-            sim = simulate_service(
-                trace, admission, BatchPolicy(batch_max, 0.0),
-                ServiceModel(straggler_prob=args.sim_straggler,
-                             crash_prob=args.sim_crash),
-                seed=trace_seed)
-            real = await run_trace(service, trace, pace=False)
-            await service.stop()
-            delta = accounting_delta(real.accounting, sim.accounting)
-            print(json.dumps({"sim": sim.accounting, "real": real.accounting,
-                              "delta": delta}, indent=2))
-            if delta:
-                print("error: DES and real accounting disagree", file=sys.stderr)
-                return 1
-            print(f"accounting agrees across {len(trace)} queries "
-                  f"(served={real.accounting['served']}, "
-                  f"shed={real.accounting['shed_total']}, "
-                  f"expired={real.accounting['expired']})")
-            return 0
-
-        rc = asyncio.run(_offline())
-        _finish_telemetry(telemetry, args)
-        return rc
+    if args.bench:
+        probe = generate_traffic(
+            _serve_traffic_shape(args, 1000.0), box.lo, box.hi,
+            seed=args.traffic_seed + 1, max_queries=batch_max)
+        capacity = calibrate_capacity(service, probe)
+        base_rate = args.bench_rate or capacity
+        if service.admission.bucket is None:
+            # shed explicitly at measured capacity rather than queueing
+            service.admission.bucket = TokenBucket(
+                capacity, burst=max(8.0, 0.1 * capacity))
+        trace = generate_traffic(_serve_traffic_shape(args, base_rate), box.lo, box.hi,
+                                 seed=args.traffic_seed, max_queries=args.queries)
+        result = asyncio.run(replay_trace(trace, pace=True, spec=slo))
+        doc = result.to_dict()
+        doc["capacity_qps"] = round(capacity, 1)
+        doc["offered_qps"] = round(base_rate, 1)
+        print(json.dumps(doc, indent=2))
+        return 0 if slo is None else _evaluate_slo(slo, result.latencies, args)
 
     # server mode: run until SIGTERM/SIGINT, then drain + checkpoint
     socket_path, port = args.socket, args.port
@@ -918,7 +801,6 @@ def cmd_serve(args) -> int:
         print(json.dumps(service.admission.counters.to_dict()), flush=True)
 
     asyncio.run(_serve())
-    _finish_telemetry(telemetry, args)
     return 0
 
 
@@ -926,24 +808,28 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def batch(p: argparse.ArgumentParser, *groups) -> None:
-        for add in (*groups, _add_telemetry, _add_faults, _add_checkpoint, _add_parallel):
-            add(p)
+    def batch(p: argparse.ArgumentParser, groups) -> None:
+        """Every run flag group, in one order; the optional ones (see
+        ``repro.apps.App``) only where ``groups`` names them."""
+        for name, add in (("slo", _add_slo), ("critical_path", _add_critical_path),
+                          ("telemetry", _add_telemetry), ("faults", _add_faults),
+                          ("checkpoint", _add_checkpoint), ("parallel", _add_parallel)):
+            if name in (*groups, "telemetry", "checkpoint", "parallel"):
+                add(p)
         p.set_defaults(fn=run_app)
 
-    groups = {"slo": _add_slo, "critical_path": _add_critical_path}
     for name, app in APPS.items():
         p = sub.add_parser(name, help=app.help)
         for option in app.options:
             declare(p, *option)
-        batch(p, *(groups[g] for g in app.groups))
+        batch(p, app.groups)
 
     r = sub.add_parser("resume", help="resume a run from a checkpoint file")
     r.add_argument("checkpoint", help="path to a ckpt_*.npz checkpoint")
     r.add_argument("--iterations", type=int, default=None,
                    help="override the total iteration count recorded in the "
                         "checkpoint (absolute, not additional)")
-    batch(r)
+    batch(r, ("faults",))
 
     a = sub.add_parser(
         "audit", help="byte-level comparison of two npz state archives "
@@ -1156,9 +1042,6 @@ def main(argv=None) -> int:
                         "of a --status-file written by another run")
     for option in _TOP_OPTIONS:
         declare(t, *option)
-    t.add_argument("--once", action="store_true",
-                   help="render the latest snapshot and exit "
-                        "(status-file sources; this is the default)")
     t.add_argument("--follow", action="store_true",
                    help="poll the status file and repaint on new snapshots")
     t.add_argument("--poll", type=float, default=0.5, metavar="SECS",
@@ -1167,7 +1050,27 @@ def main(argv=None) -> int:
     t.set_defaults(fn=cmd_top)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    from .obs import Telemetry, set_telemetry
+
+    # one telemetry session per command: on with any telemetry flag, and
+    # always for explain and top (attribution and the dashboard read it)
+    opt = vars(args).get
+    telemetry = None
+    if args.fn in (cmd_explain, cmd_top) or any(
+            opt(flag) for flag in ("trace", "metrics", "report", "flight")):
+        telemetry = Telemetry()
+        if opt("flight"):
+            telemetry.flight.arm(args.flight)
+    set_telemetry(telemetry)
+    try:
+        rc = args.fn(args)
+    except BadInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    finally:
+        set_telemetry(None)
+    _finish_telemetry(telemetry, args)
+    return rc
 
 
 if __name__ == "__main__":

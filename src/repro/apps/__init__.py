@@ -147,7 +147,8 @@ def _show_correlation(driver, args, wall: float) -> None:
 #: * ``show`` — prints the finished run: ``show(driver, args, wall_seconds)``;
 #: * ``config`` — Configuration fields the pipeline fixes;
 #: * ``groups`` — optional flag groups it also accepts (``"slo"``,
-#:   ``"critical_path"``).
+#:   ``"critical_path"``, and ``"faults"`` where the traversal goes through
+#:   ``partitions()``, so there is a recorded one to replay under faults).
 App = namedtuple("App", "help driver dataset options show config groups",
                  defaults=({}, ()))
 
@@ -160,17 +161,17 @@ APPS = {
          TRAVERSER, ("--quadrupole", "with_quadrupole", False),
          ("--check", None, False, "compare to direct sum"), _ITERATIONS,
          ("--dt", "dt", 0.0, "leapfrog timestep (0 = forces only, no integration)")),
-        _show_gravity, groups=("slo", "critical_path")),
+        _show_gravity, groups=("slo", "critical_path", "faults")),
     "sph": App(
         "SPH density estimation", "repro.apps.sph:SPHDriver", "cube",
         (*dataset_options(6_000), *TREE_OPTIONS, ("--k", "k_neighbors", 32),
          ("--baseline", None, False, "run Gadget-style too"), _ITERATIONS,
          ("--dt", "dt", 0.0, "leapfrog timestep (0 = density/forces only)")),
-        _show_sph),
+        _show_sph, groups=("faults",)),
     "knn": App(
         "k-nearest-neighbour search", "repro.apps.knn:KNNDriver", "clumps",
         (*dataset_options(20_000), *TREE_OPTIONS, ("--k", "k", 8), _ITERATIONS),
-        _show_knn),
+        _show_knn, groups=("faults",)),
     "disk": App(
         "planetesimal disk with collisions",
         "repro.apps.collision:PlanetesimalDriver", "disk",
@@ -179,7 +180,7 @@ APPS = {
         _show_disk,
         config={"tree_type": "longest", "decomp_type": "longest",
                 "num_partitions": 16, "num_subtrees": 16},
-        groups=("critical_path",)),
+        groups=("critical_path", "faults")),
     "correlation": App(
         "two-point correlation function",
         "repro.apps.correlation:CorrelationDriver", "clumps",

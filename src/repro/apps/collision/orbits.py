@@ -40,17 +40,17 @@ def orbital_elements(
     vel = np.atleast_2d(np.asarray(velocity, dtype=np.float64))
     r = np.linalg.norm(pos, axis=1)
     v2 = np.einsum("ij,ij->i", vel, vel)
-    # Vis-viva: 1/a = 2/r − v²/μ.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_a = 2.0 / r - v2 / mu
-        a = np.where(inv_a != 0, 1.0 / inv_a, np.inf)
     hvec = np.cross(pos, vel)
     h = np.linalg.norm(hvec, axis=1)
-    # e from the eccentricity vector.
-    evec = np.cross(vel, hvec) / mu - pos / r[:, None]
-    e = np.linalg.norm(evec, axis=1)
+    # a body on the star's position (r = 0) gets NaN elements, not a warning
     with np.errstate(divide="ignore", invalid="ignore"):
+        # Vis-viva: 1/a = 2/r − v²/μ.
+        inv_a = 2.0 / r - v2 / mu
+        a = np.where(inv_a != 0, 1.0 / inv_a, np.inf)
+        # e from the eccentricity vector.
+        evec = np.cross(vel, hvec) / mu - pos / r[:, None]
         inc = np.arccos(np.clip(np.where(h > 0, hvec[:, 2] / h, 1.0), -1.0, 1.0))
+    e = np.linalg.norm(evec, axis=1)
     return {"a": a, "e": e, "inc": inc, "r": r}
 
 

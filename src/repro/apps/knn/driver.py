@@ -8,15 +8,16 @@ import numpy as np
 
 from ...core import Configuration, Driver
 from ...trees import Tree
-from .knn import KNNResult, knn_search
+from .knn import KNNResult, KNNVisitor
 
 __all__ = ["KNNDriver"]
 
 
 class KNNDriver(Driver):
-    """Each iteration: k-nearest-neighbour search over the whole set via
-    the up-and-down engine.  ``self.result`` holds the last iteration's
-    neighbour lists (tree order)."""
+    """Each iteration: k-nearest-neighbour search over the whole set, an
+    up-and-down traversal started through ``partitions()`` (so the
+    iteration's recorders and execution backend see it like any other).
+    ``self.result`` holds the last iteration's neighbour lists (tree order)."""
 
     def __init__(self, config: Configuration | None = None, k: int = 8) -> None:
         super().__init__(config)
@@ -27,12 +28,9 @@ class KNNDriver(Driver):
         self.result = None
 
     def traversal(self, iteration: int) -> None:
-        self.result = knn_search(self.tree, k=self.k, backend=self.exec_backend)
-        self.last_stats.merge(self.result.stats)
-        if self.exec_backend is not None:
-            # knn_search drives the backend directly (not via partitions()),
-            # so fold its latency/cache/supervision into the iteration here
-            self.exec_runs.absorb(self.exec_backend)
+        visitor = KNNVisitor(self.tree, self.k)
+        stats = self.partitions().start_up_and_down(visitor)
+        self.result = KNNResult(visitor.dist_sq, visitor.index, stats)
 
     def kth_distances(self) -> np.ndarray:
         """Distance to the k-th neighbour per particle (tree order)."""

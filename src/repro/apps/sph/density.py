@@ -19,7 +19,7 @@ from ...trees import Tree
 from ..knn import KNNResult, knn_search
 from .kernels import cubic_spline_W
 
-__all__ = ["SPHState", "compute_density_knn", "density_from_neighbors"]
+__all__ = ["SPHState", "compute_density_knn", "density_from_neighbors", "state_from_neighbors"]
 
 
 @dataclass
@@ -57,12 +57,20 @@ def compute_density_knn(
 ) -> SPHState:
     """One kNN traversal → smoothing lengths and densities.
 
+    ``backend`` runs the neighbour traversal through a ``repro.exec``
+    execution backend (bit-identical to serial).  :class:`SPHDriver` runs
+    the same search through ``partitions()`` and the same
+    :func:`state_from_neighbors` step.
+    """
+    return state_from_neighbors(tree, knn_search(tree, k, targets=targets, backend=backend), eta)
+
+
+def state_from_neighbors(tree: Tree, result: KNNResult, eta: float = 1.001) -> SPHState:
+    """Smoothing lengths and densities from a kNN search's neighbour lists.
+
     ``h_i = eta * d_k(i)``: the support radius is (just over) the k-th
     neighbour distance, so exactly the k found neighbours contribute.
-    ``backend`` runs the neighbour traversal through a ``repro.exec``
-    execution backend (bit-identical to serial).
     """
-    result = knn_search(tree, k, targets=targets, backend=backend)
     h = eta * np.sqrt(result.dist_sq[:, -1])
     # Degenerate protection: coincident particle piles can give d_k == 0.
     floor = 1e-12 * max(float(np.max(tree.box_hi[0] - tree.box_lo[0])), 1.0)

@@ -4,20 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...core import Configuration, Driver
+from ...core import Configuration
 from ...trees import Tree
-from .density import SPHState, compute_density_knn
+from ..knn import KNNDriver
+from .density import SPHState, state_from_neighbors
 from .forces import compute_pressure_forces, equation_of_state
 
 __all__ = ["SPHDriver"]
 
 
-class SPHDriver(Driver):
+class SPHDriver(KNNDriver):
     """Each iteration: kNN traversal → density → pressure → pair forces.
 
-    The traversal step runs through the up-and-down engine (the paper's
-    choice for criteria that tighten mid-traversal); the force evaluation is
-    ``postTraversal`` physics.  Set ``dt > 0`` to leapfrog the particles.
+    The traversal step is :class:`~repro.apps.knn.KNNDriver`'s up-and-down
+    search (the paper's choice for criteria that tighten mid-traversal);
+    the force evaluation is ``postTraversal`` physics.  Set ``dt > 0`` to
+    leapfrog the particles.
     """
 
     def __init__(
@@ -28,8 +30,7 @@ class SPHDriver(Driver):
         internal_energy: float = 1.0,
         dt: float = 0.0,
     ) -> None:
-        super().__init__(config)
-        self.k = k_neighbors
+        super().__init__(config, k=k_neighbors)
         self.gamma = gamma
         self.internal_energy = internal_energy
         self.dt = dt
@@ -38,15 +39,12 @@ class SPHDriver(Driver):
         self.accelerations: np.ndarray | None = None
 
     def prepare(self, tree: Tree) -> None:
+        super().prepare(tree)
         self.state = None  # densities recomputed per iteration
 
     def traversal(self, iteration: int) -> None:
-        self.state = compute_density_knn(self.tree, k=self.k, backend=self.exec_backend)
-        self.last_stats.merge(self.state.stats)
-        if self.exec_backend is not None:
-            # compute_density_knn drives the backend directly (not via
-            # partitions()), so fold its latency/cache/supervision in here
-            self.exec_runs.absorb(self.exec_backend)
+        super().traversal(iteration)
+        self.state = state_from_neighbors(self.tree, self.result)
 
     def post_traversal(self, iteration: int) -> None:
         assert self.state is not None

@@ -11,7 +11,9 @@ pipeline the paper describes:
 3. the leaf-sharing step reconciles the two views (Partitions–Subtrees);
 4. user ``prepare`` extracts Data (leaves → root);
 5. user ``traversal`` starts visitors through the :class:`Partitions`
-   facade (``start_down`` etc.);
+   facade (``start_down``, ``start_up_and_down``), which runs them on the
+   configured execution backend with the iteration's recorders attached —
+   so the load balancer and the observers see every pair walked there;
 6. user ``post_traversal`` does non-traversal physics (collisions, SPH
    updates, integration);
 7. optional measured-load re-balancing every ``lb_period`` iterations.
@@ -58,23 +60,22 @@ class Partitions:
     def decomposition(self) -> Decomposition:
         return self._driver.decomposition
 
-    def _targets(self) -> np.ndarray:
-        return self._driver.tree.leaf_indices
-
     def _run(self, traverser_name: str, visitor: Visitor) -> TraversalStats:
+        # the partitions own every bucket, so the targets are the engines'
+        # default (all leaves), which needs no validating
         driver = self._driver
         engine = get_traverser(traverser_name)
         recorder = _MultiRecorder(driver._recorders) if driver._recorders else None
         backend = driver.exec_backend
         if backend is not None:
             stats = backend.run(
-                driver.tree, engine, visitor, self._targets(), recorder,
+                driver.tree, engine, visitor, None, recorder,
                 decomposition=driver.decomposition,
                 shared_cache=driver._iteration_cache(),
             )
             driver.exec_runs.absorb(backend)
         else:
-            stats = engine.traverse(driver.tree, visitor, self._targets(), recorder)
+            stats = engine.traverse(driver.tree, visitor, None, recorder)
         driver.last_stats.merge(stats)
         return stats
 
@@ -82,11 +83,8 @@ class Partitions:
         """Top-down traversal with the configured engine (paper: startDown)."""
         return self._run(self._driver.config.traverser, visitor)
 
-    def start_basic_down(self, visitor: Visitor) -> TraversalStats:
-        """Force the classic per-bucket DFS ("BasicTrav")."""
-        return self._run("per-bucket", visitor)
-
     def start_up_and_down(self, visitor: Visitor) -> TraversalStats:
+        """Up-and-down traversal from every bucket (paper: startUpAndDown)."""
         return self._run("up-and-down", visitor)
 
     def start_dual(self, visitor: Visitor) -> TraversalStats:

@@ -272,7 +272,9 @@ def validate_report(doc: Any, source: str = "report") -> dict[str, Any]:
     version = doc.get("schema_version")
     if not isinstance(version, int) or version < 1 or version > SCHEMA_VERSION:
         raise ValueError(f"{source}: unsupported schema_version {version!r} "
-                         f"(this build reads <= {SCHEMA_VERSION})")
+                         f"(this build reads <= {SCHEMA_VERSION}) — was it written by "
+                         "a newer build? re-run `repro bench run` with this build to "
+                         "regenerate it")
     results = doc.get("results")
     if not isinstance(results, list):
         raise ValueError(f"{source}: missing results list")

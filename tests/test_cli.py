@@ -154,9 +154,7 @@ class TestExecFlagValidation:
                                        ["--chunk-deadline", "-1"],
                                        ["--max-chunk-retries", "-1"]])
     def test_bad_exec_flag_exits_2_on_every_backend(self, capsys, backend, flags):
-        with pytest.raises(SystemExit) as exc:
-            main(["gravity", "--n", "300", "--iterations", "1",
-                  "--backend", backend, *flags])
-        assert exc.value.code == 2
+        assert main(["gravity", "--n", "300", "--iterations", "1",
+                     "--backend", backend, *flags]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err

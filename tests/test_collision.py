@@ -1,6 +1,7 @@
 """Collision detection, orbital mechanics, and the planetesimal driver."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -363,6 +364,23 @@ class TestPlanetesimalDriver:
         start[p.orig_index == 0] = [1.005, 0, 0]  # the merged pair's centre of mass
         np.testing.assert_allclose(p.position, start + p.velocity * 0.1, atol=1e-12)
         assert np.all(p.velocity[:, 0] == pytest.approx(1.0))
+
+    def test_star_less_collision_at_the_origin_warns_nothing(self):
+        """Without a star the elements are taken about the origin; a body
+        colliding there gets NaN elements, and no RuntimeWarning."""
+        pos = np.array([[0.0, 0, 0], [0.01, 0, 0], [5.0, 5, 5], [-5.0, -5, -5]])
+
+        class Main(PlanetesimalDriver):
+            def create_particles(self, config):
+                return ParticleSet(pos.copy(), np.tile([1.0, 0, 0], (4, 1)),
+                                   np.full(4, 1e-12), radius=np.full(4, 0.05))
+
+        d = Main(Configuration(num_iterations=1, tree_type="kd", bucket_size=1,
+                               num_partitions=1, num_subtrees=1), dt=0.1, merge=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d.run()
+        assert len(d.log) == 1 and len(d.particles) == 3
 
 
 class TestProfileHelpers:

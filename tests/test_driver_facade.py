@@ -45,23 +45,11 @@ def make_driver(**extra):
 
 
 class TestPartitionsFacade:
-    def test_start_basic_down_matches_default(self):
+    def test_per_bucket_traverser_matches_default(self):
         d1 = make_driver()
         d1.run()
         acc_default = d1.tree.particles.scatter_to_input_order(d1.accelerations)
-
-        class BasicMain(GravityDriver):
-            def create_particles(self, config):
-                return clustered_clumps(900, seed=25)
-
-            def traversal(self, iteration):
-                self.partitions().start_basic_down(self._visitor)
-                self.accelerations = self._visitor.accel
-
-        d2 = BasicMain(
-            Configuration(num_iterations=1, num_partitions=4, num_subtrees=4),
-            theta=0.7, softening=1e-3,
-        )
+        d2 = make_driver(traverser="per-bucket")
         d2.run()
         acc_basic = d2.tree.particles.scatter_to_input_order(d2.accelerations)
         assert np.allclose(acc_default, acc_basic, rtol=1e-9)
@@ -97,6 +85,28 @@ class TestPartitionsFacade:
         )
         d.run()
         assert d.last_stats.leaf_interactions > 0
+
+    @pytest.mark.parametrize("app", ["sph", "knn"])
+    def test_up_and_down_apps_hand_the_balancer_measured_load(self, app, monkeypatch):
+        """kNN and SPH search through ``partitions()``, so the iteration's
+        load recorder sees their pairs and re-balancing reads real work."""
+        from repro.apps import make_driver as make_app
+        from repro.core import driver as core_driver
+
+        handed = []
+        strategies = dict(core_driver.LB_STRATEGIES)
+        for name, strategy in strategies.items():
+            def spy(particles, load, n, strategy=strategy):
+                handed.append(float(load.sum()))
+                return strategy(particles, load, n)
+
+            strategies[name] = spy
+        monkeypatch.setattr(core_driver, "LB_STRATEGIES", strategies)
+        d = make_app(app, config={"num_iterations": 2, "lb_period": 1, "num_partitions": 4},
+                     dataset={"kind": "clumps", "n": 600, "seed": 3})
+        d.run()
+        assert len(handed) == 2 and min(handed) > 0
+        assert d.reports[1].rebalanced
 
     def test_decomposition_exposed(self):
         d = make_driver()

@@ -254,38 +254,72 @@ def test_faults_flag_is_honoured_with_or_without_a_distributed_phase(capsys):
     assert main(["gravity", "--n", "240", "--faults", "drop=0.05,seed=3"]) == 0
     assert "comm sim" in capsys.readouterr().out
     assert main(["knn", "--n", "240", "--k", "4", "--faults", "drop=0.05,seed=3"]) == 0
-    assert "fault probe: cache valid" in capsys.readouterr().out
+    assert "comm sim" in capsys.readouterr().out
     assert main(["gravity", "--n", "240", "--faults", "drop=lots"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_resume_faults_needs_a_row_that_replays(tmp_path, capsys):
+    """Correlation offers no ``--faults`` (its estimator builds its own
+    trees), so resuming one of its checkpoints under faults is refused."""
+    assert main(["correlation", "--n", "200", "--checkpoint-every", "1",
+                 "--checkpoint-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["resume", str(tmp_path / "ckpt_000001.npz"),
+                 "--faults", "drop=0.05,seed=3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: correlation ") and captured.err.count("\n") == 1
+
+
+def test_explain_runs_through_the_row_path(tmp_path, capsys):
+    """``repro explain`` is a gravity run with two more observers; a bad
+    ``--whatif`` is refused before that run starts."""
+    assert main(["explain", "--n", "300", "--whatif", "bogus spec"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    attr, trace = tmp_path / "attr.json", tmp_path / "trace.json"
+    assert main(["explain", "--n", "300", "--whatif", "latency ×0.5",
+                 "--json", str(attr), "--trace", str(trace)]) == 0
+    assert "kind=latency ×0.5" in capsys.readouterr().out
+    assert main(["obs", "validate", str(attr)]) == 0
+    assert main(["obs", "validate", str(trace)]) == 0
+    events = json.loads(trace.read_text())["traceEvents"]
+    assert any(e["ph"] == "C" for e in events)      # attribution counter tracks
+    assert {"traversal", "comm_sim"} <= {e["name"] for e in events}
+    capsys.readouterr()
 
 
 # -- nothing renamed or dropped; start-up stays lazy -----------------------------
 
 #: option strings each subcommand accepted at the commit before the table
-#: (PR 12), less ``--tree-builder`` (retired with the second octree builder);
-#: the table must declare exactly these
+#: (PR 12), less ``--tree-builder`` (retired with the second octree builder),
+#: top's ``--once`` (a no-op) and correlation's ``--faults`` (its estimator
+#: builds its own trees, so no traversal is replayed); the table must declare
+#: exactly these
 OPTIONS_AT_PR12 = {
     "_run": ["--backend", "--checkpoint-dir", "--checkpoint-every",
-             "--chunk-deadline", "--exec-faults", "--faults", "--flight",
+             "--chunk-deadline", "--exec-faults", "--flight",
              "--max-chunk-retries", "--metrics", "--report",
              "--save-state", "--status-file", "--trace", "--workers"],
     "_tree": ["--bucket", "--n", "--seed", "--tree"],
-    "gravity": ["_run", "_tree", "--check", "--critical-path", "--dt",
+    "gravity": ["_run", "_tree", "--check", "--critical-path", "--dt", "--faults",
                 "--iterations", "--quadrupole", "--slo", "--slo-report",
                 "--softening", "--theta", "--traverser"],
-    "sph": ["_run", "_tree", "--baseline", "--dt", "--iterations", "--k"],
-    "knn": ["_run", "_tree", "--iterations", "--k"],
-    "disk": ["_run", "--critical-path", "--dt", "--n", "--radius", "--seed",
+    "sph": ["_run", "_tree", "--baseline", "--dt", "--faults", "--iterations", "--k"],
+    "knn": ["_run", "_tree", "--faults", "--iterations", "--k"],
+    "disk": ["_run", "--critical-path", "--dt", "--faults", "--n", "--radius", "--seed",
              "--steps"],
     "correlation": ["_run", "--bins", "--n", "--rmax", "--rmin", "--seed"],
-    "resume": ["_run", "--iterations"],
+    "resume": ["_run", "--faults", "--iterations"],
     "explain": ["_tree", "--backend", "--chunk-deadline", "--depth",
                 "--exec-faults", "--iterations", "--json", "--max-chunk-retries",
                 "--partitions", "--theta", "--top", "--trace",
                 "--traverser", "--whatif", "--workers"],
     "top": ["--backend", "--chunk-deadline", "--exec-faults", "--follow",
             "--iterations", "--max-chunk-retries", "--n",
-            "--once", "--poll", "--seed", "--workers"],
+            "--poll", "--seed", "--workers"],
 }
 
 
