@@ -250,11 +250,8 @@ def _finish_telemetry(telemetry, args) -> None:
             n = write_chrome_trace(telemetry, args.trace, command=args.command)
             print(f"wrote {n} trace events to {args.trace} (open in ui.perfetto.dev)")
         if opt("metrics"):
-            if args.metrics.endswith(".csv"):
-                n = write_metrics_csv(telemetry, args.metrics)
-            else:
-                n = write_metrics_json(telemetry, args.metrics)
-            print(f"wrote {n} metrics to {args.metrics}")
+            write = write_metrics_csv if args.metrics.endswith(".csv") else write_metrics_json
+            print(f"wrote {write(telemetry, args.metrics)} metrics to {args.metrics}")
         if opt("flight"):
             telemetry.flight.dump(args.flight, reason="end-of-run")
             print(f"wrote flight recording ({len(telemetry.flight)} events, "
@@ -1063,6 +1060,10 @@ def main(argv=None) -> int:
             telemetry.flight.arm(args.flight)
     set_telemetry(telemetry)
     try:
+        # an output path the run could not write fails now, not after the run
+        with _ingest("could not write telemetry output: "):
+            for path in filter(None, map(opt, ("trace", "metrics", "flight"))):
+                open(path, "a").close()
         rc = args.fn(args)
     except BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -197,7 +197,8 @@ def make_driver(app: str, app_config: dict | None = None,
     ``Configuration.to_dict()`` — plus, for a fresh run, the ``{kind, n,
     seed}`` dataset dict to generate particles from (a resumed run takes
     them from the checkpoint).  Raises ``ValueError`` for an unknown app,
-    keyword, configuration key or dataset kind."""
+    keyword, configuration key or dataset kind, or for settings the
+    generated particles cannot satisfy (``Driver.check_particles``)."""
     import importlib
 
     from ..core import Configuration
@@ -214,4 +215,5 @@ def make_driver(app: str, app_config: dict | None = None,
         from ..particles import generate
 
         driver.particles = generate(dataset)
+        driver.check_particles(driver.particles)
     return driver

@@ -130,33 +130,27 @@ class GravityVisitor(Visitor):
         )
 
     def node_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
-        from ...trees.kernels import list_layout
-
-        if not len(targets):
-            return
         tables = self._pair_tables
         quad = None if tables["quad"] is None else [q[sources] for q in tables["quad"]]
-        self._accumulate(list_layout(targets, tree.pstart[targets], tree.pend[targets]),
-                         [c[sources] for c in tables["centroid"]],
+        self._accumulate(tree, targets, None, [c[sources] for c in tables["centroid"]],
                          tables["centroid_gm"][sources], quad)
 
     def leaf_pairs(self, tree: Tree, sources: np.ndarray, targets: np.ndarray) -> None:
-        from ...trees.kernels import list_layout
-
-        if not len(targets):
-            return
         tables = self._pair_tables
         sstart, send = tree.pstart[sources], tree.pend[sources]
         items = ranges_to_indices(sstart, send)
-        self._accumulate(list_layout(targets, tree.pstart[targets], tree.pend[targets],
-                                     send - sstart),
-                         [c[items] for c in tables["source"]], tables["source_gm"][items])
+        self._accumulate(tree, targets, send - sstart, [c[items] for c in tables["source"]],
+                         tables["source_gm"][items])
 
-    def _accumulate(self, layout, source, gm, quad=None) -> None:
-        """One kernel call per output: the item tables into accel and, if
-        tracked, the potential."""
-        from ...trees.kernels import accumulate_point_masses
+    def _accumulate(self, tree, targets, n_items, source, gm, quad=None) -> None:
+        """The targets' interaction lists — ``n_items`` per pair, from the
+        item tables — into accel and, if tracked, the potential: one layout,
+        one kernel call per output."""
+        from ...trees.kernels import accumulate_point_masses, list_layout
 
+        if not len(targets):
+            return
+        layout = list_layout(targets, tree.pstart[targets], tree.pend[targets], n_items)
         for out in (self.accel, self.potential):
             if out is not None:
                 accumulate_point_masses(out, layout, self._pair_tables["source"], source, gm,

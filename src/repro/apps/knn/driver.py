@@ -24,6 +24,10 @@ class KNNDriver(Driver):
         self.k = k
         self.result: KNNResult | None = None
 
+    def check_particles(self, particles) -> None:
+        if not 1 <= self.k <= len(particles) - 1:
+            raise ValueError(f"k must be in [1, {len(particles) - 1}], got {self.k}")
+
     def prepare(self, tree: Tree) -> None:
         self.result = None
 

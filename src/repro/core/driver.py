@@ -301,6 +301,10 @@ class Driver:
             "set config.input_file or override create_particles()"
         )
 
+    def check_particles(self, particles: ParticleSet) -> None:
+        """Raise ``ValueError`` if this Driver's settings cannot run on
+        ``particles`` (``make_driver`` asks before a fresh run starts)."""
+
     def prepare(self, tree: Tree) -> None:
         """Extract per-node Data after the tree build (leaves -> root)."""
 

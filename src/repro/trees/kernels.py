@@ -99,12 +99,9 @@ def symmetric_components(q) -> tuple:
 def mac_open_pairs(box_lo, box_hi, center, radius_sq) -> np.ndarray:
     """Pairwise multipole-acceptance test: does target box k intersect the
     opening sphere of source k?  All inputs are per-pair."""
-    d2 = 0.0
-    for lo, hi, c in zip(components(box_lo), components(box_hi), components(center)):
-        d = np.maximum(np.maximum(lo - c, c - hi), 0.0)
-        d *= d
-        d2 = d2 + d
-    return d2 <= radius_sq
+    d = [np.maximum(np.maximum(lo - c, c - hi), 0.0)
+         for lo, hi, c in zip(components(box_lo), components(box_hi), components(center))]
+    return _dot(d, d) <= radius_sq
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +120,19 @@ def mac_open_pairs(box_lo, box_hi, center, radius_sq) -> np.ndarray:
 #   same whichever other targets share the call: the engine cuts between
 #   targets, so the bits do not depend on the cut, the chunking, the worker
 #   count or the schedule that delivers a target's pairs.
-# * No temporary is as long as the output, and no pair array exists only to
-#   be scattered back.
+# * Only the items are gathered per contribution (``item_of``).  A target
+#   row's coordinates are the same for its whole list, so they are replayed
+#   — each row's value repeated its list length — rather than gathered
+#   through a per-contribution row index; no such index is made.
+# * The per-contribution arrays a call makes are its own: the separation is
+#   taken into the fresh item copies, ``|d|²`` into the spent row replays,
+#   and ``r² + ε²`` in place, so no temporary is as long as the output and
+#   no pair array exists only to be scattered back.
 # * A call that is one list (the per-bucket schedule; an oversized target)
 #   needs no index arrays: its rows are a range and the items a table, so
 #   an ``(n_rows, 1)`` column broadcast against a ``(1, n_items)`` row lays
-#   the contributions out in the same row-major order.
+#   the contributions out in the same row-major order.  Both are views of
+#   the caller's tables, so here the separation is a new array.
 # ---------------------------------------------------------------------------
 
 def _run_bounds(a):
@@ -139,16 +143,21 @@ def _run_bounds(a):
 
 class ListLayout(NamedTuple):
     """Where each contribution of one call comes from and goes to: the
-    target ``rows``, each once; where each row's contributions ``starts``;
-    and the index, per contribution, of its row (``row_of``) and of its list
-    item (``item_of``).  A call that is one list indexes with a
-    ``(rows, None)`` column and a ``(None, items)`` row instead: its
+    target ``rows``, each once; each row's list length (``counts``) and
+    where its contributions ``starts``; and the index, per contribution, of
+    its list item (``item_of``).  A call that is one list has a ``slice`` of
+    rows, one ``int`` count and a ``(None, items)`` item index: its
     contributions are a broadcast ``(n_rows, n_items)`` block of views."""
 
     rows: np.ndarray | slice
     starts: np.ndarray
-    row_of: np.ndarray | tuple
+    counts: np.ndarray | int
     item_of: np.ndarray | tuple
+
+    def replay(self, column):
+        """``column``'s value at each contribution's target row: each row's
+        value repeated ``counts`` times."""
+        return np.repeat(column[self.rows], self.counts)
 
 
 def list_layout(targets, tstart, tend, n_items=None) -> ListLayout:
@@ -165,26 +174,25 @@ def list_layout(targets, tstart, tend, n_items=None) -> ListLayout:
     n_items = np.ones(targets.size, dtype=np.int64) if n_items is None else n_items
     bounds = _run_bounds(targets)
     if bounds.size == 2:
-        rows, n_list = slice(int(tstart[0]), int(tend[0])), int(n_items.sum())
-        return ListLayout(rows, np.arange(0, (rows.stop - rows.start) * n_list, n_list),
-                          (rows, None), (None, slice(None)))
-    run = bounds[:-1]
-    if np.unique(targets[run]).size != run.size:
+        rows, n = slice(int(tstart[0]), int(tend[0])), int(n_items.sum())
+        starts = np.arange(0, (rows.stop - rows.start) * n, n)
+        return ListLayout(rows, starts, n, (None, slice(None)))
+    run, heads = bounds[:-1], targets[bounds[:-1]]
+    # an engine slice is in ascending target order, so the sort is rare
+    if not (heads[1:] > heads[:-1]).all() and np.unique(heads).size != run.size:
         # the layout of the pairs grouped by target, items renumbered
         order = np.argsort(targets, kind="stable")
-        first = (np.cumsum(n_items) - n_items)[order]
-        layout = list_layout(targets[order], tstart[order], tend[order], n_items[order])
-        return layout._replace(item_of=ranges_to_indices(first, first + n_items[order])
-                               [layout.item_of])
-    list_end = np.cumsum(n_items)[bounds[1:] - 1]
-    list_start = np.concatenate(([0], list_end[:-1]))
+        first, n = (np.cumsum(n_items) - n_items)[order], n_items[order]
+        layout = list_layout(targets[order], tstart[order], tend[order], n)
+        return layout._replace(item_of=ranges_to_indices(first, first + n)[layout.item_of])
+    # run j's list is the items [edge[j], edge[j + 1]); seg is each row's list length
+    edge = np.concatenate(([0], np.cumsum(n_items)))[bounds]
     n_rows = tend[run] - tstart[run]
-    rows = ranges_to_indices(tstart[run], tend[run])
-    seg = np.repeat(list_end - list_start, n_rows)
-    ends = np.cumsum(seg)
-    starts = ends - seg
-    item_of = np.arange(ends[-1]) - np.repeat(starts - np.repeat(list_start, n_rows), seg)
-    return ListLayout(rows, starts, np.repeat(rows, seg), item_of)
+    seg = np.repeat(edge[1:] - edge[:-1], n_rows)
+    starts = np.cumsum(seg) - seg
+    item_of = np.repeat(np.repeat(edge[:-1], n_rows) - starts, seg)
+    item_of += np.arange(starts[-1] + seg[-1])
+    return ListLayout(ranges_to_indices(tstart[run], tend[run]), starts, seg, item_of)
 
 
 def _add_row_sums(out, layout, values):
@@ -192,23 +200,23 @@ def _add_row_sums(out, layout, values):
     is ``(n, len(values))``, or ``(n,)`` for one value)."""
     if values[0].size != layout.starts.size:      # some list holds more than one item
         values = [np.add.reduceat(v.ravel(), layout.starts) for v in values]
-    columns = [out] if out.ndim == 1 else [out[:, j] for j in range(out.shape[1])]
-    for column, v in zip(columns, values):
+    for column, v in zip(np.atleast_2d(out.T), values):
         column[layout.rows] += v.ravel()
 
 
-def _norm_sq(d):
-    """``|d|²`` of per-coordinate separations, squares summed x, y, z."""
-    r2 = d[0] * d[0]
-    r2 += d[1] * d[1]
-    r2 += d[2] * d[2]
-    return r2
+def _dot(a, b, out=None, spare=None):
+    """``a · b`` of per-coordinate arrays, products summed x, y, z (into
+    ``out``; the second and third products into ``spare``, if given)."""
+    r = np.multiply(a[0], b[0], out=out)
+    r += np.multiply(a[1], b[1], out=spare)
+    r += np.multiply(a[2], b[2], out=spare)
+    return r
 
 
 def _separation(source, target):
     """Per-pair ``d = source - target`` by coordinate, and ``|d|²``."""
     d = [s - t for s, t in zip(source, target)]
-    return d, _norm_sq(d)
+    return d, _dot(d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -221,24 +229,30 @@ def _separation(source, target):
 # same expressions, on contribution arrays or on a broadcast grid.
 # ---------------------------------------------------------------------------
 
-def _plummer_weight(r2, gm, eps2):
-    """Per-pair ``gm / (r2 + eps2)^{3/2}``, zero where ``r2`` is."""
-    rs = r2 + eps2
+def _plummer_weight(r2, gm, eps2, out=None):
+    """Per-pair ``gm / (r2 + eps2)^{3/2}``, zero where ``r2`` is (into
+    ``out``, if given).  ``r2`` becomes ``r2 + eps2``."""
+    zero = r2 == 0.0
+    r2 += eps2
     with np.errstate(divide="ignore", invalid="ignore"):
         # rs * sqrt(rs) instead of rs ** 1.5: sqrt and multiply are
         # correctly rounded everywhere, so a scalar loop over the pairs
         # (the golden tests) agrees bit-for-bit; pow's SIMD path does not.
-        w = np.sqrt(rs)
-        w *= rs
+        w = np.sqrt(r2, out=out)
+        w *= r2
         np.divide(gm, w, out=w)
-    w[r2 == 0.0] = 0.0
+    w[zero] = 0.0
     return w
 
 
 def _inverse_distance(r2, eps2):
-    """Per-pair ``1 / sqrt(r2 + eps2)``, zero where ``r2`` is."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(r2 > 0.0, 1.0 / np.sqrt(r2 + eps2), 0.0)
+    """Per-pair ``1 / sqrt(r2 + eps2)``, zero where ``r2`` is not positive;
+    computed in ``r2``'s place."""
+    positive = r2 > 0.0
+    r2 += eps2
+    np.divide(1.0, np.sqrt(r2, out=r2), out=r2, where=positive)
+    r2[~positive] = 0.0
+    return r2
 
 
 def accumulate_point_masses(out, layout, target, source, gm, softening=0.0, quad=None,
@@ -252,18 +266,24 @@ def accumulate_point_masses(out, layout, target, source, gm, softening=0.0, quad
 
     ``target`` holds the positions of ``out``'s rows; ``source``, ``gm`` (G
     times the mass) and ``quad`` are the item tables, one entry per list
-    item.  Positions are ``(n, 3)`` arrays or coordinate columns."""
+    item.  Positions are ``(n, 3)`` arrays or coordinate columns.  No input
+    is written: every per-contribution array is the call's own."""
     eps2 = float(softening * softening)
-    d, r2 = _separation([c[layout.item_of] for c in components(source)],
-                        [c[layout.row_of] for c in components(target)])
+    s, target = [c[layout.item_of] for c in components(source)], components(target)
+    if isinstance(layout.rows, slice):    # one list: views of the caller's tables
+        (d, r2), spare = _separation(s, [c[layout.rows, None] for c in target]), None
+    else:                                 # d into the item gathers, |d|² into the replays
+        t = [layout.replay(c) for c in target]
+        d = [np.subtract(sj, tj, out=sj) for sj, tj in zip(s, t)]
+        r2, spare = _dot(d, d, out=t[0], spare=t[1]), t[2]
     gm = gm[layout.item_of]
-    if out.ndim == 1:
-        d = [np.negative(gm * _inverse_distance(r2, eps2))]
+    if out.ndim == 1:      # -gm / sqrt(r2 + eps2), in r2's place
+        d = [np.negative(np.multiply(_inverse_distance(r2, eps2), gm, out=r2), out=r2)]
     elif quad is not None:
-        d = _quadrupole_terms(d, r2 + eps2, gm, float(G),
+        d = _quadrupole_terms(d, np.add(r2, eps2, out=r2), gm, float(G),
                               [q[layout.item_of] for q in symmetric_components(quad)])
     else:
-        w = _plummer_weight(r2, gm, eps2)
+        w = _plummer_weight(r2, gm, eps2, out=spare)
         for dj in d:
             dj *= w
     _add_row_sums(out, layout, d)
@@ -287,7 +307,7 @@ def _dense_separation(targets, sources):
     """:func:`_separation` of every (target, source) pair: ``d`` stacked
     ``(3, nt, ns)``, ``|d|²`` ``(nt, ns)``."""
     d = _columns(sources)[:, None, :] - _columns(targets)[:, :, None]
-    return d, _norm_sq(d)
+    return d, _dot(d, d)
 
 
 def pairwise_accel(targets, sources, source_mass, G=1.0, softening=0.0) -> np.ndarray:
@@ -320,19 +340,15 @@ def pairwise_potential(targets, sources, source_mass, G=1.0, softening=0.0) -> n
 def _quadrupole_terms(d, r2, gm, G, quad):
     """Per contribution: a node item's monopole + quadrupole acceleration,
     ``d`` by coordinate, ``r2 = |d|² + ε²``."""
-    dx, dy, dz = d
     xx, xy, xz, yy, yz, zz = quad
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_r2 = np.where(r2 > 0.0, 1.0 / r2, 0.0)
     inv_r3 = inv_r2 * np.sqrt(inv_r2)
     inv_r5 = inv_r3 * inv_r2
     inv_r7 = inv_r5 * inv_r2
-    qd = (xx * dx + xy * dy + xz * dz,
-          xy * dx + yy * dy + yz * dz,
-          xz * dx + yz * dy + zz * dz)
-    dqd = dx * qd[0] + dy * qd[1] + dz * qd[2]
+    qd = (_dot((xx, xy, xz), d), _dot((xy, yy, yz), d), _dot((xz, yz, zz), d))
     mono = gm * inv_r3
-    stretch = 2.5 * (dqd * inv_r7)
+    stretch = 2.5 * (_dot(d, qd) * inv_r7)
     return [mono * dj + G * (stretch * dj - qdj * inv_r5) for dj, qdj in zip(d, qd)]
 
 

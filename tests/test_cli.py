@@ -158,3 +158,34 @@ class TestExecFlagValidation:
                      "--backend", backend, *flags]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+class TestInputsCheckedBeforeTheRun:
+    """What the run cannot use fails at ingestion: one ``error:`` line,
+    exit 2, nothing on stdout — before any traversal starts."""
+
+    @staticmethod
+    def _rejected(capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1 and err[0].startswith("error: "), err
+        return err[0]
+
+    @pytest.mark.parametrize("app,k", [("knn", "0"), ("knn", "300"), ("sph", "0"),
+                                       ("sph", "300")])
+    def test_k_outside_one_to_n_minus_one(self, capsys, app, k):
+        assert "k must be in [1, 299]" in self._rejected(
+            capsys, [app, "--n", "300", "--k", k])
+
+    def test_k_of_n_minus_one_runs(self, capsys):
+        assert main(["knn", "--n", "300", "--k", "299"]) == 0
+
+    @pytest.mark.parametrize("flag", ["--trace", "--metrics", "--flight"])
+    def test_unwritable_telemetry_path(self, capsys, tmp_path, flag):
+        (tmp_path / "a_file").write_text("")
+        for path in (tmp_path / "missing" / "x.json", tmp_path / "a_file" / "x.json",
+                     tmp_path):
+            line = self._rejected(capsys, ["gravity", "--n", "300", "--iterations", "1",
+                                           flag, str(path)])
+            assert "could not write telemetry output" in line
